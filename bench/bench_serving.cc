@@ -1,12 +1,7 @@
-// Serving-path benchmark (ISSUE: tape-free compiled inference; precision-
-// lowered serving).
+// Serving-path benchmark (tape-free compiled inference).
 //
-// Measures four regimes on a trained, checkpoint-round-tripped AF:
+// Measures three regimes on a trained, checkpoint-round-tripped AF:
 //   cold      tape-based Predict vs compiled ForwardPlan::Run, single query
-//   precision fp32 plan vs the fp64 reference plan: single-query p50/p99/QPS
-//             side by side, plus the max per-cell KL/JS/EMD delta between
-//             the two plans' histograms over a sample sweep, checked against
-//             the serve/service.h gate tolerances
 //   batched   end-to-end ForecastService latency/QPS at several concurrency
 //             levels (micro-batching worker)
 //   cached    ForecastCurrent hits on the interval cache
@@ -18,13 +13,10 @@
 //
 // Writes BENCH_serving.json to the working directory. `--smoke` runs a
 // fast subset and exits non-zero if the cached p50 exceeds a generous
-// ceiling or any precision delta exceeds its gate tolerance (CI smoke).
-// `--precision` runs only the cold + precision regimes (quick iteration on
-// the precision sweep; no JSON is written).
+// ceiling or the compiled plan is slower than the tape (CI smoke).
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -34,7 +26,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "metrics/divergence.h"
 #include "nn/serialize.h"
 #include "serve/forward_plan.h"
 #include "serve/service.h"
@@ -75,31 +66,7 @@ void AppendRegimeJson(std::string* out, const Regime& regime, bool last) {
   *out += buf;
 }
 
-/// Max per-cell |KL|/|JS|/EMD between the two plans' normalized histograms
-/// over every horizon step of the last Run (outputs assumed [B, N, N', K]).
-struct MaxDeltas {
-  double kl = 0.0;
-  double js = 0.0;
-  double emd = 0.0;
-};
-
-void AccumulateDeltas(const serve::ForwardPlan& ref,
-                      const serve::ForwardPlan& low, MaxDeltas* deltas) {
-  for (int64_t j = 0; j < ref.horizon(); ++j) {
-    const Tensor& a = ref.output(j);
-    const Tensor& b = low.output(j);
-    const int64_t k = a.dim(3);
-    const float* pa = a.data();
-    const float* pb = b.data();
-    for (int64_t c = 0; c < a.numel() / k; ++c, pa += k, pb += k) {
-      deltas->kl = std::max(deltas->kl, std::fabs(KlDivergence(pa, pb, k)));
-      deltas->js = std::max(deltas->js, std::fabs(JsDivergence(pa, pb, k)));
-      deltas->emd = std::max(deltas->emd, EarthMoversDistance(pa, pb, k));
-    }
-  }
-}
-
-int Run(bool smoke, bool precision_only) {
+int Run(bool smoke) {
   SetMetricsEnabled(true);
   Scale scale = Scale::FromEnv();
   if (smoke) scale.epochs = std::min(scale.epochs, 2);
@@ -135,9 +102,7 @@ int Run(bool smoke, bool precision_only) {
   // Let the core return to steady-state clocks before timing anything: the
   // training phase above runs the CPU flat out for tens of seconds, and on
   // frequency-scaled hosts the first timing loops otherwise measure the
-  // thermal tail of training rather than the kernels. fp64 is the more
-  // bandwidth-bound plan, so a throttled clock skews the fp32/fp64 ratio,
-  // not just the absolute numbers.
+  // thermal tail of training rather than the kernels.
   if (!smoke) std::this_thread::sleep_for(std::chrono::seconds(20));
 
   // --- cold single-query: tape vs plan -------------------------------
@@ -150,69 +115,17 @@ int Run(bool smoke, bool precision_only) {
     const uint64_t elapsed = MonotonicNanos() - start;
     if (i >= 3) tape.nanos.push_back(elapsed);  // skip warmup
   }
-  // --- precision sweep: fp32 plan vs fp64 reference plan --------------
-  // Timed in alternating blocks: back-to-back whole loops would sample
-  // different frequency-scaling states (the ratio then measures the clock,
-  // not the plans), while alternating every query makes the two plans
-  // evict each other's working set on every iteration — a cache pattern no
-  // deployment has, since production serves from one plan at a time. A
-  // block is long enough that only its first queries pay the refill, and
-  // blocks are short enough that clock drift lands on both plans evenly.
-  serve::ForwardPlan plan64 = serve::PlanCompiler::Compile(
-      model, dataset.history(), serve::Precision::kFp64);
   Regime compiled;
   compiled.name = "cold_plan";
-  Regime compiled64;
-  compiled64.name = "cold_plan_fp64";
-  const int block_iters = smoke ? 10 : 25;
-  const int warm_iters = 3;
-  for (int block = 0; block * block_iters < cold_iters; ++block) {
-    for (int i = 0; i < block_iters + warm_iters; ++i) {
-      const uint64_t start32 = MonotonicNanos();
-      plan.Run(single.inputs);
-      const uint64_t elapsed32 = MonotonicNanos() - start32;
-      if (i >= warm_iters) compiled.nanos.push_back(elapsed32);
-    }
-    for (int i = 0; i < block_iters + warm_iters; ++i) {
-      const uint64_t start64 = MonotonicNanos();
-      plan64.Run(single.inputs);
-      const uint64_t elapsed64 = MonotonicNanos() - start64;
-      if (i >= warm_iters) compiled64.nanos.push_back(elapsed64);
-    }
+  for (int i = 0; i < cold_iters + 3; ++i) {
+    const uint64_t start = MonotonicNanos();
+    plan.Run(single.inputs);
+    const uint64_t elapsed = MonotonicNanos() - start;
+    if (i >= 3) compiled.nanos.push_back(elapsed);  // skip warmup
   }
   regimes.push_back(tape);
   regimes.push_back(compiled);
-  regimes.push_back(compiled64);
   const int64_t num_samples = dataset.NumSamples();
-  MaxDeltas deltas;
-  const int64_t delta_queries = smoke ? 4 : 16;
-  for (int64_t q = 0; q < delta_queries; ++q) {
-    Batch query = dataset.MakeBatch({(q * 7) % num_samples});
-    plan.Run(query.inputs);
-    plan64.Run(query.inputs);
-    AccumulateDeltas(plan64, plan, &deltas);
-  }
-  const double fp32_speedup =
-      static_cast<double>(compiled64.p50()) /
-      static_cast<double>(std::max<uint64_t>(compiled.p50(), 1));
-  const bool gate_pass = deltas.kl <= serve::kPrecisionKlTolerance &&
-                         deltas.js <= serve::kPrecisionJsTolerance &&
-                         deltas.emd <= serve::kPrecisionEmdTolerance;
-  if (precision_only) {
-    std::printf("%-16s %10s %10s\n", "plan", "p50_us", "p99_us");
-    std::printf("%-16s %10.1f %10.1f\n", "fp32",
-                static_cast<double>(compiled.p50()) * 1e-3,
-                static_cast<double>(compiled.p99()) * 1e-3);
-    std::printf("%-16s %10.1f %10.1f\n", "fp64",
-                static_cast<double>(compiled64.p50()) * 1e-3,
-                static_cast<double>(compiled64.p99()) * 1e-3);
-    std::printf("fp32_speedup_vs_fp64_p50: %.2fx\n", fp32_speedup);
-    std::printf("max_kl %.3g  max_js %.3g  max_emd %.3g  gate %s\n",
-                deltas.kl, deltas.js, deltas.emd,
-                gate_pass ? "pass" : "REJECT");
-    std::remove(checkpoint.c_str());
-    return gate_pass ? 0 : 1;
-  }
 
   // --- batched serving at several concurrency levels -----------------
   serve::ServeConfig serve_config = serve::ServeConfig::FromEnv();
@@ -280,11 +193,6 @@ int Run(bool smoke, bool precision_only) {
   }
   std::printf("plan_speedup_vs_tape_p50: %.2fx\n", speedup);
   std::printf("cold_over_cached_p50:     %.0fx\n", cache_ratio);
-  std::printf("fp32_speedup_vs_fp64_p50: %.2fx\n", fp32_speedup);
-  std::printf("precision deltas: max_kl %.3g  max_js %.3g  max_emd %.3g  "
-              "gate %s\n",
-              deltas.kl, deltas.js, deltas.emd,
-              gate_pass ? "pass" : "REJECT");
 
   std::string json = "{\n";
   json += "  \"bench\": \"serving\",\n";
@@ -298,28 +206,6 @@ int Run(bool smoke, bool precision_only) {
                 "  \"plan_speedup_vs_tape_p50\": %.2f,\n"
                 "  \"cold_over_cached_p50\": %.1f,\n",
                 speedup, cache_ratio);
-  json += buf;
-  // Single-query QPS: serial replay rate at p50 latency.
-  std::snprintf(
-      buf, sizeof buf,
-      "  \"precision\": {\n"
-      "    \"fp32\": {\"p50_ns\": %llu, \"p99_ns\": %llu, \"qps\": %.1f},\n"
-      "    \"fp64\": {\"p50_ns\": %llu, \"p99_ns\": %llu, \"qps\": %.1f},\n"
-      "    \"fp32_speedup_vs_fp64_p50\": %.2f,\n"
-      "    \"max_kl\": %.6g, \"max_js\": %.6g, \"max_emd\": %.6g,\n"
-      "    \"tolerance_kl\": %.3g, \"tolerance_js\": %.3g, "
-      "\"tolerance_emd\": %.3g,\n"
-      "    \"gate\": \"%s\"\n"
-      "  },\n",
-      static_cast<unsigned long long>(compiled.p50()),
-      static_cast<unsigned long long>(compiled.p99()),
-      1e9 / static_cast<double>(std::max<uint64_t>(compiled.p50(), 1)),
-      static_cast<unsigned long long>(compiled64.p50()),
-      static_cast<unsigned long long>(compiled64.p99()),
-      1e9 / static_cast<double>(std::max<uint64_t>(compiled64.p50(), 1)),
-      fp32_speedup, deltas.kl, deltas.js, deltas.emd,
-      serve::kPrecisionKlTolerance, serve::kPrecisionJsTolerance,
-      serve::kPrecisionEmdTolerance, gate_pass ? "pass" : "reject");
   json += buf;
   json += "  \"metrics\": ";
   json += MetricsRegistry::Global().ToJson();
@@ -348,15 +234,6 @@ int Run(bool smoke, bool precision_only) {
                    speedup);
       return 1;
     }
-    if (!gate_pass) {
-      std::fprintf(stderr,
-                   "SMOKE FAIL: precision delta over tolerance "
-                   "(kl %.3g/%.3g  js %.3g/%.3g  emd %.3g/%.3g)\n",
-                   deltas.kl, serve::kPrecisionKlTolerance, deltas.js,
-                   serve::kPrecisionJsTolerance, deltas.emd,
-                   serve::kPrecisionEmdTolerance);
-      return 1;
-    }
   }
   return 0;
 }
@@ -366,10 +243,8 @@ int Run(bool smoke, bool precision_only) {
 
 int main(int argc, char** argv) {
   bool smoke = false;
-  bool precision_only = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--precision") == 0) precision_only = true;
   }
-  return odf::bench::Run(smoke, precision_only);
+  return odf::bench::Run(smoke);
 }

@@ -29,27 +29,13 @@ void PrepareShape(Tensor* t, const BufShape& spec, int64_t batch) {
   if (!same) *t = std::move(*t).Reshape(spec.Dims(batch));
 }
 
-// -- fp64 plan glue (Exec64) -----------------------------------------------
-//
-// Shapes come from the float metadata tensors (PrepareShape keeps them in
-// lock-step with the schedule); payloads live in the double arena. The glue
-// helpers below are deliberately serial: they move little data, and serial
-// loops are thread-invariant by construction. The hot kernels — GEMM, SpMM,
-// wide Chebyshev basis, softmax, fused recover — run the same parallel
-// width-templated code as the fp32 plan, whose per-element accumulation
-// order is fixed at every thread count, so the whole fp64 plan is
-// bit-identical across ODF_THREADS settings.
-
-/// Permutes `src` (row-major, dims `in_dims`) by `perm` into `dst`, widening
-/// on the fly when S and D differ. Same element mapping as PermuteInto (a
-/// permutation is a pure relabeling, so any traversal yields identical
-/// bytes); axes the permutation leaves in place at the tail are contiguous
-/// with stride 1 in both layouts and are copied as one chunk instead of
-/// element-by-element. Used by BOTH plan widths so the fp32 and fp64
-/// schedules pay the same per-op cost.
-template <typename S, typename D>
-void PermuteRaw(const S* src, const std::vector<int64_t>& in_dims,
-                const std::vector<int64_t>& perm, D* dst) {
+/// Permutes `src` (row-major, dims `in_dims`) by `perm` into `dst`. Same
+/// element mapping as PermuteInto (a permutation is a pure relabeling, so
+/// any traversal yields identical bytes); axes the permutation leaves in
+/// place at the tail are contiguous with stride 1 in both layouts and are
+/// copied as one chunk instead of element-by-element.
+void PermuteRaw(const float* src, const std::vector<int64_t>& in_dims,
+                const std::vector<int64_t>& perm, float* dst) {
   const int64_t rank = static_cast<int64_t>(in_dims.size());
   std::vector<int64_t> new_dims(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) {
@@ -74,15 +60,13 @@ void PermuteRaw(const S* src, const std::vector<int64_t>& in_dims,
     chunk *= new_dims[static_cast<size_t>(chunk_rank)];
   }
   if (chunk_rank == 0) {  // identity permutation: one straight copy
-    for (int64_t i = 0; i < numel; ++i) dst[i] = static_cast<D>(src[i]);
+    std::copy(src, src + numel, dst);
     return;
   }
   std::vector<int64_t> index(static_cast<size_t>(chunk_rank), 0);
   int64_t si = 0;
   for (int64_t flat = 0; flat < numel; flat += chunk) {
-    for (int64_t j = 0; j < chunk; ++j) {
-      dst[flat + j] = static_cast<D>(src[si + j]);
-    }
+    for (int64_t j = 0; j < chunk; ++j) dst[flat + j] = src[si + j];
     for (int64_t d = chunk_rank - 1; d >= 0; --d) {
       const size_t du = static_cast<size_t>(d);
       ++index[du];
@@ -94,14 +78,12 @@ void PermuteRaw(const S* src, const std::vector<int64_t>& in_dims,
   }
 }
 
-/// out = fn(a, b) with NumPy-style broadcasting; shapes come from the float
-/// metadata tensors. Mirrors BroadcastBinaryInto's stride-0 odometer (the
-/// same single fn application per element, so the float instantiation is
-/// bit-identical to the facade); both plan widths call this so their per-op
-/// overhead matches.
-template <typename T, typename Fn>
-void BroadcastBinaryRaw(const T* pa, const Tensor& am, const T* pb,
-                        const Tensor& bm, T* po, const Tensor& om, Fn fn) {
+/// out = fn(a, b) with NumPy-style broadcasting. Mirrors BroadcastBinaryInto's
+/// stride-0 odometer (the same single fn application per element, so it is
+/// bit-identical to the facade) without the facade's per-call shape checks.
+template <typename Fn>
+void BroadcastBinaryRaw(const float* pa, const Tensor& am, const float* pb,
+                        const Tensor& bm, float* po, const Tensor& om, Fn fn) {
   if (am.shape() == bm.shape()) {
     const int64_t numel = am.numel();
     for (int64_t i = 0; i < numel; ++i) po[i] = fn(pa[i], pb[i]);
@@ -140,32 +122,8 @@ void BroadcastBinaryRaw(const T* pa, const Tensor& am, const T* pb,
   }
 }
 
-/// Concat along `axis`; per-part shapes come from the float metadata.
-void ConcatRaw64(const double* const* parts, const Tensor* const* metas,
-                 size_t count, int64_t axis, double* po) {
-  const Tensor& first = *metas[0];
-  if (axis < 0) axis += first.rank();
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= first.dim(d);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < first.rank(); ++d) inner *= first.dim(d);
-  int64_t concat_dim = 0;
-  for (size_t p = 0; p < count; ++p) concat_dim += metas[p]->dim(axis);
-  const int64_t out_row = concat_dim * inner;
-  int64_t dest_offset = 0;
-  for (size_t p = 0; p < count; ++p) {
-    const int64_t p_row = metas[p]->dim(axis) * inner;
-    for (int64_t o = 0; o < outer; ++o) {
-      const double* src = parts[p] + o * p_row;
-      std::copy(src, src + p_row, po + o * out_row + dest_offset);
-    }
-    dest_offset += p_row;
-  }
-}
-
-template <typename T>
-void SliceRaw(const T* pa, const Tensor& am, int64_t axis,
-              int64_t start, int64_t len, T* po) {
+void SliceRaw(const float* pa, const Tensor& am, int64_t axis, int64_t start,
+              int64_t len, float* po) {
   if (axis < 0) axis += am.rank();
   int64_t outer = 1;
   for (int64_t d = 0; d < axis; ++d) outer *= am.dim(d);
@@ -174,68 +132,49 @@ void SliceRaw(const T* pa, const Tensor& am, int64_t axis,
   const int64_t src_row = am.dim(axis) * inner;
   const int64_t dst_row = len * inner;
   for (int64_t o = 0; o < outer; ++o) {
-    const T* src = pa + o * src_row + start * inner;
+    const float* src = pa + o * src_row + start * inner;
     std::copy(src, src + dst_row, po + o * dst_row);
   }
 }
 
-/// Sum over `axis` with keepdim, ascending accumulation like SumInto.
-void SumKeepRaw64(const double* pa, const Tensor& am, int64_t axis,
-                  double* po) {
-  if (axis < 0) axis += am.rank();
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= am.dim(d);
-  const int64_t mid = am.dim(axis);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < am.rank(); ++d) inner *= am.dim(d);
-  std::fill(po, po + outer * inner, 0.0);
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t m = 0; m < mid; ++m) {
-      const double* src = pa + (o * mid + m) * inner;
-      double* dst = po + o * inner;
-      for (int64_t i = 0; i < inner; ++i) dst[i] += src[i];
-    }
-  }
-}
-
-/// Width-templated port of nn::GraphPoolForwardInto (no argmax: serving
-/// never needs the max-pool backward indices, and dropping the per-update
-/// argmax branch keeps the inner loops tight). Per-element operation order —
-/// cluster-order accumulate then one inverse multiply, or the same
-/// compare-and-replace chain — matches the facade exactly, so the float
-/// instantiation is bit-identical to the tape's GraphPool.
+/// Port of nn::GraphPoolForwardInto (no argmax: serving never needs the
+/// max-pool backward indices, and dropping the per-update argmax branch keeps
+/// the inner loops tight). Per-element operation order — cluster-order
+/// accumulate then one inverse multiply, or the same compare-and-replace
+/// chain — matches the facade exactly, so it is bit-identical to the tape's
+/// GraphPool.
 // Four-cells-per-step average pooling over the batch-divisible prefix,
 // with the feature width as a compile-time constant when it matches one of
 // the widths the model actually runs (F == 0 keeps it a runtime value).
 // Constant trip counts let the compiler emit straight-line vector code for
 // the three per-cluster loops, whose setup otherwise dominates at
 // single-digit feature widths.
-template <int64_t F, typename T>
-int64_t GraphPoolAvgQuad(const T* x, int64_t batch, int64_t n,
+template <int64_t F>
+int64_t GraphPoolAvgQuad(const float* x, int64_t batch, int64_t n,
                          int64_t features,
                          const std::vector<std::vector<int64_t>>& clusters,
-                         T* out) {
+                         float* out) {
   const int64_t nf = F > 0 ? F : features;
   const int64_t nc = static_cast<int64_t>(clusters.size());
   int64_t b = 0;
   for (; b + 4 <= batch; b += 4) {
     for (int64_t c = 0; c < nc; ++c) {
       const auto& cluster = clusters[static_cast<size_t>(c)];
-      T* d0 = out + ((b + 0) * nc + c) * nf;
-      T* d1 = out + ((b + 1) * nc + c) * nf;
-      T* d2 = out + ((b + 2) * nc + c) * nf;
-      T* d3 = out + ((b + 3) * nc + c) * nf;
+      float* d0 = out + ((b + 0) * nc + c) * nf;
+      float* d1 = out + ((b + 1) * nc + c) * nf;
+      float* d2 = out + ((b + 2) * nc + c) * nf;
+      float* d3 = out + ((b + 3) * nc + c) * nf;
       for (int64_t f = 0; f < nf; ++f) {
-        d0[f] = T(0);
-        d1[f] = T(0);
-        d2[f] = T(0);
-        d3[f] = T(0);
+        d0[f] = 0.0f;
+        d1[f] = 0.0f;
+        d2[f] = 0.0f;
+        d3[f] = 0.0f;
       }
       for (int64_t i : cluster) {
-        const T* s0 = x + ((b + 0) * n + i) * nf;
-        const T* s1 = x + ((b + 1) * n + i) * nf;
-        const T* s2 = x + ((b + 2) * n + i) * nf;
-        const T* s3 = x + ((b + 3) * n + i) * nf;
+        const float* s0 = x + ((b + 0) * n + i) * nf;
+        const float* s1 = x + ((b + 1) * n + i) * nf;
+        const float* s2 = x + ((b + 2) * n + i) * nf;
+        const float* s3 = x + ((b + 3) * n + i) * nf;
         for (int64_t f = 0; f < nf; ++f) {
           d0[f] += s0[f];
           d1[f] += s1[f];
@@ -243,7 +182,7 @@ int64_t GraphPoolAvgQuad(const T* x, int64_t batch, int64_t n,
           d3[f] += s3[f];
         }
       }
-      const T inv = T(1) / static_cast<T>(cluster.size());
+      const float inv = 1.0f / static_cast<float>(cluster.size());
       for (int64_t f = 0; f < nf; ++f) {
         d0[f] *= inv;
         d1[f] *= inv;
@@ -255,10 +194,9 @@ int64_t GraphPoolAvgQuad(const T* x, int64_t batch, int64_t n,
   return b;
 }
 
-template <typename T>
-void GraphPoolRaw(const T* x, int64_t batch, int64_t n, int64_t features,
+void GraphPoolRaw(const float* x, int64_t batch, int64_t n, int64_t features,
                   const std::vector<std::vector<int64_t>>& clusters,
-                  nn::PoolKind kind, T* out) {
+                  nn::PoolKind kind, float* out) {
   const int64_t nc = static_cast<int64_t>(clusters.size());
   int64_t b = 0;
   if (kind == nn::PoolKind::kAverage) {
@@ -283,21 +221,21 @@ void GraphPoolRaw(const T* x, int64_t batch, int64_t n, int64_t features,
   for (; b < batch; ++b) {
     for (int64_t c = 0; c < nc; ++c) {
       const auto& cluster = clusters[static_cast<size_t>(c)];
-      T* dst = out + (b * nc + c) * features;
+      float* dst = out + (b * nc + c) * features;
       if (kind == nn::PoolKind::kAverage) {
-        for (int64_t f = 0; f < features; ++f) dst[f] = T(0);
+        for (int64_t f = 0; f < features; ++f) dst[f] = 0.0f;
         for (int64_t i : cluster) {
-          const T* src = x + (b * n + i) * features;
+          const float* src = x + (b * n + i) * features;
           for (int64_t f = 0; f < features; ++f) dst[f] += src[f];
         }
-        const T inv = T(1) / static_cast<T>(cluster.size());
+        const float inv = 1.0f / static_cast<float>(cluster.size());
         for (int64_t f = 0; f < features; ++f) dst[f] *= inv;
       } else {
         for (int64_t f = 0; f < features; ++f) {
-          dst[f] = -std::numeric_limits<T>::infinity();
+          dst[f] = -std::numeric_limits<float>::infinity();
         }
         for (int64_t i : cluster) {
-          const T* src = x + (b * n + i) * features;
+          const float* src = x + (b * n + i) * features;
           for (int64_t f = 0; f < features; ++f) {
             if (src[f] > dst[f]) dst[f] = src[f];
           }
@@ -320,13 +258,6 @@ void ForwardPlan::EnsureBatch(int64_t batch) {
   bufs_.reserve(specs_.size());
   for (const BufShape& spec : specs_) {
     bufs_.emplace_back(Shape(spec.Dims(batch)));
-  }
-  if (precision_ == Precision::kFp64) {
-    dbufs_.assign(specs_.size(), {});
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      dbufs_[i].assign(static_cast<size_t>(specs_[i].NumelPerBatch() * batch),
-                       0.0);
-    }
   }
 }
 
@@ -510,247 +441,6 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
   }
 }
 
-void ForwardPlan::Exec64(const Instr& ins, const std::vector<Tensor>& inputs) {
-  // The float buffer tracks the instruction's output view so operand shapes
-  // stay in lock-step with Exec's schedule; its payload is never touched.
-  Tensor& out = bufs_[static_cast<size_t>(ins.out)];
-  PrepareShape(&out, ins.shape, batch_);
-  double* po = dbufs_[static_cast<size_t>(ins.out)].data();
-  const auto dat = [&](int32_t id) -> const double* {
-    return dbufs_[static_cast<size_t>(id)].data();
-  };
-  const auto meta = [&](int32_t id) -> const Tensor& {
-    return bufs_[static_cast<size_t>(id)];
-  };
-  switch (ins.kind) {
-    case OpKind::kLoadInput: {
-      const Tensor& in = inputs[static_cast<size_t>(ins.input_index)];
-      const float* src = in.data();
-      double* dst = po + ins.start * batch_;
-      const int64_t numel = in.numel();
-      for (int64_t i = 0; i < numel; ++i) dst[i] = static_cast<double>(src[i]);
-      break;
-    }
-    case OpKind::kLoadInputPermuted: {
-      const Tensor& in = inputs[static_cast<size_t>(ins.input_index)];
-      PermuteRaw(in.data(), in.shape().dims(), ins.perm, po);
-      break;
-    }
-    case OpKind::kReshape:
-      break;  // PrepareShape did the work
-    case OpKind::kCopy: {
-      const double* src = dat(ins.a);
-      std::copy(src, src + meta(ins.a).numel(), po);
-      break;
-    }
-    case OpKind::kSliceRows: {
-      const double* src = dat(ins.a) + ins.start * batch_;
-      std::copy(src, src + out.numel(), po);
-      break;
-    }
-    case OpKind::kStackRows: {
-      const double* src = dat(ins.a);
-      std::copy(src, src + meta(ins.a).numel(), po + ins.start * batch_);
-      break;
-    }
-    case OpKind::kZero:
-      std::fill(po, po + out.numel(), 0.0);
-      break;
-    case OpKind::kAdd:
-      BroadcastBinaryRaw(dat(ins.a), meta(ins.a), dat(ins.b), meta(ins.b),
-                         po, out, [](double x, double y) { return x + y; });
-      break;
-    case OpKind::kMul:
-      BroadcastBinaryRaw(dat(ins.a), meta(ins.a), dat(ins.b), meta(ins.b),
-                         po, out, [](double x, double y) { return x * y; });
-      break;
-    case OpKind::kAddBiasW: {
-      const std::vector<double>& bias = dweights_[static_cast<size_t>(ins.w)];
-      const int64_t cols = static_cast<int64_t>(bias.size());
-      const int64_t rows = meta(ins.a).numel() / cols;
-      const double* ap = dat(ins.a);
-      const double* bp = bias.data();
-      double* op = po;
-      for (int64_t r = 0; r < rows; ++r, ap += cols, op += cols) {
-        for (int64_t j = 0; j < cols; ++j) op[j] = ap[j] + bp[j];
-      }
-      break;
-    }
-    case OpKind::kAddScalar: {
-      const double s = static_cast<double>(ins.scalar);
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] + s;
-      break;
-    }
-    case OpKind::kMulScalar: {
-      const double s = static_cast<double>(ins.scalar);
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] * s;
-      break;
-    }
-    case OpKind::kSigmoid: {
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = FastSigmoid(ap[i]);
-      break;
-    }
-    case OpKind::kTanh: {
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = FastTanh(ap[i]);
-      break;
-    }
-    case OpKind::kRelu: {
-      const double* ap = dat(ins.a);
-      const int64_t numel = out.numel();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] > 0 ? ap[i] : 0.0;
-      break;
-    }
-    case OpKind::kMatMulW:
-    case OpKind::kBatchMatMulW:
-      // Both flatten to one [rows, k] x [k, n] product over the double
-      // weight snapshot (the fp32 plan's batched case does the same).
-      if (ins.prepacked) {
-        const PackedGemmB64& p = dpacked_[static_cast<size_t>(ins.w)];
-        MatMulPrepackedRaw(dat(ins.a), meta(ins.a).numel() / p.k, p, po);
-      } else {
-        const Tensor& w = weights_[static_cast<size_t>(ins.w)];
-        ODF_CHECK_EQ(w.rank(), 2);
-        const int64_t k = w.dim(0);
-        const int64_t n = w.dim(1);
-        const int64_t rows = meta(ins.a).numel() / k;
-        // GemmRawInto accumulates; start from zero like a fresh Tensor.
-        std::fill(po, po + rows * n, 0.0);
-        GemmRawInto(dat(ins.a), dweights_[static_cast<size_t>(ins.w)].data(),
-                    po, rows, k, n);
-      }
-      break;
-    case OpKind::kConcat2: {
-      const double* parts[2] = {dat(ins.a), dat(ins.b)};
-      const Tensor* metas[2] = {&meta(ins.a), &meta(ins.b)};
-      ConcatRaw64(parts, metas, 2, ins.axis, po);
-      break;
-    }
-    case OpKind::kConcatN: {
-      std::vector<const double*> parts;
-      std::vector<const Tensor*> metas;
-      parts.reserve(ins.srcs.size());
-      metas.reserve(ins.srcs.size());
-      for (int32_t src : ins.srcs) {
-        parts.push_back(dat(src));
-        metas.push_back(&meta(src));
-      }
-      ConcatRaw64(parts.data(), metas.data(), parts.size(), ins.axis, po);
-      break;
-    }
-    case OpKind::kSlice:
-      SliceRaw(dat(ins.a), meta(ins.a), ins.axis, ins.start, ins.len, po);
-      break;
-    case OpKind::kSumKeep:
-      SumKeepRaw64(dat(ins.a), meta(ins.a), ins.axis, po);
-      break;
-    case OpKind::kSoftmax: {
-      const Tensor& a = meta(ins.a);
-      const int64_t inner = a.dim(-1);
-      SoftmaxRowsRaw(dat(ins.a), po, a.numel() / inner, inner);
-      break;
-    }
-    case OpKind::kPermute:
-      PermuteRaw(dat(ins.a), meta(ins.a).shape().dims(), ins.perm, po);
-      break;
-    case OpKind::kChebBasis: {
-      const GraphData64* g = nullptr;
-      for (const GraphData64& cand : graph64_) {
-        if (cand.op == ins.graph.get()) {
-          g = &cand;
-          break;
-        }
-      }
-      ODF_CHECK(g != nullptr) << "fp64 plan missing graph snapshot";
-      const Tensor& x = meta(ins.a);
-      const CsrMatrix& csr = ins.graph->csr();
-      ChebyshevBasisWideRaw(
-          g->dense.empty() ? nullptr : g->dense.data(), csr.row_ptr().data(),
-          csr.col_idx().data(), g->csr_values.data(), csr.nnz(), x.dim(1),
-          dat(ins.a), x.dim(0), x.dim(2), ins.order, po,
-          dbufs_[static_cast<size_t>(ins.srcs[0])].data(),
-          dbufs_[static_cast<size_t>(ins.srcs[1])].data(),
-          dbufs_[static_cast<size_t>(ins.srcs[2])].data());
-      break;
-    }
-    case OpKind::kGraphApply: {
-      const GraphData64* g = nullptr;
-      for (const GraphData64& cand : graph64_) {
-        if (cand.op == ins.graph.get()) {
-          g = &cand;
-          break;
-        }
-      }
-      ODF_CHECK(g != nullptr) << "fp64 plan missing graph snapshot";
-      const Tensor& x = meta(ins.a);
-      const CsrMatrix& csr = ins.graph->csr();
-      GraphApplyRaw64(g->dense.empty() ? nullptr : g->dense.data(),
-                      csr.row_ptr().data(), csr.col_idx().data(),
-                      g->csr_values.data(), csr.nnz(), x.dim(1), dat(ins.a),
-                      x.dim(0), x.dim(2), po);
-      break;
-    }
-    case OpKind::kGraphPool: {
-      const Tensor& x = meta(ins.a);
-      GraphPoolRaw(dat(ins.a), x.dim(0), x.dim(1), x.dim(2), *ins.clusters,
-                   ins.pool, po);
-      break;
-    }
-    case OpKind::kRecover: {
-      const Tensor& r = meta(ins.a);  // [B, n, beta, k]
-      FusedRecoverRaw(dat(ins.a), dat(ins.b),
-                      dweights_[static_cast<size_t>(ins.w)][0], po, out.dim(0),
-                      out.dim(1), out.dim(2), r.dim(2), out.dim(3));
-      break;
-    }
-  }
-}
-
-void ForwardPlan::LowerToFp64() {
-  precision_ = Precision::kFp64;
-  dweights_.clear();
-  dweights_.reserve(weights_.size());
-  for (const Tensor& w : weights_) {
-    std::vector<double> dw(static_cast<size_t>(w.numel()));
-    const float* p = w.data();
-    for (int64_t i = 0; i < w.numel(); ++i) dw[static_cast<size_t>(i)] = p[i];
-    dweights_.push_back(std::move(dw));
-  }
-  dpacked_.clear();
-  dpacked_.resize(packed_.size());
-  for (size_t i = 0; i < packed_.size(); ++i) {
-    if (packed_[i].panels.empty()) continue;
-    const Tensor& w = weights_[i];
-    dpacked_[i] = PackGemmWeightRaw(dweights_[i].data(), w.dim(0), w.dim(1));
-  }
-  graph64_.clear();
-  graph64_.reserve(graph_ops_.size());
-  for (const auto& op : graph_ops_) {
-    GraphData64 g;
-    g.op = op.get();
-    if (op->use_sparse()) {
-      const std::vector<float>& v = op->csr().values();
-      g.csr_values.assign(v.begin(), v.end());
-    } else {
-      const Tensor& d = op->dense();
-      g.dense.resize(static_cast<size_t>(d.numel()));
-      const float* p = d.data();
-      for (int64_t i = 0; i < d.numel(); ++i) {
-        g.dense[static_cast<size_t>(i)] = p[i];
-      }
-    }
-    graph64_.push_back(std::move(g));
-  }
-  batch_ = -1;  // force the next Run to allocate the double arena
-}
-
 void ForwardPlan::Run(const std::vector<Tensor>& inputs) {
   ODF_CHECK_EQ(static_cast<int64_t>(inputs.size()), history_)
       << "plan compiled for a different history length";
@@ -774,33 +464,11 @@ void ForwardPlan::Run(const std::vector<Tensor>& inputs) {
         MetricsRegistry::Global().GetCounter("serve.plan.runs");
     runs.Add(1);
   }
-  const bool fp64 = precision_ == Precision::kFp64;
   for (const Phase& phase : phases_) {
     const uint64_t start = metrics ? MonotonicNanos() : 0;
-    if (fp64) {
-      for (size_t i = phase.begin; i < phase.end; ++i) {
-        Exec64(instrs_[i], inputs);
-      }
-    } else {
-      for (size_t i = phase.begin; i < phase.end; ++i) {
-        Exec(instrs_[i], inputs);
-      }
-    }
+    for (size_t i = phase.begin; i < phase.end; ++i) Exec(instrs_[i], inputs);
     if (metrics && phase.hist != nullptr) {
       phase.hist->Record(MonotonicNanos() - start);
-    }
-  }
-  if (fp64) {
-    // Outputs narrow once at plan exit, so output(j) serves the same float
-    // tensors either way.
-    for (int32_t id : outputs_) {
-      const std::vector<double>& src = dbufs_[static_cast<size_t>(id)];
-      Tensor& dst = bufs_[static_cast<size_t>(id)];
-      float* p = dst.data();
-      const int64_t numel = dst.numel();
-      for (int64_t i = 0; i < numel; ++i) {
-        p[i] = static_cast<float>(src[static_cast<size_t>(i)]);
-      }
     }
   }
 }
@@ -1512,7 +1180,7 @@ std::vector<int32_t> PlanCompiler::EmitGruDecoder(const nn::Seq2SeqGru& seq,
 // ---------------------------------------------------------------------------
 
 ForwardPlan PlanCompiler::Compile(const AdvancedFramework& model,
-                                  int64_t history, Precision precision) {
+                                  int64_t history) {
   ODF_CHECK_GT(history, 0);
   PlanCompiler c;
   ForwardPlan& p = c.plan_;
@@ -1613,12 +1281,11 @@ ForwardPlan PlanCompiler::Compile(const AdvancedFramework& model,
     p.outputs_.push_back(pred);
   }
   p.phases_.back().end = p.instrs_.size();
-  if (precision == Precision::kFp64) p.LowerToFp64();
   return std::move(c.plan_);
 }
 
 ForwardPlan PlanCompiler::Compile(const BasicFramework& model,
-                                  int64_t history, Precision precision) {
+                                  int64_t history) {
   ODF_CHECK_GT(history, 0);
   PlanCompiler c;
   ForwardPlan& p = c.plan_;
@@ -1674,7 +1341,6 @@ ForwardPlan PlanCompiler::Compile(const BasicFramework& model,
     p.outputs_.push_back(pred);
   }
   p.phases_.back().end = p.instrs_.size();
-  if (precision == Precision::kFp64) p.LowerToFp64();
   return std::move(c.plan_);
 }
 

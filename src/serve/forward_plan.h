@@ -44,30 +44,6 @@ namespace odf::serve {
 /// `Run` is NOT reentrant — callers serialize (the serving front-end funnels
 /// every batch through one worker thread).
 
-/// Arithmetic width a compiled plan executes at (docs/serving.md
-/// "Precision").
-///
-/// `kFp32` is the substrate width: every instruction calls the exact float
-/// kernel the tape calls, so Run reproduces Predict bit-for-bit — this is
-/// the default serving mode and the only one under the bit-identity
-/// contract. `kFp64` is the widened reference plan: weights, prepacked
-/// panels, graph operators and the whole arena are snapshotted into double
-/// buffers at compile time, and Run replays the same schedule through the
-/// double instantiations of the width-templated kernels (GEMM, SpMM, wide
-/// Chebyshev, softmax, fused recover) with inputs widened once at plan
-/// entry and outputs narrowed once at exit — no per-call conversions. Its
-/// role is accuracy arbitration: the serve-time gate and
-/// tests/serving_precision_test.cc measure the fp32 plan's KL/JS/EMD
-/// deltas against it, and bench_serving's --precision sweep reports the
-/// fp32-over-fp64 speedup (the fp64 kernels run at half the vector lanes
-/// and twice the memory traffic). Both widths are bit-identical across
-/// thread counts.
-enum class Precision : uint8_t { kFp32, kFp64 };
-
-inline const char* PrecisionName(Precision p) {
-  return p == Precision::kFp64 ? "fp64" : "fp32";
-}
-
 /// Buffer/output shape parameterized on the runtime batch size B:
 /// dims = {mult · B, tail...}. Every tensor in the forward has B as a
 /// factor of its leading dimension, so this spec covers all of them.
@@ -167,9 +143,6 @@ class ForwardPlan {
     return bufs_[static_cast<size_t>(outputs_[static_cast<size_t>(j)])];
   }
 
-  /// Arithmetic width this plan executes at (fixed at compile time).
-  Precision precision() const { return precision_; }
-
   int64_t history() const { return history_; }
   int64_t horizon() const { return static_cast<int64_t>(outputs_.size()); }
   int64_t num_instructions() const {
@@ -191,32 +164,12 @@ class ForwardPlan {
 
   void EnsureBatch(int64_t batch);
   void Exec(const Instr& ins, const std::vector<Tensor>& inputs);
-  /// Replays one instruction over the double arena (fp64 plans). The float
-  /// buffers still carry the shape metadata (PrepareShape is applied to
-  /// them exactly as in Exec; their payloads are never read or written), so
-  /// both widths share one schedule.
-  void Exec64(const Instr& ins, const std::vector<Tensor>& inputs);
-  /// Converts the compiled fp32 tables (weights, prepacked panels, graph
-  /// operators) into their double twins and flips the plan to kFp64.
-  /// Called once by PlanCompiler::Compile; the fp32 tables stay resident
-  /// for shape metadata.
-  void LowerToFp64();
 
   struct Phase {
     const char* name = "";
     size_t begin = 0;
     size_t end = 0;
     Histogram* hist = nullptr;  // serve.plan.<name>_seconds
-  };
-
-  /// Double snapshot of one GraphOperator (fp64 plans): exactly one of
-  /// `dense` / `csr_values` is populated, matching the operator's chosen
-  /// path. CSR structure (row_ptr/col_idx) is shared with the operator,
-  /// which the plan keeps alive through graph_ops_.
-  struct GraphData64 {
-    const GraphOperator* op = nullptr;
-    std::vector<double> dense;
-    std::vector<double> csr_values;
   };
 
   std::vector<Instr> instrs_;
@@ -229,14 +182,6 @@ class ForwardPlan {
   std::vector<std::shared_ptr<const GraphOperator>> graph_ops_;
   std::vector<const Tensor*> concat_scratch_;
 
-  // fp64 twins (empty on fp32 plans): one double arena slab per buffer,
-  // double weight snapshots, double prepacked panels, graph snapshots.
-  std::vector<std::vector<double>> dbufs_;
-  std::vector<std::vector<double>> dweights_;
-  std::vector<PackedGemmB64> dpacked_;
-  std::vector<GraphData64> graph64_;
-
-  Precision precision_ = Precision::kFp32;
   int64_t history_ = 0;
   // Expected input tensor shape tail [N, N', K].
   std::vector<int64_t> input_tail_;
@@ -249,13 +194,9 @@ class ForwardPlan {
 class PlanCompiler {
  public:
   /// `history` is the dataset's input window length s (ForecastDataset::
-  /// history()); the schedule is unrolled over it. `precision` picks the
-  /// arithmetic width of the emitted plan (see Precision above): kFp32 is
-  /// the bit-identical default, kFp64 the widened reference plan.
-  static ForwardPlan Compile(const AdvancedFramework& model, int64_t history,
-                             Precision precision = Precision::kFp32);
-  static ForwardPlan Compile(const BasicFramework& model, int64_t history,
-                             Precision precision = Precision::kFp32);
+  /// history()); the schedule is unrolled over it.
+  static ForwardPlan Compile(const AdvancedFramework& model, int64_t history);
+  static ForwardPlan Compile(const BasicFramework& model, int64_t history);
 
  private:
   PlanCompiler() = default;

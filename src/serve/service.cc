@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <string>
 #include <utility>
 
-#include "metrics/divergence.h"
 #include "util/env_config.h"
 #include "util/metrics.h"
 
@@ -30,18 +27,6 @@ struct ServeMetrics {
       MetricsRegistry::Global().GetHistogram("serve.cached_request_seconds");
   Histogram& batch_forward_seconds =
       MetricsRegistry::Global().GetHistogram("serve.batch_forward_seconds");
-  Histogram& batch_size =
-      MetricsRegistry::Global().GetHistogram("serve.batch_size");
-  Counter& precision_checks =
-      MetricsRegistry::Global().GetCounter("serve.precision_checks");
-  Counter& precision_gate_rejects =
-      MetricsRegistry::Global().GetCounter("serve.precision_gate_rejects");
-  Histogram& precision_kl =
-      MetricsRegistry::Global().GetHistogram("serve.precision_kl");
-  Histogram& precision_js =
-      MetricsRegistry::Global().GetHistogram("serve.precision_js");
-  Histogram& precision_emd =
-      MetricsRegistry::Global().GetHistogram("serve.precision_emd");
 };
 
 ServeMetrics& Metrics() {
@@ -53,21 +38,12 @@ ServeMetrics& Metrics() {
 
 ServeConfig ServeConfig::FromEnv() {
   ServeConfig config;
-  config.max_batch = GetEnvInt("ODF_SERVE_MAX_BATCH", config.max_batch);
-  config.batch_window_us =
+  const int64_t max_batch = GetEnvInt("ODF_SERVE_MAX_BATCH", config.max_batch);
+  if (max_batch >= 1) config.max_batch = max_batch;
+  const int64_t window_us =
       GetEnvInt("ODF_SERVE_BATCH_WINDOW_US", config.batch_window_us);
+  if (window_us >= 0) config.batch_window_us = window_us;
   config.cache_enabled = GetEnvBool("ODF_SERVE_CACHE", config.cache_enabled);
-  const std::string precision =
-      GetEnvString("ODF_SERVE_PRECISION", PrecisionName(config.precision));
-  if (precision == "fp64") {
-    config.precision = Precision::kFp64;
-  } else {
-    ODF_CHECK(precision == "fp32")
-        << "ODF_SERVE_PRECISION must be fp32 or fp64, got: " << precision;
-    config.precision = Precision::kFp32;
-  }
-  config.precision_check =
-      GetEnvBool("ODF_SERVE_PRECISION_CHECK", config.precision_check);
   return config;
 }
 
@@ -75,8 +51,7 @@ ForecastService::ForecastService(const ForecastDataset* dataset,
                                  ForwardPlan plan, ServeConfig config)
     : dataset_(dataset),
       plan_(std::move(plan)),
-      config_(config),
-      active_(static_cast<uint8_t>(plan_.precision())) {
+      config_(config) {
   ODF_CHECK(dataset_ != nullptr);
   ODF_CHECK_EQ(plan_.history(), dataset_->history());
   ODF_CHECK_GE(config_.max_batch, 1);
@@ -91,33 +66,6 @@ ForecastService::~ForecastService() {
   }
   cv_.notify_all();
   worker_.join();
-}
-
-void ForecastService::AddPlan(ForwardPlan plan) {
-  ODF_CHECK(extra_.load(std::memory_order_acquire) == nullptr)
-      << "at most one extra plan can be registered";
-  ODF_CHECK_EQ(plan.history(), plan_.history());
-  ODF_CHECK_EQ(plan.horizon(), plan_.horizon());
-  ODF_CHECK(plan.precision() != plan_.precision())
-      << "extra plan must be compiled at the other precision";
-  extra_storage_ = std::make_unique<ForwardPlan>(std::move(plan));
-  extra_.store(extra_storage_.get(), std::memory_order_release);
-  if (config_.precision == extra_storage_->precision()) {
-    SetPrecision(config_.precision);
-  }
-}
-
-void ForecastService::SetPrecision(Precision p) {
-  ODF_CHECK(PlanFor(p) != nullptr)
-      << "no plan compiled at " << PrecisionName(p) << " is registered";
-  active_.store(static_cast<uint8_t>(p), std::memory_order_release);
-}
-
-ForwardPlan* ForecastService::PlanFor(Precision p) {
-  if (plan_.precision() == p) return &plan_;
-  ForwardPlan* extra = extra_.load(std::memory_order_acquire);
-  if (extra != nullptr && extra->precision() == p) return extra;
-  return nullptr;
 }
 
 std::future<ForecastResult> ForecastService::ForecastAsync(int64_t sample) {
@@ -143,12 +91,10 @@ ForecastResult ForecastService::Forecast(int64_t sample) {
 
 ForecastResult ForecastService::ForecastCurrent() {
   ScopedTimer timer(Metrics().cached_request_seconds);
-  const Precision active = precision();
   int64_t sample;
   if (config_.cache_enabled) {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cached_ != nullptr && cached_interval_ == current_ &&
-        cached_precision_ == active) {
+    if (cached_ != nullptr) {
       Metrics().cache_hits.Add(1);
       return cached_;
     }
@@ -161,13 +107,9 @@ ForecastResult ForecastService::ForecastCurrent() {
   ForecastResult result = Forecast(sample);
   if (config_.cache_enabled) {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    // Only publish if neither the interval nor the serving precision rolled
-    // over mid-flight.
-    if (current_ == sample && precision() == active) {
-      cached_ = result;
-      cached_interval_ = sample;
-      cached_precision_ = active;
-    }
+    // A rollover mid-flight made `result` stale: publish only if `sample`
+    // is still the current interval.
+    if (current_ == sample) cached_ = result;
   }
   return result;
 }
@@ -179,7 +121,6 @@ void ForecastService::SetCurrentInterval(int64_t sample) {
   if (sample == current_) return;
   current_ = sample;
   cached_.reset();
-  cached_interval_ = -1;
 }
 
 int64_t ForecastService::current_interval() const {
@@ -219,58 +160,11 @@ void ForecastService::WorkerLoop() {
 
 void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
   Batch batch = dataset_->MakeBatch(samples);
-  const Precision active = precision();
-  ForwardPlan* serving = PlanFor(active);
-  ODF_CHECK(serving != nullptr);
   {
     ScopedTimer timer(Metrics().batch_forward_seconds);
-    serving->Run(batch.inputs);
+    plan_.Run(batch.inputs);
   }
   Metrics().batches.Add(1);
-  Metrics().batch_size.Record(samples.size());
-
-  // Accuracy gate (docs/serving.md "Precision"): with the check on and both
-  // widths registered, run the other plan on the same inputs and compare the
-  // per-query worst-case histogram deltas against the tolerances. A rejected
-  // batch is served from the fp64 reference plan.
-  ForwardPlan* result_plan = serving;
-  ForwardPlan* fp32 = PlanFor(Precision::kFp32);
-  ForwardPlan* fp64 = PlanFor(Precision::kFp64);
-  if (config_.precision_check && fp32 != nullptr && fp64 != nullptr) {
-    ForwardPlan* other = serving == fp32 ? fp64 : fp32;
-    other->Run(batch.inputs);
-    bool reject = false;
-    const int64_t k = fp32->output(0).dim(3);  // histogram buckets
-    for (size_t row = 0; row < samples.size(); ++row) {
-      double max_kl = 0.0;
-      double max_js = 0.0;
-      double max_emd = 0.0;
-      for (int64_t j = 0; j < plan_.horizon(); ++j) {
-        const Tensor& ref = fp64->output(j);  // [B, N, N', K]
-        const Tensor& low = fp32->output(j);
-        const int64_t per_row = ref.numel() / ref.dim(0);
-        const float* pr = ref.data() + static_cast<int64_t>(row) * per_row;
-        const float* pl = low.data() + static_cast<int64_t>(row) * per_row;
-        for (int64_t c = 0; c < per_row / k; ++c, pr += k, pl += k) {
-          max_kl = std::max(max_kl, std::fabs(KlDivergence(pr, pl, k)));
-          max_js = std::max(max_js, std::fabs(JsDivergence(pr, pl, k)));
-          max_emd = std::max(max_emd, EarthMoversDistance(pr, pl, k));
-        }
-      }
-      Metrics().precision_checks.Add(1);
-      Metrics().precision_kl.Record(max_kl);
-      Metrics().precision_js.Record(max_js);
-      Metrics().precision_emd.Record(max_emd);
-      if (max_kl > kPrecisionKlTolerance || max_js > kPrecisionJsTolerance ||
-          max_emd > kPrecisionEmdTolerance) {
-        reject = true;
-      }
-    }
-    if (reject) {
-      Metrics().precision_gate_rejects.Add(1);
-      result_plan = fp64;
-    }
-  }
 
   const int64_t horizon = plan_.horizon();
   std::vector<ForecastResult> results;
@@ -279,7 +173,7 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
     auto forecast = std::make_shared<std::vector<Tensor>>();
     forecast->reserve(static_cast<size_t>(horizon));
     for (int64_t j = 0; j < horizon; ++j) {
-      const Tensor& out = result_plan->output(j);  // [B, N, N', K]
+      const Tensor& out = plan_.output(j);  // [B, N, N', K]
       std::vector<int64_t> dims(out.shape().dims().begin() + 1,
                                 out.shape().dims().end());
       Tensor slice{Shape(dims)};

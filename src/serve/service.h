@@ -1,7 +1,6 @@
 #ifndef ODF_SERVE_SERVICE_H_
 #define ODF_SERVE_SERVICE_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -17,17 +16,6 @@
 
 namespace odf::serve {
 
-/// Accuracy-gate tolerances for the precision check (docs/serving.md
-/// "Precision"): a batch is rejected — and served from the fp64 reference
-/// plan instead — when any query's per-cell max KL/JS/EMD between the fp32
-/// and fp64 plan histograms exceeds these. The values bound what float
-/// rounding can legitimately produce on trained checkpoints (measured by
-/// bench_serving --precision and enforced by tests/serving_precision_test);
-/// a genuine plan divergence lands orders of magnitude above them.
-inline constexpr double kPrecisionKlTolerance = 1e-5;
-inline constexpr double kPrecisionJsTolerance = 1e-5;
-inline constexpr double kPrecisionEmdTolerance = 1e-4;
-
 /// Serving front-end knobs (docs/serving.md).
 struct ServeConfig {
   /// Largest number of distinct samples coalesced into one plan execution.
@@ -37,20 +25,11 @@ struct ServeConfig {
   int64_t batch_window_us = 200;
   /// Serve repeated current-interval queries from one cached snapshot.
   bool cache_enabled = true;
-  /// Arithmetic width to serve at. The service activates this precision as
-  /// soon as a plan compiled at it is available (the construction plan or a
-  /// later AddPlan); until then it serves at the construction plan's width.
-  Precision precision = Precision::kFp32;
-  /// When true and plans at BOTH precisions are registered, every batch runs
-  /// through both plans and the per-query KL/JS/EMD deltas are checked
-  /// against the kPrecision*Tolerance gate; a rejected batch is served from
-  /// the fp64 plan. Doubles the serving cost — a validation mode, off by
-  /// default.
-  bool precision_check = false;
 
   /// Reads ODF_SERVE_MAX_BATCH / ODF_SERVE_BATCH_WINDOW_US / ODF_SERVE_CACHE
-  /// / ODF_SERVE_PRECISION / ODF_SERVE_PRECISION_CHECK (util/env_config.h)
-  /// over the defaults above.
+  /// (util/env_config.h) over the defaults above. A value out of range
+  /// (max_batch < 1, batch_window_us < 0) keeps the default, just as an
+  /// unparseable one does.
   static ServeConfig FromEnv();
 };
 
@@ -69,30 +48,17 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 ///
 /// The interval cache additionally pins the forecast of the designated
 /// "current" interval: after the first miss, `ForecastCurrent` is a lock +
-/// shared_ptr copy until `SetCurrentInterval` rolls the interval over. The
-/// cache is keyed on (interval, precision), so flipping the serving
-/// precision mid-run can never hand out a stale other-precision histogram.
-///
-/// Precision (docs/serving.md "Precision"): the service serves from one
-/// plan at a time — `AddPlan` registers a second plan compiled at the other
-/// width, `SetPrecision` flips between them, and `config.precision` (the
-/// ODF_SERVE_PRECISION knob) picks the width activated automatically once a
-/// plan at it exists. With `config.precision_check` on and both plans
-/// registered, every batch runs both widths and is gated on the per-query
-/// KL/JS/EMD deltas (kPrecision*Tolerance).
+/// shared_ptr copy until `SetCurrentInterval` rolls the interval over.
 ///
 /// Instrumentation (util/metrics.h, enabled via ODF_METRICS):
 ///   counters   serve.requests, serve.batches, serve.cache_hits,
-///              serve.cache_misses, serve.precision_checks,
-///              serve.precision_gate_rejects
+///              serve.cache_misses (mean batch size is requests / batches)
 ///   gauge      serve.queue_depth (after each batch is cut)
 ///   histograms serve.request_seconds, serve.cached_request_seconds,
-///              serve.batch_forward_seconds, serve.batch_size (a count,
-///              not a duration), serve.precision_kl / _js / _emd (per-query
-///              max deltas; dimensionless), plus the plan's serve.plan.*
+///              serve.batch_forward_seconds, plus the plan's serve.plan.*
 ///              family.
 ///
-/// The dataset must outlive the service (as must the model the plans were
+/// The dataset must outlive the service (as must the model the plan was
 /// compiled from). All public methods are thread-safe.
 class ForecastService {
  public:
@@ -103,20 +69,6 @@ class ForecastService {
   ForecastService(const ForecastService&) = delete;
   ForecastService& operator=(const ForecastService&) = delete;
 
-  /// Registers a second plan compiled at the other precision (same model,
-  /// same history). At most one extra plan; if its width matches
-  /// `config().precision`, it becomes the serving plan immediately.
-  void AddPlan(ForwardPlan plan);
-
-  /// Flips the serving width. A plan compiled at `p` must be registered.
-  /// In-flight batches finish at the width they started at.
-  void SetPrecision(Precision p);
-
-  /// The width new batches serve at.
-  Precision precision() const {
-    return static_cast<Precision>(active_.load(std::memory_order_acquire));
-  }
-
   /// Blocking forecast of dataset sample `sample`.
   ForecastResult Forecast(int64_t sample);
 
@@ -124,8 +76,8 @@ class ForecastService {
   std::future<ForecastResult> ForecastAsync(int64_t sample);
 
   /// Forecast of the current interval's sample, served from the cache when
-  /// it is warm. The first call after a rollover or a precision flip (or
-  /// with the cache disabled) falls through to Forecast.
+  /// it is warm. The first call after a rollover (or with the cache
+  /// disabled) falls through to Forecast.
   ForecastResult ForecastCurrent();
 
   /// Rolls the current interval over to `sample`, invalidating the cache
@@ -139,19 +91,10 @@ class ForecastService {
  private:
   void WorkerLoop();
   void RunBatch(const std::vector<int64_t>& samples);
-  /// The registered plan compiled at `p`, or nullptr.
-  ForwardPlan* PlanFor(Precision p);
 
   const ForecastDataset* dataset_;
   ForwardPlan plan_;
   ServeConfig config_;
-
-  // Optional second plan at the other width. Published via an atomic pointer
-  // so the worker's acquire-load sees a fully constructed plan without
-  // holding mu_ across a batch.
-  std::unique_ptr<ForwardPlan> extra_storage_;
-  std::atomic<ForwardPlan*> extra_{nullptr};
-  std::atomic<uint8_t> active_;  // Precision new batches serve at
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -162,9 +105,7 @@ class ForecastService {
 
   mutable std::mutex cache_mu_;
   int64_t current_ = 0;
-  int64_t cached_interval_ = -1;
-  Precision cached_precision_ = Precision::kFp32;
-  ForecastResult cached_;
+  ForecastResult cached_;  // forecast of current_; reset on rollover
 
   std::thread worker_;
 };

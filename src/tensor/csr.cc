@@ -92,8 +92,7 @@ enum class SpmmEpilogue {
 };
 
 // Core CSR × dense kernel over strided row views, templated on the scalar
-// type (the double instantiation backs the fp64 reference serving plan; the
-// float one is the substrate path). `x`, `other` and `out` address row
+// type (instantiated for float, the substrate path). `x`, `other` and `out` address row
 // (b, i) at base + (b·n + i)·ld — so a feature-column slice of a larger
 // tensor can be read or written in place (ld = the enclosing row width).
 // `other` is only dereferenced by the epilogues that use it. Accumulation
@@ -381,11 +380,6 @@ template void ChebyshevBasisWideRaw(const float*, const int64_t*,
                                     const int32_t*, const float*, int64_t,
                                     int64_t, const float*, int64_t, int64_t,
                                     int64_t, float*, float*, float*, float*);
-template void ChebyshevBasisWideRaw(const double*, const int64_t*,
-                                    const int32_t*, const double*, int64_t,
-                                    int64_t, const double*, int64_t, int64_t,
-                                    int64_t, double*, double*, double*,
-                                    double*);
 
 void ChebyshevBasisWideInto(const GraphOperator& op, const Tensor& x,
                             int64_t order, Tensor* out, Tensor* w0,
@@ -514,22 +508,6 @@ void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out) {
   } else {
     BatchMatMulInto(op.dense(), x, out);
   }
-}
-
-void GraphApplyRaw64(const double* dense, const int64_t* row_ptr,
-                     const int32_t* col_idx, const double* values, int64_t nnz,
-                     int64_t n, const double* x, int64_t batch, int64_t f,
-                     double* out) {
-  if (dense != nullptr) {
-    std::fill(out, out + batch * n * f, 0.0);
-    for (int64_t b = 0; b < batch; ++b) {
-      GemmRawInto(dense, x + b * n * f, out + b * n * f, n, n, f);
-    }
-    return;
-  }
-  SpmmTiledRaw<SpmmEpilogue::kStore, /*kSerial=*/true>(
-      row_ptr, col_idx, values, n, n, nnz, batch, f, x, f,
-      static_cast<const double*>(nullptr), 0, out, f);
 }
 
 std::shared_ptr<const GraphOperator> GraphOperator::Make(Tensor dense,

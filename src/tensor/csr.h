@@ -92,16 +92,15 @@ void ChebyshevBasisWideInto(const GraphOperator& op, const Tensor& x,
                             int64_t order, Tensor* out, Tensor* w0,
                             Tensor* w1, Tensor* w2);
 
-/// ChebyshevBasisWideInto over raw arrays at either scalar width — the core
-/// the float wrapper above delegates to, exposed so the precision-lowered
-/// serving plan (serve/forward_plan.h) can run the identical schedule over
-/// its own-width arenas. The graph operator arrives as a snapshot: a
-/// non-null `dense` ([n, n] row-major) selects the blocked-GEMM path,
-/// otherwise the CSR triple row_ptr/col_idx/values (`nnz` non-zeros, rows
-/// in ascending column order) drives the serial tiled SpMM. `x` is
-/// [batch, n, f] row-major, `out` [batch, n, order·f]; w0/w1/w2 are
-/// caller-owned scratch of at least batch·n·f elements each. Instantiated
-/// for float and double in csr.cc.
+/// ChebyshevBasisWideInto over raw arrays — the core the Tensor wrapper
+/// above delegates to, exposed so the compiled serving plan
+/// (serve/forward_plan.h) can skip the wrapper's per-call Shape
+/// construction. The graph operator arrives as a snapshot: a non-null
+/// `dense` ([n, n] row-major) selects the blocked-GEMM path, otherwise the
+/// CSR triple row_ptr/col_idx/values (`nnz` non-zeros, rows in ascending
+/// column order) drives the serial tiled SpMM. `x` is [batch, n, f]
+/// row-major, `out` [batch, n, order·f]; w0/w1/w2 are caller-owned scratch
+/// of at least batch·n·f elements each. Instantiated for float in csr.cc.
 template <typename T>
 void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
                            const int32_t* col_idx, const T* values,
@@ -121,16 +120,6 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
 /// sparse path, batched blocked GEMM on the dense path), so results are
 /// bit-identical to the tape at every thread count.
 void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out);
-
-/// Double-width GraphApplyInto over raw arrays for fp64 serving plans. The
-/// operator arrives as a snapshot: a non-null `dense` ([n, n] row-major)
-/// selects the per-batch blocked-GEMM path, otherwise the CSR triple
-/// row_ptr/col_idx/values drives the serial tiled SpMM. `x` is
-/// [batch, n, f] row-major, `out` likewise.
-void GraphApplyRaw64(const double* dense, const int64_t* row_ptr,
-                     const int32_t* col_idx, const double* values, int64_t nnz,
-                     int64_t n, const double* x, int64_t batch, int64_t f,
-                     double* out);
 
 /// A constant square matrix operand — the scaled graph Laplacian L̂ — held
 /// in both dense and CSR form (plus both transposes) behind one shared

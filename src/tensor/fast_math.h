@@ -67,71 +67,8 @@ inline float FastExp(float x) {
   return x != x ? x : out;  // NaN in, NaN out
 }
 
-/// Double-width FastExp for the fp64 reference serving plan
-/// (serve/forward_plan.h). Same construction as the float kernel — magic-
-/// constant round-to-nearest, Cody–Waite range reduction, Horner polynomial,
-/// two-half exponent reassembly — widened to double: the ln2 split carries
-/// ~42 extra residual bits and the polynomial runs to degree 13, whose
-/// truncation error (r^14/14! ≲ 5e-18 on |r| ≤ ln2/2) sits below half an
-/// ulp of the result. Verified within kFastExpMaxUlpF64 ulp of std::exp
-/// over the finite range by tensor_test; saturation/NaN contract matches
-/// the float kernel.
-constexpr int kFastExpMaxUlpF64 = 8;
-
-inline double FastExp(double x) {
-  constexpr double kLog2e = 1.4426950408889634074;
-  // ln2 split so r = x − n·ln2 keeps ~42 guard bits through the subtraction.
-  constexpr double kLn2Hi = 6.93147180369123816490e-01;
-  constexpr double kLn2Lo = 1.90821492927058770002e-10;
-  constexpr double kOverflow = 709.782712893384;    // exp(x) > DBL_MAX above
-  constexpr double kUnderflow = -708.396418532264;  // exp(x) subnormal below
-  // Branch-free out-of-range handling, mirroring the float kernel: clamp so
-  // the main path (and the int cast) only ever sees finite values, select
-  // the saturated result at the end.
-  const double xc =
-      !(x >= kUnderflow) ? kUnderflow : (x > kOverflow ? kOverflow : x);
-
-  // Round-to-nearest n = x/ln2 via the 1.5·2^52 magic constant (valid
-  // because |x·log2e| < 2^11 here); no libm rint, vectorizes.
-  constexpr double kRoundMagic = 6755399441055744.0;  // 1.5 * 2^52
-  const double shifted = xc * kLog2e + kRoundMagic;
-  const double n = shifted - kRoundMagic;
-  const int64_t ni = static_cast<int64_t>(n);
-
-  const double r = (xc - n * kLn2Hi) - n * kLn2Lo;
-  // Degree-13 Taylor/Horner for e^r on |r| ≤ ln2/2.
-  double p = 1.0 / 6227020800.0;  // 1/13!
-  p = p * r + 1.0 / 479001600.0;
-  p = p * r + 1.0 / 39916800.0;
-  p = p * r + 1.0 / 3628800.0;
-  p = p * r + 1.0 / 362880.0;
-  p = p * r + 1.0 / 40320.0;
-  p = p * r + 1.0 / 5040.0;
-  p = p * r + 1.0 / 720.0;
-  p = p * r + 1.0 / 120.0;
-  p = p * r + 1.0 / 24.0;
-  p = p * r + 1.0 / 6.0;
-  p = p * r + 0.5;
-  p = p * r + 1.0;
-  p = p * r + 1.0;
-
-  // 2^n in two halves: n can reach 1024, which does not fit one biased
-  // exponent, but two factors of 2^(n/2) always do.
-  const int64_t n1 = ni / 2;
-  const int64_t n2 = ni - n1;
-  const double s1 =
-      std::bit_cast<double>(static_cast<uint64_t>(n1 + 1023) << 52);
-  const double s2 =
-      std::bit_cast<double>(static_cast<uint64_t>(n2 + 1023) << 52);
-  double out = p * s1 * s2;
-  out = !(x >= kUnderflow) ? 0.0 : out;  // exact 0 below the subnormal edge
-  out = x > kOverflow ? std::numeric_limits<double>::infinity() : out;
-  return x != x ? x : out;  // NaN in, NaN out
-}
-
 /// Sigmoid on top of FastExp: 1 / (1 + e^{-x}).
 inline float FastSigmoid(float x) { return 1.0f / (1.0f + FastExp(-x)); }
-inline double FastSigmoid(double x) { return 1.0 / (1.0 + FastExp(-x)); }
 
 /// Tanh on top of FastExp: sign(x) · (e^{2|x|} − 1) / (e^{2|x|} + 1).
 /// Using −2|x| keeps the exp argument non-positive (no overflow) and the
@@ -145,18 +82,6 @@ inline float FastTanh(float x) {
   const float t = (1.0f - u) / (1.0f + u);
   float out = ax < 10.0f ? t : 1.0f;
   out = x < 0.0f ? -out : out;
-  return x != x ? x : out;
-}
-
-/// Double tanh; saturation moves out to |x| ≥ 20 (tanh(20) is within one
-/// double ulp of 1).
-inline double FastTanh(double x) {
-  const double ax = x < 0.0 ? -x : x;
-  const double axc = ax < 20.0 ? ax : 20.0;  // NaN also pins to 20
-  const double u = FastExp(-2.0 * axc);
-  const double t = (1.0 - u) / (1.0 + u);
-  double out = ax < 20.0 ? t : 1.0;
-  out = x < 0.0 ? -out : out;
   return x != x ? x : out;
 }
 

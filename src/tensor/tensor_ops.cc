@@ -52,13 +52,10 @@ static_assert(kMC % kMR == 0, "row block must hold whole strips");
 // row-block loop goes parallel once a chunk is worth at least this much.
 constexpr int64_t kGemmNaiveFlops = 1 << 12;
 
-// Every kernel in this block is templated on the scalar type T: the float
+// Every kernel in this block is templated on the scalar type T; the float
 // instantiation is the fp32 substrate (tape and compiled plan share it, so
-// plan-vs-tape bit-identity is structural), and the double instantiation
-// backs the fp64 reference serving plan. Loop bodies are identical at both
-// widths; only the register economics differ (tile constants are sized for
-// the fp32 vector width, so the double kernels run at roughly half the
-// lane count — exactly the gap bench_serving's precision sweep measures).
+// plan-vs-tape bit-identity is structural). Tile constants are sized for
+// the fp32 vector width.
 
 // The seed's i-k-j triple loop; kept as the small-problem path (and as the
 // reference the blocked kernel is tested against). Accumulates over k in
@@ -494,11 +491,6 @@ void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
   Gemm(a, b, out, m, k, n);
 }
 
-void GemmRawInto(const double* a, const double* b, double* out, int64_t m,
-                 int64_t k, int64_t n) {
-  Gemm(a, b, out, m, k, n);
-}
-
 template <typename T>
 PackedGemmBT<T> PackGemmWeightRaw(const T* b, int64_t k, int64_t n) {
   PackedGemmBT<T> packed;
@@ -526,8 +518,6 @@ PackedGemmBT<T> PackGemmWeightRaw(const T* b, int64_t k, int64_t n) {
 }
 
 template PackedGemmBT<float> PackGemmWeightRaw(const float*, int64_t, int64_t);
-template PackedGemmBT<double> PackGemmWeightRaw(const double*, int64_t,
-                                                int64_t);
 
 PackedGemmB PackGemmWeight(const Tensor& b) {
   ODF_CHECK_EQ(b.rank(), 2);
@@ -570,8 +560,6 @@ void MatMulPrepackedRaw(const T* a, int64_t rows, const PackedGemmBT<T>& b,
 
 template void MatMulPrepackedRaw(const float*, int64_t,
                                  const PackedGemmBT<float>&, float*);
-template void MatMulPrepackedRaw(const double*, int64_t,
-                                 const PackedGemmBT<double>&, double*);
 
 void MatMulPrepackedInto(const Tensor& a, const PackedGemmB& b, Tensor* out) {
   ODF_CHECK_EQ(a.numel() % b.k, 0);
@@ -1263,7 +1251,6 @@ void SoftmaxRowsRaw(const T* in, T* out, int64_t outer, int64_t inner) {
 }
 
 template void SoftmaxRowsRaw(const float*, float*, int64_t, int64_t);
-template void SoftmaxRowsRaw(const double*, double*, int64_t, int64_t);
 
 void SoftmaxLastDimInto(const Tensor& a, Tensor* out) {
   ODF_CHECK_GE(a.rank(), 1);
@@ -1410,8 +1397,6 @@ void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
 }
 
 template void FusedRecoverRaw(const float*, const float*, float, float*,
-                              int64_t, int64_t, int64_t, int64_t, int64_t);
-template void FusedRecoverRaw(const double*, const double*, double, double*,
                               int64_t, int64_t, int64_t, int64_t, int64_t);
 
 Tensor FusedRecover(const Tensor& r, const Tensor& c, float temperature) {

@@ -182,7 +182,6 @@ struct PackedGemmBT {
   int64_t pw = 0;  // padded row width of the small-n layout; 0 = blocked
 };
 using PackedGemmB = PackedGemmBT<float>;
-using PackedGemmB64 = PackedGemmBT<double>;
 
 /// Packs a rank-2 weight `b` ([k, n]) for MatMulPrepackedInto.
 PackedGemmB PackGemmWeight(const Tensor& b);
@@ -206,23 +205,15 @@ void MatMulPrepackedInto(const Tensor& a, const PackedGemmB& b, Tensor* out);
 void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
                  int64_t k, int64_t n);
 
-/// Double overload for the fp64 reference serving plan: the identical
-/// blocked/naive pipeline instantiated at double width (same micro-kernel
-/// templates, same ODF_FMADD contraction pinning, register tiles sized for
-/// the fp32 vector width).
-void GemmRawInto(const double* a, const double* b, double* out, int64_t m,
-                 int64_t k, int64_t n);
-
-// -- Width-parameterized raw kernels (precision-lowered serving) -----------
+// -- Raw kernels (compiled serving) ----------------------------------------
 //
-// The compiled serving path (serve/forward_plan.h) runs at a selectable
-// precision. These raw entry points are the scalar-templated cores the
-// fp32 Tensor kernels above are built from, exposed so the fp64 plan can
-// replay the identical schedule over double arenas with no per-call
-// conversions. Instantiated for float and double in tensor_ops.cc.
+// The scalar-templated cores the Tensor kernels above are built from,
+// exposed so the compiled serving plan (serve/forward_plan.h) can run them
+// over its own arena with no per-call shape checks. Instantiated for float
+// in tensor_ops.cc.
 
 /// Packs a row-major [k, n] weight for MatMulPrepackedRaw — same panel
-/// layout decisions as PackGemmWeight at either width.
+/// layout decisions as PackGemmWeight.
 template <typename T>
 PackedGemmBT<T> PackGemmWeightRaw(const T* b, int64_t k, int64_t n);
 
@@ -234,13 +225,13 @@ void MatMulPrepackedRaw(const T* a, int64_t rows, const PackedGemmBT<T>& b,
 
 /// Row-wise softmax: out[o, :] = softmax(in[o, :]) for `outer` rows of
 /// `inner` elements (max-subtracted, FastExp). The exact core behind
-/// SoftmaxLastDimInto; float instantiation is bit-identical to it.
+/// SoftmaxLastDimInto and bit-identical to it.
 template <typename T>
 void SoftmaxRowsRaw(const T* in, T* out, int64_t outer, int64_t inner);
 
 /// FusedRecover over raw pointers: r [B,N,beta,K] ⊗ c [B,beta,N',K] →
 /// out [B,N,N',K] with softmax over K. The exact core behind
-/// FusedRecoverInto; float instantiation is bit-identical to it.
+/// FusedRecoverInto and bit-identical to it.
 template <typename T>
 void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
                      int64_t b, int64_t n, int64_t m, int64_t beta,

@@ -30,28 +30,15 @@ namespace odf {
 // ServeConfig::FromEnv() at service construction:
 //   ODF_SERVE_MAX_BATCH=<n>        largest number of distinct samples the
 //                    worker coalesces into one compiled-plan execution
-//                    (default 8; must not exceed the batch capacity the
-//                    plan was compiled for).
+//                    (default 8; values below 1 keep the default).
 //   ODF_SERVE_BATCH_WINDOW_US=<n>  how long the worker waits for more
 //                    queries after the first one before cutting a batch —
 //                    the added-latency budget (default 200; 0 disables
-//                    coalescing and serves each query alone).
+//                    coalescing and serves each query alone; negative
+//                    values keep the default).
 //   ODF_SERVE_CACHE=0              disable the current-interval forecast
 //                    cache (on by default); every ForecastCurrent then
 //                    runs the plan.
-//   ODF_SERVE_PRECISION=fp32|fp64  arithmetic width the service serves at
-//                    (default fp32 — the bit-identical substrate width).
-//                    fp64 activates the widened reference plan as soon as
-//                    one is registered via ForecastService::AddPlan. The
-//                    interval cache is keyed on (interval, precision), so
-//                    flipping this mid-run never serves a stale
-//                    other-precision histogram (docs/serving.md
-//                    "Precision").
-//   ODF_SERVE_PRECISION_CHECK=1    run every batch through BOTH registered
-//                    plans and gate on the per-query KL/JS/EMD deltas
-//                    (serve/service.h kPrecision*Tolerance); rejected
-//                    batches are served from the fp64 plan. Doubles the
-//                    serving cost — a validation mode, off by default.
 //
 // Sharded scale-out knobs (src/shard/, docs/sharding.md):
 //   ODF_SHARDS=<n>   default shard count a ShardedModelConfig starts from

@@ -6,10 +6,13 @@
 // really trained, checkpoint-round-tripped model, at any thread count,
 // for the paper AF, every ablation variant, and BF with and without
 // attention. On top of that: the fused recovery kernel matches the
-// composed reference, independently built models share memoized graph
-// operators, the interval cache invalidates exactly on rollover, and the
-// service survives concurrent hammering (run under TSan in CI).
+// composed reference and stays finite and normalized on edge inputs,
+// independently built models share memoized graph operators, the interval
+// cache invalidates exactly on rollover, out-of-range serving env knobs keep
+// their defaults, and the service survives concurrent hammering (run under
+// TSan in CI).
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -33,6 +36,7 @@
 #include "serve/service.h"
 #include "sim/scenario.h"
 #include "sim/trip_generator.h"
+#include "tensor/tensor_ops.h"
 #include "util/thread_pool.h"
 
 namespace odf {
@@ -132,6 +136,80 @@ TEST(FusedRecoverTest, GradCheckIncludingTemperature) {
   };
   auto result = ag::GradCheck(fn, inputs);
   EXPECT_TRUE(result.ok) << result.max_abs_error;
+}
+
+// The raw kernel the compiled plan calls, on edge inputs: it must equal the
+// tape's FusedRecoverInto bit for bit (plan-vs-tape identity rests on it),
+// stay within float rounding of a double-accumulated naive softmax_K(τ·R⊗C),
+// and keep every row finite and normalized.
+TEST(FusedRecoverTest, RawKernelEdgeInputs) {
+  struct Case {
+    const char* name;
+    int64_t b, n, m, beta, k;
+    float r_scale, c_scale, tau;
+    int r_shift, c_shift;
+    double tol;  // against the naive reference
+  };
+  const Case cases[] = {
+      {"general", 2, 3, 4, 2, 5, 0.11f, 0.07f, 1.3f, 3, 9, 2e-6},
+      // All-zero factors -> all-zero logits -> exactly uniform rows.
+      {"zero-mass", 1, 2, 3, 2, 7, 0.0f, 0.0f, 1.0f, 0, 0, 1e-6},
+      // Softmax over one bucket is exactly 1 at any logit magnitude.
+      {"single-bucket", 1, 2, 2, 3, 1, 5.0f, 5.0f, 2.0f, 1, 4, 0.0},
+      // |logit| up to ~2e4: raw exp overflows, max-subtraction must not.
+      {"large-logits", 1, 2, 2, 1, 4, 9.0f, 9.0f, 2.0f, 2, 5, 2e-6},
+      {"b2-n3-m4", 2, 3, 4, 2, 5, 0.4f, 0.3f, 1.1f, 7, 2, 2e-6},
+      {"b1-n2-m2-k1", 1, 2, 2, 3, 1, 0.4f, 0.3f, 1.1f, 7, 2, 0.0},
+      {"b1-n16-m16", 1, 16, 16, 4, 7, 0.4f, 0.3f, 1.1f, 7, 2, 2e-6},
+  };
+  // Small signed integers times `scale`, a fixed non-random pattern.
+  auto fill = [](Tensor* t, float scale, int shift) {
+    for (int64_t i = 0; i < t->numel(); ++i) {
+      t->data()[i] =
+          scale * static_cast<float>(static_cast<int>((i * 13 + shift) % 23) -
+                                     11);
+    }
+  };
+  for (const Case& cs : cases) {
+    SCOPED_TRACE(cs.name);
+    const int64_t b = cs.b, n = cs.n, m = cs.m, beta = cs.beta, k = cs.k;
+    Tensor r(Shape({b, n, beta, k}));
+    Tensor c(Shape({b, beta, m, k}));
+    fill(&r, cs.r_scale, cs.r_shift);
+    fill(&c, cs.c_scale, cs.c_shift);
+    Tensor want(Shape({b, n, m, k}));
+    FusedRecoverInto(r, c, cs.tau, &want);
+    Tensor got(Shape({b, n, m, k}));
+    FusedRecoverRaw(r.data(), c.data(), cs.tau, got.data(), b, n, m, beta, k);
+    ASSERT_TRUE(BitIdentical(got, want));
+
+    std::vector<double> logits(static_cast<size_t>(k));
+    for (int64_t cell = 0; cell < b * n * m; ++cell) {
+      const int64_t bi = cell / (n * m);
+      const int64_t o = cell / m % n;
+      const int64_t d = cell % m;
+      for (int64_t j = 0; j < k; ++j) {
+        double acc = 0.0;
+        for (int64_t be = 0; be < beta; ++be) {
+          acc += static_cast<double>(r[((bi * n + o) * beta + be) * k + j]) *
+                 c[((bi * beta + be) * m + d) * k + j];
+        }
+        logits[static_cast<size_t>(j)] = cs.tau * acc;
+      }
+      const double mx = *std::max_element(logits.begin(), logits.end());
+      double total = 0.0;
+      for (double& v : logits) total += (v = std::exp(v - mx));
+      double sum = 0.0;
+      for (int64_t j = 0; j < k; ++j) {
+        const float v = got[cell * k + j];
+        ASSERT_TRUE(std::isfinite(v)) << "cell " << cell << " bucket " << j;
+        ASSERT_NEAR(v, logits[static_cast<size_t>(j)] / total, cs.tol)
+            << "cell " << cell << " bucket " << j;
+        sum += v;
+      }
+      ASSERT_NEAR(sum, 1.0, 1e-5) << "cell " << cell;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -343,6 +421,46 @@ TEST(ForecastServiceTest, IntervalCacheHitsUntilRollover) {
   for (size_t j = 0; j < rolled->size(); ++j) {
     EXPECT_TRUE(BitIdentical((*rolled)[j], (*direct)[j]));
   }
+
+  // Rolling back recomputes rather than resurrecting the dropped snapshot,
+  // and the recompute reproduces the first one bit for bit.
+  service->SetCurrentInterval(2);
+  const serve::ForecastResult back = service->ForecastCurrent();
+  EXPECT_EQ(misses.value(), misses0 + 3);
+  EXPECT_NE(back.get(), first.get());
+  ASSERT_EQ(back->size(), first->size());
+  for (size_t j = 0; j < back->size(); ++j) {
+    EXPECT_TRUE(BitIdentical((*back)[j], (*first)[j])) << "step " << j;
+  }
+}
+
+TEST(ServeConfigTest, FromEnvKeepsDefaultsForOutOfRangeValues) {
+  const serve::ServeConfig defaults;
+  struct Case {
+    const char* var;
+    const char* value;
+  };
+  for (const Case& cs : {Case{"ODF_SERVE_MAX_BATCH", "0"},
+                         Case{"ODF_SERVE_MAX_BATCH", "-4"},
+                         Case{"ODF_SERVE_MAX_BATCH", "banana"},
+                         Case{"ODF_SERVE_BATCH_WINDOW_US", "-1"},
+                         Case{"ODF_SERVE_BATCH_WINDOW_US", "soon"}}) {
+    ::setenv(cs.var, cs.value, 1);
+    const serve::ServeConfig config = serve::ServeConfig::FromEnv();
+    ::unsetenv(cs.var);
+    EXPECT_EQ(config.max_batch, defaults.max_batch)
+        << cs.var << "=" << cs.value;
+    EXPECT_EQ(config.batch_window_us, defaults.batch_window_us)
+        << cs.var << "=" << cs.value;
+  }
+  // In-range values still override, including a zero batch window.
+  ::setenv("ODF_SERVE_MAX_BATCH", "3", 1);
+  ::setenv("ODF_SERVE_BATCH_WINDOW_US", "0", 1);
+  const serve::ServeConfig config = serve::ServeConfig::FromEnv();
+  ::unsetenv("ODF_SERVE_MAX_BATCH");
+  ::unsetenv("ODF_SERVE_BATCH_WINDOW_US");
+  EXPECT_EQ(config.max_batch, 3);
+  EXPECT_EQ(config.batch_window_us, 0);
 }
 
 TEST(ForecastServiceTest, ConcurrentClientsHammerOneWorker) {

@@ -352,9 +352,9 @@ TEST(GraphOperatorTest, PathSelectionPolicy) {
 
 // -- Raw serving kernels under gradcheck -----------------------------------
 //
-// The precision-lowered serving plan replays training math through raw
-// width-parameterized kernels (GemmRawInto, FusedRecoverRaw, and
-// ChebyshevBasisWideRaw, whose sparse branch drives SpmmTiledRaw). Each
+// The compiled serving plan replays training math through raw kernels
+// (GemmRawInto, FusedRecoverRaw, and ChebyshevBasisWideRaw, whose sparse
+// branch drives SpmmTiledRaw). Each
 // gradcheck objective below recomputes the raw kernel at every finite-
 // difference evaluation point and asserts it is bit-identical to the tape
 // forward, so the raw paths are pinned to the differentiated ops across a

@@ -308,59 +308,5 @@ TEST(FastMathTest, SigmoidAndTanhMatchLibm) {
   EXPECT_TRUE(std::isnan(FastTanh(std::nanf(""))));
 }
 
-// Double-width counterparts (the fp64 reference serving plan runs on
-// these): same positive-normal precondition, 64-bit bit patterns.
-int64_t UlpDistance64(double a, double b) {
-  const int64_t ia = std::bit_cast<int64_t>(a);
-  const int64_t ib = std::bit_cast<int64_t>(b);
-  return ia > ib ? ia - ib : ib - ia;
-}
-
-TEST(FastMathTest, ExpF64WithinUlpBoundOfStdExp) {
-  int64_t worst = 0;
-  for (double x = -708.0; x <= 709.0; x += 1.0 / 16.0) {
-    const double got = FastExp(x);
-    const double want = std::exp(x);
-    const int64_t ulp = UlpDistance64(got, want);
-    ASSERT_LE(ulp, kFastExpMaxUlpF64)
-        << "x=" << x << " got " << got << " want " << want;
-    worst = std::max(worst, ulp);
-  }
-  Rng rng(47);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.Uniform(-708.0, 709.0);
-    ASSERT_LE(UlpDistance64(FastExp(x), std::exp(x)), kFastExpMaxUlpF64)
-        << "x=" << x;
-  }
-  // The serving softmax feeds max-subtracted logits, always <= 0: sweep
-  // that subrange densely too.
-  for (double x = -60.0; x <= 0.0; x += 1.0 / 512.0) {
-    ASSERT_LE(UlpDistance64(FastExp(x), std::exp(x)), kFastExpMaxUlpF64)
-        << "x=" << x;
-  }
-  EXPECT_GT(worst, 0);  // the sweep actually exercised inexact cases
-}
-
-TEST(FastMathTest, ExpF64SaturationAndSpecialValues) {
-  EXPECT_EQ(FastExp(0.0), 1.0);
-  EXPECT_EQ(FastExp(710.0), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(FastExp(1.0e6), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(FastExp(-709.0), 0.0);
-  EXPECT_EQ(FastExp(-std::numeric_limits<double>::infinity()), 0.0);
-  EXPECT_TRUE(std::isnan(FastExp(std::nan(""))));
-}
-
-TEST(FastMathTest, SigmoidAndTanhF64MatchLibm) {
-  for (double x = -30.0; x <= 30.0; x += 1.0 / 64.0) {
-    EXPECT_NEAR(FastSigmoid(x), 1.0 / (1.0 + std::exp(-x)), 4e-16)
-        << "x=" << x;
-    EXPECT_NEAR(FastTanh(x), std::tanh(x), 8e-16) << "x=" << x;
-  }
-  EXPECT_EQ(FastTanh(0.0), 0.0);
-  EXPECT_EQ(FastTanh(25.0), 1.0);
-  EXPECT_EQ(FastTanh(-25.0), -1.0);
-  EXPECT_TRUE(std::isnan(FastTanh(std::nan(""))));
-}
-
 }  // namespace
 }  // namespace odf
