@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "autograd/capture.h"
+
 #include "util/trace.h"
 
 namespace odf::autograd {
@@ -10,6 +12,7 @@ namespace {
 
 using internal::MakeOpVar;
 using internal::Node;
+using internal::SkipKernel;
 
 /// Applies the n×n matrix `m` along axis `axis` of `x`:
 /// y[..., r, ...] = Σ_j m[r, j] · x[..., j, ...].
@@ -45,7 +48,9 @@ Tensor ApplyMatrixAlongAxis(const Tensor& m, const Tensor& x, int64_t axis) {
 
 Var Add(const Var& a, const Var& b) {
   ODF_TRACE_SCOPE("fwd/", "Add", "fwd");
-  Tensor out = odf::Add(a.value(), b.value());
+  Tensor out = SkipKernel(a, b)
+                   ? Tensor::ShapeOnly(BroadcastShape(a.shape(), b.shape()))
+                   : odf::Add(a.value(), b.value());
   return MakeOpVar("Add", std::move(out), {a, b}, [](Node& node) {
     if (node.parents[0]->requires_grad) {
       node.parents[0]->AccumulateGrad(
@@ -60,7 +65,9 @@ Var Add(const Var& a, const Var& b) {
 
 Var Sub(const Var& a, const Var& b) {
   ODF_TRACE_SCOPE("fwd/", "Sub", "fwd");
-  Tensor out = odf::Sub(a.value(), b.value());
+  Tensor out = SkipKernel(a, b)
+                   ? Tensor::ShapeOnly(BroadcastShape(a.shape(), b.shape()))
+                   : odf::Sub(a.value(), b.value());
   return MakeOpVar("Sub", std::move(out), {a, b}, [](Node& node) {
     if (node.parents[0]->requires_grad) {
       node.parents[0]->AccumulateGrad(
@@ -75,7 +82,9 @@ Var Sub(const Var& a, const Var& b) {
 
 Var Mul(const Var& a, const Var& b) {
   ODF_TRACE_SCOPE("fwd/", "Mul", "fwd");
-  Tensor out = odf::Mul(a.value(), b.value());
+  Tensor out = SkipKernel(a, b)
+                   ? Tensor::ShapeOnly(BroadcastShape(a.shape(), b.shape()))
+                   : odf::Mul(a.value(), b.value());
   return MakeOpVar("Mul", std::move(out), {a, b}, [](Node& node) {
     if (node.parents[0]->requires_grad) {
       node.parents[0]->AccumulateGrad(
@@ -92,16 +101,24 @@ Var Mul(const Var& a, const Var& b) {
 
 Var AddScalar(const Var& a, float s) {
   ODF_TRACE_SCOPE("fwd/", "AddScalar", "fwd");
-  return MakeOpVar("AddScalar", odf::AddScalar(a.value(), s), {a}, [](Node& node) {
-    node.parents[0]->AccumulateGrad(node.grad);
-  });
+  Tensor out = SkipKernel(a) ? Tensor::ShapeOnly(a.shape())
+                             : odf::AddScalar(a.value(), s);
+  return MakeOpVar(
+      "AddScalar", std::move(out), {a},
+      [](Node& node) { node.parents[0]->AccumulateGrad(node.grad); },
+      {.scalar = s});
 }
 
 Var MulScalar(const Var& a, float s) {
   ODF_TRACE_SCOPE("fwd/", "MulScalar", "fwd");
-  return MakeOpVar("MulScalar", odf::MulScalar(a.value(), s), {a}, [s](Node& node) {
-    node.parents[0]->AccumulateGrad(odf::MulScalar(node.grad, s));
-  });
+  Tensor out = SkipKernel(a) ? Tensor::ShapeOnly(a.shape())
+                             : odf::MulScalar(a.value(), s);
+  return MakeOpVar(
+      "MulScalar", std::move(out), {a},
+      [s](Node& node) {
+        node.parents[0]->AccumulateGrad(odf::MulScalar(node.grad, s));
+      },
+      {.scalar = s});
 }
 
 Var Neg(const Var& a) { return MulScalar(a, -1.0f); }
@@ -110,7 +127,9 @@ Var Square(const Var& a) { return Mul(a, a); }
 
 Var MatMul(const Var& a, const Var& b) {
   ODF_TRACE_SCOPE("fwd/", "MatMul", "fwd");
-  Tensor out = odf::MatMul(a.value(), b.value());
+  Tensor out = SkipKernel(a, b)
+                   ? Tensor::ShapeOnly(Shape({a.dim(0), b.dim(1)}))
+                   : odf::MatMul(a.value(), b.value());
   return MakeOpVar("MatMul", std::move(out), {a, b}, [](Node& node) {
     const Tensor& av = node.parents[0]->value;
     const Tensor& bv = node.parents[1]->value;
@@ -127,7 +146,15 @@ Var MatMul(const Var& a, const Var& b) {
 
 Var BatchMatMul(const Var& a, const Var& b) {
   ODF_TRACE_SCOPE("fwd/", "BatchMatMul", "fwd");
-  Tensor out = odf::BatchMatMul(a.value(), b.value());
+  Tensor out;
+  if (!SkipKernel(a, b)) {
+    out = odf::BatchMatMul(a.value(), b.value());
+  } else if (a.rank() == 2 && b.rank() == 2) {
+    out = Tensor::ShapeOnly(Shape({a.dim(0), b.dim(1)}));
+  } else {
+    out = Tensor::ShapeOnly(Shape(
+        {a.rank() == 3 ? a.dim(0) : b.dim(0), a.dim(-2), b.dim(-1)}));
+  }
   return MakeOpVar("BatchMatMul", std::move(out), {a, b}, [](Node& node) {
     const Tensor& av = node.parents[0]->value;
     const Tensor& bv = node.parents[1]->value;
@@ -148,14 +175,18 @@ Var SpMM(std::shared_ptr<const GraphOperator> op, const Var& x) {
   ODF_TRACE_SCOPE("fwd/", "SpMM", "fwd");
   ODF_CHECK(x.rank() == 2 || x.rank() == 3);
   ODF_CHECK_EQ(x.dim(x.rank() - 2), op->nodes());
-  Tensor out = op->use_sparse() ? odf::SpMM(op->csr(), x.value())
-                                : odf::BatchMatMul(op->dense(), x.value());
-  return MakeOpVar("SpMM", std::move(out), {x}, [op](Node& node) {
-    Tensor dx = op->use_sparse()
-                    ? odf::SpMM(op->csr_transpose(), node.grad)
-                    : odf::BatchMatMul(op->dense_transpose(), node.grad);
-    node.parents[0]->AccumulateGrad(dx);
-  });
+  Tensor out = SkipKernel(x)          ? Tensor::ShapeOnly(x.shape())
+               : op->use_sparse() ? odf::SpMM(op->csr(), x.value())
+                                  : odf::BatchMatMul(op->dense(), x.value());
+  return MakeOpVar(
+      "SpMM", std::move(out), {x},
+      [op](Node& node) {
+        Tensor dx = op->use_sparse()
+                        ? odf::SpMM(op->csr_transpose(), node.grad)
+                        : odf::BatchMatMul(op->dense_transpose(), node.grad);
+        node.parents[0]->AccumulateGrad(dx);
+      },
+      {.graph = op});
 }
 
 Var ChebyshevBasis(std::shared_ptr<const GraphOperator> op, const Var& x,
@@ -163,16 +194,23 @@ Var ChebyshevBasis(std::shared_ptr<const GraphOperator> op, const Var& x,
   ODF_TRACE_SCOPE("fwd/", "ChebyshevBasis", "fwd");
   ODF_CHECK_EQ(x.rank(), 3);
   ODF_CHECK_EQ(x.dim(1), op->nodes());
-  Tensor out = odf::ChebyshevBasis(*op, x.value(), order);
-  return MakeOpVar("ChebyshevBasis", std::move(out), {x}, [op, order](Node& node) {
-    node.parents[0]->AccumulateGrad(
-        odf::ChebyshevBasisGrad(*op, node.grad, order));
-  });
+  Tensor out =
+      SkipKernel(x)
+          ? Tensor::ShapeOnly(Shape({x.dim(0), x.dim(1), order * x.dim(2)}))
+          : odf::ChebyshevBasis(*op, x.value(), order);
+  return MakeOpVar(
+      "ChebyshevBasis", std::move(out), {x},
+      [op, order](Node& node) {
+        node.parents[0]->AccumulateGrad(
+            odf::ChebyshevBasisGrad(*op, node.grad, order));
+      },
+      {.order = order, .graph = op});
 }
 
 Var Reshape(const Var& a, std::vector<int64_t> dims) {
   ODF_TRACE_SCOPE("fwd/", "Reshape", "fwd");
-  Tensor out = a.value().Reshape(std::move(dims));
+  Tensor out = SkipKernel(a) ? Tensor::ShapeOnly(Shape(std::move(dims)))
+                             : a.value().Reshape(std::move(dims));
   return MakeOpVar("Reshape", std::move(out), {a}, [](Node& node) {
     node.parents[0]->AccumulateGrad(
         node.grad.Reshape(node.parents[0]->value.shape().dims()));
@@ -182,12 +220,21 @@ Var Reshape(const Var& a, std::vector<int64_t> dims) {
 Var Concat(const std::vector<Var>& parts, int64_t axis) {
   ODF_TRACE_SCOPE("fwd/", "Concat", "fwd");
   ODF_CHECK(!parts.empty());
-  std::vector<Tensor> values;
-  values.reserve(parts.size());
-  for (const Var& p : parts) values.push_back(p.value());
   const int64_t resolved =
       axis < 0 ? axis + parts.front().rank() : axis;
-  Tensor out = odf::Concat(values, resolved);
+  Tensor out;
+  if (SkipKernel(parts)) {
+    std::vector<int64_t> dims = parts.front().shape().dims();
+    for (size_t i = 1; i < parts.size(); ++i) {
+      dims[static_cast<size_t>(resolved)] += parts[i].dim(resolved);
+    }
+    out = Tensor::ShapeOnly(Shape(std::move(dims)));
+  } else {
+    std::vector<Tensor> values;
+    values.reserve(parts.size());
+    for (const Var& p : parts) values.push_back(p.value());
+    out = odf::Concat(values, resolved);
+  }
   return MakeOpVar("Concat", std::move(out), parts, [resolved](Node& node) {
     int64_t offset = 0;
     for (auto& parent : node.parents) {
@@ -198,13 +245,20 @@ Var Concat(const std::vector<Var>& parts, int64_t axis) {
       }
       offset += len;
     }
-  });
+  }, {.axis = resolved});
 }
 
 Var Slice(const Var& a, int64_t axis, int64_t start, int64_t len) {
   ODF_TRACE_SCOPE("fwd/", "Slice", "fwd");
   const int64_t resolved = axis < 0 ? axis + a.rank() : axis;
-  Tensor out = odf::Slice(a.value(), resolved, start, len);
+  Tensor out;
+  if (SkipKernel(a)) {
+    std::vector<int64_t> dims = a.shape().dims();
+    dims[static_cast<size_t>(resolved)] = len;
+    out = Tensor::ShapeOnly(Shape(std::move(dims)));
+  } else {
+    out = odf::Slice(a.value(), resolved, start, len);
+  }
   return MakeOpVar("Slice", std::move(out), {a}, [resolved, start, len](Node& node) {
     const Tensor& pv = node.parents[0]->value;
     Tensor grad(pv.shape());
@@ -220,7 +274,7 @@ Var Slice(const Var& a, int64_t axis, int64_t start, int64_t len) {
       std::copy(src, src + src_row, dst);
     }
     node.parents[0]->AccumulateGrad(grad);
-  });
+  }, {.axis = resolved, .start = start, .len = len});
 }
 
 Var TransposeLast2(const Var& a) {
@@ -236,16 +290,26 @@ Var Permute(const Var& a, const std::vector<int64_t>& perm) {
   for (size_t i = 0; i < perm.size(); ++i) {
     inverse[static_cast<size_t>(perm[i])] = static_cast<int64_t>(i);
   }
-  return MakeOpVar("Permute", odf::Permute(a.value(), perm), {a},
-                   [inverse](Node& node) {
-                     node.parents[0]->AccumulateGrad(
-                         odf::Permute(node.grad, inverse));
-                   });
+  Tensor out;
+  if (SkipKernel(a)) {
+    std::vector<int64_t> dims(perm.size());
+    for (size_t i = 0; i < perm.size(); ++i) dims[i] = a.dim(perm[i]);
+    out = Tensor::ShapeOnly(Shape(std::move(dims)));
+  } else {
+    out = odf::Permute(a.value(), perm);
+  }
+  return MakeOpVar(
+      "Permute", std::move(out), {a},
+      [inverse](Node& node) {
+        node.parents[0]->AccumulateGrad(odf::Permute(node.grad, inverse));
+      },
+      {.perm = perm});
 }
 
 Var Sigmoid(const Var& a) {
   ODF_TRACE_SCOPE("fwd/", "Sigmoid", "fwd");
-  Tensor out = odf::Sigmoid(a.value());
+  Tensor out = SkipKernel(a) ? Tensor::ShapeOnly(a.shape())
+                             : odf::Sigmoid(a.value());
   return MakeOpVar("Sigmoid", std::move(out), {a}, [](Node& node) {
     Tensor d(node.value.shape());
     const int64_t n = node.value.numel();
@@ -259,7 +323,8 @@ Var Sigmoid(const Var& a) {
 
 Var Tanh(const Var& a) {
   ODF_TRACE_SCOPE("fwd/", "Tanh", "fwd");
-  Tensor out = odf::Tanh(a.value());
+  Tensor out = SkipKernel(a) ? Tensor::ShapeOnly(a.shape())
+                             : odf::Tanh(a.value());
   return MakeOpVar("Tanh", std::move(out), {a}, [](Node& node) {
     Tensor d(node.value.shape());
     const int64_t n = node.value.numel();
@@ -273,7 +338,8 @@ Var Tanh(const Var& a) {
 
 Var Relu(const Var& a) {
   ODF_TRACE_SCOPE("fwd/", "Relu", "fwd");
-  Tensor out = odf::Relu(a.value());
+  Tensor out = SkipKernel(a) ? Tensor::ShapeOnly(a.shape())
+                             : odf::Relu(a.value());
   return MakeOpVar("Relu", std::move(out), {a}, [](Node& node) {
     const Tensor& x = node.parents[0]->value;
     Tensor d(x.shape());
@@ -307,7 +373,8 @@ Var LogEps(const Var& a, float eps) {
 
 Var SoftmaxLastDim(const Var& a) {
   ODF_TRACE_SCOPE("fwd/", "SoftmaxLastDim", "fwd");
-  Tensor out = odf::SoftmaxLastDim(a.value());
+  Tensor out = SkipKernel(a) ? Tensor::ShapeOnly(a.shape())
+                             : odf::SoftmaxLastDim(a.value());
   return MakeOpVar("SoftmaxLastDim", std::move(out), {a}, [](Node& node) {
     // dx = y ⊙ (g − Σ_last(g ⊙ y)).
     const Tensor gy = odf::Mul(node.grad, node.value);
@@ -321,7 +388,10 @@ Var FusedRecover(const Var& r, const Var& c, const Var& temperature) {
   ODF_TRACE_SCOPE("fwd/", "FusedRecover", "fwd");
   ODF_CHECK_EQ(temperature.value().numel(), 1);
   const float tau = temperature.value()[0];
-  Tensor out = odf::FusedRecover(r.value(), c.value(), tau);
+  Tensor out =
+      SkipKernel(r, c, temperature)
+          ? Tensor::ShapeOnly(Shape({r.dim(0), r.dim(1), c.dim(2), r.dim(3)}))
+          : odf::FusedRecover(r.value(), c.value(), tau);
   return MakeOpVar(
       "FusedRecover", std::move(out), {r, c, temperature},
       [tau](Node& node) {
@@ -358,7 +428,18 @@ Var MeanAll(const Var& a) {
 Var SumAxis(const Var& a, int64_t axis, bool keepdim) {
   ODF_TRACE_SCOPE("fwd/", "SumAxis", "fwd");
   const int64_t resolved = axis < 0 ? axis + a.rank() : axis;
-  Tensor out = odf::Sum(a.value(), resolved, keepdim);
+  Tensor out;
+  if (SkipKernel(a)) {
+    std::vector<int64_t> dims = a.shape().dims();
+    if (keepdim) {
+      dims[static_cast<size_t>(resolved)] = 1;
+    } else {
+      dims.erase(dims.begin() + resolved);
+    }
+    out = Tensor::ShapeOnly(Shape(std::move(dims)));
+  } else {
+    out = odf::Sum(a.value(), resolved, keepdim);
+  }
   return MakeOpVar("SumAxis", std::move(out), {a}, [resolved](Node& node) {
     const Tensor& pv = node.parents[0]->value;
     Tensor grad(pv.shape());
@@ -376,7 +457,7 @@ Var SumAxis(const Var& a, int64_t axis, bool keepdim) {
       }
     }
     node.parents[0]->AccumulateGrad(grad);
-  });
+  }, {.axis = resolved, .keepdim = keepdim});
 }
 
 Var Dropout(const Var& a, float p, bool train, Rng& rng) {

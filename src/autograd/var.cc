@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "autograd/capture.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -25,7 +26,7 @@ void Node::AccumulateGrad(const Tensor& delta) {
 }
 
 Var MakeOpVar(const char* op, Tensor value, std::vector<Var> parents,
-              std::function<void(Node&)> backward) {
+              std::function<void(Node&)> backward, const OpAttrs& attrs) {
   auto node = std::make_shared<Node>();
   node->value = std::move(value);
   node->op = op;
@@ -42,6 +43,9 @@ Var MakeOpVar(const char* op, Tensor value, std::vector<Var> parents,
     for (const Var& p : parents) node->parents.push_back(p.node());
     node->backward = std::move(backward);
   }
+  if (Capture* capture = Capture::Active()) {
+    capture->RecordOp(node, parents, attrs);
+  }
   return Var(std::move(node));
 }
 
@@ -51,6 +55,23 @@ Var::Var(Tensor value, bool requires_grad) {
   node_ = std::make_shared<internal::Node>();
   node_->value = std::move(value);
   node_->requires_grad = requires_grad;
+}
+
+Var Var::BatchInput(Tensor value, int64_t index) {
+  Var v(std::move(value), false);
+  if (Capture* capture = Capture::Active()) {
+    capture->RecordBatchLeaf(v.node(), "BatchInput", index);
+  }
+  return v;
+}
+
+Var Var::BatchZeros(Shape shape) {
+  Capture* capture = Capture::Active();
+  Var v(capture != nullptr ? Tensor::ShapeOnly(std::move(shape))
+                           : Tensor(std::move(shape)),
+        false);
+  if (capture != nullptr) capture->RecordBatchLeaf(v.node(), "BatchZeros", -1);
+  return v;
 }
 
 const Tensor& Var::grad() const {

@@ -8,9 +8,30 @@
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 
+namespace odf {
+class GraphOperator;
+}  // namespace odf
+
 namespace odf::autograd {
 
 class Var;
+
+/// Attributes an op hands to an active Capture (autograd/capture.h) so the
+/// serving-plan compiler can replay it; each op fills only what it uses.
+struct OpAttrs {
+  int64_t axis = 0;      // Concat, Slice, SumAxis
+  int64_t start = 0;     // Slice
+  int64_t len = 0;       // Slice
+  int64_t order = 0;     // ChebyshevBasis
+  int64_t pool = 0;      // GraphPool: the nn::PoolKind
+  float scalar = 0.0f;   // AddScalar, MulScalar
+  bool keepdim = false;  // SumAxis
+  std::vector<int64_t> perm = {};                        // Permute
+  std::shared_ptr<const GraphOperator> graph = nullptr;  // SpMM, Chebyshev
+  const std::vector<std::vector<int64_t>>* clusters = nullptr;  // GraphPool
+
+  bool operator==(const OpAttrs&) const = default;
+};
 
 namespace internal {
 
@@ -49,6 +70,14 @@ class Var {
 
   /// Non-differentiable constant leaf (convenience).
   static Var Constant(Tensor value) { return Var(std::move(value), false); }
+
+  /// Constant leaves whose axis 0 carries the batch: the model's input
+  /// tensor `index` of a Batch, and a zero-filled state (recurrent initial
+  /// states). On the tape both are plain constants; a Capture records them
+  /// as per-call values, which is how a compiled plan tells its inputs and
+  /// batch-sized zeros apart from model constants.
+  static Var BatchInput(Tensor value, int64_t index);
+  static Var BatchZeros(Shape shape);
 
   /// Current value.
   const Tensor& value() const { return node_->value; }
@@ -91,9 +120,10 @@ namespace internal {
 /// op's forward/backward trace spans). `parents` are the inputs, `backward`
 /// propagates the node's gradient to them. The result requires grad iff any
 /// parent does; if none do, the backward closure is dropped (no tape is
-/// built).
+/// built). An active Capture records the op with `attrs`.
 Var MakeOpVar(const char* op, Tensor value, std::vector<Var> parents,
-              std::function<void(Node&)> backward);
+              std::function<void(Node&)> backward,
+              const OpAttrs& attrs = {});
 
 }  // namespace internal
 

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "autograd/capture.h"
 #include "core/loss_util.h"
 #include "core/recovery.h"
 #include "graph/coarsen.h"
@@ -226,8 +227,10 @@ AdvancedFramework::Forward AdvancedFramework::Run(const Batch& batch,
   std::vector<ag::Var> c_seq;
   r_seq.reserve(batch.inputs.size());
   c_seq.reserve(batch.inputs.size());
-  for (const Tensor& input : batch.inputs) {
-    ag::Var x = ag::Var::Constant(input);  // [B, N, N', K]
+  for (size_t t = 0; t < batch.inputs.size(); ++t) {
+    ag::ScopedPhase phase("factorize");
+    // [B, N, N', K]
+    ag::Var x = ag::Var::BatchInput(batch.inputs[t], static_cast<int64_t>(t));
 
     // R branch: origin slices [B·N, N', K] convolved on the dest graph.
     ag::Var r_slices = ag::Reshape(x, {b * n, m, k});
@@ -268,6 +271,7 @@ AdvancedFramework::Forward AdvancedFramework::Run(const Batch& batch,
   }
 
   // Recovery (shared with BF).
+  ag::ScopedPhase phase("recover");
   Forward forward;
   for (int64_t j = 0; j < horizon_; ++j) {
     ag::Var r = ag::Reshape(r_outs[static_cast<size_t>(j)],

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "autograd/capture.h"
 #include "core/loss_util.h"
 #include "core/recovery.h"
 
@@ -59,8 +60,10 @@ BasicFramework::Forward BasicFramework::Run(const Batch& batch, bool train,
   std::vector<ag::Var> c_seq;
   r_seq.reserve(batch.inputs.size());
   c_seq.reserve(batch.inputs.size());
-  for (const Tensor& input : batch.inputs) {
-    ag::Var x = ag::Var::Constant(input.Reshape({b, flat}));
+  for (size_t t = 0; t < batch.inputs.size(); ++t) {
+    ag::ScopedPhase phase("factorize");
+    ag::Var x = ag::Var::BatchInput(batch.inputs[t].Reshape({b, flat}),
+                                    static_cast<int64_t>(t));
     r_seq.push_back(ag::Dropout(ag::Tanh(encode_r_.Forward(x)),
                                 train ? dropout_rate() : 0.0f, train, rng));
     c_seq.push_back(ag::Dropout(ag::Tanh(encode_c_.Forward(x)),
@@ -72,6 +75,7 @@ BasicFramework::Forward BasicFramework::Run(const Batch& batch, bool train,
   std::vector<ag::Var> c_outs = seq_c_.Forward(c_seq, horizon_);
 
   // Recovery: factor product + softmax (Sec. IV-D, Eq. 3).
+  ag::ScopedPhase phase("recover");
   Forward forward;
   for (int64_t j = 0; j < horizon_; ++j) {
     ag::Var r = ag::Reshape(

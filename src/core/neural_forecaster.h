@@ -7,6 +7,10 @@
 #include "nn/module.h"
 #include "util/rng.h"
 
+namespace odf::serve {
+class PlanCompiler;  // serve/forward_plan.h: captures Run to compile plans
+}  // namespace odf::serve
+
 namespace odf {
 
 /// Base of all gradient-trained forecasters (FC/RNN, MR, BF, AF): a

@@ -34,7 +34,7 @@ ag::Var LuongAttention::Apply(
   const ag::Var attention = Scores(decoder_state, encoder_states);
   const int64_t batch = decoder_state.dim(0);
   // context = Σ_t a_t e_t via broadcast multiply.
-  ag::Var context = ag::Var::Constant(Tensor(Shape({batch, hidden_size_})));
+  ag::Var context = ag::Var::BatchZeros(Shape({batch, hidden_size_}));
   for (size_t t = 0; t < encoder_states.size(); ++t) {
     ag::Var weight = ag::Slice(attention, 1, static_cast<int64_t>(t), 1);
     context = ag::Add(context, ag::Mul(encoder_states[t], weight));

@@ -33,8 +33,6 @@ class LuongAttention : public Module {
   int64_t hidden_size() const { return hidden_size_; }
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   autograd::Var Scores(const autograd::Var& decoder_state,
                        const std::vector<autograd::Var>& encoder_states) const;
 

@@ -71,8 +71,6 @@ class ChebConv : public Module {
   }
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   int64_t in_features_;
   int64_t out_features_;
   bool with_bias_;

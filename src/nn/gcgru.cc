@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "autograd/capture.h"
 #include "tensor/tensor_ops.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -83,8 +84,7 @@ ag::Var GcGruCell::Step(const ag::Var& x, const ag::Var& h) const {
 }
 
 ag::Var GcGruCell::InitialState(int64_t batch) const {
-  return ag::Var::Constant(
-      Tensor(Shape({batch, num_nodes(), hidden_features_})));
+  return ag::Var::BatchZeros(Shape({batch, num_nodes(), hidden_features_}));
 }
 
 Seq2SeqGcGru::Seq2SeqGcGru(Tensor scaled_laplacian, int64_t feature_size,
@@ -129,6 +129,7 @@ std::vector<ag::Var> Seq2SeqGcGru::Forward(
   ODF_CHECK_GT(horizon, 0);
   const int64_t batch = inputs.front().dim(0);
   const size_t layers = encoder_layers_.size();
+  ag::ScopedPhase encode("encode");
   std::vector<ag::Var> enc_state;
   for (size_t l = 0; l < layers; ++l) {
     enc_state.push_back(encoder_layers_[l]->InitialState(batch));
@@ -141,6 +142,7 @@ std::vector<ag::Var> Seq2SeqGcGru::Forward(
     }
   }
 
+  ag::ScopedPhase decode("decode");  // the innermost label wins
   std::vector<ag::Var> dec_state = enc_state;
   std::vector<ag::Var> outputs;
   outputs.reserve(static_cast<size_t>(horizon));

@@ -58,8 +58,6 @@ class GcGruCell : public Module {
   }
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   int64_t input_features_;
   int64_t hidden_features_;
   std::shared_ptr<const GraphBasis> basis_;
@@ -107,8 +105,6 @@ class Seq2SeqGcGru : public Module {
   }
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   std::shared_ptr<GraphBasis> basis_;
   std::vector<std::unique_ptr<GcGruCell>> encoder_layers_;
   std::vector<std::unique_ptr<GcGruCell>> decoder_layers_;

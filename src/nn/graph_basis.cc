@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/cheb_conv.h"
-#include "tensor/tensor_ops.h"
 #include "util/env_config.h"
 
 namespace odf::nn {
@@ -186,15 +185,6 @@ void GraphBasis::SetOperators(std::shared_ptr<const GraphOperator> primary,
   }
   primary_op_ = std::move(primary);
   if (kind_ == GraphOpKind::kDiffusion) secondary_op_ = std::move(secondary);
-}
-
-Tensor GraphBasis::AdaptiveAdjacency() const {
-  ODF_CHECK(kind_ == GraphOpKind::kAdaptive);
-  // Mirrors Stack's tape forward kernel-for-kernel (ag::MatMul/Relu/
-  // SoftmaxLastDim call exactly these), so a compiled plan built from this
-  // snapshot reproduces Predict bit-for-bit.
-  return odf::SoftmaxLastDim(odf::Relu(odf::MatMul(
-      e_origin_.value(), odf::TransposeLast2(e_destination_.value()))));
 }
 
 }  // namespace odf::nn

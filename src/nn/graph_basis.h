@@ -101,11 +101,6 @@ class GraphBasis : public Module {
     return correlation_op_;
   }
 
-  /// The current adjacency softmax(relu(E_o·E_dᵀ)) as a plain tensor,
-  /// computed with the same kernels the tape forward uses — the serving
-  /// compiler snapshots this so plans stay bit-identical to Predict.
-  Tensor AdaptiveAdjacency() const;
-
   const autograd::Var& origin_embedding() const { return e_origin_; }
   const autograd::Var& destination_embedding() const { return e_destination_; }
 

@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "autograd/capture.h"
 #include "util/check.h"
 #include "util/trace.h"
 
@@ -75,11 +76,14 @@ ag::Var GraphPool(const ag::Var& x,
     }
   }
 
-  Tensor out(Shape({batch, nc, features}));
   // For max pooling remember which source node won each output cell.
   std::vector<int32_t> argmax;
-  GraphPoolForwardInto(x.value(), clusters, kind, &out,
-                       kind == PoolKind::kMax ? &argmax : nullptr);
+  Tensor out = Tensor::ShapeOnly(Shape({batch, nc, features}));
+  if (!ag::internal::SkipKernel(x)) {
+    out = Tensor(out.shape());
+    GraphPoolForwardInto(x.value(), clusters, kind, &out,
+                         kind == PoolKind::kMax ? &argmax : nullptr);
+  }
 
   return ag::internal::MakeOpVar(
       "GraphPool", std::move(out), {x},
@@ -108,7 +112,8 @@ ag::Var GraphPool(const ag::Var& x,
           }
         }
         node.parents[0]->AccumulateGrad(grad);
-      });
+      },
+      {.pool = static_cast<int64_t>(kind), .clusters = &clusters});
 }
 
 }  // namespace odf::nn

@@ -1,5 +1,7 @@
 #include "nn/gru.h"
 
+#include "autograd/capture.h"
+
 namespace odf::nn {
 
 namespace ag = odf::autograd;
@@ -31,7 +33,7 @@ ag::Var GruCell::Step(const ag::Var& x, const ag::Var& h) const {
 }
 
 ag::Var GruCell::InitialState(int64_t batch) const {
-  return ag::Var::Constant(Tensor(Shape({batch, hidden_size_})));
+  return ag::Var::BatchZeros(Shape({batch, hidden_size_}));
 }
 
 Seq2SeqGru::Seq2SeqGru(int64_t feature_size, int64_t hidden_size, Rng& rng,
@@ -64,6 +66,7 @@ std::vector<ag::Var> Seq2SeqGru::Forward(const std::vector<ag::Var>& inputs,
   ODF_CHECK_GT(horizon, 0);
   const int64_t batch = inputs.front().dim(0);
   const size_t layers = encoder_layers_.size();
+  ag::ScopedPhase encode("encode");
   std::vector<ag::Var> enc_state;
   for (size_t l = 0; l < layers; ++l) {
     enc_state.push_back(encoder_layers_[l]->InitialState(batch));
@@ -80,6 +83,7 @@ std::vector<ag::Var> Seq2SeqGru::Forward(const std::vector<ag::Var>& inputs,
   }
 
   // Decoder starts from the encoder's final per-layer states.
+  ag::ScopedPhase decode("decode");  // the innermost label wins
   std::vector<ag::Var> dec_state = enc_state;
   std::vector<ag::Var> outputs;
   outputs.reserve(static_cast<size_t>(horizon));

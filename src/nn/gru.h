@@ -30,8 +30,6 @@ class GruCell : public Module {
   int64_t hidden_size() const { return hidden_size_; }
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   int64_t input_size_;
   int64_t hidden_size_;
   Linear reset_gate_;
@@ -64,8 +62,6 @@ class Seq2SeqGru : public Module {
       const std::vector<autograd::Var>& inputs, int64_t horizon) const;
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   int64_t feature_size_;
   int64_t hidden_size_;
   std::vector<std::unique_ptr<GruCell>> encoder_layers_;

@@ -23,8 +23,6 @@ class Linear : public Module {
   int64_t out_features() const { return out_features_; }
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   int64_t in_features_;
   int64_t out_features_;
   bool with_bias_;

@@ -5,10 +5,6 @@
 
 #include "autograd/var.h"
 
-namespace odf::serve {
-class PlanCompiler;  // serve/forward_plan.h: walks modules to emit schedules
-}
-
 namespace odf::nn {
 
 /// Base class for trainable layers: owns the parameter registry so

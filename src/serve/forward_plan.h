@@ -9,44 +9,52 @@
 #include "autograd/var.h"
 #include "core/advanced_framework.h"
 #include "core/basic_framework.h"
-#include "nn/graph_pool.h"
 #include "tensor/csr.h"
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "util/metrics.h"
 
+namespace odf::autograd {
+struct CapturedOp;
+struct Recording;
+}  // namespace odf::autograd
+
 namespace odf::serve {
 
 /// Tape-free compiled inference (docs/serving.md).
 ///
-/// `PlanCompiler::Compile` walks a trained AF or BF once and emits a flat
-/// execution schedule — one `Instr` per tensor kernel of the model's
-/// inference forward — over a preallocated arena of buffers. `ForwardPlan::
-/// Run` then replays that schedule with zero autograd involvement: no
-/// `Var`/`Node` allocation, no `shared_ptr` churn, no per-op output tensors.
-/// Buffers are allocated once per batch size and reused across calls.
+/// `PlanCompiler::Compile` reads the model's inference forward from the
+/// model itself: it runs `Run(train=false)` once under an autograd Capture
+/// (autograd/capture.h), which records every op with its parents, output
+/// shape and attributes while skipping every kernel whose inputs depend on
+/// the batch. A table keyed by op name lowers each recorded op to one
+/// `Instr`, and a liveness pass packs the values into a small arena of
+/// reusable buffers. `ForwardPlan::Run` then replays that schedule with
+/// zero autograd involvement: no `Var`/`Node` allocation, no `shared_ptr`
+/// churn, no per-op output tensors. Buffers are allocated once per batch
+/// size and reused across calls.
 ///
-/// Bit-identity: every instruction either calls the exact `odf::` tensor
-/// kernel (via its `*Into` variant) that the corresponding `ag::` op calls
-/// on the tape, or a re-layouted serving kernel (wide Chebyshev basis,
-/// prepacked GEMM, time-batched branch evaluation) that performs the
-/// identical per-element accumulation — same terms, same ascending order,
-/// same FP contraction — so `Run` reproduces `Predict` bit-for-bit at any
-/// thread count (tests/serving_test.cc asserts this on trained
-/// checkpoints).
+/// Bit-identity: every instruction calls the same tensor kernel the
+/// recorded op calls on the tape, or a serving variant of it (wide
+/// Chebyshev basis, prepacked GEMM) that performs the identical per-element
+/// accumulation — same terms, same ascending order, same FP contraction —
+/// so `Run` reproduces `Predict` bit-for-bit at any thread count
+/// (tests/serving_test.cc asserts this for every model configuration).
 ///
-/// The plan snapshots the model's parameter tensors at compile time (the
-/// prepacked weight panels are derived from them, so post-compile weight
-/// loads require recompiling the plan) but holds non-owning references to
-/// branch cluster tables and graph operators; the model must outlive the
-/// plan. Compile after `nn::LoadParametersChecked`, not before.
+/// Ops over parameters and constants only run during capture, so their
+/// results (the adaptive adjacency, for one) are plan constants. The plan
+/// snapshots those values at compile time — post-compile weight loads
+/// require recompiling — but holds non-owning references to branch cluster
+/// tables; the model must outlive the plan. Compile after
+/// `nn::LoadParametersChecked`, not before.
 ///
 /// `Run` is NOT reentrant — callers serialize (the serving front-end funnels
 /// every batch through one worker thread).
 
 /// Buffer/output shape parameterized on the runtime batch size B:
-/// dims = {mult · B, tail...}. Every tensor in the forward has B as a
-/// factor of its leading dimension, so this spec covers all of them.
+/// dims = {mult · B, tail...}. Every batch-dependent value of the forward
+/// has B as a factor of its leading dimension; Compile checks this by
+/// capturing at batch 1 and batch 2.
 struct BufShape {
   int64_t mult = 1;
   std::vector<int64_t> tail;
@@ -63,45 +71,50 @@ struct BufShape {
     for (int64_t d : tail) n *= d;
     return n;
   }
+  bool operator==(const BufShape& other) const {
+    return mult == other.mult && tail == other.tail;
+  }
 };
 
+/// Instruction kinds; each is the lowering of one recorded op (the table in
+/// forward_plan.cc), except kReshape, which re-views a shared buffer. The
+/// elementwise kinds kAdd..kRelu stay contiguous: they may run in place.
 enum class OpKind : uint8_t {
-  kLoadInput,          // copy inputs[input_index] into out at `start`·B elems
-  kLoadInputPermuted,  // PermuteInto(inputs[input_index], perm, out)
-  kReshape,            // re-view buffer `out` as shape (no data movement)
-  kCopy,               // out = a (element copy, same numel)
-  kSliceRows,          // out = a[start·B : start·B + out.numel] (elements)
-  kStackRows,          // out[start·B : start·B + a.numel] = a (elements)
-  kZero,               // out = 0
-  kAdd,                // out = a + b (broadcast)
-  kMul,                // out = a ⊙ b (broadcast)
-  kAddBiasW,           // out = a + weights[w] (broadcast bias)
-  kAddScalar,          // out = a + scalar
-  kMulScalar,          // out = a · scalar
-  kSigmoid,            // out = σ(a)
-  kTanh,               // out = tanh(a)
-  kRelu,               // out = relu(a)
-  kMatMulW,            // out = a · weights[w]           (rank 2)
-  kBatchMatMulW,       // out = a ·batched weights[w]    (rank 3 × rank 2)
-                       //   (both run prepacked panels when ins.prepacked)
-  kConcat2,            // out = Concat({a, b}, axis)
-  kConcatN,            // out = Concat(srcs, axis)
-  kSlice,              // out = a[..., start:start+len, ...] along axis
-  kSumKeep,            // out = Sum(a, axis, keepdim=true)
-  kSoftmax,            // out = softmax over last axis of a
-  kPermute,            // out = Permute(a, perm)
-  kChebBasis,          // out = ChebyshevBasis(graph, a, order); srcs[0..2]
-                       //   are the shared wide-layout scratch buffers
-  kGraphApply,         // out = graph · a (one polynomial tap; diffusion and
-                       //   adaptive bases compose these — see EmitBasisTaps)
-  kGraphPool,          // out = GraphPool(a, *clusters, pool)
-  kRecover,            // out = FusedRecover(a, b, weights[w][0])
+  kLoadInput,     // out = inputs[input_index] (BatchInput)
+  kReshape,       // re-view buffer `out` as shape (no data movement)
+  kZero,          // out = 0 (BatchZeros)
+  kAdd,           // out = a + b (broadcast)
+  kSub,           // out = a − b (broadcast)
+  kMul,           // out = a ⊙ b (broadcast)
+  kAddBiasW,      // out = a + b, b a rank-1 constant over the last axis
+  kAddScalar,     // out = a + scalar
+  kMulScalar,     // out = a · scalar
+  kSigmoid,       // out = σ(a)
+  kTanh,          // out = tanh(a)
+  kRelu,          // out = relu(a)
+  kMatMulW,       // out = a · b (rank 2), b a weight when prepacked
+  kBatchMatMul,   // out = a ·batched b (rank-2 broadcast on either side)
+  kBatchMatMulW,  // out = a ·batched b, b a rank-2 constant
+                  //   (both W kinds run prepacked panels when ins.prepacked)
+  kConcat,        // out = Concat(srcs, axis)
+  kSlice,         // out = a[..., start:start+len, ...] along axis
+  kSum,           // out = Sum(a, axis, keepdim)
+  kSoftmax,       // out = softmax over last axis of a
+  kPermute,       // out = Permute(a, perm)
+  kChebBasis,     // out = ChebyshevBasis(graph, a, order); srcs[0..2] are
+                  //   wide-layout scratch buffers
+  kGraphApply,    // out = graph · a (SpMM)
+  kGraphPool,     // out = GraphPool(a, *clusters, pool)
+  kRecover,       // out = FusedRecover(a, b, scalar)
 };
 
-/// One schedule step. `a`/`b` are input buffer ids, `out` the output buffer,
-/// `w` an index into the plan's weight table; unused fields stay at their
-/// defaults. `shape` is the output buffer's view for this instruction and is
-/// applied (as a free re-view; numel never changes) before the kernel runs.
+/// One schedule step. `a`/`b`/`out`/`srcs` index the plan's buffers: arena
+/// buffers first, then the plan's constants (parameter snapshots and folded
+/// values). `w` indexes the prepacked panels of a kMatMulW/kBatchMatMulW
+/// constant. `attrs` are the recorded op's attributes (kRecover keeps its
+/// temperature in `scalar`). Unused fields stay at their defaults. `shape`
+/// is the output buffer's view for this instruction and is applied (as a
+/// free re-view; numel never changes) before the kernel runs.
 struct Instr {
   OpKind kind = OpKind::kZero;
   int32_t a = -1;
@@ -109,18 +122,10 @@ struct Instr {
   int32_t out = -1;
   int32_t w = -1;
   int32_t input_index = -1;
-  int64_t axis = 0;
-  int64_t start = 0;
-  int64_t len = 0;
-  int64_t order = 0;
-  float scalar = 0.0f;
-  bool prepacked = false;      // kMatMulW/kBatchMatMulW: use packed panels
+  bool prepacked = false;     // kMatMulW/kBatchMatMulW: use packed panels
   BufShape shape;
-  std::vector<int64_t> perm;   // kLoadInputPermuted / kPermute
-  std::vector<int32_t> srcs;   // kConcatN / kChebBasis wide scratch
-  std::shared_ptr<const GraphOperator> graph;                // kChebBasis
-  const std::vector<std::vector<int64_t>>* clusters = nullptr;  // kGraphPool
-  nn::PoolKind pool = nn::PoolKind::kAverage;                // kGraphPool
+  std::vector<int32_t> srcs;  // kConcat parts / kChebBasis scratch
+  autograd::OpAttrs attrs;
 };
 
 class ForwardPlan {
@@ -148,7 +153,8 @@ class ForwardPlan {
   int64_t num_instructions() const {
     return static_cast<int64_t>(instrs_.size());
   }
-  int64_t num_buffers() const { return static_cast<int64_t>(bufs_.size()); }
+  /// Arena buffers (constants excluded).
+  int64_t num_buffers() const { return static_cast<int64_t>(specs_.size()); }
 
   /// Distinct GraphOperators referenced by the schedule (empty for BF and
   /// graph-free ablations). Pointer-compared by tests to assert that plans
@@ -165,20 +171,23 @@ class ForwardPlan {
   void EnsureBatch(int64_t batch);
   void Exec(const Instr& ins, const std::vector<Tensor>& inputs);
 
+  /// Instructions [previous phase's end, end) belong to `hist` (a
+  /// serve.plan.<name>_seconds histogram, or null when unlabeled). A label
+  /// may own several segments — the encoders and decoders of the two factor
+  /// sides interleave — and Run records each label's total once.
   struct Phase {
-    const char* name = "";
-    size_t begin = 0;
     size_t end = 0;
-    Histogram* hist = nullptr;  // serve.plan.<name>_seconds
+    int32_t hist = -1;  // index into phase_hists_
   };
 
   std::vector<Instr> instrs_;
-  std::vector<BufShape> specs_;  // canonical (allocation) shape per buffer
-  std::vector<Tensor> bufs_;
-  std::vector<Tensor> weights_;        // compile-time parameter snapshots
-  std::vector<PackedGemmB> packed_;    // per-weight panels (empty if unused)
-  std::vector<int32_t> outputs_;       // buffer id per horizon step
+  std::vector<BufShape> specs_;  // flat allocation shape per arena buffer
+  std::vector<Tensor> bufs_;     // arena buffers, then constants
+  std::vector<PackedGemmB> packed_;  // per buffer; set for prepacked weights
+  std::vector<int32_t> outputs_;     // buffer id per horizon step
   std::vector<Phase> phases_;
+  std::vector<Histogram*> phase_hists_;
+  std::vector<uint64_t> phase_nanos_;
   std::vector<std::shared_ptr<const GraphOperator>> graph_ops_;
   std::vector<const Tensor*> concat_scratch_;
 
@@ -188,9 +197,10 @@ class ForwardPlan {
   int64_t batch_ = -1;
 };
 
-/// Compiles inference schedules from trained models. Friend of every nn
-/// module so it can lift private weights and graph operators into the plan's
-/// tables without widening the module APIs.
+/// Compiles inference schedules from trained models by capturing their own
+/// forward pass (see the ForwardPlan comment above). An instance holds one
+/// compilation's lowering state; the public non-static members are the
+/// interface the per-op lowering rules in forward_plan.cc build on.
 class PlanCompiler {
  public:
   /// `history` is the dataset's input window length s (ForecastDataset::
@@ -198,81 +208,57 @@ class PlanCompiler {
   static ForwardPlan Compile(const AdvancedFramework& model, int64_t history);
   static ForwardPlan Compile(const BasicFramework& model, int64_t history);
 
+  // -- lowering-rule interface: values are recorded op ids ----------------
+  const autograd::CapturedOp& op(int32_t id) const;
+  /// Batch-dependent (an arena value); otherwise a plan constant.
+  bool batched(int32_t id) const;
+  /// The value's shape at batch B (batch-dependent values only).
+  const BufShape& shape(int32_t id) const {
+    return values_[static_cast<size_t>(id)].shape;
+  }
+  /// Appends an instruction of `kind` that defines recorded op `id`, reads
+  /// its first two parents as `a`/`b` and carries its attributes.
+  Instr& Emit(OpKind kind, int32_t id);
+  /// A fresh flat value of `numel_per_batch` floats, live only during the
+  /// instruction that names it in `srcs` (kernel scratch).
+  int32_t Scratch(int64_t numel_per_batch);
+  /// Makes `id` a free re-view of `source` (Reshape).
+  void Alias(int32_t id, int32_t source);
+
  private:
-  PlanCompiler() = default;
-
-  // -- schedule assembly -------------------------------------------------
-  int32_t NewBuf(BufShape spec);
-  int32_t AddWeight(const autograd::Var& v);
-  /// Marks a kMatMulW/kBatchMatMulW instruction prepacked (and packs its
-  /// weight panels once) when the blocked path handles its row count.
-  void MaybePrepack(Instr& mm, const BufShape& os);
-  /// Grows (or allocates) the three wide-layout Chebyshev scratch buffers
-  /// shared by every kChebBasis site to at least `numel_per_batch` floats.
-  void EnsureWideScratch(int64_t numel_per_batch);
-  Instr& Emit(OpKind kind, int32_t out, BufShape shape);
-  void BeginPhase(const char* name);
-  void AddGraph(const std::shared_ptr<const GraphOperator>& op);
-  const BufShape& ShapeOf(int32_t buf) const;
-  void Reshape(int32_t buf, BufShape shape);
-
-  // -- module lowering (each mirrors the module's tape forward) ----------
-  int32_t EmitChebTaps(const std::shared_ptr<const GraphOperator>& op,
-                       int32_t x, int64_t order, int32_t taps);
-  /// GraphBasis::Stack on rank-3 `x` into `taps` [B, n, basis.taps()·F]. A
-  /// single-component Chebyshev basis takes the fused kChebBasis path
-  /// (bit-identical to the legacy schedule); every other basis composes
-  /// kGraphApply / kMulScalar / kAdd chains that replay the tape's ops
-  /// term for term. Adaptive bases snapshot softmax(relu(E_o·E_dᵀ)) at
-  /// compile time into a dense GraphOperator. Returns the taps buffer.
-  int32_t EmitBasisTaps(const nn::GraphBasis& basis, int32_t x, int32_t taps);
-  /// One kGraphApply instruction: out = op · x (shapes equal).
-  void EmitGraphApply(const std::shared_ptr<const GraphOperator>& op,
-                      int32_t x, int32_t out);
-  /// ChebConv::Forward on rank-3 `x`; result lands in `out` when >= 0.
-  int32_t EmitChebConv(const nn::ChebConv& conv, int32_t x, int32_t out);
-  /// Linear::Forward on rank-2 `x`; result lands in `out` when >= 0.
-  int32_t EmitLinear(const nn::Linear& linear, int32_t x, int32_t out);
-  void EmitGcGruStep(const nn::GcGruCell& cell, int32_t x, int32_t h);
-  void EmitGruStep(const nn::GruCell& cell, int32_t x, int32_t h);
-  int32_t EmitAttention(const nn::LuongAttention& attention, int32_t decoder,
-                        const std::vector<int32_t>& encoder_copies);
-  /// AdvancedFramework::ApplyBranch into `out` shaped [B·slices, β, K].
-  void EmitBranch(const AdvancedFramework& model,
-                  const AdvancedFramework::FactorBranch& branch, int32_t in,
-                  int32_t out);
-
-  struct SeqState {
-    std::vector<int32_t> states;          // per-layer hidden buffers
-    std::vector<int32_t> encoder_copies;  // per-step top states (attention)
-    int32_t last_input = -1;
+  /// Compile-time state of one value: a recorded op or a kernel scratch.
+  struct Value {
+    BufShape shape;     // batch-dependent values only
+    int32_t root = -1;  // storage owner: itself, or a Reshape source's root
+    int32_t last = -1;  // last instruction that reads it
+    int32_t buf = -1;   // arena slot of a root
   };
-  SeqState EmitGcGruEncoder(const nn::Seq2SeqGcGru& seq,
-                            const std::vector<int32_t>& inputs);
-  std::vector<int32_t> EmitGcGruDecoder(const nn::Seq2SeqGcGru& seq,
-                                        const SeqState& state,
-                                        int64_t horizon);
-  SeqState EmitGruEncoder(const nn::Seq2SeqGru& seq,
-                          const std::vector<int32_t>& inputs);
-  std::vector<int32_t> EmitGruDecoder(const nn::Seq2SeqGru& seq,
-                                      const SeqState& state, int64_t horizon);
 
-  /// Per-module scratch buffers, reused across unrolled steps (the schedule
-  /// is sequential, so one set per module is enough).
-  std::vector<int32_t>& Scratch(const void* key);
+  PlanCompiler(const autograd::Recording& rec, int64_t history,
+               std::vector<int64_t> input_tail);
 
+  /// Captures `forward` (a model's Run at inference) at batch 1 and 2,
+  /// checks the two agree, and lowers the batch-1 recording.
+  template <typename Forward>
+  static ForwardPlan CaptureAndLower(const Forward& forward, int64_t history,
+                                     std::vector<int64_t> input_tail);
+  void Lower();
+  void AssignSlots();
+  int32_t Buffer(int32_t id);
+  ForwardPlan Build();
+
+  Value& root(int32_t id) {
+    return values_[static_cast<size_t>(
+        values_[static_cast<size_t>(id)].root)];
+  }
+  bool IsScratch(int32_t id) const;
+
+  const autograd::Recording& rec_;
   ForwardPlan plan_;
-  std::vector<BufShape> shapes_;  // compile-time view per buffer
-  std::map<const void*, std::vector<int32_t>> scratch_;
-  // Weight dedup: source parameter tensor -> snapshot index in weights_.
-  std::map<const Tensor*, int32_t> weight_ids_;
-  int32_t wide_scratch_[3] = {-1, -1, -1};
-  // Per-site part/negation buffers of the generic EmitBasisTaps path, keyed
-  // by the taps buffer id (one basis serves call sites of different feature
-  // widths, so per-basis keying would mix shapes).
-  std::map<int32_t, std::vector<int32_t>> basis_scratch_;
-  // Compile-time adaptive adjacency snapshots, one per GraphBasis.
-  std::map<const void*, std::shared_ptr<const GraphOperator>> adaptive_ops_;
+  std::vector<Value> values_;
+  std::vector<Instr> instrs_;        // operands are value ids until Build
+  std::vector<const char*> phases_;  // label per instruction
+  std::map<int32_t, int32_t> constants_;  // value id -> plan buffer
 };
 
 }  // namespace odf::serve

@@ -98,11 +98,11 @@ enum class SpmmEpilogue {
 // `other` is only dereferenced by the epilogues that use it. Accumulation
 // per output element is in ascending column order of `a`, independent of
 // thread count.
-template <SpmmEpilogue kEp, bool kSerial, typename T>
-void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const T* av,
+template <SpmmEpilogue kEp, bool kSerial>
+void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const float* av,
                   int64_t rows, int64_t cols, int64_t nnz, int64_t batch,
-                  int64_t f, const T* x, int64_t ldx, const T* other,
-                  int64_t ldother, T* out, int64_t ldo) {
+                  int64_t f, const float* x, int64_t ldx, const float* other,
+                  int64_t ldother, float* out, int64_t ldo) {
   if (f == 0 || batch == 0) return;
   const int64_t flops_per_row =
       std::max<int64_t>(1, 2 * nnz / std::max<int64_t>(1, rows) * f);
@@ -113,13 +113,13 @@ void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const T* av,
       kSerial ? batch * rows
               : std::max<int64_t>(1, kSpmmGrainFlops / flops_per_row);
   ParallelFor(batch * rows, grain, [&](int64_t t0, int64_t t1) {
-    T acc[kFTile];
+    float acc[kFTile];
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t b = t / rows;
       const int64_t i = t % rows;
-      const T* __restrict xb = x + b * cols * ldx;
-      T* __restrict orow = out + (b * rows + i) * ldo;
-      const T* __restrict vrow =
+      const float* __restrict xb = x + b * cols * ldx;
+      float* __restrict orow = out + (b * rows + i) * ldo;
+      const float* __restrict vrow =
           other != nullptr ? other + (b * rows + i) * ldother : nullptr;
       const int64_t begin = rp[i];
       const int64_t end = rp[i + 1];
@@ -130,10 +130,10 @@ void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const T* av,
         // runtime bound forces acc through the stack every iteration).
         auto accumulate = [&]<bool kFull>(int64_t width) {
           if constexpr (kFull) width = kFTile;
-          for (int64_t c = 0; c < width; ++c) acc[c] = T(0);
+          for (int64_t c = 0; c < width; ++c) acc[c] = 0.0f;
           for (int64_t idx = begin; idx < end; ++idx) {
-            const T v = av[idx];
-            const T* __restrict xrow =
+            const float v = av[idx];
+            const float* __restrict xrow =
                 xb + static_cast<int64_t>(ci[idx]) * ldx + f0;
             for (int64_t c = 0; c < width; ++c) {
               acc[c] = ODF_FMADD(v, xrow[c], acc[c]);
@@ -143,9 +143,9 @@ void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const T* av,
             if constexpr (kEp == SpmmEpilogue::kStore) {
               orow[f0 + c] = acc[c];
             } else if constexpr (kEp == SpmmEpilogue::kChebCombine) {
-              orow[f0 + c] = T(2) * acc[c] - vrow[f0 + c];
+              orow[f0 + c] = 2.0f * acc[c] - vrow[f0 + c];
             } else if constexpr (kEp == SpmmEpilogue::kAddTwice) {
-              orow[f0 + c] += T(2) * acc[c];
+              orow[f0 + c] += 2.0f * acc[c];
             } else {
               orow[f0 + c] = acc[c] + vrow[f0 + c];
             }
@@ -265,31 +265,32 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
   }
 }
 
-template <typename T>
-void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
-                           const int32_t* col_idx, const T* values,
-                           int64_t nnz, int64_t n, const T* x, int64_t batch,
-                           int64_t f, int64_t order, T* out, T* w0, T* w1,
-                           T* w2) {
+void ChebyshevBasisWideRaw(const float* dense, const int64_t* row_ptr,
+                           const int32_t* col_idx, const float* values,
+                           int64_t nnz, int64_t n, const float* x,
+                           int64_t batch, int64_t f, int64_t order, float* out,
+                           float* w0, float* w1, float* w2) {
   const int64_t ld = order * f;
-  const T* px = x;
-  T* po = out;
+  const float* px = x;
+  float* po = out;
   if (order == 1 || f == 0) {
     for (int64_t t = 0; t < batch * n; ++t) {
       std::memcpy(po + t * ld, px + t * f,
-                  static_cast<size_t>(f) * sizeof(T));
+                  static_cast<size_t>(f) * sizeof(float));
     }
     return;
   }
 
   const int64_t wide = batch * f;
-  T* bufs[3] = {w0, w1, w2};
+  float* bufs[3] = {w0, w1, w2};
 
   // With one batch element the wide node-major layout coincides with x's own
   // [n, f] layout, so the transpose-in would be a verbatim copy: tap 0 reads
   // x directly instead. (bufs[0] still serves as the s=3 cycle slot.)
   const bool direct_t0 = batch == 1;
-  const auto tap0 = [&]() -> const T* { return direct_t0 ? px : bufs[0]; };
+  const auto tap0 = [&]() -> const float* {
+    return direct_t0 ? px : bufs[0];
+  };
 
   // The per-row copies below move only a handful of elements each (f is a
   // feature count, typically 7–21), so a library memcpy call per row would
@@ -300,12 +301,12 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
   // node-major, so every SpMM row visit streams `wide` contiguous elements.
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t i = 0; i < n; ++i) {
-      const T* __restrict src = px + (b * n + i) * f;
-      T* __restrict t1 = po + (b * n + i) * ld;
+      const float* __restrict src = px + (b * n + i) * f;
+      float* __restrict t1 = po + (b * n + i) * ld;
       if (direct_t0) {
         for (int64_t c = 0; c < f; ++c) t1[c] = src[c];
       } else {
-        T* __restrict tr = bufs[0] + i * wide + b * f;
+        float* __restrict tr = bufs[0] + i * wide + b * f;
         for (int64_t c = 0; c < f; ++c) {
           t1[c] = src[c];
           tr[c] = src[c];
@@ -315,11 +316,11 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
   }
   // Scatter a wide tap back into feature-column slice `s` of `out`. Reads
   // stream through `tap` (i-major) while writes stride by `ld`.
-  const auto scatter = [&](const T* tap, int64_t s) {
+  const auto scatter = [&](const float* tap, int64_t s) {
     for (int64_t i = 0; i < n; ++i) {
-      const T* __restrict trow = tap + i * wide;
+      const float* __restrict trow = tap + i * wide;
       for (int64_t b = 0; b < batch; ++b) {
-        T* __restrict dst = po + (b * n + i) * ld + s * f;
+        float* __restrict dst = po + (b * n + i) * ld + s * f;
         for (int64_t c = 0; c < f; ++c) dst[c] = trow[b * f + c];
       }
     }
@@ -335,8 +336,8 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
     // separate in-place pass; 2·x is exact, so the subtraction rounds once
     // either way and matches the SpMM's fused epilogue bit-for-bit.
     for (int64_t s = 1; s < order; ++s) {
-      T* cur = bufs[s % 3];
-      std::fill(cur, cur + n * wide, T(0));
+      float* cur = bufs[s % 3];
+      std::fill(cur, cur + n * wide, 0.0f);
       GemmRawInto(dense, s == 1 ? tap0() : bufs[(s - 1) % 3], cur, n, n,
                   wide);
       if (s >= 2) {
@@ -344,14 +345,14 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
         // (identical arithmetic and rounding to the separate pass) and
         // writes it both back into `cur` — the recurrence needs T_s — and
         // into the output slice.
-        const T* __restrict p2 = s == 2 ? tap0() : bufs[(s - 2) % 3];
+        const float* __restrict p2 = s == 2 ? tap0() : bufs[(s - 2) % 3];
         for (int64_t i = 0; i < n; ++i) {
-          T* __restrict crow = cur + i * wide;
-          const T* __restrict prow = p2 + i * wide;
+          float* __restrict crow = cur + i * wide;
+          const float* __restrict prow = p2 + i * wide;
           for (int64_t b = 0; b < batch; ++b) {
-            T* __restrict dst = po + (b * n + i) * ld + s * f;
+            float* __restrict dst = po + (b * n + i) * ld + s * f;
             for (int64_t c = 0; c < f; ++c) {
-              const T v = T(2) * crow[b * f + c] - prow[b * f + c];
+              const float v = 2.0f * crow[b * f + c] - prow[b * f + c];
               crow[b * f + c] = v;
               dst[c] = v;
             }
@@ -366,7 +367,7 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
 
   SpmmTiledRaw<SpmmEpilogue::kStore, /*kSerial=*/true>(
       row_ptr, col_idx, values, n, n, nnz, 1, wide, tap0(), wide,
-      static_cast<const T*>(nullptr), 0, bufs[1], wide);
+      static_cast<const float*>(nullptr), 0, bufs[1], wide);
   scatter(bufs[1], 1);
   for (int64_t s = 2; s < order; ++s) {
     SpmmTiledRaw<SpmmEpilogue::kChebCombine, /*kSerial=*/true>(
@@ -374,34 +375,6 @@ void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
         wide, s == 2 ? tap0() : bufs[(s - 2) % 3], wide, bufs[s % 3], wide);
     scatter(bufs[s % 3], s);
   }
-}
-
-template void ChebyshevBasisWideRaw(const float*, const int64_t*,
-                                    const int32_t*, const float*, int64_t,
-                                    int64_t, const float*, int64_t, int64_t,
-                                    int64_t, float*, float*, float*, float*);
-
-void ChebyshevBasisWideInto(const GraphOperator& op, const Tensor& x,
-                            int64_t order, Tensor* out, Tensor* w0,
-                            Tensor* w1, Tensor* w2) {
-  ODF_CHECK_GT(order, 0);
-  ODF_CHECK_EQ(x.rank(), 3);
-  const int64_t batch = x.dim(0);
-  const int64_t n = x.dim(1);
-  const int64_t f = x.dim(2);
-  ODF_CHECK_EQ(n, op.nodes());
-  ODF_CHECK(out->shape() == Shape({batch, n, order * f}));
-  if (order > 1 && f > 0) {
-    ODF_CHECK_GE(w0->numel(), n * batch * f);
-    ODF_CHECK_GE(w1->numel(), n * batch * f);
-    ODF_CHECK_GE(w2->numel(), n * batch * f);
-  }
-  const CsrMatrix& a = op.csr();
-  ChebyshevBasisWideRaw(op.use_sparse() ? nullptr : op.dense().data(),
-                        a.row_ptr().data(), a.col_idx().data(),
-                        a.values().data(), a.nnz(), n, x.data(), batch, f,
-                        order, out->data(), w0->data(), w1->data(),
-                        w2->data());
 }
 
 Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x,

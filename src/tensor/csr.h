@@ -76,37 +76,27 @@ Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x, int64_t order);
 void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
                         int64_t order, Tensor* out);
 
-/// ChebyshevBasis in node-major ("wide") layout for the compiled serving
-/// path. The taps are mathematically the recurrence above, but each
-/// L̂-product runs as ONE sparse × [n, B·F] product instead of B skinny
-/// [n, F] products: x is transposed so that batch and features fuse into one
-/// wide row, the register-tiled SpMM streams full tiles, and each tap is
-/// scattered back into `out` [B, n, order·F]. Per output element the
-/// accumulation is still a's row in ascending column order — the identical
-/// sum, term for term, as the narrow kernels — so results are bit-identical
-/// to ChebyshevBasisInto at every thread count (asserted by
-/// tests/serving_test.cc on trained checkpoints). `w0`/`w1`/`w2` are
-/// caller-owned scratch of at least B·n·F floats each (the serving arena);
-/// the kernel runs serially and allocates nothing.
-void ChebyshevBasisWideInto(const GraphOperator& op, const Tensor& x,
-                            int64_t order, Tensor* out, Tensor* w0,
-                            Tensor* w1, Tensor* w2);
-
-/// ChebyshevBasisWideInto over raw arrays — the core the Tensor wrapper
-/// above delegates to, exposed so the compiled serving plan
-/// (serve/forward_plan.h) can skip the wrapper's per-call Shape
-/// construction. The graph operator arrives as a snapshot: a non-null
-/// `dense` ([n, n] row-major) selects the blocked-GEMM path, otherwise the
-/// CSR triple row_ptr/col_idx/values (`nnz` non-zeros, rows in ascending
-/// column order) drives the serial tiled SpMM. `x` is [batch, n, f]
-/// row-major, `out` [batch, n, order·f]; w0/w1/w2 are caller-owned scratch
-/// of at least batch·n·f elements each. Instantiated for float in csr.cc.
-template <typename T>
-void ChebyshevBasisWideRaw(const T* dense, const int64_t* row_ptr,
-                           const int32_t* col_idx, const T* values,
-                           int64_t nnz, int64_t n, const T* x, int64_t batch,
-                           int64_t f, int64_t order, T* out, T* w0, T* w1,
-                           T* w2);
+/// ChebyshevBasis in node-major ("wide") layout over raw arrays, for the
+/// compiled serving path. The taps are mathematically the recurrence above,
+/// but each L̂-product runs as ONE sparse × [n, B·F] product instead of B
+/// skinny [n, F] products: x is transposed so that batch and features fuse
+/// into one wide row, the register-tiled SpMM streams full tiles, and each
+/// tap is scattered back into `out` [batch, n, order·f]. Per output element
+/// the accumulation is still a's row in ascending column order — the
+/// identical sum, term for term, as the narrow kernels — so results are
+/// bit-identical to ChebyshevBasisInto at every thread count.
+///
+/// The graph operator arrives as a snapshot: a non-null `dense` ([n, n]
+/// row-major) selects the blocked-GEMM path, otherwise the CSR triple
+/// row_ptr/col_idx/values (`nnz` non-zeros, rows in ascending column order)
+/// drives the serial tiled SpMM. `x` is [batch, n, f] row-major; w0/w1/w2
+/// are caller-owned scratch of at least batch·n·f elements each (the
+/// serving arena). Runs serially and allocates nothing.
+void ChebyshevBasisWideRaw(const float* dense, const int64_t* row_ptr,
+                           const int32_t* col_idx, const float* values,
+                           int64_t nnz, int64_t n, const float* x,
+                           int64_t batch, int64_t f, int64_t order, float* out,
+                           float* w0, float* w1, float* w2);
 
 /// Adjoint of ChebyshevBasis: given dY [B, n, order·F], returns dX [B, n, F]
 /// by running the recurrence in reverse with L̂ᵀ.
@@ -114,8 +104,8 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
                           int64_t order);
 
 /// Single graph application op · x [B, n, F] into a preallocated [B, n, F]
-/// output — one polynomial tap of the compiled serving path (serve
-/// kGraphApply, used by the diffusion and adaptive bases). Runs the same
+/// output — the compiled serving path's lowering of ag::SpMM (serve
+/// kGraphApply, used by the diffusion and correlation bases). Runs the same
 /// per-element accumulation as ag::SpMM's forward (CSR tiled SpMM on the
 /// sparse path, batched blocked GEMM on the dense path), so results are
 /// bit-identical to the tape at every thread count.

@@ -96,6 +96,15 @@ class Tensor {
   /// Constant-filled tensor.
   static Tensor Full(Shape shape, float value);
 
+  /// A shape with no storage: numel() is 0 and only shape() may be read.
+  /// What an op returns while an autograd Capture records it without
+  /// running its kernel (autograd/capture.h).
+  static Tensor ShapeOnly(Shape shape) {
+    Tensor t;
+    t.shape_ = std::move(shape);
+    return t;
+  }
+
   /// 2-D identity matrix of size n×n.
   static Tensor Identity(int64_t n);
 

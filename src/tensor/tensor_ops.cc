@@ -52,24 +52,22 @@ static_assert(kMC % kMR == 0, "row block must hold whole strips");
 // row-block loop goes parallel once a chunk is worth at least this much.
 constexpr int64_t kGemmNaiveFlops = 1 << 12;
 
-// Every kernel in this block is templated on the scalar type T; the float
-// instantiation is the fp32 substrate (tape and compiled plan share it, so
-// plan-vs-tape bit-identity is structural). Tile constants are sized for
-// the fp32 vector width.
+// The kernels in this block are the fp32 GEMM substrate (tape and compiled
+// plan share them, so plan-vs-tape bit-identity is structural). Tile
+// constants are sized for the fp32 vector width.
 
 // The seed's i-k-j triple loop; kept as the small-problem path (and as the
 // reference the blocked kernel is tested against). Accumulates over k in
 // ascending order, exactly like the micro-kernel.
-template <typename T>
-void GemmNaive(const T* pa, const T* pb, T* po, int64_t m,
+void GemmNaive(const float* pa, const float* pb, float* po, int64_t m,
                int64_t k, int64_t n) {
   for (int64_t i = 0; i < m; ++i) {
-    T* orow = po + i * n;
-    const T* arow = pa + i * k;
+    float* orow = po + i * n;
+    const float* arow = pa + i * k;
     for (int64_t kk = 0; kk < k; ++kk) {
-      const T av = arow[kk];
-      if (av == T(0)) continue;
-      const T* brow = pb + kk * n;
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const float* brow = pb + kk * n;
       for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
     }
   }
@@ -79,17 +77,16 @@ void GemmNaive(const T* pa, const T* pb, T* po, int64_t m,
 // dimension `lda`) into `buf` as ceil(rows/kMR) interleaved strips:
 // buf[strip][kk * kMR + r] = a[i0 + strip*kMR + r][k0 + kk], zero-padded in
 // r, so the micro-kernel loads kMR contiguous elements per k step.
-template <typename T>
-void PackA(const T* a, int64_t lda, int64_t i0, int64_t rows, int64_t k0,
-           int64_t depth, T* buf) {
+void PackA(const float* a, int64_t lda, int64_t i0, int64_t rows, int64_t k0,
+           int64_t depth, float* buf) {
   const int64_t strips = (rows + kMR - 1) / kMR;
   for (int64_t s = 0; s < strips; ++s) {
-    T* dst = buf + s * depth * kMR;
+    float* dst = buf + s * depth * kMR;
     const int64_t r_limit = std::min<int64_t>(kMR, rows - s * kMR);
     for (int64_t kk = 0; kk < depth; ++kk) {
       for (int64_t r = 0; r < kMR; ++r) {
         dst[kk * kMR + r] =
-            r < r_limit ? a[(i0 + s * kMR + r) * lda + k0 + kk] : T(0);
+            r < r_limit ? a[(i0 + s * kMR + r) * lda + k0 + kk] : 0.0f;
       }
     }
   }
@@ -101,16 +98,15 @@ int64_t NumJTiles(int64_t n) { return (n + kNR - 1) / kNR; }
 // Packs columns [jt*kNR, ...) of `b` (k x n) into tile `jt` of `buf`:
 // buf[jt*k*kNR + kk*kNR + jr] = b[kk][jt*kNR + jr], zero-padded in jr. The
 // micro-kernel then streams B with unit stride regardless of n.
-template <typename T>
-void PackBTile(const T* b, int64_t k, int64_t n, int64_t jt, T* buf) {
+void PackBTile(const float* b, int64_t k, int64_t n, int64_t jt, float* buf) {
   const int64_t j0 = jt * kNR;
   const int64_t nr = std::min<int64_t>(kNR, n - j0);
-  T* dst = buf + jt * k * kNR;
+  float* dst = buf + jt * k * kNR;
   for (int64_t kk = 0; kk < k; ++kk) {
-    const T* src = b + kk * n + j0;
-    T* row = dst + kk * kNR;
+    const float* src = b + kk * n + j0;
+    float* row = dst + kk * kNR;
     for (int64_t j = 0; j < nr; ++j) row[j] = src[j];
-    for (int64_t j = nr; j < kNR; ++j) row[j] = T(0);
+    for (int64_t j = nr; j < kNR; ++j) row[j] = 0.0f;
   }
 }
 
@@ -120,18 +116,18 @@ void PackBTile(const T* b, int64_t k, int64_t n, int64_t jt, T* buf) {
 // narrower power-of-two (kNR/2, kNR/4) for n % kNR column remainders so that
 // common skinny outputs (e.g. n = 16 with kNR = 32) do not fall back to the
 // runtime-bounded edge kernel. B panel rows keep their kNR stride.
-template <int64_t W, typename T>
-void MicroKernelFull(const T* ap, const T* bp, T* c, int64_t ldc,
+template <int64_t W>
+void MicroKernelFull(const float* ap, const float* bp, float* c, int64_t ldc,
                      int64_t depth) {
-  T acc[kMR * W];
+  float acc[kMR * W];
   for (int64_t r = 0; r < kMR; ++r) {
     for (int64_t j = 0; j < W; ++j) acc[r * W + j] = c[r * ldc + j];
   }
   for (int64_t kk = 0; kk < depth; ++kk) {
-    const T* brow = bp + kk * kNR;
-    const T* astrip = ap + kk * kMR;
+    const float* brow = bp + kk * kNR;
+    const float* astrip = ap + kk * kMR;
     for (int64_t r = 0; r < kMR; ++r) {
-      const T av = astrip[r];
+      const float av = astrip[r];
       for (int64_t j = 0; j < W; ++j) acc[r * W + j] += av * brow[j];
     }
   }
@@ -147,18 +143,18 @@ void MicroKernelFull(const T* ap, const T* bp, T* c, int64_t ldc,
 // store back only the nr live columns. Per live element the accumulation is
 // term-for-term identical to MicroKernelFull/Edge, so this is a pure store
 // mask, not a different rounding.
-template <int64_t W, typename T>
-void MicroKernelFullTail(const T* ap, const T* bp, T* c, int64_t ldc,
-                         int64_t depth, int64_t nr) {
-  T acc[kMR * W] = {};
+template <int64_t W>
+void MicroKernelFullTail(const float* ap, const float* bp, float* c,
+                         int64_t ldc, int64_t depth, int64_t nr) {
+  float acc[kMR * W] = {};
   for (int64_t r = 0; r < kMR; ++r) {
     for (int64_t j = 0; j < nr; ++j) acc[r * W + j] = c[r * ldc + j];
   }
   for (int64_t kk = 0; kk < depth; ++kk) {
-    const T* brow = bp + kk * kNR;
-    const T* astrip = ap + kk * kMR;
+    const float* brow = bp + kk * kNR;
+    const float* astrip = ap + kk * kMR;
     for (int64_t r = 0; r < kMR; ++r) {
-      const T av = astrip[r];
+      const float av = astrip[r];
       for (int64_t j = 0; j < W; ++j) acc[r * W + j] += av * brow[j];
     }
   }
@@ -169,18 +165,17 @@ void MicroKernelFullTail(const T* ap, const T* bp, T* c, int64_t ldc,
 
 // Edge tiles (m % kMR row remainders) with runtime bounds; B padding makes
 // reads past nr safe, but only [mr, nr) is stored back.
-template <typename T>
-void MicroKernelEdge(const T* ap, const T* bp, T* c, int64_t ldc,
+void MicroKernelEdge(const float* ap, const float* bp, float* c, int64_t ldc,
                      int64_t depth, int64_t mr, int64_t nr) {
-  T acc[kMR * kNR] = {};
+  float acc[kMR * kNR] = {};
   for (int64_t r = 0; r < mr; ++r) {
     for (int64_t j = 0; j < nr; ++j) acc[r * kNR + j] = c[r * ldc + j];
   }
   for (int64_t kk = 0; kk < depth; ++kk) {
-    const T* brow = bp + kk * kNR;
-    const T* astrip = ap + kk * kMR;
+    const float* brow = bp + kk * kNR;
+    const float* astrip = ap + kk * kMR;
     for (int64_t r = 0; r < mr; ++r) {
-      const T av = astrip[r];
+      const float av = astrip[r];
       for (int64_t j = 0; j < nr; ++j) acc[r * kNR + j] += av * brow[j];
     }
   }
@@ -194,9 +189,8 @@ void MicroKernelEdge(const T* ap, const T* bp, T* c, int64_t ldc,
 // absolute (multiples of kMC from row 0), so any partition of blocks across
 // threads computes each C element with the identical k-ascending
 // accumulation order.
-template <typename T>
-void GemmRows(const T* pa, const T* bpack, T* po, int64_t k,
-              int64_t n, int64_t i0, int64_t i1, T* apack) {
+void GemmRows(const float* pa, const float* bpack, float* po, int64_t k,
+              int64_t n, int64_t i0, int64_t i1, float* apack) {
   for (int64_t ib = i0; ib < i1; ib += kMC) {
     const int64_t rows = std::min(kMC, i1 - ib);
     for (int64_t k0 = 0; k0 < k; k0 += kKC) {
@@ -206,10 +200,10 @@ void GemmRows(const T* pa, const T* bpack, T* po, int64_t k,
       for (int64_t jt = 0; jt < NumJTiles(n); ++jt) {
         const int64_t j0 = jt * kNR;
         const int64_t nr = std::min<int64_t>(kNR, n - j0);
-        const T* bpanel = bpack + jt * k * kNR + k0 * kNR;
+        const float* bpanel = bpack + jt * k * kNR + k0 * kNR;
         for (int64_t s = 0; s < strips; ++s) {
-          const T* ap = apack + s * depth * kMR;
-          T* c = po + (ib + s * kMR) * n + j0;
+          const float* ap = apack + s * depth * kMR;
+          float* c = po + (ib + s * kMR) * n + j0;
           const int64_t mr = std::min(kMR, rows - s * kMR);
           if (mr == kMR) {
             // Full-height strip: pick the narrowest compile-time tile
@@ -244,17 +238,20 @@ void GemmRows(const T* pa, const T* bpack, T* po, int64_t k,
 // included — so the buffer is never zero-initialized; reusing it across
 // calls removes a 64 KB value-init from every blocked GEMM, which dominates
 // small serving-sized products.
-template <typename T>
-T* ApackScratch() {
-  thread_local std::unique_ptr<T[]> buf =
-      std::make_unique_for_overwrite<T[]>(static_cast<size_t>(kMC * kKC));
+float* ApackScratch() {
+  thread_local std::unique_ptr<float[]> buf =
+      std::make_unique_for_overwrite<float[]>(static_cast<size_t>(kMC * kKC));
   return buf.get();
 }
 
 // Widest output for the register-strip small-N kernel below. The serving
 // models' weight matmuls are all this narrow (n = buckets, filters or
 // hidden size), where the blocked path's packing and edge tiles cost more
-// than the multiply itself.
+// than the multiply itself. It is also the zero-padded row width of the
+// small-N layout: one full 16-lane SIMD vector per row (an 8-wide row
+// tempts the vectorizer into pairing two rows per register with cross-lane
+// inserts, which runs slower). Padding lanes are computed but never stored,
+// so the choice is pure layout, not rounding.
 constexpr int64_t kSmallNMax = 16;
 
 // [rows, k] x [k, n] against a B copy whose rows are zero-padded to width P
@@ -264,23 +261,23 @@ constexpr int64_t kSmallNMax = 16;
 // computed into registers but never stored, so results are bit-identical to
 // the unpacked kernels. Serial; per-row results are independent, so callers
 // may split the row range across threads without changing any element.
-template <int64_t P, typename T>
-void GemmSmallPadded(const T* a, const T* bp, T* po, int64_t rows,
+template <int64_t P>
+void GemmSmallPadded(const float* a, const float* bp, float* po, int64_t rows,
                      int64_t k, int64_t n) {
   constexpr int64_t R = 4;  // row strip: R·P accumulators
   int64_t i = 0;
   for (; i + R <= rows; i += R) {
-    T acc[R][P] = {};
-    const T* a0 = a + i * k;
-    const T* a1 = a0 + k;
-    const T* a2 = a1 + k;
-    const T* a3 = a2 + k;
+    float acc[R][P] = {};
+    const float* a0 = a + i * k;
+    const float* a1 = a0 + k;
+    const float* a2 = a1 + k;
+    const float* a3 = a2 + k;
     for (int64_t kk = 0; kk < k; ++kk) {
-      const T* brow = bp + kk * P;
-      const T v0 = a0[kk];
-      const T v1 = a1[kk];
-      const T v2 = a2[kk];
-      const T v3 = a3[kk];
+      const float* brow = bp + kk * P;
+      const float v0 = a0[kk];
+      const float v1 = a1[kk];
+      const float v2 = a2[kk];
+      const float v3 = a3[kk];
       for (int64_t j = 0; j < P; ++j) {
         acc[0][j] = ODF_FMADD(v0, brow[j], acc[0][j]);
         acc[1][j] = ODF_FMADD(v1, brow[j], acc[1][j]);
@@ -289,32 +286,21 @@ void GemmSmallPadded(const T* a, const T* bp, T* po, int64_t rows,
       }
     }
     for (int64_t r = 0; r < R; ++r) {
-      T* orow = po + (i + r) * n;
+      float* orow = po + (i + r) * n;
       for (int64_t j = 0; j < n; ++j) orow[j] = acc[r][j];
     }
   }
   for (; i < rows; ++i) {
-    T acc[P] = {};
-    const T* ar = a + i * k;
+    float acc[P] = {};
+    const float* ar = a + i * k;
     for (int64_t kk = 0; kk < k; ++kk) {
-      const T* brow = bp + kk * P;
-      const T v = ar[kk];
+      const float* brow = bp + kk * P;
+      const float v = ar[kk];
       for (int64_t j = 0; j < P; ++j) acc[j] = ODF_FMADD(v, brow[j], acc[j]);
     }
-    T* orow = po + i * n;
+    float* orow = po + i * n;
     for (int64_t j = 0; j < n; ++j) orow[j] = acc[j];
   }
-}
-
-// Zero-padded row width for the small-N layout. One full SIMD vector per
-// row: floats always pad to 16 lanes — an 8-wide float row tempts the
-// vectorizer into pairing two rows per register with cross-lane inserts,
-// which runs slower than the double kernel at the same shape — while
-// 8 doubles already fill a 512-bit vector. Padding lanes are computed but
-// never stored, so the choice is pure layout, not rounding.
-template <typename T>
-int64_t SmallNPadWidth(int64_t n) {
-  return (sizeof(T) == 4 || n > 8) ? kSmallNMax : 8;
 }
 
 // Tallest A for the no-pack panel kernel below: two micro-kernel strips.
@@ -329,27 +315,28 @@ constexpr int64_t kSmallMMax = 2 * kMR;
 // Accumulates onto C in ascending k with the pinned contraction, so per
 // live element the sum is term-for-term identical to the blocked
 // micro-kernels; lanes >= nr are computed in registers but never stored.
-template <int64_t P, typename T>
-void GemmSmallMPanel(const T* a, const T* bp, int64_t ldb, T* c, int64_t ldc,
-                     int64_t rows, int64_t k, int64_t cj0, int64_t nr) {
+template <int64_t P>
+void GemmSmallMPanel(const float* a, const float* bp, int64_t ldb, float* c,
+                     int64_t ldc, int64_t rows, int64_t k, int64_t cj0,
+                     int64_t nr) {
   constexpr int64_t R = 4;  // row strip: R·P accumulators
   int64_t i = 0;
   for (; i + R <= rows; i += R) {
-    T acc[R][P] = {};
+    float acc[R][P] = {};
     for (int64_t r = 0; r < R; ++r) {
-      const T* crow = c + (i + r) * ldc + cj0;
+      const float* crow = c + (i + r) * ldc + cj0;
       for (int64_t j = 0; j < nr; ++j) acc[r][j] = crow[j];
     }
-    const T* a0 = a + i * k;
-    const T* a1 = a0 + k;
-    const T* a2 = a1 + k;
-    const T* a3 = a2 + k;
+    const float* a0 = a + i * k;
+    const float* a1 = a0 + k;
+    const float* a2 = a1 + k;
+    const float* a3 = a2 + k;
     for (int64_t kk = 0; kk < k; ++kk) {
-      const T* brow = bp + kk * ldb;
-      const T v0 = a0[kk];
-      const T v1 = a1[kk];
-      const T v2 = a2[kk];
-      const T v3 = a3[kk];
+      const float* brow = bp + kk * ldb;
+      const float v0 = a0[kk];
+      const float v1 = a1[kk];
+      const float v2 = a2[kk];
+      const float v3 = a3[kk];
       for (int64_t j = 0; j < P; ++j) {
         acc[0][j] = ODF_FMADD(v0, brow[j], acc[0][j]);
         acc[1][j] = ODF_FMADD(v1, brow[j], acc[1][j]);
@@ -358,18 +345,18 @@ void GemmSmallMPanel(const T* a, const T* bp, int64_t ldb, T* c, int64_t ldc,
       }
     }
     for (int64_t r = 0; r < R; ++r) {
-      T* crow = c + (i + r) * ldc + cj0;
+      float* crow = c + (i + r) * ldc + cj0;
       for (int64_t j = 0; j < nr; ++j) crow[j] = acc[r][j];
     }
   }
   for (; i < rows; ++i) {
-    T acc[P] = {};
-    T* crow = c + i * ldc + cj0;
+    float acc[P] = {};
+    float* crow = c + i * ldc + cj0;
     for (int64_t j = 0; j < nr; ++j) acc[j] = crow[j];
-    const T* ar = a + i * k;
+    const float* ar = a + i * k;
     for (int64_t kk = 0; kk < k; ++kk) {
-      const T* brow = bp + kk * ldb;
-      const T v = ar[kk];
+      const float* brow = bp + kk * ldb;
+      const float v = ar[kk];
       for (int64_t j = 0; j < P; ++j) acc[j] = ODF_FMADD(v, brow[j], acc[j]);
     }
     for (int64_t j = 0; j < nr; ++j) crow[j] = acc[j];
@@ -378,9 +365,8 @@ void GemmSmallMPanel(const T* a, const T* bp, int64_t ldb, T* c, int64_t ldc,
 
 // Per-thread zero-padded scratch for the small-m tail panel (k x kNR, grown
 // on demand and reused across calls).
-template <typename T>
-T* SmallMPadScratch(int64_t k) {
-  thread_local std::vector<T> buf;
+float* SmallMPadScratch(int64_t k) {
+  thread_local std::vector<float> buf;
   if (static_cast<int64_t>(buf.size()) < k * kNR) {
     buf.resize(static_cast<size_t>(k * kNR));
   }
@@ -399,8 +385,7 @@ bool UseNaiveGemm(int64_t m, int64_t k, int64_t n) {
 // Shared entry: C (zero-initialized, m x n) += A (m x k) * B (k x n),
 // choosing naive / small-n padded / blocked-serial / blocked-parallel by
 // problem size.
-template <typename T>
-void Gemm(const T* pa, const T* pb, T* po, int64_t m, int64_t k,
+void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
           int64_t n) {
   if (UseNaiveGemm(m, k, n)) {
     GemmNaive(pa, pb, po, m, k, n);
@@ -411,23 +396,20 @@ void Gemm(const T* pa, const T* pb, T* po, int64_t m, int64_t k,
     // the register-strip kernel over parallel row chunks (rows are
     // independent, so any partition is bit-identical). GemmSmallPadded
     // overwrites its output rows, matching the zero-filled C contract.
-    const int64_t pw = SmallNPadWidth<T>(n);
-    auto bp = std::make_unique_for_overwrite<T[]>(static_cast<size_t>(k * pw));
+    const int64_t pw = kSmallNMax;
+    auto bp =
+        std::make_unique_for_overwrite<float[]>(static_cast<size_t>(k * pw));
     for (int64_t kk = 0; kk < k; ++kk) {
-      const T* src = pb + kk * n;
-      T* dst = bp.get() + kk * pw;
+      const float* src = pb + kk * n;
+      float* dst = bp.get() + kk * pw;
       for (int64_t j = 0; j < n; ++j) dst[j] = src[j];
-      for (int64_t j = n; j < pw; ++j) dst[j] = T(0);
+      for (int64_t j = n; j < pw; ++j) dst[j] = 0.0f;
     }
     const int64_t grain = std::max<int64_t>(
         1, kGemmNaiveFlops / std::max<int64_t>(1, k * n));
     ParallelFor(m, grain, [&](int64_t i0, int64_t i1) {
-      if (pw == 8) {
-        GemmSmallPadded<8>(pa + i0 * k, bp.get(), po + i0 * n, i1 - i0, k, n);
-      } else {
-        GemmSmallPadded<kSmallNMax>(pa + i0 * k, bp.get(), po + i0 * n,
-                                    i1 - i0, k, n);
-      }
+      GemmSmallPadded<kSmallNMax>(pa + i0 * k, bp.get(), po + i0 * n,
+                                  i1 - i0, k, n);
     });
     return;
   }
@@ -448,12 +430,12 @@ void Gemm(const T* pa, const T* pb, T* po, int64_t m, int64_t k,
     const int64_t j0 = full_tiles * kNR;
     if (j0 < n) {
       const int64_t nr = n - j0;
-      T* pad = SmallMPadScratch<T>(k);
+      float* pad = SmallMPadScratch(k);
       for (int64_t kk = 0; kk < k; ++kk) {
-        const T* src = pb + kk * n + j0;
-        T* dst = pad + kk * kNR;
+        const float* src = pb + kk * n + j0;
+        float* dst = pad + kk * kNR;
         for (int64_t j = 0; j < nr; ++j) dst[j] = src[j];
-        for (int64_t j = nr; j < kNR; ++j) dst[j] = T(0);
+        for (int64_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
       }
       GemmSmallMPanel<kNR>(pa, pad, kNR, po, n, m, k, j0, nr);
     }
@@ -461,7 +443,7 @@ void Gemm(const T* pa, const T* pb, T* po, int64_t m, int64_t k,
   }
   // PackBTile fully writes each tile (padding included), so the pack buffer
   // is allocated uninitialized.
-  auto bpack = std::make_unique_for_overwrite<T[]>(
+  auto bpack = std::make_unique_for_overwrite<float[]>(
       static_cast<size_t>(NumJTiles(n) * k * kNR));
   const int64_t pack_grain =
       std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, k * kNR));
@@ -474,7 +456,7 @@ void Gemm(const T* pa, const T* pb, T* po, int64_t m, int64_t k,
       1, kGemmNaiveFlops / std::max<int64_t>(1, flops_per_block));
   ParallelFor(num_blocks, grain, [&](int64_t b0, int64_t b1) {
     GemmRows(pa, bpack.get(), po, k, n, b0 * kMC, std::min(m, b1 * kMC),
-             ApackScratch<T>());
+             ApackScratch());
   });
 }
 
@@ -491,16 +473,17 @@ void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
   Gemm(a, b, out, m, k, n);
 }
 
-template <typename T>
-PackedGemmBT<T> PackGemmWeightRaw(const T* b, int64_t k, int64_t n) {
-  PackedGemmBT<T> packed;
-  packed.k = k;
-  packed.n = n;
+PackedGemmB PackGemmWeight(const Tensor& w) {
+  ODF_CHECK_EQ(w.rank(), 2);
+  const float* b = w.data();
+  PackedGemmB packed;
+  packed.k = w.dim(0);
+  packed.n = w.dim(1);
   if (packed.n <= kSmallNMax) {
     // Small-N path: row-major copy, columns zero-padded to one full SIMD
-    // vector of the scalar width (see SmallNPadWidth).
-    packed.pw = SmallNPadWidth<T>(packed.n);
-    packed.panels.assign(static_cast<size_t>(packed.k * packed.pw), T(0));
+    // vector (see kSmallNMax).
+    packed.pw = kSmallNMax;
+    packed.panels.assign(static_cast<size_t>(packed.k * packed.pw), 0.0f);
     for (int64_t kk = 0; kk < packed.k; ++kk) {
       for (int64_t j = 0; j < packed.n; ++j) {
         packed.panels[static_cast<size_t>(kk * packed.pw + j)] =
@@ -517,31 +500,25 @@ PackedGemmBT<T> PackGemmWeightRaw(const T* b, int64_t k, int64_t n) {
   return packed;
 }
 
-template PackedGemmBT<float> PackGemmWeightRaw(const float*, int64_t, int64_t);
-
-PackedGemmB PackGemmWeight(const Tensor& b) {
-  ODF_CHECK_EQ(b.rank(), 2);
-  return PackGemmWeightRaw(b.data(), b.dim(0), b.dim(1));
-}
-
 bool PrepackedGemmViable(int64_t rows, int64_t k, int64_t n) {
   (void)k;
   (void)n;
   return rows >= kMR;
 }
 
-template <typename T>
-void MatMulPrepackedRaw(const T* a, int64_t rows, const PackedGemmBT<T>& b,
-                        T* out) {
-  if (b.pw == 8) {
-    GemmSmallPadded<8>(a, b.panels.data(), out, rows, b.k, b.n);
-    return;
-  }
+void MatMulPrepackedInto(const Tensor& lhs, const PackedGemmB& b,
+                         Tensor* result) {
+  ODF_CHECK_EQ(lhs.numel() % b.k, 0);
+  const int64_t rows = lhs.numel() / b.k;
+  ODF_CHECK(PrepackedGemmViable(rows, b.k, b.n));
+  ODF_CHECK_EQ(result->numel(), rows * b.n);
+  const float* a = lhs.data();
+  float* out = result->data();
   if (b.pw == kSmallNMax) {
     GemmSmallPadded<kSmallNMax>(a, b.panels.data(), out, rows, b.k, b.n);
     return;
   }
-  std::fill(out, out + rows * b.n, T(0));
+  std::fill(out, out + rows * b.n, 0.0f);
   if (rows <= kSmallMMax) {
     // Short A: the blocked path's per-call A packing costs more than the
     // multiply. The packed tiles are already k x kNR row-major panels, so
@@ -555,18 +532,7 @@ void MatMulPrepackedRaw(const T* a, int64_t rows, const PackedGemmBT<T>& b,
     }
     return;
   }
-  GemmRows(a, b.panels.data(), out, b.k, b.n, 0, rows, ApackScratch<T>());
-}
-
-template void MatMulPrepackedRaw(const float*, int64_t,
-                                 const PackedGemmBT<float>&, float*);
-
-void MatMulPrepackedInto(const Tensor& a, const PackedGemmB& b, Tensor* out) {
-  ODF_CHECK_EQ(a.numel() % b.k, 0);
-  const int64_t rows = a.numel() / b.k;
-  ODF_CHECK(PrepackedGemmViable(rows, b.k, b.n));
-  ODF_CHECK_EQ(out->numel(), rows * b.n);
-  MatMulPrepackedRaw(a.data(), rows, b, out->data());
+  GemmRows(a, b.panels.data(), out, b.k, b.n, 0, rows, ApackScratch());
 }
 
 namespace {
@@ -1229,36 +1195,31 @@ float MinValue(const Tensor& a) {
   return best;
 }
 
-template <typename T>
-void SoftmaxRowsRaw(const T* in, T* out, int64_t outer, int64_t inner) {
-  const int64_t grain =
-      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, inner));
-  ParallelFor(outer, grain, [&](int64_t o0, int64_t o1) {
-    for (int64_t o = o0; o < o1; ++o) {
-      const T* src = in + o * inner;
-      T* dst = out + o * inner;
-      T max_v = src[0];
-      for (int64_t i = 1; i < inner; ++i) max_v = std::max(max_v, src[i]);
-      T total = 0;
-      for (int64_t i = 0; i < inner; ++i) {
-        dst[i] = FastExp(src[i] - max_v);
-        total += dst[i];
-      }
-      const T inv = T(1) / total;
-      for (int64_t i = 0; i < inner; ++i) dst[i] *= inv;
-    }
-  });
-}
-
-template void SoftmaxRowsRaw(const float*, float*, int64_t, int64_t);
-
-void SoftmaxLastDimInto(const Tensor& a, Tensor* out) {
+void SoftmaxLastDimInto(const Tensor& a, Tensor* result) {
   ODF_CHECK_GE(a.rank(), 1);
   const int64_t inner = a.dim(-1);
   ODF_CHECK_GT(inner, 0);
   const int64_t outer = a.numel() / inner;
-  ODF_CHECK(out->shape() == a.shape());
-  SoftmaxRowsRaw(a.data(), out->data(), outer, inner);
+  ODF_CHECK(result->shape() == a.shape());
+  const float* in = a.data();
+  float* out = result->data();
+  const int64_t grain =
+      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, inner));
+  ParallelFor(outer, grain, [&](int64_t o0, int64_t o1) {
+    for (int64_t o = o0; o < o1; ++o) {
+      const float* src = in + o * inner;
+      float* dst = out + o * inner;
+      float max_v = src[0];
+      for (int64_t i = 1; i < inner; ++i) max_v = std::max(max_v, src[i]);
+      float total = 0;
+      for (int64_t i = 0; i < inner; ++i) {
+        dst[i] = FastExp(src[i] - max_v);
+        total += dst[i];
+      }
+      const float inv = 1.0f / total;
+      for (int64_t i = 0; i < inner; ++i) dst[i] *= inv;
+    }
+  });
 }
 
 Tensor SoftmaxLastDim(const Tensor& a) {
@@ -1314,9 +1275,8 @@ void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
 namespace {
 
 // Per-thread scratch for FusedRecoverRaw's flattened exp pass.
-template <typename T>
-T* RecoverMaxScratch(int64_t len) {
-  thread_local std::vector<T> buf;
+float* RecoverMaxScratch(int64_t len) {
+  thread_local std::vector<float> buf;
   if (static_cast<int64_t>(buf.size()) < len) {
     buf.resize(static_cast<size_t>(len));
   }
@@ -1325,9 +1285,8 @@ T* RecoverMaxScratch(int64_t len) {
 
 }  // namespace
 
-template <typename T>
-void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
-                     int64_t b, int64_t n, int64_t m, int64_t beta,
+void FusedRecoverRaw(const float* r, const float* c, float temperature,
+                     float* out, int64_t b, int64_t n, int64_t m, int64_t beta,
                      int64_t k) {
   // Histogram depth k is small (single digits in the paper's setups), so
   // per-cell k-loops are too short for the vectorizer. Instead, each
@@ -1347,30 +1306,30 @@ void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
   ParallelFor(rows, grain, [&](int64_t r0, int64_t r1) {
     // Scratch: [0, row_len) tiled r-vector, [row_len, 2·row_len) per-element
     // subtrahend / inverse, [2·row_len, 2·row_len + m) per-cell totals.
-    T* scratch = RecoverMaxScratch<T>(2 * row_len + m);
-    T* tile = scratch;
-    T* sub = scratch + row_len;
-    T* tot = scratch + 2 * row_len;
+    float* scratch = RecoverMaxScratch(2 * row_len + m);
+    float* tile = scratch;
+    float* sub = scratch + row_len;
+    float* tot = scratch + 2 * row_len;
     for (int64_t row = r0; row < r1; ++row) {
       const int64_t bi = row / n;
-      T* dst = out + row * row_len;
+      float* dst = out + row * row_len;
       // Pass 1: scores = temperature * sum_beta r[b,o,bb,:] ⊙ c[b,bb,d,:].
-      for (int64_t j = 0; j < row_len; ++j) dst[j] = T(0);
+      for (int64_t j = 0; j < row_len; ++j) dst[j] = 0.0f;
       for (int64_t bb = 0; bb < beta; ++bb) {
-        const T* rv = r + (row * beta + bb) * k;
+        const float* rv = r + (row * beta + bb) * k;
         for (int64_t d = 0; d < m; ++d) {
-          std::memcpy(tile + d * k, rv, static_cast<size_t>(k) * sizeof(T));
+          std::memcpy(tile + d * k, rv, static_cast<size_t>(k) * sizeof(float));
         }
-        const T* cv = c + (bi * beta + bb) * row_len;
+        const float* cv = c + (bi * beta + bb) * row_len;
         for (int64_t j = 0; j < row_len; ++j) dst[j] += tile[j] * cv[j];
       }
       for (int64_t j = 0; j < row_len; ++j) dst[j] *= temperature;
       // Pass 2: per-cell max, broadcast into the flat subtrahend array.
       for (int64_t cell = 0; cell < m; ++cell) {
-        const T* sc = dst + cell * k;
-        T max_v = sc[0];
+        const float* sc = dst + cell * k;
+        float max_v = sc[0];
         for (int64_t kk = 1; kk < k; ++kk) max_v = std::max(max_v, sc[kk]);
-        T* s = sub + cell * k;
+        float* s = sub + cell * k;
         for (int64_t kk = 0; kk < k; ++kk) s[kk] = max_v;
       }
       // Pass 3: the flat vectorizable exp.
@@ -1381,14 +1340,14 @@ void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
       // is exact per lane, so batching it does not change any bit), then a
       // flat scale against the tiled inverses.
       for (int64_t cell = 0; cell < m; ++cell) {
-        const T* sc = dst + cell * k;
-        T total = 0;
+        const float* sc = dst + cell * k;
+        float total = 0;
         for (int64_t kk = 0; kk < k; ++kk) total += sc[kk];
         tot[cell] = total;
       }
-      for (int64_t cell = 0; cell < m; ++cell) tot[cell] = T(1) / tot[cell];
+      for (int64_t cell = 0; cell < m; ++cell) tot[cell] = 1.0f / tot[cell];
       for (int64_t cell = 0; cell < m; ++cell) {
-        T* s = sub + cell * k;
+        float* s = sub + cell * k;
         for (int64_t kk = 0; kk < k; ++kk) s[kk] = tot[cell];
       }
       for (int64_t j = 0; j < row_len; ++j) dst[j] *= sub[j];
@@ -1396,8 +1355,6 @@ void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
   });
 }
 
-template void FusedRecoverRaw(const float*, const float*, float, float*,
-                              int64_t, int64_t, int64_t, int64_t, int64_t);
 
 Tensor FusedRecover(const Tensor& r, const Tensor& c, float temperature) {
   ODF_CHECK_EQ(r.rank(), 4);

@@ -14,16 +14,10 @@
 // where scalar code fuses and the split form where it cannot, so "identical
 // per-element accumulation order" implies bit-identical results across
 // every kernel in a build.
-// The macro is width-generic: overload resolution picks the float or double
-// fused form, so the scalar-templated kernels below pin the identical
-// contraction policy at both precisions.
 #if defined(__FMA__) || defined(__ARM_FEATURE_FMA)
 namespace odf::fp_detail {
 inline float Fmadd(float a, float b, float c) {
   return __builtin_fmaf(a, b, c);
-}
-inline double Fmadd(double a, double b, double c) {
-  return __builtin_fma(a, b, c);
 }
 }  // namespace odf::fp_detail
 #define ODF_FMADD(a, b, c) (::odf::fp_detail::Fmadd((a), (b), (c)))
@@ -172,16 +166,14 @@ void SoftmaxLastDimInto(const Tensor& a, Tensor* out);
 // operands. Runs serially (the serving worker owns exactly one core-equiv
 // of work; pool dispatch on these problem sizes costs more than it saves).
 
-template <typename T>
-struct PackedGemmBT {
+struct PackedGemmB {
   // Narrow weights (n <= 16): row-major, columns zero-padded to `pw`.
   // Wider weights (pw == 0): j-tile-major, kNR-strided (see tensor_ops.cc).
-  std::vector<T> panels;
+  std::vector<float> panels;
   int64_t k = 0;
   int64_t n = 0;
   int64_t pw = 0;  // padded row width of the small-n layout; 0 = blocked
 };
-using PackedGemmB = PackedGemmBT<float>;
 
 /// Packs a rank-2 weight `b` ([k, n]) for MatMulPrepackedInto.
 PackedGemmB PackGemmWeight(const Tensor& b);
@@ -207,34 +199,15 @@ void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
 
 // -- Raw kernels (compiled serving) ----------------------------------------
 //
-// The scalar-templated cores the Tensor kernels above are built from,
-// exposed so the compiled serving plan (serve/forward_plan.h) can run them
-// over its own arena with no per-call shape checks. Instantiated for float
-// in tensor_ops.cc.
-
-/// Packs a row-major [k, n] weight for MatMulPrepackedRaw — same panel
-/// layout decisions as PackGemmWeight.
-template <typename T>
-PackedGemmBT<T> PackGemmWeightRaw(const T* b, int64_t k, int64_t n);
-
-/// Prepacked GEMM over raw pointers: out (rows x b.n) = a (rows x b.k) · b.
-/// Requires PrepackedGemmViable(rows, b.k, b.n). Serial.
-template <typename T>
-void MatMulPrepackedRaw(const T* a, int64_t rows, const PackedGemmBT<T>& b,
-                        T* out);
-
-/// Row-wise softmax: out[o, :] = softmax(in[o, :]) for `outer` rows of
-/// `inner` elements (max-subtracted, FastExp). The exact core behind
-/// SoftmaxLastDimInto and bit-identical to it.
-template <typename T>
-void SoftmaxRowsRaw(const T* in, T* out, int64_t outer, int64_t inner);
+// The core of FusedRecoverInto, exposed so the compiled serving plan
+// (serve/forward_plan.h) can run it over its own arena with no per-call
+// shape checks.
 
 /// FusedRecover over raw pointers: r [B,N,beta,K] ⊗ c [B,beta,N',K] →
 /// out [B,N,N',K] with softmax over K. The exact core behind
 /// FusedRecoverInto and bit-identical to it.
-template <typename T>
-void FusedRecoverRaw(const T* r, const T* c, T temperature, T* out,
-                     int64_t b, int64_t n, int64_t m, int64_t beta,
+void FusedRecoverRaw(const float* r, const float* c, float temperature,
+                     float* out, int64_t b, int64_t n, int64_t m, int64_t beta,
                      int64_t k);
 
 // -- Fused OD recovery ----------------------------------------------------

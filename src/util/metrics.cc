@@ -1,5 +1,6 @@
 #include "util/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -14,11 +15,28 @@ namespace {
 
 std::atomic<bool> g_metrics_enabled{GetEnvBool("ODF_METRICS", false)};
 
-/// log2 bucket index of a nanosecond duration (0 ns → bucket 0).
+constexpr int kSubBits = 3;  // log2(Histogram::kSubBuckets)
+static_assert(Histogram::kSubBuckets == 1 << kSubBits);
+
+/// Log-linear bucket of a nanosecond duration: values below kSubBuckets map
+/// to themselves; above, the octave's top kSubBits bits below the leading
+/// one pick the sub-bucket.
 int BucketIndex(uint64_t nanos) {
-  if (nanos == 0) return 0;
+  if (nanos < Histogram::kSubBuckets) return static_cast<int>(nanos);
   const int bit = 63 - __builtin_clzll(nanos);
-  return bit < Histogram::kBuckets ? bit : Histogram::kBuckets - 1;
+  const int sub = static_cast<int>(nanos >> (bit - kSubBits)) &
+                  (Histogram::kSubBuckets - 1);
+  const int index = (bit - kSubBits + 1) * Histogram::kSubBuckets + sub;
+  return index < Histogram::kBuckets ? index : Histogram::kBuckets - 1;
+}
+
+/// Midpoint of bucket `index` in nanoseconds.
+uint64_t BucketMidpoint(int index) {
+  if (index < Histogram::kSubBuckets) return static_cast<uint64_t>(index);
+  const int shift = index / Histogram::kSubBuckets - 1;
+  const uint64_t sub = static_cast<uint64_t>(index % Histogram::kSubBuckets);
+  const uint64_t lo = (Histogram::kSubBuckets + sub) << shift;
+  return lo + ((uint64_t{1} << shift) >> 1);
 }
 
 void AtomicMin(std::atomic<uint64_t>& target, uint64_t v) {
@@ -68,9 +86,7 @@ uint64_t Histogram::QuantileNanos(double q) const {
   for (int i = 0; i < kBuckets; ++i) {
     seen += bucket(i);
     if (seen > target) {
-      // Geometric midpoint of [2^i, 2^{i+1}).
-      const uint64_t lo = i == 0 ? 0 : (uint64_t{1} << i);
-      return lo + (lo >> 1);
+      return std::clamp(BucketMidpoint(i), min_nanos(), max_nanos());
     }
   }
   return max_nanos();

@@ -46,14 +46,18 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Lock-free timing histogram over log2-spaced nanosecond buckets: bucket
-/// `i` counts samples in [2^i, 2^{i+1}) ns (bucket 0 also takes 0 ns).
-/// Tracks count/sum/min/max exactly; quantiles are estimated from the
-/// bucket counts at export time (≤ 2x resolution, plenty for hot-path
-/// triage). All mutation is relaxed atomics.
+/// Lock-free timing histogram over log-linear nanosecond buckets: each
+/// octave [2^k, 2^{k+1}) splits into kSubBuckets equal-width buckets, and
+/// values below kSubBuckets ns get one bucket each. Tracks count/sum/min/max
+/// exactly; a quantile is its bucket's midpoint clamped to [min, max], so
+/// its relative error is at most 1/(2·kSubBuckets) (6.25%). All mutation is
+/// relaxed atomics.
 class Histogram {
  public:
-  static constexpr int kBuckets = 48;
+  static constexpr int kSubBuckets = 8;
+  /// Resolves samples below 2^48 ns (~78 hours); larger ones share the
+  /// last bucket.
+  static constexpr int kBuckets = 46 * kSubBuckets;
 
   void Record(uint64_t nanos);
 
@@ -65,7 +69,7 @@ class Histogram {
     return buckets_[i].load(std::memory_order_relaxed);
   }
 
-  /// Approximate quantile in nanoseconds (q in [0, 1]); 0 when empty.
+  /// Estimated quantile in nanoseconds (q in [0, 1]); 0 when empty.
   uint64_t QuantileNanos(double q) const;
 
   void Reset();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "autograd/capture.h"
 #include "autograd/gradcheck.h"
 #include "autograd/var.h"
 
@@ -261,6 +262,37 @@ TEST(BackwardTest, GradAccumulatesAcrossBackwardCalls) {
   Var loss2 = Mul(x, x);
   loss2.Backward();
   EXPECT_FLOAT_EQ(x.grad()[0], 4.0f);  // 2 + 2
+}
+
+// A capture records each op with its parents, shape, attributes and phase
+// label. An op over parameters only runs (its value is folded); an op that
+// depends on a batch leaf records its shape and skips its kernel.
+TEST(CaptureTest, FoldsConstantsAndSkipsBatchDependentKernels) {
+  const Var w = Leaf(Tensor::Full(Shape({3}), 2.0f));
+  Recording rec;
+  {
+    Capture capture;
+    ScopedPhase phase("encode");
+    const Var x = Var::BatchInput(Tensor::Ones(Shape({1, 3})), 0);
+    const Var y = Add(x, MulScalar(w, 3.0f));
+    rec = capture.Finish({y});
+  }
+  EXPECT_EQ(Capture::Active(), nullptr);
+  ASSERT_EQ(rec.ops.size(), 4u);
+  const char* names[] = {"BatchInput", "Parameter", "MulScalar", "Add"};
+  for (size_t i = 0; i < 4; ++i) EXPECT_STREQ(rec.ops[i].op, names[i]);
+  EXPECT_TRUE(rec.ops[0].batched);
+  EXPECT_EQ(rec.ops[0].input_index, 0);
+  EXPECT_FALSE(rec.ops[2].batched);
+  EXPECT_EQ(rec.ops[2].attrs.scalar, 3.0f);
+  EXPECT_EQ(rec.ops[2].value()[1], 6.0f);
+  const CapturedOp& add = rec.ops[3];
+  EXPECT_TRUE(add.batched);
+  EXPECT_EQ(add.parents, (std::vector<int32_t>{0, 2}));
+  EXPECT_EQ(add.shape(), Shape({1, 3}));
+  EXPECT_EQ(add.value().numel(), 0);  // kernel skipped
+  EXPECT_STREQ(add.phase, "encode");
+  EXPECT_EQ(rec.outputs, std::vector<int32_t>{3});
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -65,10 +66,29 @@ TEST(MetricsTest, HistogramConcurrentRecordsAndStats) {
   EXPECT_EQ(h.min_nanos(), 1u);
   EXPECT_EQ(h.max_nanos(), 1000u);
   EXPECT_GT(h.sum_nanos(), 0u);
-  // Quantiles are bucket estimates: p99 must be >= p50 and within the
-  // recorded range's bucket resolution (next power of two).
+  // Quantiles are bucket estimates clamped to the recorded range.
   EXPECT_GE(h.QuantileNanos(0.99), h.QuantileNanos(0.5));
-  EXPECT_LE(h.QuantileNanos(0.99), 2048u);
+  EXPECT_LE(h.QuantileNanos(0.99), 1000u);
+}
+
+// A metric must tell a 10% regression apart: p50 and p99 of constant and of
+// uniformly spread samples land within 10% of the exact order statistics.
+TEST(MetricsTest, HistogramQuantilesWithinTenPercent) {
+  Histogram h;
+  for (int i = 0; i < 1000; ++i) h.Record(140000);  // 140 µs
+  EXPECT_NEAR(static_cast<double>(h.QuantileNanos(0.5)), 140000.0, 14000.0);
+  EXPECT_NEAR(static_cast<double>(h.QuantileNanos(0.99)), 140000.0, 14000.0);
+
+  h.Reset();
+  std::vector<uint64_t> samples;  // 100–300 µs, uniform, ascending
+  for (uint64_t i = 0; i < 1000; ++i) samples.push_back(100000 + 200 * i);
+  for (uint64_t s : samples) h.Record(s);
+  for (double q : {0.5, 0.99}) {
+    const double exact = static_cast<double>(
+        samples[static_cast<size_t>(q * static_cast<double>(samples.size()))]);
+    EXPECT_NEAR(static_cast<double>(h.QuantileNanos(q)), exact, 0.1 * exact)
+        << "q=" << q;
+  }
 }
 
 TEST(MetricsTest, GaugeLastWriteWins) {

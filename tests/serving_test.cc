@@ -17,6 +17,7 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -254,63 +255,91 @@ TEST(ForwardPlanTest, MatchesTrainedCheckpointedAfAtEveryThreadCount) {
   }
 }
 
-TEST(ForwardPlanTest, MatchesTapeOnEveryAblationVariant) {
+// One table drives plan-vs-tape parity: every AF operator family, each
+// ablation, a two-layer CNRNN, forced dense and CSR graph paths, and BF with
+// and without attention. Every row runs at batch 1, 3 and 8 on 1 and 4 pool
+// threads, so each arena reallocation is covered too.
+TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
+  PoolGuard guard;
   TestWorld world = TestWorld::Make();
-  struct Variant {
+  std::vector<Tensor> counts;
+  for (int64_t t = 0; t < world.series.NumIntervals(); ++t) {
+    counts.push_back(world.series.at(t).counts());
+  }
+  struct Row {
     const char* name;
-    AdvancedFrameworkConfig config;
+    std::function<void(AdvancedFrameworkConfig&)> edit;
+    const char* sparse_graph = nullptr;  // ODF_SPARSE_GRAPH at construction
+    bool bf = false;
+    bool attention = false;
   };
-  std::vector<Variant> variants;
-  variants.push_back({"paper_af", {}});
-  {
-    AdvancedFrameworkConfig c;
-    c.use_graph_factorization = false;
-    variants.push_back({"fc_factorization", c});
-  }
-  {
-    AdvancedFrameworkConfig c;
-    c.use_gcgru = false;
-    variants.push_back({"gru_forecasting", c});
-  }
-  {
-    AdvancedFrameworkConfig c;
-    c.pool_kind = nn::PoolKind::kMax;
-    variants.push_back({"max_pooling", c});
-  }
-  {
-    AdvancedFrameworkConfig c;
-    c.use_cluster_pooling = false;
-    variants.push_back({"id_ordered_pooling", c});
-  }
-  {
-    AdvancedFrameworkConfig c;
-    c.use_graph_factorization = false;
-    c.use_gcgru = false;
-    variants.push_back({"bf_style_af", c});
-  }
-  for (const Variant& variant : variants) {
-    SCOPED_TRACE(variant.name);
-    AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2,
-                            variant.config);
-    serve::ForwardPlan plan =
-        serve::PlanCompiler::Compile(model, world.dataset.history());
-    Batch batch = world.dataset.MakeBatch({1, 6});
-    ExpectPlanMatchesTape(model, plan, batch);
-  }
-}
-
-TEST(ForwardPlanTest, MatchesTapeOnBfWithAndWithoutAttention) {
-  TestWorld world = TestWorld::Make();
-  for (bool attention : {false, true}) {
-    SCOPED_TRACE(attention ? "attention" : "plain");
-    BasicFrameworkConfig config;
-    config.rank = 3;
-    config.use_attention = attention;
-    BasicFramework model(9, 9, 7, /*horizon=*/2, config);
-    serve::ForwardPlan plan =
-        serve::PlanCompiler::Compile(model, world.dataset.history());
-    Batch batch = world.dataset.MakeBatch({0, 2, 7});
-    ExpectPlanMatchesTape(model, plan, batch);
+  using C = AdvancedFrameworkConfig;
+  const Row rows[] = {
+      {"cheb", [](C& c) { c.graph_op = nn::GraphOpKind::kChebyshev; }},
+      {"cheb_corr",
+       [&](C& c) {
+         c.graph_op = nn::GraphOpKind::kChebyshev;
+         c.origin_demand_correlation =
+             DemandCorrelationGraph(counts, true, 0.3f);
+         c.destination_demand_correlation =
+             DemandCorrelationGraph(counts, false, 0.3f);
+       }},
+      {"diffusion", [](C& c) { c.graph_op = nn::GraphOpKind::kDiffusion; }},
+      {"adaptive",
+       [](C& c) {
+         c.graph_op = nn::GraphOpKind::kAdaptive;
+         c.adaptive_embed_dim = 4;
+       }},
+      {"fc_factorization", [](C& c) { c.use_graph_factorization = false; }},
+      {"gru_forecasting", [](C& c) { c.use_gcgru = false; }},
+      {"max_pooling", [](C& c) { c.pool_kind = nn::PoolKind::kMax; }},
+      {"id_ordered_pooling", [](C& c) { c.use_cluster_pooling = false; }},
+      {"bf_style_af",
+       [](C& c) {
+         c.use_graph_factorization = false;
+         c.use_gcgru = false;
+       }},
+      {"gcgru_layers_2", [](C& c) { c.gcgru_layers = 2; }},
+      {"dense_graph", [](C& c) { c.graph_op = nn::GraphOpKind::kChebyshev; },
+       "0"},
+      {"csr_graph", [](C& c) { c.graph_op = nn::GraphOpKind::kChebyshev; },
+       "1"},
+      {"bf", nullptr, nullptr, /*bf=*/true},
+      {"bf_attention", nullptr, nullptr, /*bf=*/true, /*attention=*/true},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    if (row.sparse_graph != nullptr) {
+      ::setenv("ODF_SPARSE_GRAPH", row.sparse_graph, 1);
+    }
+    std::unique_ptr<NeuralForecaster> model;
+    serve::ForwardPlan plan;
+    if (row.bf) {
+      BasicFrameworkConfig config;
+      config.rank = 3;
+      config.use_attention = row.attention;
+      auto bf = std::make_unique<BasicFramework>(9, 9, 7, 2, config);
+      plan = serve::PlanCompiler::Compile(*bf, world.dataset.history());
+      model = std::move(bf);
+    } else {
+      AdvancedFrameworkConfig config;
+      row.edit(config);
+      auto af = std::make_unique<AdvancedFramework>(
+          world.spec.graph, world.spec.graph, 7, 2, config);
+      plan = serve::PlanCompiler::Compile(*af, world.dataset.history());
+      model = std::move(af);
+    }
+    ::unsetenv("ODF_SPARSE_GRAPH");
+    for (const std::vector<int64_t>& ids :
+         {std::vector<int64_t>{4}, {0, 3, 5}, {1, 2, 6, 7, 9, 11, 13, 17}}) {
+      const Batch batch = world.dataset.MakeBatch(ids);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE(testing::Message() << "batch=" << ids.size()
+                                        << " threads=" << threads);
+        ThreadPool::Global().Resize(threads);
+        ExpectPlanMatchesTape(*model, plan, batch);
+      }
+    }
   }
 }
 

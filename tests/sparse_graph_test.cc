@@ -394,7 +394,7 @@ TEST(RawKernelGradCheckTest, FusedRecoverRawBitIdenticalToTapeFusedRecover) {
   auto fn = [&](const std::vector<ag::Var>& in) {
     ag::Var y = ag::FusedRecover(in[0], in[1], in[2]);
     Tensor raw(Shape({b, n, m, k}));
-    FusedRecoverRaw<float>(in[0].value().data(), in[1].value().data(),
+    FusedRecoverRaw(in[0].value().data(), in[1].value().data(),
                            in[2].value()[0], raw.data(), b, n, m, beta, k);
     EXPECT_TRUE(BitIdentical(raw, y.value()));
     return ag::SumAll(ag::Square(y));
@@ -423,7 +423,7 @@ TEST(RawKernelGradCheckTest, ChebyshevBasisWideRawBitIdenticalToTapeBasis) {
       Tensor w1(Shape({batch * n * f}));
       Tensor w2(Shape({batch * n * f}));
       const CsrMatrix& csr = op->csr();
-      ChebyshevBasisWideRaw<float>(
+      ChebyshevBasisWideRaw(
           op->use_sparse() ? nullptr : op->dense().data(),
           csr.row_ptr().data(), csr.col_idx().data(), csr.values().data(),
           csr.nnz(), n, in[0].value().data(), batch, f, order, raw.data(),
