@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <string>
 #include <string_view>
@@ -26,222 +25,6 @@ void PrepareShape(Tensor* t, const BufShape& spec, int64_t batch) {
     same = cur[i + 1] == spec.tail[i];
   }
   if (!same) *t = std::move(*t).Reshape(spec.Dims(batch));
-}
-
-/// Permutes `src` (row-major, dims `in_dims`) by `perm` into `dst`. Same
-/// element mapping as PermuteInto (a permutation is a pure relabeling, so
-/// any traversal yields identical bytes); axes the permutation leaves in
-/// place at the tail are contiguous with stride 1 in both layouts and are
-/// copied as one chunk instead of element-by-element.
-void PermuteRaw(const float* src, const std::vector<int64_t>& in_dims,
-                const std::vector<int64_t>& perm, float* dst) {
-  const int64_t rank = static_cast<int64_t>(in_dims.size());
-  std::vector<int64_t> new_dims(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    new_dims[i] = in_dims[static_cast<size_t>(perm[i])];
-  }
-  std::vector<int64_t> in_strides(in_dims.size(), 1);
-  for (int64_t d = rank - 2; d >= 0; --d) {
-    const size_t du = static_cast<size_t>(d);
-    in_strides[du] = in_strides[du + 1] * in_dims[du + 1];
-  }
-  std::vector<int64_t> src_strides(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    src_strides[i] = in_strides[static_cast<size_t>(perm[i])];
-  }
-  int64_t numel = 1;
-  for (int64_t d : in_dims) numel *= d;
-  int64_t chunk_rank = rank;
-  int64_t chunk = 1;
-  while (chunk_rank > 0 &&
-         perm[static_cast<size_t>(chunk_rank - 1)] == chunk_rank - 1) {
-    --chunk_rank;
-    chunk *= new_dims[static_cast<size_t>(chunk_rank)];
-  }
-  if (chunk_rank == 0) {  // identity permutation: one straight copy
-    std::copy(src, src + numel, dst);
-    return;
-  }
-  std::vector<int64_t> index(static_cast<size_t>(chunk_rank), 0);
-  int64_t si = 0;
-  for (int64_t flat = 0; flat < numel; flat += chunk) {
-    for (int64_t j = 0; j < chunk; ++j) dst[flat + j] = src[si + j];
-    for (int64_t d = chunk_rank - 1; d >= 0; --d) {
-      const size_t du = static_cast<size_t>(d);
-      ++index[du];
-      si += src_strides[du];
-      if (index[du] < new_dims[du]) break;
-      si -= src_strides[du] * new_dims[du];
-      index[du] = 0;
-    }
-  }
-}
-
-/// out = fn(a, b) with NumPy-style broadcasting. Mirrors BroadcastBinaryInto's
-/// stride-0 odometer (the same single fn application per element, so it is
-/// bit-identical to the facade) without the facade's per-call shape checks.
-template <typename Fn>
-void BroadcastBinaryRaw(const float* pa, const Tensor& am, const float* pb,
-                        const Tensor& bm, float* po, const Tensor& om, Fn fn) {
-  if (am.shape() == bm.shape()) {
-    const int64_t numel = am.numel();
-    for (int64_t i = 0; i < numel; ++i) po[i] = fn(pa[i], pb[i]);
-    return;
-  }
-  const int64_t rank = om.rank();
-  auto broadcast_strides = [&](const Tensor& t) {
-    std::vector<int64_t> strides(static_cast<size_t>(rank), 0);
-    const auto own = t.shape().Strides();
-    const int64_t offset = rank - t.rank();
-    for (int64_t i = 0; i < t.rank(); ++i) {
-      if (t.dim(i) != 1) {
-        strides[static_cast<size_t>(offset + i)] = own[static_cast<size_t>(i)];
-      }
-    }
-    return strides;
-  };
-  const auto sa = broadcast_strides(am);
-  const auto sb = broadcast_strides(bm);
-  std::vector<int64_t> index(static_cast<size_t>(rank), 0);
-  int64_t ai = 0;
-  int64_t bi = 0;
-  const int64_t numel = om.numel();
-  for (int64_t flat = 0; flat < numel; ++flat) {
-    po[flat] = fn(pa[ai], pb[bi]);
-    for (int64_t d = rank - 1; d >= 0; --d) {
-      const size_t du = static_cast<size_t>(d);
-      ++index[du];
-      ai += sa[du];
-      bi += sb[du];
-      if (index[du] < om.dim(d)) break;
-      ai -= sa[du] * om.dim(d);
-      bi -= sb[du] * om.dim(d);
-      index[du] = 0;
-    }
-  }
-}
-
-void SliceRaw(const float* pa, const Tensor& am, int64_t axis, int64_t start,
-              int64_t len, float* po) {
-  if (axis < 0) axis += am.rank();
-  int64_t outer = 1;
-  for (int64_t d = 0; d < axis; ++d) outer *= am.dim(d);
-  int64_t inner = 1;
-  for (int64_t d = axis + 1; d < am.rank(); ++d) inner *= am.dim(d);
-  const int64_t src_row = am.dim(axis) * inner;
-  const int64_t dst_row = len * inner;
-  for (int64_t o = 0; o < outer; ++o) {
-    const float* src = pa + o * src_row + start * inner;
-    std::copy(src, src + dst_row, po + o * dst_row);
-  }
-}
-
-/// Port of nn::GraphPoolForwardInto (no argmax: serving never needs the
-/// max-pool backward indices, and dropping the per-update argmax branch keeps
-/// the inner loops tight). Per-element operation order — cluster-order
-/// accumulate then one inverse multiply, or the same compare-and-replace
-/// chain — matches the facade exactly, so it is bit-identical to the tape's
-/// GraphPool.
-// Four-cells-per-step average pooling over the batch-divisible prefix,
-// with the feature width as a compile-time constant when it matches one of
-// the widths the model actually runs (F == 0 keeps it a runtime value).
-// Constant trip counts let the compiler emit straight-line vector code for
-// the three per-cluster loops, whose setup otherwise dominates at
-// single-digit feature widths.
-template <int64_t F>
-int64_t GraphPoolAvgQuad(const float* x, int64_t batch, int64_t n,
-                         int64_t features,
-                         const std::vector<std::vector<int64_t>>& clusters,
-                         float* out) {
-  const int64_t nf = F > 0 ? F : features;
-  const int64_t nc = static_cast<int64_t>(clusters.size());
-  int64_t b = 0;
-  for (; b + 4 <= batch; b += 4) {
-    for (int64_t c = 0; c < nc; ++c) {
-      const auto& cluster = clusters[static_cast<size_t>(c)];
-      float* d0 = out + ((b + 0) * nc + c) * nf;
-      float* d1 = out + ((b + 1) * nc + c) * nf;
-      float* d2 = out + ((b + 2) * nc + c) * nf;
-      float* d3 = out + ((b + 3) * nc + c) * nf;
-      for (int64_t f = 0; f < nf; ++f) {
-        d0[f] = 0.0f;
-        d1[f] = 0.0f;
-        d2[f] = 0.0f;
-        d3[f] = 0.0f;
-      }
-      for (int64_t i : cluster) {
-        const float* s0 = x + ((b + 0) * n + i) * nf;
-        const float* s1 = x + ((b + 1) * n + i) * nf;
-        const float* s2 = x + ((b + 2) * n + i) * nf;
-        const float* s3 = x + ((b + 3) * n + i) * nf;
-        for (int64_t f = 0; f < nf; ++f) {
-          d0[f] += s0[f];
-          d1[f] += s1[f];
-          d2[f] += s2[f];
-          d3[f] += s3[f];
-        }
-      }
-      const float inv = 1.0f / static_cast<float>(cluster.size());
-      for (int64_t f = 0; f < nf; ++f) {
-        d0[f] *= inv;
-        d1[f] *= inv;
-        d2[f] *= inv;
-        d3[f] *= inv;
-      }
-    }
-  }
-  return b;
-}
-
-void GraphPoolRaw(const float* x, int64_t batch, int64_t n, int64_t features,
-                  const std::vector<std::vector<int64_t>>& clusters,
-                  nn::PoolKind kind, float* out) {
-  const int64_t nc = static_cast<int64_t>(clusters.size());
-  int64_t b = 0;
-  if (kind == nn::PoolKind::kAverage) {
-    // Four batch cells per step: the accumulate chains through the
-    // destination row, and at the serving feature widths (single-digit) one
-    // row is a single vector, so a lone cell serializes on that store-load
-    // chain. Four independent cells cover the add latency. Each output cell
-    // still accumulates its own cluster rows in cluster order, so results
-    // are bit-identical to the one-cell-at-a-time facade.
-    switch (features) {
-      case 7:
-        b = GraphPoolAvgQuad<7>(x, batch, n, features, clusters, out);
-        break;
-      case 8:
-        b = GraphPoolAvgQuad<8>(x, batch, n, features, clusters, out);
-        break;
-      default:
-        b = GraphPoolAvgQuad<0>(x, batch, n, features, clusters, out);
-        break;
-    }
-  }
-  for (; b < batch; ++b) {
-    for (int64_t c = 0; c < nc; ++c) {
-      const auto& cluster = clusters[static_cast<size_t>(c)];
-      float* dst = out + (b * nc + c) * features;
-      if (kind == nn::PoolKind::kAverage) {
-        for (int64_t f = 0; f < features; ++f) dst[f] = 0.0f;
-        for (int64_t i : cluster) {
-          const float* src = x + (b * n + i) * features;
-          for (int64_t f = 0; f < features; ++f) dst[f] += src[f];
-        }
-        const float inv = 1.0f / static_cast<float>(cluster.size());
-        for (int64_t f = 0; f < features; ++f) dst[f] *= inv;
-      } else {
-        for (int64_t f = 0; f < features; ++f) {
-          dst[f] = -std::numeric_limits<float>::infinity();
-        }
-        for (int64_t i : cluster) {
-          const float* src = x + (b * n + i) * features;
-          for (int64_t f = 0; f < features; ++f) {
-            if (src[f] > dst[f]) dst[f] = src[f];
-          }
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -276,45 +59,20 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       std::fill(out.data(), out.data() + out.numel(), 0.0f);
       break;
     case OpKind::kAdd:
-      BroadcastBinaryRaw(a.data(), a, b.data(), b, out.data(), out,
-                         [](float x, float y) { return x + y; });
+      AddInto(a, b, &out);
       break;
     case OpKind::kSub:
-      BroadcastBinaryRaw(a.data(), a, b.data(), b, out.data(), out,
-                         [](float x, float y) { return x - y; });
+      SubInto(a, b, &out);
       break;
     case OpKind::kMul:
-      BroadcastBinaryRaw(a.data(), a, b.data(), b, out.data(), out,
-                         [](float x, float y) { return x * y; });
+      MulInto(a, b, &out);
       break;
-    case OpKind::kAddBiasW: {
-      // Bias broadcast over the last axis, written as the plain 2-D loop:
-      // per element the identical single addition AddInto performs, minus
-      // its shape machinery (the lowering checked the bias is rank-1).
-      const int64_t cols = b.numel();
-      const int64_t rows = a.numel() / cols;
-      const float* ap = a.data();
-      const float* bp = b.data();
-      float* op = out.data();
-      for (int64_t r = 0; r < rows; ++r, ap += cols, op += cols) {
-        for (int64_t j = 0; j < cols; ++j) op[j] = ap[j] + bp[j];
-      }
+    case OpKind::kAddScalar:
+      AddScalarInto(a, ins.attrs.scalar, &out);
       break;
-    }
-    case OpKind::kAddScalar: {
-      const float* ap = a.data();
-      const int64_t numel = out.numel();
-      float* po = out.data();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] + ins.attrs.scalar;
+    case OpKind::kMulScalar:
+      MulScalarInto(a, ins.attrs.scalar, &out);
       break;
-    }
-    case OpKind::kMulScalar: {
-      const float* ap = a.data();
-      const int64_t numel = out.numel();
-      float* po = out.data();
-      for (int64_t i = 0; i < numel; ++i) po[i] = ap[i] * ins.attrs.scalar;
-      break;
-    }
     case OpKind::kSigmoid:
       SigmoidInto(a, &out);
       break;
@@ -326,7 +84,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       break;
     case OpKind::kMatMulW:
       if (ins.prepacked) {
-        MatMulPrepackedInto(a, packed_[static_cast<size_t>(ins.w)], &out);
+        MatMulPrepackedInto(a, packed_[static_cast<size_t>(ins.b)], &out);
       } else {
         MatMulInto(a, b, &out);
       }
@@ -338,7 +96,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       if (ins.prepacked) {
         // [B', r, k] x [k, n] flattens to one [B'·r, k] x [k, n] product —
         // each output row accumulates the same k-ascending sum either way.
-        MatMulPrepackedInto(a, packed_[static_cast<size_t>(ins.w)], &out);
+        MatMulPrepackedInto(a, packed_[static_cast<size_t>(ins.b)], &out);
       } else {
         BatchMatMulInto(a, b, &out);
       }
@@ -352,8 +110,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
                  ins.attrs.axis, &out);
       break;
     case OpKind::kSlice:
-      SliceRaw(a.data(), a, ins.attrs.axis, ins.attrs.start, ins.attrs.len,
-               out.data());
+      SliceInto(a, ins.attrs.axis, ins.attrs.start, ins.attrs.len, &out);
       break;
     case OpKind::kSum:
       SumInto(a, ins.attrs.axis, ins.attrs.keepdim, &out);
@@ -362,36 +119,23 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       SoftmaxLastDimInto(a, &out);
       break;
     case OpKind::kPermute:
-      PermuteRaw(a.data(), a.shape().dims(), ins.attrs.perm, out.data());
+      PermuteInto(a, ins.attrs.perm, &out);
       break;
-    case OpKind::kChebBasis: {
-      // Same raw kernel the facade wraps; the compiler already sized every
-      // buffer, so the facade's per-call Shape construction is skipped.
-      const GraphOperator& graph = *ins.attrs.graph;
-      const CsrMatrix& csr = graph.csr();
-      ChebyshevBasisWideRaw(
-          graph.use_sparse() ? nullptr : graph.dense().data(),
-          csr.row_ptr().data(), csr.col_idx().data(), csr.values().data(),
-          csr.nnz(), a.dim(1), a.data(), a.dim(0), a.dim(2), ins.attrs.order,
-          out.data(), bufs_[static_cast<size_t>(ins.srcs[0])].data(),
-          bufs_[static_cast<size_t>(ins.srcs[1])].data(),
-          bufs_[static_cast<size_t>(ins.srcs[2])].data());
+    case OpKind::kChebBasis:
+      ChebyshevBasisInto(*ins.attrs.graph, a, ins.attrs.order, &out);
       break;
-    }
     case OpKind::kGraphApply:
       // The same kernels ag::SpMM's forward dispatches to (tiled CSR SpMM /
       // batched blocked GEMM).
       GraphApplyInto(*ins.attrs.graph, a, &out);
       break;
     case OpKind::kGraphPool:
-      GraphPoolRaw(a.data(), a.dim(0), a.dim(1), a.dim(2),
-                   *ins.attrs.clusters,
-                   static_cast<nn::PoolKind>(ins.attrs.pool), out.data());
+      nn::GraphPoolForwardInto(a, *ins.attrs.clusters,
+                               static_cast<nn::PoolKind>(ins.attrs.pool), &out,
+                               nullptr);
       break;
     case OpKind::kRecover:  // a = r [B, n, beta, k], b = c [B, beta, m, k]
-      FusedRecoverRaw(a.data(), b.data(), ins.attrs.scalar, out.data(),
-                      out.dim(0), out.dim(1), out.dim(2), a.dim(2),
-                      out.dim(3));
+      FusedRecoverInto(a, b, ins.attrs.scalar, &out);
       break;
   }
 }
@@ -510,13 +254,7 @@ const ag::CapturedOp& PlanCompiler::op(int32_t id) const {
   return rec_.ops[static_cast<size_t>(id)];
 }
 
-bool PlanCompiler::IsScratch(int32_t id) const {
-  return static_cast<size_t>(id) >= rec_.ops.size();
-}
-
-bool PlanCompiler::batched(int32_t id) const {
-  return IsScratch(id) || op(id).batched;
-}
+bool PlanCompiler::batched(int32_t id) const { return op(id).batched; }
 
 Instr& PlanCompiler::Emit(OpKind kind, int32_t id) {
   const ag::CapturedOp& recorded = op(id);
@@ -532,14 +270,6 @@ Instr& PlanCompiler::Emit(OpKind kind, int32_t id) {
   return instrs_.back();
 }
 
-int32_t PlanCompiler::Scratch(int64_t numel_per_batch) {
-  Value v;
-  v.shape = {numel_per_batch, {}};
-  v.root = static_cast<int32_t>(values_.size());
-  values_.push_back(std::move(v));
-  return values_.back().root;
-}
-
 void PlanCompiler::Alias(int32_t id, int32_t source) {
   values_[static_cast<size_t>(id)].root =
       values_[static_cast<size_t>(source)].root;
@@ -547,8 +277,7 @@ void PlanCompiler::Alias(int32_t id, int32_t source) {
 
 namespace {
 
-// Each instruction's operands in reading order; kChebBasis's srcs are its
-// own scratch, not reads.
+// Each instruction's operands in reading order.
 template <typename Fn>
 void ForEachRead(const Instr& ins, Fn fn) {
   if (ins.a >= 0) fn(ins.a);
@@ -572,16 +301,6 @@ void Lower(PlanCompiler& c, int32_t id) {
   c.Emit(K, id);
 }
 
-void LowerAdd(PlanCompiler& c, int32_t id) {
-  Instr& ins = c.Emit(OpKind::kAdd, id);
-  // A rank-1 constant added along the last axis is a bias.
-  const Shape& b = c.op(ins.b).shape();
-  if (c.batched(ins.a) && !c.batched(ins.b) && b.rank() == 1 &&
-      c.shape(ins.a) == c.shape(id) && c.op(id).shape().dim(-1) == b.dim(0)) {
-    ins.kind = OpKind::kAddBiasW;
-  }
-}
-
 // MatMul / BatchMatMul by a rank-2 constant run against prepacked panels
 // whenever the blocked path handles the row count at batch 1 (larger
 // batches only multiply the rows).
@@ -593,13 +312,6 @@ void LowerMatMul(PlanCompiler& c, int32_t id) {
   ins.kind = KW;
   ins.prepacked = PrepackedGemmViable(
       c.shape(id).NumelPerBatch() / w.dim(1), w.dim(0), w.dim(1));
-}
-
-void LowerChebyshevBasis(PlanCompiler& c, int32_t id) {
-  const int64_t numel = c.shape(c.op(id).parents[0]).NumelPerBatch();
-  std::vector<int32_t> scratch = {c.Scratch(numel), c.Scratch(numel),
-                                  c.Scratch(numel)};
-  c.Emit(OpKind::kChebBasis, id).srcs = std::move(scratch);
 }
 
 void LowerConcat(PlanCompiler& c, int32_t id) {
@@ -630,7 +342,7 @@ const std::map<std::string_view, Rule>& Rules() {
       {"BatchInput", LowerBatchInput},
       {"BatchZeros", Lower<OpKind::kZero>},
       {"Reshape", LowerReshape},
-      {"Add", LowerAdd},
+      {"Add", Lower<OpKind::kAdd>},
       {"Sub", Lower<OpKind::kSub>},
       {"Mul", Lower<OpKind::kMul>},
       {"AddScalar", Lower<OpKind::kAddScalar>},
@@ -643,7 +355,7 @@ const std::map<std::string_view, Rule>& Rules() {
       {"BatchMatMul",
        LowerMatMul<OpKind::kBatchMatMul, OpKind::kBatchMatMulW>},
       {"SpMM", Lower<OpKind::kGraphApply>},
-      {"ChebyshevBasis", LowerChebyshevBasis},
+      {"ChebyshevBasis", Lower<OpKind::kChebBasis>},
       {"Concat", LowerConcat},
       {"Slice", Lower<OpKind::kSlice>},
       {"SumAxis", Lower<OpKind::kSum>},
@@ -725,12 +437,6 @@ void PlanCompiler::AssignSlots() {
     } else {
       take(root(ins.out));
     }
-    for (int32_t s : ins.srcs) {
-      if (ins.kind == OpKind::kChebBasis) take(root(s));
-    }
-    for (int32_t s : ins.srcs) {
-      if (ins.kind == OpKind::kChebBasis) release(s, p);
-    }
     ForEachRead(ins, [&](int32_t v) {
       if (batched(v)) release(v, p);
     });
@@ -791,10 +497,9 @@ ForwardPlan PlanCompiler::Build() {
     view[static_cast<size_t>(ins.out)] = ins.shape;
     known[static_cast<size_t>(ins.out)] = true;
     if (ins.prepacked) {
-      ins.w = ins.b;
-      PackedGemmB& packed = plan_.packed_[static_cast<size_t>(ins.w)];
+      PackedGemmB& packed = plan_.packed_[static_cast<size_t>(ins.b)];
       if (packed.panels.empty()) {
-        packed = PackGemmWeight(plan_.bufs_[static_cast<size_t>(ins.w)]);
+        packed = PackGemmWeight(plan_.bufs_[static_cast<size_t>(ins.b)]);
       }
     }
     const auto& graph = ins.attrs.graph;

@@ -34,12 +34,14 @@ namespace odf::serve {
 /// churn, no per-op output tensors. Buffers are allocated once per batch
 /// size and reused across calls.
 ///
-/// Bit-identity: every instruction calls the same tensor kernel the
-/// recorded op calls on the tape, or a serving variant of it (wide
-/// Chebyshev basis, prepacked GEMM) that performs the identical per-element
-/// accumulation — same terms, same ascending order, same FP contraction —
-/// so `Run` reproduces `Predict` bit-for-bit at any thread count
-/// (tests/serving_test.cc asserts this for every model configuration).
+/// Bit-identity: every instruction calls the same `odf::` kernel the
+/// recorded op calls on the tape — one kernel per op, so the plan's
+/// arithmetic is the tape's by construction. The one serving variant is
+/// prepacked GEMM for constant weights, which runs the identical blocked
+/// row pipeline (same terms, same k-ascending order, same FP contraction)
+/// against panels packed at compile time. `Run` therefore reproduces
+/// `Predict` bit-for-bit at any thread count (tests/serving_test.cc asserts
+/// this for every model configuration).
 ///
 /// Ops over parameters and constants only run during capture, so their
 /// results (the adaptive adjacency, for one) are plan constants. The plan
@@ -86,7 +88,6 @@ enum class OpKind : uint8_t {
   kAdd,           // out = a + b (broadcast)
   kSub,           // out = a − b (broadcast)
   kMul,           // out = a ⊙ b (broadcast)
-  kAddBiasW,      // out = a + b, b a rank-1 constant over the last axis
   kAddScalar,     // out = a + scalar
   kMulScalar,     // out = a · scalar
   kSigmoid,       // out = σ(a)
@@ -101,8 +102,7 @@ enum class OpKind : uint8_t {
   kSum,           // out = Sum(a, axis, keepdim)
   kSoftmax,       // out = softmax over last axis of a
   kPermute,       // out = Permute(a, perm)
-  kChebBasis,     // out = ChebyshevBasis(graph, a, order); srcs[0..2] are
-                  //   wide-layout scratch buffers
+  kChebBasis,     // out = ChebyshevBasis(graph, a, order)
   kGraphApply,    // out = graph · a (SpMM)
   kGraphPool,     // out = GraphPool(a, *clusters, pool)
   kRecover,       // out = FusedRecover(a, b, scalar)
@@ -110,8 +110,8 @@ enum class OpKind : uint8_t {
 
 /// One schedule step. `a`/`b`/`out`/`srcs` index the plan's buffers: arena
 /// buffers first, then the plan's constants (parameter snapshots and folded
-/// values). `w` indexes the prepacked panels of a kMatMulW/kBatchMatMulW
-/// constant. `attrs` are the recorded op's attributes (kRecover keeps its
+/// values); a prepacked kMatMulW/kBatchMatMulW reads its panels at `b`.
+/// `attrs` are the recorded op's attributes (kRecover keeps its
 /// temperature in `scalar`). Unused fields stay at their defaults. `shape`
 /// is the output buffer's view for this instruction and is applied (as a
 /// free re-view; numel never changes) before the kernel runs.
@@ -120,11 +120,10 @@ struct Instr {
   int32_t a = -1;
   int32_t b = -1;
   int32_t out = -1;
-  int32_t w = -1;
   int32_t input_index = -1;
   bool prepacked = false;     // kMatMulW/kBatchMatMulW: use packed panels
   BufShape shape;
-  std::vector<int32_t> srcs;  // kConcat parts / kChebBasis scratch
+  std::vector<int32_t> srcs;  // kConcat parts
   autograd::OpAttrs attrs;
 };
 
@@ -219,14 +218,11 @@ class PlanCompiler {
   /// Appends an instruction of `kind` that defines recorded op `id`, reads
   /// its first two parents as `a`/`b` and carries its attributes.
   Instr& Emit(OpKind kind, int32_t id);
-  /// A fresh flat value of `numel_per_batch` floats, live only during the
-  /// instruction that names it in `srcs` (kernel scratch).
-  int32_t Scratch(int64_t numel_per_batch);
   /// Makes `id` a free re-view of `source` (Reshape).
   void Alias(int32_t id, int32_t source);
 
  private:
-  /// Compile-time state of one value: a recorded op or a kernel scratch.
+  /// Compile-time state of one recorded value.
   struct Value {
     BufShape shape;     // batch-dependent values only
     int32_t root = -1;  // storage owner: itself, or a Reshape source's root
@@ -251,7 +247,6 @@ class PlanCompiler {
     return values_[static_cast<size_t>(
         values_[static_cast<size_t>(id)].root)];
   }
-  bool IsScratch(int32_t id) const;
 
   const autograd::Recording& rec_;
   ForwardPlan plan_;

@@ -91,28 +91,35 @@ enum class SpmmEpilogue {
   kAddOther,     // out = acc + other       (final gradient combine)
 };
 
-// Core CSR × dense kernel over strided row views, templated on the scalar
-// type (instantiated for float, the substrate path). `x`, `other` and `out` address row
-// (b, i) at base + (b·n + i)·ld — so a feature-column slice of a larger
-// tensor can be read or written in place (ld = the enclosing row width).
-// `other` is only dereferenced by the epilogues that use it. Accumulation
-// per output element is in ascending column order of `a`, independent of
-// thread count.
-template <SpmmEpilogue kEp, bool kSerial>
-void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const float* av,
-                  int64_t rows, int64_t cols, int64_t nnz, int64_t batch,
-                  int64_t f, const float* x, int64_t ldx, const float* other,
-                  int64_t ldother, float* out, int64_t ldo) {
+// Core CSR × dense kernel over strided row views. `x`, `other` and `out`
+// address row (b, i) at base + (b·n + i)·ld — so a feature-column slice of a
+// larger tensor can be read or written in place (ld = the enclosing row
+// width). `other` is only dereferenced by the epilogues that use it.
+// Accumulation per output element is in ascending column order of `a`,
+// independent of thread count.
+template <SpmmEpilogue kEp, bool kSerial = false>
+void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
+               int64_t ldx, const float* other, int64_t ldother, float* out,
+               int64_t ldo) {
   if (f == 0 || batch == 0) return;
+  const int64_t rows = a.rows();
+  const int64_t cols = a.cols();
+  const int64_t* rp = a.row_ptr().data();
+  const int32_t* ci = a.col_idx().data();
+  const float* av = a.values().data();
   const int64_t flops_per_row =
-      std::max<int64_t>(1, 2 * nnz / std::max<int64_t>(1, rows) * f);
+      std::max<int64_t>(1, 2 * a.nnz() / std::max<int64_t>(1, rows) * f);
   // kSerial callers (the compiled serving path) run the whole range inline:
   // chunk partitioning never changes per-element results, only who computes
   // them, so this is purely a dispatch-cost decision.
   const int64_t grain =
       kSerial ? batch * rows
               : std::max<int64_t>(1, kSpmmGrainFlops / flops_per_row);
-  ParallelFor(batch * rows, grain, [&](int64_t t0, int64_t t1) {
+  // Wrapped as a RangeFn even when it runs inline: as its own function the
+  // row body keeps the accumulator block in registers, while inlined into
+  // ChebyshevBasisInto it ran 10–15% slower.
+  ParallelFor(batch * rows, grain, ThreadPool::RangeFn([&](int64_t t0,
+                                                           int64_t t1) {
     float acc[kFTile];
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t b = t / rows;
@@ -158,17 +165,7 @@ void SpmmTiledRaw(const int64_t* rp, const int32_t* ci, const float* av,
         }
       }
     }
-  });
-}
-
-// CsrMatrix-facade wrapper over the raw core (float substrate path).
-template <SpmmEpilogue kEp, bool kSerial = false>
-void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f,
-               const float* x, int64_t ldx, const float* other,
-               int64_t ldother, float* out, int64_t ldo) {
-  SpmmTiledRaw<kEp, kSerial>(a.row_ptr().data(), a.col_idx().data(),
-                             a.values().data(), a.rows(), a.cols(), a.nnz(),
-                             batch, f, x, ldx, other, ldother, out, ldo);
+  }));
 }
 
 Tensor SpMM(const CsrMatrix& a, const Tensor& x) {
@@ -210,6 +207,15 @@ void CopyRows(int64_t rows, int64_t f, const float* src, int64_t ld_src,
               });
 }
 
+// Per-thread scratch for ChebyshevBasisInto's three wide taps (grow-only).
+float* ChebWideScratch(int64_t len) {
+  thread_local std::vector<float> buf;
+  if (static_cast<int64_t>(buf.size()) < len) {
+    buf.resize(static_cast<size_t>(len));
+  }
+  return buf.data();
+}
+
 }  // namespace
 
 void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
@@ -224,65 +230,23 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
   const int64_t n = x.dim(1);
   const int64_t f = x.dim(2);
   ODF_CHECK_EQ(n, op.nodes());
-  ODF_CHECK(out->shape() == Shape({batch, n, order * f}));
+  ODF_CHECK(out->rank() == 3 && out->dim(0) == batch && out->dim(1) == n &&
+            out->dim(2) == order * f);
   const int64_t ld = order * f;
+  const float* px = x.data();
   float* po = out->data();
-  CopyRows(batch * n, f, x.data(), f, po, ld);  // T_1 = x
-  if (order == 1 || f == 0) return;
-
-  if (op.use_sparse()) {
-    const CsrMatrix& a = op.csr();
-    // T_2 = L̂·T_1, then T_s = 2·L̂·T_{s-1} − T_{s-2}, every tap read from
-    // and written to its feature-column slice of `out` in place.
-    SpmmTiled<SpmmEpilogue::kStore>(a, batch, f, x.data(), f, nullptr, 0,
-                                    po + f, ld);
-    for (int64_t s = 2; s < order; ++s) {
-      SpmmTiled<SpmmEpilogue::kChebCombine>(a, batch, f, po + (s - 1) * f, ld,
-                                            po + (s - 2) * f, ld, po + s * f,
-                                            ld);
-    }
-    return;
-  }
-
-  // Dense path: the blocked GEMM needs contiguous operands, so keep the two
-  // most recent taps in contiguous buffers and fuse the 2·(L̂T) − T_{s-2}
-  // combine with the write into the slice.
-  Tensor prev2 = x;                          // T_{s-2}, contiguous
-  Tensor prev = BatchMatMul(op.dense(), x);  // T_{s-1}, contiguous
-  CopyRows(batch * n, f, prev.data(), f, po + f, ld);
-  for (int64_t s = 2; s < order; ++s) {
-    const Tensor lt = BatchMatMul(op.dense(), prev);
-    Tensor cur(Shape({batch, n, f}));
-    const float* plt = lt.data();
-    const float* pp2 = prev2.data();
-    float* pc = cur.data();
-    ParallelFor(batch * n * f, kSpmmGrainFlops, [&](int64_t e0, int64_t e1) {
-      for (int64_t e = e0; e < e1; ++e) pc[e] = 2.0f * plt[e] - pp2[e];
-    });
-    CopyRows(batch * n, f, pc, f, po + s * f, ld);
-    prev2 = std::move(prev);
-    prev = std::move(cur);
-  }
-}
-
-void ChebyshevBasisWideRaw(const float* dense, const int64_t* row_ptr,
-                           const int32_t* col_idx, const float* values,
-                           int64_t nnz, int64_t n, const float* x,
-                           int64_t batch, int64_t f, int64_t order, float* out,
-                           float* w0, float* w1, float* w2) {
-  const int64_t ld = order * f;
-  const float* px = x;
-  float* po = out;
-  if (order == 1 || f == 0) {
-    for (int64_t t = 0; t < batch * n; ++t) {
-      std::memcpy(po + t * ld, px + t * f,
-                  static_cast<size_t>(f) * sizeof(float));
-    }
-    return;
-  }
-
   const int64_t wide = batch * f;
-  float* bufs[3] = {w0, w1, w2};
+  if (order == 1 || wide == 0) {
+    CopyRows(batch * n, f, px, f, po, ld);  // T_1 = x
+    return;
+  }
+
+  // Each tile is padded by 128 bytes: when n·wide floats fill a multiple of
+  // 4 KiB, unpadded taps 4K-alias row for row, which cost 20–30% on the
+  // dense path.
+  const int64_t tile = n * wide + 32;
+  float* scratch = ChebWideScratch(3 * tile);
+  float* bufs[3] = {scratch, scratch + tile, scratch + 2 * tile};
 
   // With one batch element the wide node-major layout coincides with x's own
   // [n, f] layout, so the transpose-in would be a verbatim copy: tap 0 reads
@@ -327,7 +291,7 @@ void ChebyshevBasisWideRaw(const float* dense, const int64_t* row_ptr,
   };
 
   // T_2 = L̂·T_1, then T_s = 2·L̂·T_{s-1} − T_{s-2}, all in wide layout.
-  if (dense != nullptr) {
+  if (!op.use_sparse()) {
     // Dense graph: one blocked [n,n] x [n,wide] GEMM per tap keeps the full
     // register-tile accumulator block hot — far higher throughput than the
     // row-chained SpMM on a dense operator. Zero-skip transparency plus the
@@ -338,8 +302,8 @@ void ChebyshevBasisWideRaw(const float* dense, const int64_t* row_ptr,
     for (int64_t s = 1; s < order; ++s) {
       float* cur = bufs[s % 3];
       std::fill(cur, cur + n * wide, 0.0f);
-      GemmRawInto(dense, s == 1 ? tap0() : bufs[(s - 1) % 3], cur, n, n,
-                  wide);
+      GemmRawInto(op.dense().data(), s == 1 ? tap0() : bufs[(s - 1) % 3],
+                  cur, n, n, wide);
       if (s >= 2) {
         // Combine fused into the scatter: one pass computes 2·(L̂T) − T_{s-2}
         // (identical arithmetic and rounding to the separate pass) and
@@ -365,14 +329,13 @@ void ChebyshevBasisWideRaw(const float* dense, const int64_t* row_ptr,
     return;
   }
 
-  SpmmTiledRaw<SpmmEpilogue::kStore, /*kSerial=*/true>(
-      row_ptr, col_idx, values, n, n, nnz, 1, wide, tap0(), wide,
-      static_cast<const float*>(nullptr), 0, bufs[1], wide);
+  SpmmTiled<SpmmEpilogue::kStore>(op.csr(), 1, wide, tap0(), wide, nullptr,
+                                  0, bufs[1], wide);
   scatter(bufs[1], 1);
   for (int64_t s = 2; s < order; ++s) {
-    SpmmTiledRaw<SpmmEpilogue::kChebCombine, /*kSerial=*/true>(
-        row_ptr, col_idx, values, n, n, nnz, 1, wide, bufs[(s - 1) % 3],
-        wide, s == 2 ? tap0() : bufs[(s - 2) % 3], wide, bufs[s % 3], wide);
+    SpmmTiled<SpmmEpilogue::kChebCombine>(
+        op.csr(), 1, wide, bufs[(s - 1) % 3], wide,
+        s == 2 ? tap0() : bufs[(s - 2) % 3], wide, bufs[s % 3], wide);
     scatter(bufs[s % 3], s);
   }
 }

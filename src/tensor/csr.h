@@ -70,33 +70,19 @@ class GraphOperator;
 /// by `op`. Deterministic for every thread count.
 Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x, int64_t order);
 
-/// ChebyshevBasis into a preallocated [B, n, order·F] output (the serving
-/// path's arena buffers); shares the kernel above, so results are
-/// bit-identical to it.
+/// ChebyshevBasis into a preallocated [B, n, order·F] output: the one
+/// Chebyshev forward kernel, run by the tape (ChebyshevBasis wraps it) and
+/// by the compiled serving plan alike. Each L̂-product runs in node-major
+/// ("wide") layout as ONE product with an [n, B·F] operand instead of B
+/// skinny [n, F] products: x is transposed so that batch and features fuse
+/// into one wide row, the register-tiled SpMM (or blocked GEMM on the dense
+/// path) streams full tiles, and each tap is scattered back into `out`. Per
+/// output element the accumulation is a's row in ascending column order, so
+/// results do not depend on the thread count. The three wide taps live in
+/// a per-thread grow-only scratch buffer, so repeated calls allocate
+/// nothing.
 void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
                         int64_t order, Tensor* out);
-
-/// ChebyshevBasis in node-major ("wide") layout over raw arrays, for the
-/// compiled serving path. The taps are mathematically the recurrence above,
-/// but each L̂-product runs as ONE sparse × [n, B·F] product instead of B
-/// skinny [n, F] products: x is transposed so that batch and features fuse
-/// into one wide row, the register-tiled SpMM streams full tiles, and each
-/// tap is scattered back into `out` [batch, n, order·f]. Per output element
-/// the accumulation is still a's row in ascending column order — the
-/// identical sum, term for term, as the narrow kernels — so results are
-/// bit-identical to ChebyshevBasisInto at every thread count.
-///
-/// The graph operator arrives as a snapshot: a non-null `dense` ([n, n]
-/// row-major) selects the blocked-GEMM path, otherwise the CSR triple
-/// row_ptr/col_idx/values (`nnz` non-zeros, rows in ascending column order)
-/// drives the serial tiled SpMM. `x` is [batch, n, f] row-major; w0/w1/w2
-/// are caller-owned scratch of at least batch·n·f elements each (the
-/// serving arena). Runs serially and allocates nothing.
-void ChebyshevBasisWideRaw(const float* dense, const int64_t* row_ptr,
-                           const int32_t* col_idx, const float* values,
-                           int64_t nnz, int64_t n, const float* x,
-                           int64_t batch, int64_t f, int64_t order, float* out,
-                           float* w0, float* w1, float* w2);
 
 /// Adjoint of ChebyshevBasis: given dY [B, n, order·F], returns dX [B, n, F]
 /// by running the recurrence in reverse with L̂ᵀ.
@@ -105,10 +91,11 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
 
 /// Single graph application op · x [B, n, F] into a preallocated [B, n, F]
 /// output — the compiled serving path's lowering of ag::SpMM (serve
-/// kGraphApply, used by the diffusion and correlation bases). Runs the same
-/// per-element accumulation as ag::SpMM's forward (CSR tiled SpMM on the
-/// sparse path, batched blocked GEMM on the dense path), so results are
-/// bit-identical to the tape at every thread count.
+/// kGraphApply, used by the diffusion and correlation bases). Calls the
+/// kernels ag::SpMM's forward calls — the CSR tiled SpMM behind odf::SpMM
+/// (run inline on the calling thread) on the sparse path, BatchMatMulInto
+/// on the dense path — so results are bit-identical to the tape at every
+/// thread count.
 void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out);
 
 /// A constant square matrix operand — the scaled graph Laplacian L̂ — held

@@ -554,6 +554,28 @@ void BroadcastBinaryInto(const Tensor& a, const Tensor& b, Tensor* out,
     });
     return;
   }
+  if (b.rank() == 1 && a.rank() > 1 && a.dim(-1) == b.dim(0) &&
+      out->shape() == a.shape()) {
+    // Row bias: b spans a's last axis, so each row of a meets all of b in
+    // order — the odometer's element pairing, one row at a time.
+    const int64_t cols = b.dim(0);
+    const int64_t rows = cols == 0 ? 0 : a.numel() / cols;
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out->data();
+    const int64_t grain =
+        std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, cols));
+    // Captures by value and bumps row pointers: at single-digit `cols` the
+    // by-reference form measured slower.
+    ParallelFor(rows, grain, [pa, pb, po, cols, fn](int64_t r0, int64_t r1) {
+      const float* ar = pa + r0 * cols;
+      float* orow = po + r0 * cols;
+      for (int64_t r = r0; r < r1; ++r, ar += cols, orow += cols) {
+        for (int64_t j = 0; j < cols; ++j) orow[j] = fn(ar[j], pb[j]);
+      }
+    });
+    return;
+  }
   const Shape out_shape = BroadcastShape(a.shape(), b.shape());
   ODF_CHECK(out->shape() == out_shape);
   const int64_t rank = out_shape.rank();
@@ -642,7 +664,7 @@ Shape BroadcastShape(const Shape& a, const Shape& b) {
     ODF_CHECK(da == db || da == 1 || db == 1)
         << "incompatible broadcast: " << a.ToString() << " vs "
         << b.ToString();
-    dims[static_cast<size_t>(i)] = std::max(da, db);
+    dims[static_cast<size_t>(i)] = da == 1 ? db : da;  // 1 stretches, 0 stays
   }
   return Shape(dims);
 }
@@ -730,6 +752,9 @@ Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
 
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
   BroadcastBinaryInto(a, b, out, [](float x, float y) { return x + y; });
+}
+void SubInto(const Tensor& a, const Tensor& b, Tensor* out) {
+  BroadcastBinaryInto(a, b, out, [](float x, float y) { return x - y; });
 }
 void MulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   BroadcastBinaryInto(a, b, out, [](float x, float y) { return x * y; });
@@ -922,7 +947,7 @@ void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
   ODF_CHECK_EQ(static_cast<int64_t>(perm.size()), a.rank());
   std::vector<int64_t> new_dims(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) new_dims[i] = a.dim(perm[i]);
-  ODF_CHECK(out->shape() == Shape(new_dims));
+  ODF_CHECK(out->shape().dims() == new_dims);
   const auto in_strides = a.shape().Strides();
   std::vector<int64_t> src_strides(perm.size());
   for (size_t i = 0; i < perm.size(); ++i) {
@@ -970,20 +995,33 @@ void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
     return;
   }
 
-  ParallelElems(a.numel(), [&](int64_t begin, int64_t end) {
-    // Seed the odometer and source offset from the first flat index.
-    std::vector<int64_t> index(perm.size(), 0);
+  // Axes the permutation leaves in place at the tail are contiguous in both
+  // layouts, so the odometer walks the leading axes and copies the tail as
+  // one chunk per step (a pure relabeling: any traversal gives these bytes).
+  int64_t outer_rank = rank;
+  int64_t chunk = 1;
+  while (outer_rank > 0 &&
+         perm[static_cast<size_t>(outer_rank - 1)] == outer_rank - 1) {
+    --outer_rank;
+    chunk *= new_dims[static_cast<size_t>(outer_rank)];
+  }
+  const int64_t chunks = chunk == 0 ? 0 : a.numel() / chunk;
+  const int64_t grain =
+      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, chunk));
+  ParallelFor(chunks, grain, [&](int64_t begin, int64_t end) {
+    // Seed the odometer and source offset from the first chunk index.
+    std::vector<int64_t> index(static_cast<size_t>(outer_rank), 0);
     int64_t src = 0;
     int64_t rem = begin;
-    for (int64_t d = rank - 1; d >= 0; --d) {
+    for (int64_t d = outer_rank - 1; d >= 0; --d) {
       const size_t du = static_cast<size_t>(d);
       index[du] = rem % new_dims[du];
       rem /= new_dims[du];
       src += index[du] * src_strides[du];
     }
-    for (int64_t flat = begin; flat < end; ++flat) {
-      po[flat] = pa[src];
-      for (int64_t d = rank - 1; d >= 0; --d) {
+    for (int64_t c = begin; c < end; ++c) {
+      for (int64_t j = 0; j < chunk; ++j) po[c * chunk + j] = pa[src + j];
+      for (int64_t d = outer_rank - 1; d >= 0; --d) {
         const size_t du = static_cast<size_t>(d);
         ++index[du];
         src += src_strides[du];
@@ -1071,9 +1109,10 @@ void SliceInto(const Tensor& a, int64_t axis, int64_t start, int64_t len,
   ODF_CHECK_GE(start, 0);
   ODF_CHECK_GE(len, 0);
   ODF_CHECK_LE(start + len, a.dim(axis));
-  std::vector<int64_t> dims = a.shape().dims();
-  dims[static_cast<size_t>(axis)] = len;
-  ODF_CHECK(out->shape() == Shape(dims));
+  ODF_CHECK_EQ(out->rank(), a.rank());
+  for (int64_t d = 0; d < a.rank(); ++d) {
+    ODF_CHECK_EQ(out->dim(d), d == axis ? len : a.dim(d));
+  }
   int64_t outer = 1;
   for (int64_t d = 0; d < axis; ++d) outer *= a.dim(d);
   int64_t inner = 1;
@@ -1245,6 +1284,19 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol) {
   return true;
 }
 
+namespace {
+
+// Per-thread scratch for FusedRecoverInto's flattened exp pass.
+float* RecoverMaxScratch(int64_t len) {
+  thread_local std::vector<float> buf;
+  if (static_cast<int64_t>(buf.size()) < len) {
+    buf.resize(static_cast<size_t>(len));
+  }
+  return buf.data();
+}
+
+}  // namespace
+
 void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
                       Tensor* out) {
   ODF_TRACE_SCOPE("kernel/", "fused_recover", "kernel");
@@ -1266,28 +1318,9 @@ void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
   ODF_CHECK_EQ(c.dim(1), beta);
   const int64_t m = c.dim(2);
   ODF_CHECK_EQ(c.dim(3), k);
-  ODF_CHECK(out->shape() == Shape({b, n, m, k}));
+  ODF_CHECK(out->rank() == 4 && out->dim(0) == b && out->dim(1) == n &&
+            out->dim(2) == m && out->dim(3) == k);
   ODF_CHECK_GT(k, 0);
-  FusedRecoverRaw(r.data(), c.data(), temperature, out->data(), b, n, m,
-                  beta, k);
-}
-
-namespace {
-
-// Per-thread scratch for FusedRecoverRaw's flattened exp pass.
-float* RecoverMaxScratch(int64_t len) {
-  thread_local std::vector<float> buf;
-  if (static_cast<int64_t>(buf.size()) < len) {
-    buf.resize(static_cast<size_t>(len));
-  }
-  return buf.data();
-}
-
-}  // namespace
-
-void FusedRecoverRaw(const float* r, const float* c, float temperature,
-                     float* out, int64_t b, int64_t n, int64_t m, int64_t beta,
-                     int64_t k) {
   // Histogram depth k is small (single digits in the paper's setups), so
   // per-cell k-loops are too short for the vectorizer. Instead, each
   // (batch, origin) row owns an m·k contiguous slice of both `out` and the
@@ -1299,6 +1332,9 @@ void FusedRecoverRaw(const float* r, const float* c, float temperature,
   // temperature scale, max-subtract, FastExp, ascending-k total, inverse
   // scale) keeps the same operands in the same order as the per-cell form,
   // so results are bit-identical to the unfused reference.
+  const float* pr = r.data();
+  const float* pc = c.data();
+  float* po = out->data();
   const int64_t rows = b * n;
   const int64_t row_len = m * k;
   const int64_t grain =
@@ -1312,15 +1348,15 @@ void FusedRecoverRaw(const float* r, const float* c, float temperature,
     float* tot = scratch + 2 * row_len;
     for (int64_t row = r0; row < r1; ++row) {
       const int64_t bi = row / n;
-      float* dst = out + row * row_len;
+      float* dst = po + row * row_len;
       // Pass 1: scores = temperature * sum_beta r[b,o,bb,:] ⊙ c[b,bb,d,:].
       for (int64_t j = 0; j < row_len; ++j) dst[j] = 0.0f;
       for (int64_t bb = 0; bb < beta; ++bb) {
-        const float* rv = r + (row * beta + bb) * k;
+        const float* rv = pr + (row * beta + bb) * k;
         for (int64_t d = 0; d < m; ++d) {
           std::memcpy(tile + d * k, rv, static_cast<size_t>(k) * sizeof(float));
         }
-        const float* cv = c + (bi * beta + bb) * row_len;
+        const float* cv = pc + (bi * beta + bb) * row_len;
         for (int64_t j = 0; j < row_len; ++j) dst[j] += tile[j] * cv[j];
       }
       for (int64_t j = 0; j < row_len; ++j) dst[j] *= temperature;
@@ -1354,7 +1390,6 @@ void FusedRecoverRaw(const float* r, const float* c, float temperature,
     }
   });
 }
-
 
 Tensor FusedRecover(const Tensor& r, const Tensor& c, float temperature) {
   ODF_CHECK_EQ(r.rank(), 4);

@@ -132,10 +132,11 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f);
 // scratch such as GEMM packing buffers may still allocate). The allocating
 // entry points above delegate to these, so the loop bodies — and therefore
 // the floating-point results — are identical on both paths. Unary, scalar
-// and same-shape binary kernels may alias `out` with an input (reads are
-// element-aligned with the write); layout and matrix kernels must not.
+// and binary kernels may alias `out` with an input of `out`'s shape (reads
+// are element-aligned with the write); layout and matrix kernels must not.
 
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out);
+void SubInto(const Tensor& a, const Tensor& b, Tensor* out);
 void MulInto(const Tensor& a, const Tensor& b, Tensor* out);
 void AddScalarInto(const Tensor& a, float s, Tensor* out);
 void MulScalarInto(const Tensor& a, float s, Tensor* out);
@@ -196,19 +197,6 @@ void MatMulPrepackedInto(const Tensor& a, const PackedGemmB& b, Tensor* out);
 /// Chebyshev basis) that operate on scratch buffers rather than Tensors.
 void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
                  int64_t k, int64_t n);
-
-// -- Raw kernels (compiled serving) ----------------------------------------
-//
-// The core of FusedRecoverInto, exposed so the compiled serving plan
-// (serve/forward_plan.h) can run it over its own arena with no per-call
-// shape checks.
-
-/// FusedRecover over raw pointers: r [B,N,beta,K] ⊗ c [B,beta,N',K] →
-/// out [B,N,N',K] with softmax over K. The exact core behind
-/// FusedRecoverInto and bit-identical to it.
-void FusedRecoverRaw(const float* r, const float* c, float temperature,
-                     float* out, int64_t b, int64_t n, int64_t m, int64_t beta,
-                     int64_t k);
 
 // -- Fused OD recovery ----------------------------------------------------
 //

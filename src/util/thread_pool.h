@@ -69,9 +69,16 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Convenience wrapper over the global pool.
-inline void ParallelFor(int64_t n, int64_t grain,
-                        const ThreadPool::RangeFn& fn) {
+/// Convenience wrapper over the global pool. A range that runs as one chunk
+/// (`n <= grain`, or a serial pool) calls `fn` directly, so a small kernel
+/// pays no RangeFn allocation.
+template <typename Fn>
+void ParallelFor(int64_t n, int64_t grain, const Fn& fn) {
+  if (n <= 0) return;
+  if (n <= grain || ThreadPool::Global().threads() <= 1) {
+    fn(int64_t{0}, n);
+    return;
+  }
   ThreadPool::Global().ParallelFor(n, grain, fn);
 }
 

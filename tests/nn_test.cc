@@ -202,6 +202,27 @@ TEST(GraphPoolTest, SingletonClustersIdentity) {
   EXPECT_TRUE(AllClose(y.value(), x, 0.0f));
 }
 
+// Average pooling runs four batch cells per step (with the feature width
+// fixed at compile time for 7 and 8) and the leftover cells one at a time;
+// each cell must come out exactly as when it is pooled alone.
+TEST(GraphPoolTest, AverageBatchedCellsMatchSingleCells) {
+  Rng rng(12);
+  const std::vector<std::vector<int64_t>> clusters = {{0, 3, 4}, {1}, {2, 5}};
+  for (const int64_t f : {3, 7, 8}) {
+    const Tensor x = Tensor::RandomNormal(Shape({6, 6, f}), rng);
+    Tensor all(Shape({6, 3, f}));
+    GraphPoolForwardInto(x, clusters, PoolKind::kAverage, &all, nullptr);
+    for (int64_t b = 0; b < 6; ++b) {
+      Tensor one(Shape({1, 3, f}));
+      GraphPoolForwardInto(Slice(x, 0, b, 1), clusters, PoolKind::kAverage,
+                           &one, nullptr);
+      for (int64_t i = 0; i < one.numel(); ++i) {
+        EXPECT_EQ(all[b * one.numel() + i], one[i]) << "F=" << f << " b=" << b;
+      }
+    }
+  }
+}
+
 TEST(GraphPoolTest, GradCheckAverage) {
   Rng rng(13);
   std::vector<ag::Var> inputs = {

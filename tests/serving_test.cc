@@ -139,10 +139,10 @@ TEST(FusedRecoverTest, GradCheckIncludingTemperature) {
   EXPECT_TRUE(result.ok) << result.max_abs_error;
 }
 
-// The raw kernel the compiled plan calls, on edge inputs: it must equal the
-// tape's FusedRecoverInto bit for bit (plan-vs-tape identity rests on it),
-// stay within float rounding of a double-accumulated naive softmax_K(τ·R⊗C),
-// and keep every row finite and normalized.
+// The kernel the compiled plan calls, on edge inputs: FusedRecoverInto over
+// a preallocated buffer must equal the tape's allocating FusedRecover bit
+// for bit, stay within float rounding of a double-accumulated naive
+// softmax_K(τ·R⊗C), and keep every row finite and normalized.
 TEST(FusedRecoverTest, RawKernelEdgeInputs) {
   struct Case {
     const char* name;
@@ -178,10 +178,9 @@ TEST(FusedRecoverTest, RawKernelEdgeInputs) {
     Tensor c(Shape({b, beta, m, k}));
     fill(&r, cs.r_scale, cs.r_shift);
     fill(&c, cs.c_scale, cs.c_shift);
-    Tensor want(Shape({b, n, m, k}));
-    FusedRecoverInto(r, c, cs.tau, &want);
+    const Tensor want = FusedRecover(r, c, cs.tau);
     Tensor got(Shape({b, n, m, k}));
-    FusedRecoverRaw(r.data(), c.data(), cs.tau, got.data(), b, n, m, beta, k);
+    FusedRecoverInto(r, c, cs.tau, &got);
     ASSERT_TRUE(BitIdentical(got, want));
 
     std::vector<double> logits(static_cast<size_t>(k));

@@ -159,23 +159,35 @@ TEST(SpMMOpTest, SparseGradientMatchesDense) {
 }
 
 // The fused basis must equal the tap-by-tap reference recurrence computed
-// with dense matmuls.
+// with dense matmuls, on every layout edge of the node-major kernel: one
+// batch element (tap 0 read in place), order 1 (copy only) and 2 (no
+// combine), one node, and F = 33 crossing the 32-wide SpMM tile.
 TEST(ChebyshevBasisTest, MatchesUnfusedRecurrence) {
   Rng rng(22);
-  const int64_t n = 15;
-  const int64_t order = 5;
-  Tensor lap =
-      ScaledLaplacian(Laplacian(RandomThresholdedWeights(n, 0.3, rng)));
-  Tensor x = Tensor::RandomNormal(Shape({2, n, 6}), rng);
-  std::vector<Tensor> taps = {x, BatchMatMul(lap, x)};
-  for (int64_t s = 2; s < order; ++s) {
-    taps.push_back(Sub(MulScalar(BatchMatMul(lap, taps.back()), 2.0f),
-                       taps[static_cast<size_t>(s - 2)]));
-  }
-  const Tensor want = Concat(taps, 2);
-  for (const int force : {0, 1}) {
-    auto op = GraphOperator::Make(lap, force);
-    ExpectRelClose(ChebyshevBasis(*op, x, order), want, 1e-5f);
+  for (const int64_t n : {1, 13}) {
+    const Tensor lap =
+        ScaledLaplacian(Laplacian(RandomThresholdedWeights(n, 0.3, rng)));
+    for (const int64_t batch : {1, 3, 16}) {
+      for (const int64_t f : {1, 7, 33}) {
+        const Tensor x = Tensor::RandomNormal(Shape({batch, n, f}), rng);
+        for (const int64_t order : {1, 2, 4}) {
+          std::vector<Tensor> taps = {x, BatchMatMul(lap, x)};
+          for (int64_t s = 2; s < order; ++s) {
+            taps.push_back(Sub(MulScalar(BatchMatMul(lap, taps.back()), 2.0f),
+                               taps[static_cast<size_t>(s - 2)]));
+          }
+          taps.resize(static_cast<size_t>(order));
+          const Tensor want = Concat(taps, 2);
+          for (const int force : {0, 1}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " batch=" << batch << " F=" << f
+                         << " order=" << order << " force_sparse=" << force);
+            auto op = GraphOperator::Make(lap, force);
+            ExpectRelClose(ChebyshevBasis(*op, x, order), want, 1e-5f);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -350,15 +362,13 @@ TEST(GraphOperatorTest, PathSelectionPolicy) {
   ::unsetenv("ODF_SPARSE_GRAPH");
 }
 
-// -- Raw serving kernels under gradcheck -----------------------------------
+// -- Raw GEMM entry under gradcheck ------------------------------------------
 //
-// The compiled serving plan replays training math through raw kernels
-// (GemmRawInto, FusedRecoverRaw, and ChebyshevBasisWideRaw, whose sparse
-// branch drives SpmmTiledRaw). Each
-// gradcheck objective below recomputes the raw kernel at every finite-
-// difference evaluation point and asserts it is bit-identical to the tape
-// forward, so the raw paths are pinned to the differentiated ops across a
-// whole neighborhood of inputs, not just one sample.
+// GemmRawInto runs the Chebyshev basis's dense taps over scratch buffers
+// rather than Tensors. The gradcheck objective recomputes it at every
+// finite-difference evaluation point and asserts it is bit-identical to the
+// tape's MatMul, so the raw entry is pinned to the differentiated op across
+// a whole neighborhood of inputs, not just one sample.
 
 TEST(RawKernelGradCheckTest, GemmRawBitIdenticalToTapeMatMul) {
   Rng rng(31);
@@ -378,64 +388,6 @@ TEST(RawKernelGradCheckTest, GemmRawBitIdenticalToTapeMatMul) {
   auto result = ag::GradCheck(fn, inputs, /*eps=*/1e-3, /*tol=*/2e-2);
   EXPECT_TRUE(result.ok) << "element " << result.worst_element << " err "
                          << result.max_abs_error;
-}
-
-TEST(RawKernelGradCheckTest, FusedRecoverRawBitIdenticalToTapeFusedRecover) {
-  Rng rng(32);
-  const int64_t b = 2, n = 3, m = 4, beta = 2, k = 3;
-  Tensor temp(Shape({1}));
-  temp[0] = 0.7f;
-  std::vector<ag::Var> inputs = {
-      ag::Var(Tensor::RandomNormal(Shape({b, n, beta, k}), rng),
-              /*requires_grad=*/true),
-      ag::Var(Tensor::RandomNormal(Shape({b, beta, m, k}), rng),
-              /*requires_grad=*/true),
-      ag::Var(temp, /*requires_grad=*/true)};
-  auto fn = [&](const std::vector<ag::Var>& in) {
-    ag::Var y = ag::FusedRecover(in[0], in[1], in[2]);
-    Tensor raw(Shape({b, n, m, k}));
-    FusedRecoverRaw(in[0].value().data(), in[1].value().data(),
-                           in[2].value()[0], raw.data(), b, n, m, beta, k);
-    EXPECT_TRUE(BitIdentical(raw, y.value()));
-    return ag::SumAll(ag::Square(y));
-  };
-  auto result = ag::GradCheck(fn, inputs, /*eps=*/1e-3, /*tol=*/2e-2);
-  EXPECT_TRUE(result.ok) << "element " << result.worst_element << " err "
-                         << result.max_abs_error;
-}
-
-// The dense branch pins the wide basis to the blocked-GEMM path; the sparse
-// branch (force_sparse=1) drives the serial tiled SpMM (SpmmTiledRaw).
-TEST(RawKernelGradCheckTest, ChebyshevBasisWideRawBitIdenticalToTapeBasis) {
-  Rng rng(33);
-  const int64_t n = 5, f = 2, batch = 2, order = 3;
-  Tensor lap =
-      ScaledLaplacian(Laplacian(RandomThresholdedWeights(n, 0.4, rng)));
-  for (const int force : {0, 1}) {
-    auto op = GraphOperator::Make(lap, force);
-    std::vector<ag::Var> inputs = {
-        ag::Var(Tensor::RandomNormal(Shape({batch, n, f}), rng),
-                /*requires_grad=*/true)};
-    auto fn = [&](const std::vector<ag::Var>& in) {
-      ag::Var y = ag::ChebyshevBasis(op, in[0], order);
-      Tensor raw(Shape({batch, n, order * f}));
-      Tensor w0(Shape({batch * n * f}));
-      Tensor w1(Shape({batch * n * f}));
-      Tensor w2(Shape({batch * n * f}));
-      const CsrMatrix& csr = op->csr();
-      ChebyshevBasisWideRaw(
-          op->use_sparse() ? nullptr : op->dense().data(),
-          csr.row_ptr().data(), csr.col_idx().data(), csr.values().data(),
-          csr.nnz(), n, in[0].value().data(), batch, f, order, raw.data(),
-          w0.data(), w1.data(), w2.data());
-      EXPECT_TRUE(BitIdentical(raw, y.value()));
-      return ag::SumAll(ag::Square(y));
-    };
-    auto result = ag::GradCheck(fn, inputs, /*eps=*/1e-3, /*tol=*/2e-2);
-    EXPECT_TRUE(result.ok) << "force_sparse=" << force << " element "
-                           << result.worst_element << " err "
-                           << result.max_abs_error;
-  }
 }
 
 TEST(GraphOperatorTest, FactoryBuildsScaledLaplacian) {

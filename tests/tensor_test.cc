@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +104,48 @@ TEST(TensorOpsTest, BroadcastOuter) {
   EXPECT_EQ(c.shape(), Shape({2, 3}));
   EXPECT_EQ(c.At2(0, 1), 20.0f);
   EXPECT_EQ(c.At2(1, 2), 300.0f);
+}
+
+// A rank-1 operand spanning the last axis takes the row-bias loop; the same
+// operand reshaped to [1, 1, F] takes the general odometer. Both must give
+// the same bits, through the facades, the Into kernels, and in place. The
+// largest case splits across the pool.
+TEST(TensorTest, RowBiasBroadcastMatchesGeneralBroadcast) {
+  struct Case {
+    int64_t batch, n, f;
+  };
+  const Case cases[] = {{2, 3, 5}, {4, 7, 1}, {0, 3, 4}, {16, 64, 33}};
+  using Facade = Tensor (*)(const Tensor&, const Tensor&);
+  using Into = void (*)(const Tensor&, const Tensor&, Tensor*);
+  const std::pair<Facade, Into> ops[] = {
+      {Add, AddInto}, {Sub, SubInto}, {Mul, MulInto}};
+  auto same_bits = [](const Tensor& x, const Tensor& y) {
+    if (x.shape() != y.shape()) return false;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+      if (std::bit_cast<uint32_t>(x[i]) != std::bit_cast<uint32_t>(y[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  Rng rng(41);
+  for (const Case& cs : cases) {
+    SCOPED_TRACE(::testing::Message() << "B=" << cs.batch << " n=" << cs.n
+                                      << " F=" << cs.f);
+    const Tensor a = Tensor::RandomNormal(Shape({cs.batch, cs.n, cs.f}), rng);
+    const Tensor row = Tensor::RandomNormal(Shape({cs.f}), rng);
+    const Tensor general = row.Reshape({1, 1, cs.f});
+    for (const auto& [facade, into] : ops) {
+      const Tensor want = facade(a, general);
+      EXPECT_TRUE(same_bits(facade(a, row), want));
+      Tensor out(a.shape());
+      into(a, row, &out);
+      EXPECT_TRUE(same_bits(out, want));
+      Tensor in_place = a;
+      into(in_place, row, &in_place);
+      EXPECT_TRUE(same_bits(in_place, want));
+    }
+  }
 }
 
 TEST(TensorOpsTest, BroadcastShapeChecks) {
