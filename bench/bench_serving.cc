@@ -128,10 +128,9 @@ int Run(bool smoke) {
   const int64_t num_samples = dataset.NumSamples();
 
   // --- batched serving at several concurrency levels -----------------
-  serve::ServeConfig serve_config = serve::ServeConfig::FromEnv();
   serve::ForecastService service(
       &dataset, serve::PlanCompiler::Compile(model, dataset.history()),
-      serve_config);
+      serve::ServeConfig{});
   const std::vector<int64_t> levels = {1, 2, 4, 8};
   for (int64_t level : levels) {
     Regime regime;

@@ -229,10 +229,8 @@ int main(int argc, char** argv) {
   odf::serve::ForwardPlan plan =
       odf::serve::PlanCompiler::Compile(serving, dataset.history());
   odf::serve::ForecastService service(&dataset, std::move(plan));
-  std::printf("serve: plan compiled; window=%lldus max_batch=%lld cache=%s\n",
-              static_cast<long long>(service.config().batch_window_us),
-              static_cast<long long>(service.config().max_batch),
-              service.config().cache_enabled ? "on" : "off");
+  std::printf("serve: plan compiled; max_batch=%lld\n",
+              static_cast<long long>(service.config().max_batch));
 
   // Scripted query stream: roll the current interval through the test
   // split; each interval takes a burst of concurrent queries (coalesced

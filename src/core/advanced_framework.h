@@ -40,8 +40,7 @@ struct AdvancedFrameworkConfig {
   /// Graph operator family of the forecasting-stage convolutions
   /// (nn/graph_basis.h): the paper's Chebyshev basis, DCRNN-style
   /// dual-direction diffusion, or ODCRN-style learned adaptive adjacency.
-  /// Defaults from ODF_GRAPH_OP (cheb|diffusion|adaptive).
-  nn::GraphOpKind graph_op = nn::GraphOpKindFromEnv();
+  nn::GraphOpKind graph_op = nn::GraphOpKind::kChebyshev;
   /// Embedding width of the adaptive adjacency (kAdaptive only).
   int64_t adaptive_embed_dim = 8;
   /// Optional demand-correlation graphs (graph/laplacian.h

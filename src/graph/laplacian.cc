@@ -9,7 +9,6 @@
 
 #include "tensor/linalg.h"
 #include "tensor/tensor_ops.h"
-#include "util/env_config.h"
 #include "util/logging.h"
 
 namespace odf {
@@ -17,17 +16,16 @@ namespace odf {
 namespace {
 
 // Process-wide cache for MakeScaledLaplacianOperator, keyed by the exact
-// contents of `w` (plus the explicit lambda_max and the sparse-path mode in
-// effect). Loading a model snapshot for serving rebuilds the same region
-// graphs the training process used, and without the cache every cell
-// construction re-runs the 200-iteration power iteration; with it, all
-// models built from one weight matrix share one GraphOperator instance.
+// contents of `w` (plus the explicit lambda_max). Loading a model snapshot
+// for serving rebuilds the same region graphs the training process used,
+// and without the cache every cell construction re-runs the 200-iteration
+// power iteration; with it, all models built from one weight matrix share
+// one GraphOperator instance.
 // Bounded FIFO — graph matrices are few and small, 64 covers any realistic
 // process; tests may hold more via ClearScaledLaplacianOperatorCache.
 struct OperatorCacheEntry {
   Tensor key;  // the weight matrix w
   float lambda_max;
-  int64_t sparse_mode;
   std::shared_ptr<const GraphOperator> op;
 };
 
@@ -237,14 +235,10 @@ Tensor DemandCorrelationGraph(const std::vector<Tensor>& interval_counts,
 
 std::shared_ptr<const GraphOperator> MakeScaledLaplacianOperator(
     const Tensor& w, float lambda_max) {
-  // The env override participates in the key so a test that flips
-  // ODF_SPARSE_GRAPH between constructions is not served a stale path.
-  const int64_t sparse_mode = GetEnvInt("ODF_SPARSE_GRAPH", -1);
   {
     std::lock_guard<std::mutex> lock(OperatorCacheMutex());
     for (const OperatorCacheEntry& e : OperatorCache()) {
-      if (e.lambda_max == lambda_max && e.sparse_mode == sparse_mode &&
-          SameContents(e.key, w)) {
+      if (e.lambda_max == lambda_max && SameContents(e.key, w)) {
         g_operator_cache_hits.fetch_add(1, std::memory_order_relaxed);
         return e.op;
       }
@@ -258,7 +252,7 @@ std::shared_ptr<const GraphOperator> MakeScaledLaplacianOperator(
   {
     std::lock_guard<std::mutex> lock(OperatorCacheMutex());
     auto& cache = OperatorCache();
-    cache.push_back(OperatorCacheEntry{w, lambda_max, sparse_mode, op});
+    cache.push_back(OperatorCacheEntry{w, lambda_max, op});
     while (cache.size() > kOperatorCacheCapacity) cache.pop_front();
   }
   return op;

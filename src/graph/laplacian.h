@@ -75,10 +75,10 @@ Tensor DemandCorrelationGraph(const std::vector<Tensor>& interval_counts,
 /// convolving the same graph should share the returned pointer.
 ///
 /// Results are memoized process-wide on the contents of `w` (plus
-/// `lambda_max` and the ODF_SPARSE_GRAPH mode), so repeated construction —
-/// in particular rebuilding a model to load a checkpoint for serving —
-/// skips the power iteration and returns the *same* GraphOperator instance
-/// as the first call. Thread-safe; bounded FIFO eviction.
+/// `lambda_max`), so repeated construction — in particular rebuilding a
+/// model to load a checkpoint for serving — skips the power iteration and
+/// returns the *same* GraphOperator instance as the first call. Thread-safe;
+/// bounded FIFO eviction.
 ///
 /// Immutability contract (time-varying graphs): a GraphOperator is a frozen
 /// snapshot — its dense form, CSR form, and the λ_max folded into L̂ are

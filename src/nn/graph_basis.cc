@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/cheb_conv.h"
-#include "util/env_config.h"
 
 namespace odf::nn {
 
@@ -20,19 +19,6 @@ const char* GraphOpKindName(GraphOpKind kind) {
       return "adaptive";
   }
   return "unknown";
-}
-
-GraphOpKind ParseGraphOpKind(const std::string& name) {
-  if (name == "cheb" || name == "chebyshev") return GraphOpKind::kChebyshev;
-  if (name == "diffusion") return GraphOpKind::kDiffusion;
-  if (name == "adaptive") return GraphOpKind::kAdaptive;
-  ODF_CHECK(false) << "unknown graph operator '" << name
-                   << "' (want cheb|diffusion|adaptive)";
-  return GraphOpKind::kChebyshev;
-}
-
-GraphOpKind GraphOpKindFromEnv() {
-  return ParseGraphOpKind(GetEnvString("ODF_GRAPH_OP", "cheb"));
 }
 
 GraphBasis::GraphBasis(GraphOpKind kind, int64_t order)

@@ -2,7 +2,6 @@
 #define ODF_NN_GRAPH_BASIS_H_
 
 #include <memory>
-#include <string>
 
 #include "autograd/ops.h"
 #include "nn/module.h"
@@ -26,12 +25,6 @@ enum class GraphOpKind { kChebyshev, kDiffusion, kAdaptive };
 
 /// Stable lowercase name ("cheb", "diffusion", "adaptive").
 const char* GraphOpKindName(GraphOpKind kind);
-
-/// Parses a GraphOpKindName; CHECK-fails on anything else.
-GraphOpKind ParseGraphOpKind(const std::string& name);
-
-/// Reads ODF_GRAPH_OP (cheb|diffusion|adaptive); defaults to kChebyshev.
-GraphOpKind GraphOpKindFromEnv();
 
 /// The tap stack shared by every graph convolution: expands node features
 /// x [B, n, F] into [B, n, taps()·F] along the feature axis, per kind().

@@ -1,9 +1,9 @@
 #include "od/stream_source.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.h"
-#include "util/env_config.h"
 #include "util/metrics.h"
 
 namespace odf {
@@ -17,13 +17,10 @@ TripOdSource::TripOdSource(const TripSource* trips,
       num_origins_(num_origins),
       num_destinations_(num_destinations),
       mapper_(std::move(mapper)),
-      cache_capacity_(cache_capacity > 0
-                          ? cache_capacity
-                          : GetEnvInt("ODF_STREAM_CACHE", 16)) {
+      cache_capacity_(std::max<int64_t>(cache_capacity, 1)) {
   ODF_CHECK(trips != nullptr);
   ODF_CHECK_GT(num_origins, 0);
   ODF_CHECK_GT(num_destinations, 0);
-  if (cache_capacity_ < 1) cache_capacity_ = 1;
 }
 
 int64_t TripOdSource::NumIntervals() const { return trips_->NumIntervals(); }

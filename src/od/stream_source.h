@@ -43,10 +43,10 @@ using TripMapper =
 class TripOdSource final : public OdSource {
  public:
   /// `trips` must outlive the source. `mapper == nullptr` keeps trips as-is.
-  /// `cache_capacity <= 0` reads ODF_STREAM_CACHE (default 16, min 1).
+  /// `cache_capacity` is in intervals; values below 1 clamp to 1.
   TripOdSource(const TripSource* trips, const SpeedHistogramSpec& spec,
                int64_t num_origins, int64_t num_destinations,
-               TripMapper mapper = nullptr, int64_t cache_capacity = 0);
+               TripMapper mapper = nullptr, int64_t cache_capacity = 16);
 
   int64_t NumIntervals() const override;
   std::shared_ptr<const OdTensor> Interval(int64_t t) const override;

@@ -1,10 +1,8 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "util/env_config.h"
 #include "util/metrics.h"
 
 namespace odf::serve {
@@ -36,17 +34,6 @@ ServeMetrics& Metrics() {
 
 }  // namespace
 
-ServeConfig ServeConfig::FromEnv() {
-  ServeConfig config;
-  const int64_t max_batch = GetEnvInt("ODF_SERVE_MAX_BATCH", config.max_batch);
-  if (max_batch >= 1) config.max_batch = max_batch;
-  const int64_t window_us =
-      GetEnvInt("ODF_SERVE_BATCH_WINDOW_US", config.batch_window_us);
-  if (window_us >= 0) config.batch_window_us = window_us;
-  config.cache_enabled = GetEnvBool("ODF_SERVE_CACHE", config.cache_enabled);
-  return config;
-}
-
 ForecastService::ForecastService(const ForecastDataset* dataset,
                                  ForwardPlan plan, ServeConfig config)
     : dataset_(dataset),
@@ -55,7 +42,6 @@ ForecastService::ForecastService(const ForecastDataset* dataset,
   ODF_CHECK(dataset_ != nullptr);
   ODF_CHECK_EQ(plan_.history(), dataset_->history());
   ODF_CHECK_GE(config_.max_batch, 1);
-  ODF_CHECK_GE(config_.batch_window_us, 0);
   worker_ = std::thread(&ForecastService::WorkerLoop, this);
 }
 
@@ -92,7 +78,7 @@ ForecastResult ForecastService::Forecast(int64_t sample) {
 ForecastResult ForecastService::ForecastCurrent() {
   ScopedTimer timer(Metrics().cached_request_seconds);
   int64_t sample;
-  if (config_.cache_enabled) {
+  {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (cached_ != nullptr) {
       Metrics().cache_hits.Add(1);
@@ -100,17 +86,12 @@ ForecastResult ForecastService::ForecastCurrent() {
     }
     Metrics().cache_misses.Add(1);
     sample = current_;
-  } else {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    sample = current_;
   }
   ForecastResult result = Forecast(sample);
-  if (config_.cache_enabled) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    // A rollover mid-flight made `result` stale: publish only if `sample`
-    // is still the current interval.
-    if (current_ == sample) cached_ = result;
-  }
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  // A rollover mid-flight made `result` stale: publish only if `sample` is
+  // still the current interval.
+  if (current_ == sample) cached_ = result;
   return result;
 }
 
@@ -135,17 +116,6 @@ void ForecastService::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] { return stop_ || !order_.empty(); });
       if (order_.empty()) return;  // stop_ and drained
-      if (static_cast<int64_t>(order_.size()) < config_.max_batch &&
-          config_.batch_window_us > 0) {
-        // Latency budget: hold the batch open briefly for more arrivals.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(config_.batch_window_us);
-        cv_.wait_until(lock, deadline, [&] {
-          return stop_ ||
-                 static_cast<int64_t>(order_.size()) >= config_.max_batch;
-        });
-      }
       samples.clear();
       while (!order_.empty() &&
              static_cast<int64_t>(samples.size()) < config_.max_batch) {

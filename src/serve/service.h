@@ -20,17 +20,6 @@ namespace odf::serve {
 struct ServeConfig {
   /// Largest number of distinct samples coalesced into one plan execution.
   int64_t max_batch = 8;
-  /// How long the worker waits for more queries to arrive after the first
-  /// one before closing a batch (the latency budget). 0 disables coalescing.
-  int64_t batch_window_us = 200;
-  /// Serve repeated current-interval queries from one cached snapshot.
-  bool cache_enabled = true;
-
-  /// Reads ODF_SERVE_MAX_BATCH / ODF_SERVE_BATCH_WINDOW_US / ODF_SERVE_CACHE
-  /// (util/env_config.h) over the defaults above. A value out of range
-  /// (max_batch < 1, batch_window_us < 0) keeps the default, just as an
-  /// unparseable one does.
-  static ServeConfig FromEnv();
 };
 
 /// One forecast: `horizon` tensors, each [N, N', K], for a single sample.
@@ -41,10 +30,11 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 /// Micro-batching forecast server over one compiled ForwardPlan.
 ///
 /// Queries enqueue a sample index and block on a future; a single worker
-/// thread coalesces everything that arrives within `batch_window_us` of the
-/// first queued query (up to `max_batch` distinct samples) into one batched
-/// plan execution, then slices the per-sample forecasts back out. Duplicate
-/// sample indices inside one window share a batch row and a result snapshot.
+/// thread cuts whatever is queued when it wakes (up to `max_batch` distinct
+/// samples) into one batched plan execution, then slices the per-sample
+/// forecasts back out. Queries that arrive while a batch runs coalesce into
+/// the next one; duplicate sample indices in one batch share a batch row and
+/// a result snapshot.
 ///
 /// The interval cache additionally pins the forecast of the designated
 /// "current" interval: after the first miss, `ForecastCurrent` is a lock +
@@ -63,7 +53,7 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 class ForecastService {
  public:
   ForecastService(const ForecastDataset* dataset, ForwardPlan plan,
-                  ServeConfig config = ServeConfig::FromEnv());
+                  ServeConfig config = ServeConfig{});
   ~ForecastService();
 
   ForecastService(const ForecastService&) = delete;
@@ -76,8 +66,7 @@ class ForecastService {
   std::future<ForecastResult> ForecastAsync(int64_t sample);
 
   /// Forecast of the current interval's sample, served from the cache when
-  /// it is warm. The first call after a rollover (or with the cache
-  /// disabled) falls through to Forecast.
+  /// it is warm. The first call after a rollover falls through to Forecast.
   ForecastResult ForecastCurrent();
 
   /// Rolls the current interval over to `sample`, invalidating the cache

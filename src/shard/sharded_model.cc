@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/check.h"
-#include "util/env_config.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -20,8 +19,7 @@ uint64_t ShardSeed(uint64_t seed, int64_t shard) {
   return z ^ (z >> 31);
 }
 
-ShardedModelConfig::ShardedModelConfig()
-    : num_shards(GetEnvInt("ODF_SHARDS", 4)) {
+ShardedModelConfig::ShardedModelConfig() {
   boundary_model.num_levels = 1;
   boundary_model.proximity = ProximityParams{4.0, 8.0};
 }

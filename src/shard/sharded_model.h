@@ -22,9 +22,8 @@ uint64_t ShardSeed(uint64_t seed, int64_t shard);
 
 /// Configuration of a sharded ensemble (docs/sharding.md).
 struct ShardedModelConfig {
-  /// Target shard count; clamped to [1, num_regions]. The default reads
-  /// ODF_SHARDS (util/env_config.h), falling back to 4.
-  int64_t num_shards;
+  /// Target shard count; clamped to [1, num_regions].
+  int64_t num_shards = 4;
   /// Histogram buckets every per-shard tensor uses.
   SpeedHistogramSpec spec = SpeedHistogramSpec::Paper();
   int64_t history = 6;
@@ -42,9 +41,9 @@ struct ShardedModelConfig {
   /// to a single-level AF with a wider proximity kernel (shard centroids
   /// are further apart than regions).
   AdvancedFrameworkConfig boundary_model;
-  /// LRU capacity of each unit's streaming tensor cache; <= 0 reads
-  /// ODF_STREAM_CACHE.
-  int64_t stream_cache = 0;
+  /// LRU capacity, in intervals, of each unit's streaming tensor cache
+  /// (values below 1 clamp to 1).
+  int64_t stream_cache = 16;
 
   ShardedModelConfig();
 };

@@ -27,9 +27,8 @@ namespace odf::shard {
 /// shard.merge_ns (per MergedForecast).
 class ShardedService {
  public:
-  explicit ShardedService(
-      ShardedModel* model,
-      serve::ServeConfig config = serve::ServeConfig::FromEnv());
+  explicit ShardedService(ShardedModel* model,
+                          serve::ServeConfig config = serve::ServeConfig{});
 
   /// Rolls every per-shard service (and the boundary service) over to
   /// window `sample`, invalidating their interval caches together.

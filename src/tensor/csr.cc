@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "tensor/tensor_ops.h"
-#include "util/env_config.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -455,17 +454,9 @@ std::shared_ptr<const GraphOperator> GraphOperator::Make(Tensor dense,
   op->csr_ = CsrMatrix::FromDense(op->dense_);
   op->csr_t_ = op->csr_.Transpose();
   op->dense_t_ = Transpose2D(op->dense_);
-  int mode = force_sparse;
-  if (mode < 0) {
-    mode = static_cast<int>(GetEnvInt("ODF_SPARSE_GRAPH", -1));
-  }
-  if (mode == 0) {
-    op->use_sparse_ = false;
-  } else if (mode >= 1) {
-    op->use_sparse_ = true;
-  } else {
-    op->use_sparse_ = op->csr_.Density() <= kSparseDensityThreshold;
-  }
+  op->use_sparse_ = force_sparse < 0
+                       ? op->csr_.Density() <= kSparseDensityThreshold
+                       : force_sparse >= 1;
   return op;
 }
 

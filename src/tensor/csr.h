@@ -104,16 +104,14 @@ void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out);
 /// encoder/decoder cell and output head applying the same graph shares one
 /// GraphOperator instead of carrying its own dense copy.
 ///
-/// Path selection: `force_sparse` > the ODF_SPARSE_GRAPH environment
-/// variable (0 = dense, 1 = sparse) > automatic (sparse iff density ≤
-/// kSparseDensityThreshold).
+/// Path selection: `force_sparse` if given, else automatic (sparse iff
+/// density ≤ kSparseDensityThreshold).
 class GraphOperator {
  public:
   /// Above this density the dense blocked GEMM outruns the CSR kernel.
   static constexpr double kSparseDensityThreshold = 0.25;
 
-  /// `force_sparse`: -1 = auto (env override, then density), 0 = dense,
-  /// 1 = sparse.
+  /// `force_sparse`: -1 = auto (by density), 0 = dense, 1 = sparse.
   static std::shared_ptr<const GraphOperator> Make(Tensor dense,
                                                    int force_sparse = -1);
 

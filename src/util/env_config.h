@@ -6,11 +6,11 @@
 
 namespace odf {
 
-// Small helpers for environment-driven experiment configuration. Benchmarks
-// and examples use these so that their scale can be adjusted without
-// recompiling (e.g. `ODF_SCALE=paper ./bench_table2_overall`).
+// Small helpers for environment-driven configuration.
 //
-// Library-level knobs read through these helpers:
+// The library itself reads only four process-wide knobs; everything else it
+// takes from config structs (AdvancedFrameworkConfig, ShardedModelConfig,
+// serve::ServeConfig, ...) set in code:
 //   ODF_THREADS=<n>  size of the global compute thread pool (ThreadPool::
 //                    Global()). Defaults to hardware concurrency; 1 runs
 //                    every kernel serially. Numeric results are independent
@@ -26,32 +26,14 @@ namespace odf {
 //                    ODF_TRACE_PATH (default odf_trace.json). Off by
 //                    default with the same one-load disabled cost.
 //
-// Serving front-end knobs (serve/service.h, docs/serving.md), read once by
-// ServeConfig::FromEnv() at service construction:
-//   ODF_SERVE_MAX_BATCH=<n>        largest number of distinct samples the
-//                    worker coalesces into one compiled-plan execution
-//                    (default 8; values below 1 keep the default).
-//   ODF_SERVE_BATCH_WINDOW_US=<n>  how long the worker waits for more
-//                    queries after the first one before cutting a batch —
-//                    the added-latency budget (default 200; 0 disables
-//                    coalescing and serves each query alone; negative
-//                    values keep the default).
-//   ODF_SERVE_CACHE=0              disable the current-interval forecast
-//                    cache (on by default); every ForecastCurrent then
-//                    runs the plan.
+// Harness-only knobs, read by the benchmarks and examples (never by src/)
+// so their scale can be adjusted without recompiling, e.g.
+// `ODF_SCALE=paper ./bench_table2_overall`:
+//   ODF_SCALE, ODF_DAYS, ODF_EPOCHS, ODF_SEED   experiment scale (bench/).
+//   ODF_BENCH_JSON, ODF_BENCH_GRAPH_JSON, ODF_BENCH_CSV, ODF_GBENCH
+//                    benchmark output paths and the google-benchmark mode.
 //
-// Sharded scale-out knobs (src/shard/, docs/sharding.md):
-//   ODF_SHARDS=<n>   default shard count a ShardedModelConfig starts from
-//                    when the caller doesn't set one (default 4; always
-//                    clamped to [1, num_regions] at partition time).
-//   ODF_STREAM_CACHE=<n>  per-source LRU capacity, in intervals, of the
-//                    streaming OD-tensor cache (od/stream_source.h) when
-//                    the owner doesn't pass an explicit capacity
-//                    (default 16, minimum 1). Bounds the peak memory of a
-//                    streamed dataset: each TripOdSource holds at most
-//                    this many [N, N', K] tensors at once.
-//
-// Stress-scenario harness knobs (docs/scenarios.md), read by
+// Stress-scenario harness (docs/scenarios.md), read by
 // `production_pipeline --scenarios [--smoke]`:
 //   ODF_SCENARIO_SEED=<n>    master seed for the sweep — trip generation,
 //                    injector randomness, and model init all derive from
@@ -67,13 +49,7 @@ namespace odf {
 //                    the harness rebuilds its GCGRU operators per interval
 //                    from Scenario::ProximityMatrixAt).
 //
-// Graph-operator knobs (docs/graph_operators.md):
-//   ODF_GRAPH_OP=cheb|diffusion|adaptive  default operator family of the
-//                    AF's forecasting-stage graph convolutions when the
-//                    caller doesn't set AdvancedFrameworkConfig::graph_op:
-//                    the paper's Chebyshev basis over L̂ (default), DCRNN
-//                    dual-direction diffusion, or ODCRN learned adaptive
-//                    adjacency softmax(relu(E_o·E_dᵀ)).
+// Graph-operator sweep (docs/graph_operators.md), read by `bench_graphops`:
 //   ODF_GRAPHOPS_SEED=<n>    master seed of `bench_graphops` (default 7);
 //                    one value pins BENCH_graphops.json bit-for-bit at any
 //                    ODF_THREADS.

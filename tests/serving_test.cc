@@ -8,9 +8,8 @@
 // attention. On top of that: the fused recovery kernel matches the
 // composed reference and stays finite and normalized on edge inputs,
 // independently built models share memoized graph operators, the interval
-// cache invalidates exactly on rollover, out-of-range serving env knobs keep
-// their defaults, and the service survives concurrent hammering (run under
-// TSan in CI).
+// cache invalidates exactly on rollover, and the service survives
+// concurrent hammering (run under TSan in CI).
 
 #include <algorithm>
 #include <atomic>
@@ -63,8 +62,9 @@ struct TestWorld {
   ForecastDataset dataset;
   ForecastDataset::Split split;
 
-  static TestWorld Make(int64_t history = 3, int64_t horizon = 2) {
-    DatasetSpec spec = MakeNycLike(3, 3, /*num_days=*/4,
+  static TestWorld Make(int64_t history = 3, int64_t horizon = 2,
+                        int grid = 3) {
+    DatasetSpec spec = MakeNycLike(grid, grid, /*num_days=*/4,
                                    /*interval_minutes=*/60);
     spec.config.mean_trips_per_interval = 120;
     TripGenerator gen(spec.graph, spec.config);
@@ -255,12 +255,16 @@ TEST(ForwardPlanTest, MatchesTrainedCheckpointedAfAtEveryThreadCount) {
 }
 
 // One table drives plan-vs-tape parity: every AF operator family, each
-// ablation, a two-layer CNRNN, forced dense and CSR graph paths, and BF with
-// and without attention. Every row runs at batch 1, 3 and 8 on 1 and 4 pool
+// ablation, a two-layer CNRNN, dense and CSR graph paths, and BF with and
+// without attention. Every row runs at batch 1, 3 and 8 on 1 and 4 pool
 // threads, so each arena reallocation is covered too.
 TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
   PoolGuard guard;
   TestWorld world = TestWorld::Make();
+  // L̂ density picks each graph operator's kernel (tensor/csr.h). The 3×3
+  // city is dense at every pooling level even with only adjacent regions
+  // linked; a 7×7 city linked that way stays under the threshold at both.
+  TestWorld sparse_city = TestWorld::Make(3, 2, /*grid=*/7);
   std::vector<Tensor> counts;
   for (int64_t t = 0; t < world.series.NumIntervals(); ++t) {
     counts.push_back(world.series.at(t).counts());
@@ -268,7 +272,7 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
   struct Row {
     const char* name;
     std::function<void(AdvancedFrameworkConfig&)> edit;
-    const char* sparse_graph = nullptr;  // ODF_SPARSE_GRAPH at construction
+    int use_sparse = -1;  // every plan graph operator's path; -1 = either
     bool bf = false;
     bool attention = false;
   };
@@ -299,18 +303,18 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
          c.use_gcgru = false;
        }},
       {"gcgru_layers_2", [](C& c) { c.gcgru_layers = 2; }},
-      {"dense_graph", [](C& c) { c.graph_op = nn::GraphOpKind::kChebyshev; },
-       "0"},
-      {"csr_graph", [](C& c) { c.graph_op = nn::GraphOpKind::kChebyshev; },
-       "1"},
-      {"bf", nullptr, nullptr, /*bf=*/true},
-      {"bf_attention", nullptr, nullptr, /*bf=*/true, /*attention=*/true},
+      // Every region pair linked: L̂ is fully dense.
+      {"dense_graph", [](C& c) { c.proximity = ProximityParams{1.0, 4.0}; },
+       /*use_sparse=*/0},
+      // Adjacent regions only (0.8 km cells).
+      {"csr_graph", [](C& c) { c.proximity = ProximityParams{1.0, 0.9}; },
+       /*use_sparse=*/1},
+      {"bf", nullptr, -1, /*bf=*/true},
+      {"bf_attention", nullptr, -1, /*bf=*/true, /*attention=*/true},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
-    if (row.sparse_graph != nullptr) {
-      ::setenv("ODF_SPARSE_GRAPH", row.sparse_graph, 1);
-    }
+    const TestWorld& city = row.use_sparse == 1 ? sparse_city : world;
     std::unique_ptr<NeuralForecaster> model;
     serve::ForwardPlan plan;
     if (row.bf) {
@@ -324,14 +328,20 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
       AdvancedFrameworkConfig config;
       row.edit(config);
       auto af = std::make_unique<AdvancedFramework>(
-          world.spec.graph, world.spec.graph, 7, 2, config);
-      plan = serve::PlanCompiler::Compile(*af, world.dataset.history());
+          city.spec.graph, city.spec.graph, 7, 2, config);
+      plan = serve::PlanCompiler::Compile(*af, city.dataset.history());
       model = std::move(af);
     }
-    ::unsetenv("ODF_SPARSE_GRAPH");
+    if (row.use_sparse >= 0) {
+      ASSERT_FALSE(plan.graph_operators().empty());
+      for (const auto& op : plan.graph_operators()) {
+        EXPECT_EQ(op->use_sparse(), row.use_sparse == 1)
+            << op->nodes() << " nodes, density " << op->density();
+      }
+    }
     for (const std::vector<int64_t>& ids :
          {std::vector<int64_t>{4}, {0, 3, 5}, {1, 2, 6, 7, 9, 11, 13, 17}}) {
-      const Batch batch = world.dataset.MakeBatch(ids);
+      const Batch batch = city.dataset.MakeBatch(ids);
       for (int threads : {1, 4}) {
         SCOPED_TRACE(testing::Message() << "batch=" << ids.size()
                                         << " threads=" << threads);
@@ -392,9 +402,7 @@ TEST(ForecastServiceTest, SingleQueryMatchesTapePredict) {
   TestWorld world = TestWorld::Make();
   AdvancedFrameworkConfig config;
   AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2, config);
-  serve::ServeConfig serve_config;
-  serve_config.batch_window_us = 0;
-  auto service = MakeService(world, model, serve_config);
+  auto service = MakeService(world, model, serve::ServeConfig{});
   for (int64_t sample : {int64_t{0}, int64_t{4}}) {
     const serve::ForecastResult result = service->Forecast(sample);
     Batch batch = world.dataset.MakeBatch({sample});
@@ -417,9 +425,7 @@ TEST(ForecastServiceTest, IntervalCacheHitsUntilRollover) {
   TestWorld world = TestWorld::Make();
   AdvancedFrameworkConfig config;
   AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2, config);
-  serve::ServeConfig serve_config;
-  serve_config.batch_window_us = 0;
-  auto service = MakeService(world, model, serve_config);
+  auto service = MakeService(world, model, serve::ServeConfig{});
 
   Counter& hits = MetricsRegistry::Global().GetCounter("serve.cache_hits");
   Counter& misses =
@@ -462,42 +468,14 @@ TEST(ForecastServiceTest, IntervalCacheHitsUntilRollover) {
   }
 }
 
-TEST(ServeConfigTest, FromEnvKeepsDefaultsForOutOfRangeValues) {
-  const serve::ServeConfig defaults;
-  struct Case {
-    const char* var;
-    const char* value;
-  };
-  for (const Case& cs : {Case{"ODF_SERVE_MAX_BATCH", "0"},
-                         Case{"ODF_SERVE_MAX_BATCH", "-4"},
-                         Case{"ODF_SERVE_MAX_BATCH", "banana"},
-                         Case{"ODF_SERVE_BATCH_WINDOW_US", "-1"},
-                         Case{"ODF_SERVE_BATCH_WINDOW_US", "soon"}}) {
-    ::setenv(cs.var, cs.value, 1);
-    const serve::ServeConfig config = serve::ServeConfig::FromEnv();
-    ::unsetenv(cs.var);
-    EXPECT_EQ(config.max_batch, defaults.max_batch)
-        << cs.var << "=" << cs.value;
-    EXPECT_EQ(config.batch_window_us, defaults.batch_window_us)
-        << cs.var << "=" << cs.value;
-  }
-  // In-range values still override, including a zero batch window.
-  ::setenv("ODF_SERVE_MAX_BATCH", "3", 1);
-  ::setenv("ODF_SERVE_BATCH_WINDOW_US", "0", 1);
-  const serve::ServeConfig config = serve::ServeConfig::FromEnv();
-  ::unsetenv("ODF_SERVE_MAX_BATCH");
-  ::unsetenv("ODF_SERVE_BATCH_WINDOW_US");
-  EXPECT_EQ(config.max_batch, 3);
-  EXPECT_EQ(config.batch_window_us, 0);
-}
-
 TEST(ForecastServiceTest, ConcurrentClientsHammerOneWorker) {
   TestWorld world = TestWorld::Make();
   AdvancedFrameworkConfig config;
   AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2, config);
   serve::ServeConfig serve_config;
+  // Below the 8 concurrent clients, so queued queries must split across
+  // batches as well as coalesce.
   serve_config.max_batch = 4;
-  serve_config.batch_window_us = 500;  // force real coalescing
   auto service = MakeService(world, model, serve_config);
 
   const int64_t num_samples = world.dataset.NumSamples();
@@ -574,11 +552,8 @@ TEST(ForecastServiceTest, ServesFiniteForecastsUnderSensorDropout) {
 
   AdvancedFrameworkConfig config;
   AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2, config);
-  serve::ServeConfig serve_config;
-  serve_config.batch_window_us = 0;
   serve::ForecastService service(
-      &degraded, serve::PlanCompiler::Compile(model, degraded.history()),
-      serve_config);
+      &degraded, serve::PlanCompiler::Compile(model, degraded.history()));
 
   auto expect_finite_histograms = [](const serve::ForecastResult& result) {
     ASSERT_NE(result, nullptr);
@@ -622,8 +597,7 @@ TEST(ForecastServiceTest, ServesFiniteForecastsUnderSensorDropout) {
   // plan, different bits than the clean-feed service.
   serve::ForecastService clean(
       &world.dataset,
-      serve::PlanCompiler::Compile(model, world.dataset.history()),
-      serve_config);
+      serve::PlanCompiler::Compile(model, world.dataset.history()));
   const serve::ForecastResult masked_result = service.Forecast(7);
   const serve::ForecastResult clean_result = clean.Forecast(7);
   bool diverged = false;

@@ -4,18 +4,24 @@
 // load-bearing), the Graclus coarsener it builds on is itself
 // deterministic, the sharded ensemble trains byte-identically across
 // ODF_THREADS, and the sharded serving path routes and merges exactly what
-// the models predict.
+// the models predict. The library's config defaults (model, shard, serve,
+// stream cache, graph path) hold whatever the environment says.
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "graph/coarsen.h"
+#include "graph/laplacian.h"
+#include "od/stream_source.h"
 #include "od/trip_log.h"
+#include "serve/service.h"
 #include "shard/partition.h"
 #include "shard/sharded_model.h"
 #include "shard/sharded_service.h"
+#include "tensor/csr.h"
 #include "util/thread_pool.h"
 
 namespace odf {
@@ -259,6 +265,44 @@ TEST(ShardSeedTest, DistinctPerShardAndPerMaster) {
     }
   }
   EXPECT_NE(ShardSeed(7, 0), ShardSeed(8, 0));
+}
+
+// ---------------------------------------------------------------------
+// Configuration comes from code: stray ODF_* variables change nothing.
+// ---------------------------------------------------------------------
+
+TEST(ConfigDefaultsTest, LibraryDefaultsIgnoreEnvironment) {
+  const char* const vars[][2] = {{"ODF_GRAPH_OP", "banana"},
+                                 {"ODF_SPARSE_GRAPH", "0"},
+                                 {"ODF_SHARDS", "2"},
+                                 {"ODF_STREAM_CACHE", "3"},
+                                 {"ODF_SERVE_MAX_BATCH", "3"}};
+  for (const auto& var : vars) ::setenv(var[0], var[1], 1);
+
+  EXPECT_EQ(AdvancedFrameworkConfig().graph_op, nn::GraphOpKind::kChebyshev);
+  const ShardedModelConfig sharded;
+  EXPECT_EQ(sharded.num_shards, 4);
+  EXPECT_EQ(sharded.stream_cache, 16);
+  EXPECT_EQ(sharded.shard_model.graph_op, nn::GraphOpKind::kChebyshev);
+  EXPECT_EQ(serve::ServeConfig().max_batch, 8);
+
+  const std::vector<Trip> trips;
+  const VectorTripSource source(&trips, TimePartition(360, 1));
+  EXPECT_EQ(TripOdSource(&source, SpeedHistogramSpec(4, 4.0), 2, 2)
+                .cache_capacity(),
+            16);
+
+  // A 16-node ring: L̂ has 48 of 256 entries set, under the threshold.
+  Tensor ring(Shape({16, 16}));
+  for (int64_t i = 0; i < 16; ++i) {
+    ring.At2(i, (i + 1) % 16) = 1.0f;
+    ring.At2((i + 1) % 16, i) = 1.0f;
+  }
+  const auto op = GraphOperator::Make(ScaledLaplacian(Laplacian(ring)));
+  ASSERT_LE(op->density(), GraphOperator::kSparseDensityThreshold);
+  EXPECT_TRUE(op->use_sparse());
+
+  for (const auto& var : vars) ::unsetenv(var[0]);
 }
 
 // ---------------------------------------------------------------------

@@ -349,17 +349,18 @@ TEST(GraphOperatorTest, PathSelectionPolicy) {
   EXPECT_TRUE(GraphOperator::Make(sparse_lap)->use_sparse());
   EXPECT_FALSE(GraphOperator::Make(dense_lap)->use_sparse());
 
+  // The rule is density <= threshold: a 4×4 operator with 4 non-zeros sits
+  // exactly on it and takes CSR; one more non-zero tips it to dense.
+  Tensor boundary = Tensor::Identity(4);
+  ASSERT_EQ(GraphOperator::Make(boundary)->density(),
+            GraphOperator::kSparseDensityThreshold);
+  EXPECT_TRUE(GraphOperator::Make(boundary)->use_sparse());
+  boundary.At2(0, 1) = 0.5f;
+  EXPECT_FALSE(GraphOperator::Make(boundary)->use_sparse());
+
   // Explicit force beats density.
   EXPECT_FALSE(GraphOperator::Make(sparse_lap, 0)->use_sparse());
   EXPECT_TRUE(GraphOperator::Make(dense_lap, 1)->use_sparse());
-
-  // Environment override beats density but loses to explicit force.
-  ::setenv("ODF_SPARSE_GRAPH", "0", 1);
-  EXPECT_FALSE(GraphOperator::Make(sparse_lap)->use_sparse());
-  EXPECT_TRUE(GraphOperator::Make(sparse_lap, 1)->use_sparse());
-  ::setenv("ODF_SPARSE_GRAPH", "1", 1);
-  EXPECT_TRUE(GraphOperator::Make(dense_lap)->use_sparse());
-  ::unsetenv("ODF_SPARSE_GRAPH");
 }
 
 // -- Raw GEMM entry under gradcheck ------------------------------------------
