@@ -38,20 +38,20 @@ float EvaluateLoss(NeuralForecaster& model, const ForecastDataset& dataset,
   if (num_batches == 0) return 0.0f;
   std::vector<double> losses(static_cast<size_t>(num_batches), 0.0);
   std::vector<double> weights(static_cast<size_t>(num_batches), 0.0);
-  ThreadPool::Global().ParallelFor(
-      num_batches, 1, [&](int64_t b0, int64_t b1) {
-        for (int64_t b = b0; b < b1; ++b) {
-          const size_t start = static_cast<size_t>(b * batch_size);
-          const size_t len = std::min(static_cast<size_t>(batch_size),
-                                      samples.size() - start);
-          const Batch batch = dataset.MakeBatch(
-              std::span<const int64_t>(samples.data() + start, len));
-          Rng batch_rng(seed ^ (kEvalRngSalt + static_cast<uint64_t>(b)));
-          losses[static_cast<size_t>(b)] =
-              model.Loss(batch, /*train=*/false, batch_rng).value().Item();
-          weights[static_cast<size_t>(b)] = static_cast<double>(len);
-        }
-      });
+  // Each batch is a whole forward pass: worth a chunk of its own.
+  ParallelFor(num_batches, kMinChunkWork, [&](int64_t b0, int64_t b1) {
+    for (int64_t b = b0; b < b1; ++b) {
+      const size_t start = static_cast<size_t>(b * batch_size);
+      const size_t len =
+          std::min(static_cast<size_t>(batch_size), samples.size() - start);
+      const Batch batch = dataset.MakeBatch(
+          std::span<const int64_t>(samples.data() + start, len));
+      Rng batch_rng(seed ^ (kEvalRngSalt + static_cast<uint64_t>(b)));
+      losses[static_cast<size_t>(b)] =
+          model.Loss(batch, /*train=*/false, batch_rng).value().Item();
+      weights[static_cast<size_t>(b)] = static_cast<double>(len);
+    }
+  });
   // Weight each batch's mean loss by its sample count: with a ragged final
   // batch an unweighted mean of batch means over-counts the short batch.
   double total = 0;

@@ -119,7 +119,8 @@ std::vector<TrainResult> ShardedModel::Train(const TrainConfig& config) {
 
   static Counter& trained =
       MetricsRegistry::Global().GetCounter("shard.units_trained");
-  ParallelFor(units, 1, [&](int64_t begin, int64_t end) {
+  // Each unit trains a whole model: worth a chunk of its own.
+  ParallelFor(units, kMinChunkWork, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       TraceScope span("shard/", i < num_shards() ? "train_shard"
                                                  : "train_boundary",

@@ -49,6 +49,8 @@ std::vector<float> ShardedService::ForecastOd(int64_t origin,
   ODF_CHECK_LT(origin, part.num_regions);
   ODF_CHECK_GE(destination, 0);
   ODF_CHECK_LT(destination, part.num_regions);
+  ODF_CHECK_GE(step, 0);
+  ODF_CHECK_LT(step, model_->config().horizon);
   const int64_t so = part.shard_of[static_cast<size_t>(origin)];
   const int64_t sd = part.shard_of[static_cast<size_t>(destination)];
 
@@ -81,6 +83,8 @@ Tensor ShardedService::MergedForecast(int64_t step) {
       MetricsRegistry::Global().GetHistogram("shard.merge_ns");
   ScopedTimer timer(merge_ns);
   TraceScope span("shard/", "merge", "shard");
+  ODF_CHECK_GE(step, 0);
+  ODF_CHECK_LT(step, model_->config().horizon);
 
   const ShardPartition& part = model_->partition();
   const int64_t n = part.num_regions;

@@ -35,14 +35,15 @@ class ShardedService {
   void SetCurrentInterval(int64_t sample);
 
   /// K-bucket histogram forecast for one OD pair at horizon step `step`,
-  /// served from the owning service's current-interval cache.
+  /// served from the owning service's current-interval cache. `origin` and
+  /// `destination` must be regions and `step` must lie in [0, horizon).
   std::vector<float> ForecastOd(int64_t origin, int64_t destination,
                                 int64_t step);
 
   /// Full-city [N, N, K] forecast at horizon step `step`, merged from all
   /// services' current-interval forecasts. Byte-identical to
   /// ShardedModel::Predict of the same sample (plans reproduce Predict
-  /// bit-for-bit).
+  /// bit-for-bit). `step` must lie in [0, horizon).
   Tensor MergedForecast(int64_t step);
 
   int64_t num_shards() const { return model_->num_shards(); }

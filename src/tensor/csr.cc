@@ -16,10 +16,6 @@ namespace {
 // visit costs only loads and FMAs — no read-modify-write of the output.
 constexpr int64_t kFTile = 32;
 
-// Minimum multiply-adds per parallel chunk (same rationale as the dense
-// substrate's kElemGrain: below this the dispatch overhead dominates).
-constexpr int64_t kSpmmGrainFlops = 1 << 14;
-
 }  // namespace
 
 CsrMatrix CsrMatrix::FromDense(const Tensor& dense) {
@@ -96,7 +92,7 @@ enum class SpmmEpilogue {
 // width). `other` is only dereferenced by the epilogues that use it.
 // Accumulation per output element is in ascending column order of `a`,
 // independent of thread count.
-template <SpmmEpilogue kEp, bool kSerial = false>
+template <SpmmEpilogue kEp>
 void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
                int64_t ldx, const float* other, int64_t ldother, float* out,
                int64_t ldo) {
@@ -106,19 +102,13 @@ void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
   const int64_t* rp = a.row_ptr().data();
   const int32_t* ci = a.col_idx().data();
   const float* av = a.values().data();
-  const int64_t flops_per_row =
-      std::max<int64_t>(1, 2 * a.nnz() / std::max<int64_t>(1, rows) * f);
-  // kSerial callers (the compiled serving path) run the whole range inline:
-  // chunk partitioning never changes per-element results, only who computes
-  // them, so this is purely a dispatch-cost decision.
-  const int64_t grain =
-      kSerial ? batch * rows
-              : std::max<int64_t>(1, kSpmmGrainFlops / flops_per_row);
+  // Multiply-adds per output row: the mean row's nonzeros times f.
+  const int64_t row_work = a.nnz() * f / std::max<int64_t>(1, rows);
   // Wrapped as a RangeFn even when it runs inline: as its own function the
   // row body keeps the accumulator block in registers, while inlined into
   // ChebyshevBasisInto it ran 10–15% slower.
-  ParallelFor(batch * rows, grain, ThreadPool::RangeFn([&](int64_t t0,
-                                                           int64_t t1) {
+  ParallelFor(batch * rows, row_work, ThreadPool::RangeFn([&](int64_t t0,
+                                                              int64_t t1) {
     float acc[kFTile];
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t b = t / rows;
@@ -197,13 +187,12 @@ namespace {
 // f floats each.
 void CopyRows(int64_t rows, int64_t f, const float* src, int64_t ld_src,
               float* dst, int64_t ld_dst) {
-  ParallelFor(rows, std::max<int64_t>(1, kSpmmGrainFlops / std::max<int64_t>(1, f)),
-              [&](int64_t t0, int64_t t1) {
-                for (int64_t t = t0; t < t1; ++t) {
-                  std::memcpy(dst + t * ld_dst, src + t * ld_src,
-                              static_cast<size_t>(f) * sizeof(float));
-                }
-              });
+  ParallelFor(rows, f, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      std::memcpy(dst + t * ld_dst, src + t * ld_src,
+                  static_cast<size_t>(f) * sizeof(float));
+    }
+  });
 }
 
 // Per-thread scratch for ChebyshevBasisInto's three wide taps (grow-only).
@@ -379,14 +368,11 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
                                          nullptr, 0, pg + (s - 2) * f, ld);
       float* psub = pg + (s - 3) * f;
       const float* pgs = pg + (s - 1) * f;
-      ParallelFor(batch * n, std::max<int64_t>(1, kSpmmGrainFlops / f),
-                  [&](int64_t t0, int64_t t1) {
-                    for (int64_t t = t0; t < t1; ++t) {
-                      for (int64_t c = 0; c < f; ++c) {
-                        psub[t * ld + c] -= pgs[t * ld + c];
-                      }
-                    }
-                  });
+      ParallelFor(batch * n, f, [&](int64_t t0, int64_t t1) {
+        for (int64_t t = t0; t < t1; ++t) {
+          for (int64_t c = 0; c < f; ++c) psub[t * ld + c] -= pgs[t * ld + c];
+        }
+      });
     }
     SpmmTiled<SpmmEpilogue::kAddOther>(at, batch, f, pg + f, ld, pg, ld,
                                        gx.data(), f);
@@ -405,22 +391,21 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
     float* padd = pg + (s - 2) * f;
     float* psub = pg + (s - 3) * f;
     const float* pgs = pg + (s - 1) * f;
-    ParallelFor(batch * n, std::max<int64_t>(1, kSpmmGrainFlops / f),
-                [&](int64_t t0, int64_t t1) {
-                  for (int64_t t = t0; t < t1; ++t) {
-                    for (int64_t c = 0; c < f; ++c) {
-                      padd[t * ld + c] += 2.0f * plt[t * f + c];
-                      psub[t * ld + c] -= pgs[t * ld + c];
-                    }
-                  }
-                });
+    ParallelFor(batch * n, f, [&](int64_t t0, int64_t t1) {
+      for (int64_t t = t0; t < t1; ++t) {
+        for (int64_t c = 0; c < f; ++c) {
+          padd[t * ld + c] += 2.0f * plt[t * f + c];
+          psub[t * ld + c] -= pgs[t * ld + c];
+        }
+      }
+    });
   }
   const Tensor lt = BatchMatMul(op.dense_transpose(), slice_copy(1));
   const Tensor g1 = slice_copy(0);
   const float* plt = lt.data();
   const float* pg1 = g1.data();
   float* pgx = gx.data();
-  ParallelFor(batch * n * f, kSpmmGrainFlops, [&](int64_t e0, int64_t e1) {
+  ParallelFor(batch * n * f, 1, [&](int64_t e0, int64_t e1) {
     for (int64_t e = e0; e < e1; ++e) pgx[e] = pg1[e] + plt[e];
   });
   return gx;
@@ -435,11 +420,8 @@ void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out) {
   ODF_CHECK_EQ(n, op.nodes());
   ODF_CHECK(out->shape() == x.shape());
   if (op.use_sparse()) {
-    // Serial dispatch: the compiled serving path runs whole plans on one
-    // thread. Chunking never changes per-element sums (ascending column
-    // order), so this matches the tape's parallel odf::SpMM bit for bit.
-    SpmmTiled<SpmmEpilogue::kStore, /*kSerial=*/true>(
-        op.csr(), batch, f, x.data(), f, nullptr, 0, out->data(), f);
+    SpmmTiled<SpmmEpilogue::kStore>(op.csr(), batch, f, x.data(), f, nullptr,
+                                    0, out->data(), f);
   } else {
     BatchMatMulInto(op.dense(), x, out);
   }

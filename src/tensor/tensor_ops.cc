@@ -20,11 +20,8 @@ namespace {
 // given output element (operation order included) depends only on the
 // problem shape, never on the thread count. ParallelFor partitions disjoint
 // output ranges, so ODF_THREADS=1 and ODF_THREADS=N produce bit-identical
-// tensors (asserted by substrate_test).
-
-// Minimum elements per chunk for elementwise/layout kernels; below
-// `kElemGrain` total the dispatch overhead outweighs the loop.
-constexpr int64_t kElemGrain = 1 << 14;
+// tensors (asserted by substrate_test). Each call states its work per item
+// (multiply-adds, or elements touched) and odf::ParallelFor sizes the chunks.
 
 // GEMM cache blocking: kMC x kKC panels of A are packed into thread-local
 // buffers (64 KiB, L2-resident) and multiplied into C through a kMR x kNR
@@ -48,8 +45,7 @@ constexpr int64_t kNR = 8;  // 8 xmm accumulators fit the SSE register file
 static_assert(kMC % kMR == 0, "row block must hold whole strips");
 
 // Problems with fewer multiply-adds than this run the plain triple loop
-// (packing would dominate); bigger ones use the blocked kernel, and the
-// row-block loop goes parallel once a chunk is worth at least this much.
+// (packing would dominate); bigger ones use the blocked kernel.
 constexpr int64_t kGemmNaiveFlops = 1 << 12;
 
 // The kernels in this block are the fp32 GEMM substrate (tape and compiled
@@ -405,9 +401,7 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
       for (int64_t j = 0; j < n; ++j) dst[j] = src[j];
       for (int64_t j = n; j < pw; ++j) dst[j] = 0.0f;
     }
-    const int64_t grain = std::max<int64_t>(
-        1, kGemmNaiveFlops / std::max<int64_t>(1, k * n));
-    ParallelFor(m, grain, [&](int64_t i0, int64_t i1) {
+    ParallelFor(m, k * n, [&](int64_t i0, int64_t i1) {
       GemmSmallPadded<kSmallNMax>(pa + i0 * k, bp.get(), po + i0 * n,
                                   i1 - i0, k, n);
     });
@@ -419,9 +413,7 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
     // only the n % kNR tail into per-thread scratch. Panels write disjoint
     // column ranges, so any partition across threads is bit-identical.
     const int64_t full_tiles = n / kNR;
-    const int64_t grain = std::max<int64_t>(
-        1, kGemmNaiveFlops / std::max<int64_t>(1, m * k * kNR));
-    ParallelFor(full_tiles, grain, [&](int64_t t0, int64_t t1) {
+    ParallelFor(full_tiles, m * k * kNR, [&](int64_t t0, int64_t t1) {
       for (int64_t jt = t0; jt < t1; ++jt) {
         GemmSmallMPanel<kNR>(pa, pb + jt * kNR, n, po, n, m, k, jt * kNR,
                              kNR);
@@ -445,25 +437,15 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
   // is allocated uninitialized.
   auto bpack = std::make_unique_for_overwrite<float[]>(
       static_cast<size_t>(NumJTiles(n) * k * kNR));
-  const int64_t pack_grain =
-      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, k * kNR));
-  ParallelFor(NumJTiles(n), pack_grain, [&](int64_t t0, int64_t t1) {
+  ParallelFor(NumJTiles(n), k * kNR, [&](int64_t t0, int64_t t1) {
     for (int64_t jt = t0; jt < t1; ++jt) PackBTile(pb, k, n, jt, bpack.get());
   });
   const int64_t num_blocks = (m + kMC - 1) / kMC;
-  const int64_t flops_per_block = std::min(kMC, m) * k * n;
-  const int64_t grain = std::max<int64_t>(
-      1, kGemmNaiveFlops / std::max<int64_t>(1, flops_per_block));
-  ParallelFor(num_blocks, grain, [&](int64_t b0, int64_t b1) {
+  const int64_t block_work = std::min(kMC, m) * k * n;
+  ParallelFor(num_blocks, block_work, [&](int64_t b0, int64_t b1) {
     GemmRows(pa, bpack.get(), po, k, n, b0 * kMC, std::min(m, b1 * kMC),
              ApackScratch());
   });
-}
-
-// Runs an elementwise-style kernel over [0, n) flat indices.
-template <typename Body>
-void ParallelElems(int64_t n, const Body& body) {
-  ParallelFor(n, kElemGrain, body);
 }
 
 }  // namespace
@@ -549,7 +531,7 @@ void BroadcastBinaryInto(const Tensor& a, const Tensor& b, Tensor* out,
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out->data();
-    ParallelElems(a.numel(), [&](int64_t begin, int64_t end) {
+    ParallelFor(a.numel(), 1, [&](int64_t begin, int64_t end) {
       for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i], pb[i]);
     });
     return;
@@ -563,11 +545,9 @@ void BroadcastBinaryInto(const Tensor& a, const Tensor& b, Tensor* out,
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out->data();
-    const int64_t grain =
-        std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, cols));
     // Captures by value and bumps row pointers: at single-digit `cols` the
     // by-reference form measured slower.
-    ParallelFor(rows, grain, [pa, pb, po, cols, fn](int64_t r0, int64_t r1) {
+    ParallelFor(rows, cols, [pa, pb, po, cols, fn](int64_t r0, int64_t r1) {
       const float* ar = pa + r0 * cols;
       float* orow = po + r0 * cols;
       for (int64_t r = r0; r < r1; ++r, ar += cols, orow += cols) {
@@ -598,7 +578,7 @@ void BroadcastBinaryInto(const Tensor& a, const Tensor& b, Tensor* out,
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out->data();
-  ParallelElems(out->numel(), [&](int64_t begin, int64_t end) {
+  ParallelFor(out->numel(), 1, [&](int64_t begin, int64_t end) {
     // Seed the odometer (and the broadcast source offsets) from the chunk's
     // first flat index, then walk incrementally.
     std::vector<int64_t> index(static_cast<size_t>(rank), 0);
@@ -641,7 +621,7 @@ void UnaryInto(const Tensor& a, Tensor* out, Fn fn) {
   ODF_CHECK(out->shape() == a.shape());
   const float* pa = a.data();
   float* po = out->data();
-  ParallelElems(a.numel(), [&](int64_t begin, int64_t end) {
+  ParallelFor(a.numel(), 1, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) po[i] = fn(pa[i]);
   });
 }
@@ -849,9 +829,7 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   }
   if (UseNaiveGemm(m, k, n)) {
     // Many small matrices: parallelize over whole batch elements.
-    const int64_t grain = std::max<int64_t>(
-        1, kGemmNaiveFlops / std::max<int64_t>(1, per_batch_flops));
-    ParallelFor(batch, grain, [&](int64_t b0, int64_t b1) {
+    ParallelFor(batch, per_batch_flops, [&](int64_t b0, int64_t b1) {
       for (int64_t bi = b0; bi < b1; ++bi) {
         GemmNaive(pa + bi * a_step, pb + bi * b_step, po + bi * m * n, m, k,
                   n);
@@ -863,18 +841,14 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
     // One shared right operand (broadcast): pack it once and parallelize
     // over batch x row-block tasks.
     std::vector<float> bpack(static_cast<size_t>(NumJTiles(n) * k * kNR));
-    const int64_t pack_grain =
-        std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, k * kNR));
-    ParallelFor(NumJTiles(n), pack_grain, [&](int64_t t0, int64_t t1) {
+    ParallelFor(NumJTiles(n), k * kNR, [&](int64_t t0, int64_t t1) {
       for (int64_t jt = t0; jt < t1; ++jt) {
         PackBTile(pb, k, n, jt, bpack.data());
       }
     });
     const int64_t num_blocks = (m + kMC - 1) / kMC;
-    const int64_t flops_per_task = std::min(kMC, m) * k * n;
-    const int64_t grain = std::max<int64_t>(
-        1, kGemmNaiveFlops / std::max<int64_t>(1, flops_per_task));
-    ParallelFor(batch * num_blocks, grain, [&](int64_t t0, int64_t t1) {
+    const int64_t block_work = std::min(kMC, m) * k * n;
+    ParallelFor(batch * num_blocks, block_work, [&](int64_t t0, int64_t t1) {
       std::vector<float> apack(static_cast<size_t>(kMC * kKC));
       for (int64_t t = t0; t < t1; ++t) {
         const int64_t bi = t / num_blocks;
@@ -886,10 +860,10 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
     });
     return;
   }
-  // Large per-batch matrices, distinct B per batch: parallelize over the
-  // batch; each task runs the full blocked pipeline (its nested ParallelFor
+  // Large per-batch matrices, distinct B per batch: each batch element is a
+  // whole task running the full blocked pipeline (its nested ParallelFor
   // calls serialize inside pool workers).
-  ParallelFor(batch, 1, [&](int64_t b0, int64_t b1) {
+  ParallelFor(batch, kMinChunkWork, [&](int64_t b0, int64_t b1) {
     for (int64_t bi = b0; bi < b1; ++bi) {
       Gemm(pa + bi * a_step, pb + bi * b_step, po + bi * m * n, m, k, n);
     }
@@ -915,9 +889,7 @@ Tensor Transpose2D(const Tensor& a) {
   // a disjoint column band of the output).
   constexpr int64_t kTile = 32;
   const int64_t row_tiles = (m + kTile - 1) / kTile;
-  const int64_t grain =
-      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, kTile * n));
-  ParallelFor(row_tiles, grain, [&](int64_t t0, int64_t t1) {
+  ParallelFor(row_tiles, kTile * n, [&](int64_t t0, int64_t t1) {
     for (int64_t t = t0; t < t1; ++t) {
       const int64_t i0 = t * kTile;
       const int64_t i1 = std::min(m, i0 + kTile);
@@ -973,9 +945,7 @@ void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
     const int64_t slice = rows * cols;
     const int64_t slices = a.numel() / std::max<int64_t>(1, slice);
     constexpr int64_t kTile = 32;
-    const int64_t grain =
-        std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, slice));
-    ParallelFor(slices, grain, [&](int64_t s0, int64_t s1) {
+    ParallelFor(slices, slice, [&](int64_t s0, int64_t s1) {
       for (int64_t s = s0; s < s1; ++s) {
         const float* src = pa + s * slice;
         float* dst = po + s * slice;
@@ -1006,9 +976,7 @@ void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
     chunk *= new_dims[static_cast<size_t>(outer_rank)];
   }
   const int64_t chunks = chunk == 0 ? 0 : a.numel() / chunk;
-  const int64_t grain =
-      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, chunk));
-  ParallelFor(chunks, grain, [&](int64_t begin, int64_t end) {
+  ParallelFor(chunks, chunk, [&](int64_t begin, int64_t end) {
     // Seed the odometer and source offset from the first chunk index.
     std::vector<int64_t> index(static_cast<size_t>(outer_rank), 0);
     int64_t src = 0;
@@ -1174,9 +1142,7 @@ void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
   std::fill(po, po + out->numel(), 0.0f);
   if (outer > 1) {
     // Each outer slice owns a disjoint output range.
-    const int64_t grain =
-        std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, mid * inner));
-    ParallelFor(outer, grain, [&](int64_t o0, int64_t o1) {
+    ParallelFor(outer, mid * inner, [&](int64_t o0, int64_t o1) {
       for (int64_t o = o0; o < o1; ++o) {
         for (int64_t m = 0; m < mid; ++m) {
           const float* src = pa + (o * mid + m) * inner;
@@ -1188,13 +1154,12 @@ void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out) {
   } else {
     // Single outer slice: split the contiguous inner range instead; each
     // chunk still accumulates over `mid` in ascending order.
-    ParallelFor(inner, kElemGrain / std::max<int64_t>(1, mid),
-                [&](int64_t i0, int64_t i1) {
-                  for (int64_t m = 0; m < mid; ++m) {
-                    const float* src = pa + m * inner;
-                    for (int64_t i = i0; i < i1; ++i) po[i] += src[i];
-                  }
-                });
+    ParallelFor(inner, mid, [&](int64_t i0, int64_t i1) {
+      for (int64_t m = 0; m < mid; ++m) {
+        const float* src = pa + m * inner;
+        for (int64_t i = i0; i < i1; ++i) po[i] += src[i];
+      }
+    });
   }
 }
 
@@ -1242,9 +1207,7 @@ void SoftmaxLastDimInto(const Tensor& a, Tensor* result) {
   ODF_CHECK(result->shape() == a.shape());
   const float* in = a.data();
   float* out = result->data();
-  const int64_t grain =
-      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, inner));
-  ParallelFor(outer, grain, [&](int64_t o0, int64_t o1) {
+  ParallelFor(outer, inner, [&](int64_t o0, int64_t o1) {
     for (int64_t o = o0; o < o1; ++o) {
       const float* src = in + o * inner;
       float* dst = out + o * inner;
@@ -1337,9 +1300,7 @@ void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
   float* po = out->data();
   const int64_t rows = b * n;
   const int64_t row_len = m * k;
-  const int64_t grain =
-      std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, row_len * beta));
-  ParallelFor(rows, grain, [&](int64_t r0, int64_t r1) {
+  ParallelFor(rows, row_len * beta, [&](int64_t r0, int64_t r1) {
     // Scratch: [0, row_len) tiled r-vector, [row_len, 2·row_len) per-element
     // subtrahend / inverse, [2·row_len, 2·row_len + m) per-cell totals.
     float* scratch = RecoverMaxScratch(2 * row_len + m);
@@ -1422,67 +1383,60 @@ float FusedRecoverGrad(const Tensor& r, const Tensor& c, float temperature,
   Tensor s(y.shape());
   float* ps = s.data();
   const int64_t cells = b * n * m;
-  ParallelFor(cells, std::max<int64_t>(1, kElemGrain / std::max<int64_t>(1, k)),
-              [&](int64_t c0, int64_t c1) {
-                for (int64_t cell = c0; cell < c1; ++cell) {
-                  const float* yrow = py + cell * k;
-                  const float* grow = pg + cell * k;
-                  float* srow = ps + cell * k;
-                  float dot = 0;
-                  for (int64_t kk = 0; kk < k; ++kk) dot += grow[kk] * yrow[kk];
-                  for (int64_t kk = 0; kk < k; ++kk) {
-                    srow[kk] = yrow[kk] * (grow[kk] - dot);
-                  }
-                }
-              });
+  ParallelFor(cells, k, [&](int64_t c0, int64_t c1) {
+    for (int64_t cell = c0; cell < c1; ++cell) {
+      const float* yrow = py + cell * k;
+      const float* grow = pg + cell * k;
+      float* srow = ps + cell * k;
+      float dot = 0;
+      for (int64_t kk = 0; kk < k; ++kk) dot += grow[kk] * yrow[kk];
+      for (int64_t kk = 0; kk < k; ++kk) {
+        srow[kk] = yrow[kk] * (grow[kk] - dot);
+      }
+    }
+  });
 
   // dr[b,o,beta,k] = temperature * sum_d s[b,o,d,k] * c[b,beta,d,k]; rows
   // (b,o) own disjoint output blocks.
   float* pdr = dr->data();
-  ParallelFor(b * n,
-              std::max<int64_t>(1, kElemGrain /
-                                       std::max<int64_t>(1, beta * m * k)),
-              [&](int64_t t0, int64_t t1) {
-                for (int64_t t = t0; t < t1; ++t) {
-                  const int64_t bi = t / n;
-                  const float* srow = ps + t * m * k;
-                  float* drow = pdr + t * beta * k;
-                  for (int64_t bb = 0; bb < beta; ++bb) {
-                    const float* cbase = pc + (bi * beta + bb) * m * k;
-                    for (int64_t kk = 0; kk < k; ++kk) {
-                      float acc = 0;
-                      for (int64_t d = 0; d < m; ++d) {
-                        acc += srow[d * k + kk] * cbase[d * k + kk];
-                      }
-                      drow[bb * k + kk] = temperature * acc;
-                    }
-                  }
-                }
-              });
+  ParallelFor(b * n, beta * m * k, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t bi = t / n;
+      const float* srow = ps + t * m * k;
+      float* drow = pdr + t * beta * k;
+      for (int64_t bb = 0; bb < beta; ++bb) {
+        const float* cbase = pc + (bi * beta + bb) * m * k;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          float acc = 0;
+          for (int64_t d = 0; d < m; ++d) {
+            acc += srow[d * k + kk] * cbase[d * k + kk];
+          }
+          drow[bb * k + kk] = temperature * acc;
+        }
+      }
+    }
+  });
 
   // dc[b,beta,d,k] = temperature * sum_o s[b,o,d,k] * r[b,o,beta,k];
   // (b,d) pairs own disjoint columns of dc.
   float* pdc = dc->data();
-  ParallelFor(b * m,
-              std::max<int64_t>(1, kElemGrain /
-                                       std::max<int64_t>(1, beta * n * k)),
-              [&](int64_t t0, int64_t t1) {
-                for (int64_t t = t0; t < t1; ++t) {
-                  const int64_t bi = t / m;
-                  const int64_t d = t % m;
-                  for (int64_t bb = 0; bb < beta; ++bb) {
-                    float* drow = pdc + ((bi * beta + bb) * m + d) * k;
-                    for (int64_t kk = 0; kk < k; ++kk) {
-                      float acc = 0;
-                      for (int64_t o = 0; o < n; ++o) {
-                        acc += ps[((bi * n + o) * m + d) * k + kk] *
-                               pr[((bi * n + o) * beta + bb) * k + kk];
-                      }
-                      drow[kk] = temperature * acc;
-                    }
-                  }
-                }
-              });
+  ParallelFor(b * m, beta * n * k, [&](int64_t t0, int64_t t1) {
+    for (int64_t t = t0; t < t1; ++t) {
+      const int64_t bi = t / m;
+      const int64_t d = t % m;
+      for (int64_t bb = 0; bb < beta; ++bb) {
+        float* drow = pdc + ((bi * beta + bb) * m + d) * k;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          float acc = 0;
+          for (int64_t o = 0; o < n; ++o) {
+            acc += ps[((bi * n + o) * m + d) * k + kk] *
+                   pr[((bi * n + o) * beta + bb) * k + kk];
+          }
+          drow[kk] = temperature * acc;
+        }
+      }
+    }
+  });
 
   // dtau = sum over cells of (pre-temperature scores) . ds; serial double
   // accumulation keeps the reduction order fixed (same rationale as SumAll).

@@ -30,8 +30,8 @@ namespace odf {
 // so their scale can be adjusted without recompiling, e.g.
 // `ODF_SCALE=paper ./bench_table2_overall`:
 //   ODF_SCALE, ODF_DAYS, ODF_EPOCHS, ODF_SEED   experiment scale (bench/).
-//   ODF_BENCH_JSON, ODF_BENCH_GRAPH_JSON, ODF_BENCH_CSV, ODF_GBENCH
-//                    benchmark output paths and the google-benchmark mode.
+//   ODF_BENCH_JSON, ODF_BENCH_GRAPH_JSON, ODF_BENCH_CSV
+//                    benchmark output paths.
 //
 // Stress-scenario harness (docs/scenarios.md), read by
 // `production_pipeline --scenarios [--smoke]`:

@@ -10,7 +10,9 @@
 namespace odf {
 namespace {
 
-thread_local bool t_in_pool_worker = false;
+// True while this thread runs a chunk of a split region: on a worker, and
+// on the caller while it runs its own first chunk.
+thread_local bool t_in_pool_chunk = false;
 
 int DefaultThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -30,7 +32,7 @@ ThreadPool::ThreadPool(int threads) { Start(threads); }
 
 ThreadPool::~ThreadPool() { Stop(); }
 
-bool ThreadPool::InWorker() { return t_in_pool_worker; }
+bool ThreadPool::InWorker() { return t_in_pool_chunk; }
 
 void ThreadPool::Start(int threads) {
   threads_ = std::max(1, threads);
@@ -63,7 +65,7 @@ void ThreadPool::Resize(int threads) {
 }
 
 void ThreadPool::WorkerLoop() {
-  t_in_pool_worker = true;
+  t_in_pool_chunk = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -80,18 +82,17 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
   if (n <= 0) return;
   grain = std::max<int64_t>(1, grain);
-  // Inline when serial, when the range is too small to split, or when we
-  // are already inside a pool task (no oversubscription, no deadlock).
-  if (threads_ <= 1 || n <= grain || t_in_pool_worker) {
+  // num_chunks <= n / grain, so the proportional boundaries below give every
+  // chunk at least `grain` iterations.
+  const int64_t num_chunks = std::min<int64_t>(threads_, n / grain);
+  // Inline when serial, when the range fills only one chunk, or when we are
+  // already inside a pool task (no oversubscription, no deadlock).
+  if (num_chunks < 2 || t_in_pool_chunk) {
     fn(0, n);
     return;
   }
   ODF_TRACE_SCOPE("pool/", "parallel_for", "pool");
   const bool metrics = MetricsEnabled();
-  const int64_t max_chunks = (n + grain - 1) / grain;
-  // num_chunks <= n (grain >= 1), so the proportional boundaries below are
-  // strictly increasing and every chunk is non-empty.
-  const int64_t num_chunks = std::min<int64_t>(threads_, max_chunks);
 
   // Each chunk records its own span/timing so per-worker utilization and
   // load imbalance are visible in traces (docs/observability.md).
@@ -145,7 +146,10 @@ void ThreadPool::ParallelFor(int64_t n, int64_t grain, const RangeFn& fn) {
                                    static_cast<double>(queue_depth));
   }
   cv_.notify_all();
+  // Nested calls from the caller's own chunk run inline, as on the workers.
+  t_in_pool_chunk = true;
   run_chunk(0, n / num_chunks);
+  t_in_pool_chunk = false;
   std::unique_lock<std::mutex> lock(done_mu);
   done_cv.wait(lock, [&] { return done == queued; });
 }

@@ -1,6 +1,7 @@
 #ifndef ODF_UTIL_THREAD_POOL_H_
 #define ODF_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -46,14 +47,16 @@ class ThreadPool {
   /// `fn(begin, end)` over a partition of `[0, n)`.
   using RangeFn = std::function<void(int64_t begin, int64_t end)>;
 
-  /// Runs `fn` over `[0, n)`, split into at most `threads()` contiguous
-  /// chunks of at least `grain` iterations each. Runs inline when the pool
-  /// is serial, when `n <= grain`, or when called from inside a pool task
-  /// (nested parallelism is serialized rather than oversubscribed).
-  /// Blocks until every chunk has finished.
+  /// Runs `fn` over `[0, n)`, split into `min(threads(), n / grain)`
+  /// contiguous chunks of at least `grain` iterations each. Runs inline when
+  /// the pool is serial, when `n < 2 * grain` (one chunk), or when called
+  /// from inside a pool task (nested parallelism is serialized rather than
+  /// oversubscribed). Blocks until every chunk has finished. Kernels go
+  /// through the free `odf::ParallelFor`, which sizes `grain` for them.
   void ParallelFor(int64_t n, int64_t grain, const RangeFn& fn);
 
-  /// True when the calling thread is a pool worker (nested region).
+  /// True when the calling thread runs a chunk of a split region (a pool
+  /// worker, or the caller during its own chunk): a nested region.
   static bool InWorker();
 
  private:
@@ -69,17 +72,30 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Convenience wrapper over the global pool. A range that runs as one chunk
-/// (`n <= grain`, or a serial pool) calls `fn` directly, so a small kernel
-/// pays no RangeFn allocation.
+/// Minimum work per parallel chunk, in the units kernels state their work
+/// in: inner-loop multiply-adds, or elements touched for loops that do no
+/// multiply-adds. Below this the fork/join cost outweighs the loop body.
+inline constexpr int64_t kMinChunkWork = int64_t{1} << 14;
+
+/// The library's one parallel-dispatch rule, over the global pool. Each
+/// index of `[0, n)` costs `work_per_item` (values below 1 count as 1), and
+/// every chunk gets at least `kMinChunkWork` of it, so the range splits into
+/// `min(threads, n / ceil(kMinChunkWork / work_per_item))` chunks. Runs
+/// `fn(0, n)` directly, with no RangeFn built, when the pool is serial, when
+/// the caller already runs a pool chunk (`ThreadPool::InWorker()`), or when
+/// the total work does not fill two chunks. Callers whose items are whole tasks (a batch, a model)
+/// pass `kMinChunkWork`: each item is worth a chunk.
 template <typename Fn>
-void ParallelFor(int64_t n, int64_t grain, const Fn& fn) {
+void ParallelFor(int64_t n, int64_t work_per_item, const Fn& fn) {
   if (n <= 0) return;
-  if (n <= grain || ThreadPool::Global().threads() <= 1) {
+  ThreadPool& pool = ThreadPool::Global();
+  const int64_t work = std::max<int64_t>(1, work_per_item);
+  const int64_t grain = (kMinChunkWork + work - 1) / work;
+  if (pool.threads() <= 1 || ThreadPool::InWorker() || n / grain < 2) {
     fn(int64_t{0}, n);
     return;
   }
-  ThreadPool::Global().ParallelFor(n, grain, fn);
+  pool.ParallelFor(n, grain, fn);
 }
 
 }  // namespace odf

@@ -23,15 +23,12 @@
 #include "tensor/tensor_ops.h"
 #include "util/thread_pool.h"
 
+#include "pool_guard.h"
+
 namespace odf {
 namespace {
 
 namespace ag = odf::autograd;
-
-struct PoolGuard {
-  int64_t saved = ThreadPool::Global().threads();
-  ~PoolGuard() { ThreadPool::Global().Resize(static_cast<int>(saved)); }
-};
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&

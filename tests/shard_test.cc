@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "graph/coarsen.h"
@@ -386,6 +387,22 @@ TEST_F(ShardedEndToEndTest, ServiceRoutesAndMergesExactly) {
   }
   EXPECT_GT(intra, 0);
   EXPECT_GT(cross, 0);
+}
+
+// A client `step` outside [0, horizon) is rejected before any forecast is
+// read, on the per-pair and the merged path alike.
+TEST_F(ShardedEndToEndTest, StepOutsideHorizonIsRejected) {
+  // The service runs worker threads: re-execute the binary per death test.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ShardedModel model(*city_, source_.get(), TinyConfig(4));
+  ShardedService service(&model);
+  service.SetCurrentInterval(1);
+  const int64_t horizon = model.config().horizon;
+  for (const int64_t step : {int64_t{-1}, horizon}) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    EXPECT_DEATH(service.ForecastOd(0, 1, step), "CHECK\\(step");
+    EXPECT_DEATH(service.MergedForecast(step), "CHECK\\(step");
+  }
 }
 
 TEST_F(ShardedEndToEndTest, SingleShardHasNoBoundaryModel) {

@@ -10,6 +10,8 @@
 #include "sim/scenario.h"
 #include "util/thread_pool.h"
 
+#include "pool_guard.h"
+
 namespace odf {
 namespace {
 
@@ -223,11 +225,6 @@ std::string TripBytes(const std::vector<Trip>& trips) {
   }
   return bytes;
 }
-
-struct PoolGuard {
-  int64_t saved = ThreadPool::Global().threads();
-  ~PoolGuard() { ThreadPool::Global().Resize(static_cast<int>(saved)); }
-};
 
 TEST(GoldenSeedTest, TripGeneratorByteIdenticalAcrossRunsAndThreadCounts) {
   PoolGuard guard;

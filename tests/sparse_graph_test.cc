@@ -14,15 +14,12 @@
 #include "tensor/tensor_ops.h"
 #include "util/thread_pool.h"
 
+#include "pool_guard.h"
+
 namespace odf {
 namespace {
 
 namespace ag = odf::autograd;
-
-struct PoolGuard {
-  int64_t saved = ThreadPool::Global().threads();
-  ~PoolGuard() { ThreadPool::Global().Resize(static_cast<int>(saved)); }
-};
 
 // Symmetric zero-diagonal weights where each edge survives an α-threshold
 // with probability `keep` (the paper's thresholded Gaussian proximity).

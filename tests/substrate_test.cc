@@ -4,18 +4,23 @@
 // ODF_THREADS=1 and ODF_THREADS=4.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/advanced_framework.h"
 #include "core/trainer.h"
+#include "graph/laplacian.h"
 #include "nn/optimizer.h"
 #include "od/dataset.h"
 #include "sim/trip_generator.h"
+#include "tensor/csr.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
+
+#include "pool_guard.h"
 
 namespace odf {
 namespace {
@@ -36,12 +41,6 @@ Tensor NaiveMatMulReference(const Tensor& a, const Tensor& b) {
   }
   return out;
 }
-
-// Restores the global pool's thread count when a test scope exits.
-struct PoolGuard {
-  int64_t saved = ThreadPool::Global().threads();
-  ~PoolGuard() { ThreadPool::Global().Resize(static_cast<int>(saved)); }
-};
 
 TEST(SubstrateGemmTest, RandomizedShapesMatchNaiveReference) {
   PoolGuard guard;
@@ -100,9 +99,25 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
   }
 }
 
+// Scaled Laplacian of a ring whose nodes also link to their ±4 neighbours:
+// a fixed sparse graph (at most 5 nonzeros per row of L̂).
+Tensor ChordRingLaplacian(int64_t n) {
+  Tensor w(Shape({n, n}));
+  for (int64_t i = 0; i < n; ++i) {
+    for (const int64_t hop : {int64_t{1}, int64_t{4}}) {
+      w.At2(i, (i + hop) % n) = 1.0f;
+      w.At2((i + hop) % n, i) = 1.0f;
+    }
+  }
+  return ScaledLaplacian(Laplacian(w));
+}
+
 // The substrate's determinism contract: the arithmetic order behind every
 // output element depends only on the problem shape, never the thread count,
-// so 1-thread and 4-thread runs are bit-identical.
+// so 1-thread and 4-thread runs are bit-identical. One row per kernel. The
+// shapes are sized from kMinChunkWork so that every row splits at 4 threads
+// (asserted through the pool's chunk counter, so the comparison cannot turn
+// into 1 thread against 1 thread) and runs inline at 1 thread.
 TEST(SubstrateDeterminismTest, KernelsAreThreadCountInvariant) {
   PoolGuard guard;
   Rng rng(99);
@@ -110,30 +125,68 @@ TEST(SubstrateDeterminismTest, KernelsAreThreadCountInvariant) {
   Tensor b2 = Tensor::RandomNormal(Shape({260, 140}), rng);
   Tensor a3 = Tensor::RandomNormal(Shape({12, 40, 24}), rng);
   Tensor b3 = Tensor::RandomNormal(Shape({12, 24, 32}), rng);
-  Tensor big = Tensor::RandomNormal(Shape({8, 64, 64, 7}), rng);
-  Tensor big_b = Tensor::RandomNormal(Shape({8, 64, 64, 7}), rng);
+  // `big` holds 14 chunks of elementwise work: [8, 64, 64, 7].
+  const int64_t big_batch = 14 * kMinChunkWork / (64 * 64 * 7);
+  Tensor big = Tensor::RandomNormal(Shape({big_batch, 64, 64, 7}), rng);
+  Tensor big_b = Tensor::RandomNormal(big.shape(), rng);
 
-  ThreadPool::Global().Resize(1);
-  Tensor mm1 = MatMul(a2, b2);
-  Tensor bmm1 = BatchMatMul(a3, b3);
-  Tensor tr1 = Transpose2D(a2);
-  Tensor perm1 = Permute(big, {0, 1, 3, 2});
-  Tensor sum0_1 = Sum(big, 0, /*keepdim=*/false);
-  Tensor sum3_1 = Sum(big, 3, /*keepdim=*/false);
-  Tensor soft1 = SoftmaxLastDim(big);
-  Tensor add1 = Add(big, big_b);
-  Tensor exp1 = Exp(big);
+  // Graph operands: four row blocks of the blocked GEMM on the dense path,
+  // and a batch wide enough for eight SpMM chunks on the CSR path.
+  constexpr int64_t kNodes = 256;
+  constexpr int64_t kFeatures = 16;
+  const Tensor lap = ChordRingLaplacian(kNodes);
+  const auto sparse_op = GraphOperator::Make(lap, /*force_sparse=*/1);
+  const auto dense_op = GraphOperator::Make(lap, /*force_sparse=*/0);
+  const int64_t row_nnz = sparse_op->csr().nnz() / kNodes;
+  const int64_t batch =
+      1 + 8 * kMinChunkWork / (kNodes * row_nnz * kFeatures);
+  Tensor x = Tensor::RandomNormal(Shape({batch, kNodes, kFeatures}), rng);
+  const auto cheb = [&](const GraphOperator& op) {
+    Tensor out(Shape({batch, kNodes, 3 * kFeatures}));
+    ChebyshevBasisInto(op, x, 3, &out);
+    return out;
+  };
+  const auto apply = [&](const GraphOperator& op) {
+    Tensor out(x.shape());
+    GraphApplyInto(op, x, &out);
+    return out;
+  };
 
-  ThreadPool::Global().Resize(4);
-  EXPECT_TRUE(AllClose(MatMul(a2, b2), mm1, 0.0f));
-  EXPECT_TRUE(AllClose(BatchMatMul(a3, b3), bmm1, 0.0f));
-  EXPECT_TRUE(AllClose(Transpose2D(a2), tr1, 0.0f));
-  EXPECT_TRUE(AllClose(Permute(big, {0, 1, 3, 2}), perm1, 0.0f));
-  EXPECT_TRUE(AllClose(Sum(big, 0, false), sum0_1, 0.0f));
-  EXPECT_TRUE(AllClose(Sum(big, 3, false), sum3_1, 0.0f));
-  EXPECT_TRUE(AllClose(SoftmaxLastDim(big), soft1, 0.0f));
-  EXPECT_TRUE(AllClose(Add(big, big_b), add1, 0.0f));
-  EXPECT_TRUE(AllClose(Exp(big), exp1, 0.0f));
+  struct Row {
+    const char* kernel;
+    std::function<Tensor()> run;
+  };
+  const std::vector<Row> rows = {
+      {"MatMul", [&] { return MatMul(a2, b2); }},
+      {"BatchMatMul", [&] { return BatchMatMul(a3, b3); }},
+      {"Transpose2D", [&] { return Transpose2D(a2); }},
+      {"Permute", [&] { return Permute(big, {0, 1, 3, 2}); }},
+      {"Sum axis 0", [&] { return Sum(big, 0, /*keepdim=*/false); }},
+      {"Sum axis 3", [&] { return Sum(big, 3, /*keepdim=*/false); }},
+      {"SoftmaxLastDim", [&] { return SoftmaxLastDim(big); }},
+      {"Add", [&] { return Add(big, big_b); }},
+      {"Exp", [&] { return Exp(big); }},
+      {"SpMM", [&] { return SpMM(sparse_op->csr(), x); }},
+      {"ChebyshevBasisInto dense", [&] { return cheb(*dense_op); }},
+      {"ChebyshevBasisInto CSR", [&] { return cheb(*sparse_op); }},
+      {"GraphApplyInto dense", [&] { return apply(*dense_op); }},
+      {"GraphApplyInto CSR", [&] { return apply(*sparse_op); }},
+  };
+
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.kernel);
+    ThreadPool::Global().Resize(1);
+    Tensor serial;
+    {
+      PoolCounts counts;
+      serial = row.run();
+      EXPECT_EQ(counts.parallel_fors(), 0u) << "1 thread must run inline";
+    }
+    ThreadPool::Global().Resize(4);
+    PoolCounts counts;
+    EXPECT_TRUE(AllClose(row.run(), serial, 0.0f));
+    EXPECT_GT(counts.chunks(), 0u) << "4 threads must split";
+  }
 }
 
 struct AfFixture {
