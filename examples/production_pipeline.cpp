@@ -225,7 +225,7 @@ int main(int argc, char** argv) {
 
   // --- Serving front-end: compiled plan + micro-batching service. -------
   // Compile AFTER the checkpoint load: the plan snapshots the model's
-  // parameters (and prepacks its weight matrices) at compile time.
+  // parameters at compile time.
   odf::serve::ForwardPlan plan =
       odf::serve::PlanCompiler::Compile(serving, dataset.history());
   odf::serve::ForecastService service(&dataset, std::move(plan));

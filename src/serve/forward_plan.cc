@@ -82,24 +82,11 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
     case OpKind::kRelu:
       ReluInto(a, &out);
       break;
-    case OpKind::kMatMulW:
-      if (ins.prepacked) {
-        MatMulPrepackedInto(a, packed_[static_cast<size_t>(ins.b)], &out);
-      } else {
-        MatMulInto(a, b, &out);
-      }
+    case OpKind::kMatMul:
+      MatMulInto(a, b, &out);
       break;
     case OpKind::kBatchMatMul:
       BatchMatMulInto(a, b, &out);
-      break;
-    case OpKind::kBatchMatMulW:
-      if (ins.prepacked) {
-        // [B', r, k] x [k, n] flattens to one [B'·r, k] x [k, n] product —
-        // each output row accumulates the same k-ascending sum either way.
-        MatMulPrepackedInto(a, packed_[static_cast<size_t>(ins.b)], &out);
-      } else {
-        BatchMatMulInto(a, b, &out);
-      }
       break;
     case OpKind::kConcat:
       concat_scratch_.clear();
@@ -301,19 +288,6 @@ void Lower(PlanCompiler& c, int32_t id) {
   c.Emit(K, id);
 }
 
-// MatMul / BatchMatMul by a rank-2 constant run against prepacked panels
-// whenever the blocked path handles the row count at batch 1 (larger
-// batches only multiply the rows).
-template <OpKind K, OpKind KW>
-void LowerMatMul(PlanCompiler& c, int32_t id) {
-  Instr& ins = c.Emit(K, id);
-  const Shape& w = c.op(ins.b).shape();
-  if (c.batched(ins.b) || w.rank() != 2) return;
-  ins.kind = KW;
-  ins.prepacked = PrepackedGemmViable(
-      c.shape(id).NumelPerBatch() / w.dim(1), w.dim(0), w.dim(1));
-}
-
 void LowerConcat(PlanCompiler& c, int32_t id) {
   Instr& ins = c.Emit(OpKind::kConcat, id);
   ins.a = ins.b = -1;
@@ -351,9 +325,8 @@ const std::map<std::string_view, Rule>& Rules() {
       {"Tanh", Lower<OpKind::kTanh>},
       {"Relu", Lower<OpKind::kRelu>},
       {"SoftmaxLastDim", Lower<OpKind::kSoftmax>},
-      {"MatMul", LowerMatMul<OpKind::kMatMulW, OpKind::kMatMulW>},
-      {"BatchMatMul",
-       LowerMatMul<OpKind::kBatchMatMul, OpKind::kBatchMatMulW>},
+      {"MatMul", Lower<OpKind::kMatMul>},
+      {"BatchMatMul", Lower<OpKind::kBatchMatMul>},
       {"SpMM", Lower<OpKind::kGraphApply>},
       {"ChebyshevBasis", Lower<OpKind::kChebBasis>},
       {"Concat", LowerConcat},
@@ -452,7 +425,6 @@ int32_t PlanCompiler::Buffer(int32_t id) {
   if (it != constants_.end()) return it->second;
   const int32_t buf = static_cast<int32_t>(plan_.bufs_.size());
   plan_.bufs_.push_back(op(id).value());
-  plan_.packed_.emplace_back();
   constants_[id] = buf;
   return buf;
 }
@@ -461,7 +433,6 @@ ForwardPlan PlanCompiler::Build() {
   AssignSlots();
   const size_t slots = plan_.specs_.size();
   plan_.bufs_.resize(slots);
-  plan_.packed_.resize(slots);
   // A shared slot is re-viewed whenever an instruction reads a value whose
   // view differs from what the slot last held.
   std::vector<BufShape> view(slots);
@@ -496,12 +467,6 @@ ForwardPlan PlanCompiler::Build() {
     ins.out = root(ins.out).buf;
     view[static_cast<size_t>(ins.out)] = ins.shape;
     known[static_cast<size_t>(ins.out)] = true;
-    if (ins.prepacked) {
-      PackedGemmB& packed = plan_.packed_[static_cast<size_t>(ins.b)];
-      if (packed.panels.empty()) {
-        packed = PackGemmWeight(plan_.bufs_[static_cast<size_t>(ins.b)]);
-      }
-    }
     const auto& graph = ins.attrs.graph;
     if (graph != nullptr && std::find(plan_.graph_ops_.begin(),
                                       plan_.graph_ops_.end(),

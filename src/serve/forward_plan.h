@@ -11,7 +11,6 @@
 #include "core/basic_framework.h"
 #include "tensor/csr.h"
 #include "tensor/tensor.h"
-#include "tensor/tensor_ops.h"
 #include "util/metrics.h"
 
 namespace odf::autograd {
@@ -35,13 +34,10 @@ namespace odf::serve {
 /// size and reused across calls.
 ///
 /// Bit-identity: every instruction calls the same `odf::` kernel the
-/// recorded op calls on the tape — one kernel per op, so the plan's
-/// arithmetic is the tape's by construction. The one serving variant is
-/// prepacked GEMM for constant weights, which runs the identical blocked
-/// row pipeline (same terms, same k-ascending order, same FP contraction)
-/// against panels packed at compile time. `Run` therefore reproduces
-/// `Predict` bit-for-bit at any thread count (tests/serving_test.cc asserts
-/// this for every model configuration).
+/// recorded op calls on the tape — one kernel per op, with no serving-only
+/// variant, so the plan's arithmetic is the tape's by construction. `Run`
+/// therefore reproduces `Predict` bit-for-bit at any thread count
+/// (tests/serving_test.cc asserts this for every model configuration).
 ///
 /// Ops over parameters and constants only run during capture, so their
 /// results (the adaptive adjacency, for one) are plan constants. The plan
@@ -93,10 +89,8 @@ enum class OpKind : uint8_t {
   kSigmoid,       // out = σ(a)
   kTanh,          // out = tanh(a)
   kRelu,          // out = relu(a)
-  kMatMulW,       // out = a · b (rank 2), b a weight when prepacked
+  kMatMul,        // out = a · b (rank 2)
   kBatchMatMul,   // out = a ·batched b (rank-2 broadcast on either side)
-  kBatchMatMulW,  // out = a ·batched b, b a rank-2 constant
-                  //   (both W kinds run prepacked panels when ins.prepacked)
   kConcat,        // out = Concat(srcs, axis)
   kSlice,         // out = a[..., start:start+len, ...] along axis
   kSum,           // out = Sum(a, axis, keepdim)
@@ -110,8 +104,7 @@ enum class OpKind : uint8_t {
 
 /// One schedule step. `a`/`b`/`out`/`srcs` index the plan's buffers: arena
 /// buffers first, then the plan's constants (parameter snapshots and folded
-/// values); a prepacked kMatMulW/kBatchMatMulW reads its panels at `b`.
-/// `attrs` are the recorded op's attributes (kRecover keeps its
+/// values). `attrs` are the recorded op's attributes (kRecover keeps its
 /// temperature in `scalar`). Unused fields stay at their defaults. `shape`
 /// is the output buffer's view for this instruction and is applied (as a
 /// free re-view; numel never changes) before the kernel runs.
@@ -121,7 +114,6 @@ struct Instr {
   int32_t b = -1;
   int32_t out = -1;
   int32_t input_index = -1;
-  bool prepacked = false;     // kMatMulW/kBatchMatMulW: use packed panels
   BufShape shape;
   std::vector<int32_t> srcs;  // kConcat parts
   autograd::OpAttrs attrs;
@@ -180,10 +172,9 @@ class ForwardPlan {
   };
 
   std::vector<Instr> instrs_;
-  std::vector<BufShape> specs_;  // flat allocation shape per arena buffer
-  std::vector<Tensor> bufs_;     // arena buffers, then constants
-  std::vector<PackedGemmB> packed_;  // per buffer; set for prepacked weights
-  std::vector<int32_t> outputs_;     // buffer id per horizon step
+  std::vector<BufShape> specs_;   // flat allocation shape per arena buffer
+  std::vector<Tensor> bufs_;      // arena buffers, then constants
+  std::vector<int32_t> outputs_;  // buffer id per horizon step
   std::vector<Phase> phases_;
   std::vector<Histogram*> phase_hists_;
   std::vector<uint64_t> phase_nanos_;

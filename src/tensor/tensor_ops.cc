@@ -24,13 +24,12 @@ namespace {
 // (multiply-adds, or elements touched) and odf::ParallelFor sizes the chunks.
 
 // GEMM cache blocking: kMC x kKC panels of A are packed into thread-local
-// buffers (64 KiB, L2-resident) and multiplied into C through a kMR x kNR
-// register-tiled micro-kernel; B is packed once per call into j-tile-major
-// panels so the micro-kernel streams both operands with unit stride (the
-// unpacked column access pattern, stride = row length, thrashes L1 set
-// associativity for power-of-two widths). The register tile is sized to the
-// widest vector unit the translation unit is compiled for.
-constexpr int64_t kMC = 64;
+// buffers (at most 64 KiB, L2-resident) and multiplied into C through a
+// kMR x kNR register-tiled micro-kernel; B is packed once per call into
+// j-tile-major panels so the micro-kernel streams both operands with unit
+// stride (the unpacked column access pattern, stride = row length, thrashes
+// L1 set associativity for power-of-two widths). The register tile is sized
+// to the widest vector unit the translation unit is compiled for.
 constexpr int64_t kKC = 256;
 #if defined(__AVX512F__)
 constexpr int64_t kMR = 8;
@@ -42,19 +41,17 @@ constexpr int64_t kNR = 16;  // 12 ymm accumulators
 constexpr int64_t kMR = 4;
 constexpr int64_t kNR = 8;  // 8 xmm accumulators fit the SSE register file
 #endif
-static_assert(kMC % kMR == 0, "row block must hold whole strips");
-
-// Problems with fewer multiply-adds than this run the plain triple loop
-// (packing would dominate); bigger ones use the blocked kernel.
-constexpr int64_t kGemmNaiveFlops = 1 << 12;
+// Row block: the most whole kMR strips that fit in 64 rows. It only sets
+// row-block boundaries, never a per-element sum.
+constexpr int64_t kMC = 64 / kMR * kMR;
 
 // The kernels in this block are the fp32 GEMM substrate (tape and compiled
 // plan share them, so plan-vs-tape bit-identity is structural). Tile
 // constants are sized for the fp32 vector width.
 
-// The seed's i-k-j triple loop; kept as the small-problem path (and as the
-// reference the blocked kernel is tested against). Accumulates over k in
-// ascending order, exactly like the micro-kernel.
+// The seed's i-k-j triple loop, the path for A shorter than one register
+// strip. Accumulates over k in ascending order, exactly like the
+// micro-kernel.
 void GemmNaive(const float* pa, const float* pb, float* po, int64_t m,
                int64_t k, int64_t n) {
   for (int64_t i = 0; i < m; ++i) {
@@ -91,18 +88,18 @@ void PackA(const float* a, int64_t lda, int64_t i0, int64_t rows, int64_t k0,
 // Number of j-tiles of width kNR covering n columns.
 int64_t NumJTiles(int64_t n) { return (n + kNR - 1) / kNR; }
 
-// Packs columns [jt*kNR, ...) of `b` (k x n) into tile `jt` of `buf`:
-// buf[jt*k*kNR + kk*kNR + jr] = b[kk][jt*kNR + jr], zero-padded in jr. The
-// micro-kernel then streams B with unit stride regardless of n.
-void PackBTile(const float* b, int64_t k, int64_t n, int64_t jt, float* buf) {
-  const int64_t j0 = jt * kNR;
-  const int64_t nr = std::min<int64_t>(kNR, n - j0);
-  float* dst = buf + jt * k * kNR;
+// Copies columns [j0, j0 + pw) of `b` (k x n) into `dst` as a k x pw
+// row-major panel, zero-padded past n. With pw = kNR and dst at tile jt's
+// offset (jt * k * kNR) it packs one j-tile: the micro-kernels then stream B
+// with unit stride regardless of n.
+void PadB(const float* b, int64_t k, int64_t n, int64_t j0, int64_t pw,
+          float* dst) {
+  const int64_t width = std::min(pw, n - j0);
   for (int64_t kk = 0; kk < k; ++kk) {
     const float* src = b + kk * n + j0;
-    float* row = dst + kk * kNR;
-    for (int64_t j = 0; j < nr; ++j) row[j] = src[j];
-    for (int64_t j = nr; j < kNR; ++j) row[j] = 0.0f;
+    float* row = dst + kk * pw;
+    for (int64_t j = 0; j < width; ++j) row[j] = src[j];
+    for (int64_t j = width; j < pw; ++j) row[j] = 0.0f;
   }
 }
 
@@ -240,6 +237,22 @@ float* ApackScratch() {
   return buf.get();
 }
 
+// Per-thread scratch for the B copies (the small-N pad, the small-M tail pad
+// and the blocked pack), grown on demand and never shrunk. Gemm fills it on
+// the calling thread, or in pool chunks it waits on, before any chunk reads
+// it; the caller runs no other work while it waits, so no second call can
+// reuse the buffer mid-read. Every element a kernel reads is written first,
+// so the buffer is never zero-initialized.
+float* BScratch(int64_t size) {
+  thread_local std::unique_ptr<float[]> buf;
+  thread_local int64_t capacity = 0;
+  if (capacity < size) {
+    buf = std::make_unique_for_overwrite<float[]>(static_cast<size_t>(size));
+    capacity = size;
+  }
+  return buf.get();
+}
+
 // Widest output for the register-strip small-N kernel below. The serving
 // models' weight matmuls are all this narrow (n = buckets, filters or
 // hidden size), where the blocked path's packing and edge tiles cost more
@@ -250,8 +263,9 @@ float* ApackScratch() {
 // so the choice is pure layout, not rounding.
 constexpr int64_t kSmallNMax = 16;
 
-// [rows, k] x [k, n] against a B copy whose rows are zero-padded to width P
-// (compile-time, so the P-column accumulator strips registerize). Each
+// [rows, k] x [k, n] against B rows of width P: B itself when n == P, else
+// a copy zero-padded to P (compile-time, so the P-column accumulator strips
+// registerize). Each
 // output element accumulates a[i, :]·b[:, j] in ascending k — the identical
 // per-element sum, term for term, as GemmNaive — and padding columns are
 // computed into registers but never stored, so results are bit-identical to
@@ -359,59 +373,39 @@ void GemmSmallMPanel(const float* a, const float* bp, int64_t ldb, float* c,
   }
 }
 
-// Per-thread zero-padded scratch for the small-m tail panel (k x kNR, grown
-// on demand and reused across calls).
-float* SmallMPadScratch(int64_t k) {
-  thread_local std::vector<float> buf;
-  if (static_cast<int64_t>(buf.size()) < k * kNR) {
-    buf.resize(static_cast<size_t>(k * kNR));
-  }
-  return buf.data();
-}
-
-// True when the blocked path would waste more on packing than it gains:
-// small problems and degenerate (vector-like) operands. Skinny outputs with
-// 4 <= n <= kSmallNMax no longer count as degenerate — Gemm routes them
-// through the padded register-strip kernel instead of the scalar triple
-// loop (the beta/bucket dims of the recover stage live exactly there).
-bool UseNaiveGemm(int64_t m, int64_t k, int64_t n) {
-  return m * k * n <= kGemmNaiveFlops || m < kMR || n < 4;
-}
-
-// Shared entry: C (zero-initialized, m x n) += A (m x k) * B (k x n),
-// choosing naive / small-n padded / blocked-serial / blocked-parallel by
-// problem size.
+// The one GEMM dispatch: C (m x n) = A (m x k) * B (k x n), with C
+// zero-filled on entry (the padded small-N kernel overwrites it; the others
+// accumulate onto it). Shape alone picks the kernel, and each one sums every
+// output element over k in ascending order under the pinned contraction, so
+// a product gives the same bits in every regime, at every thread count, and
+// whether its rows arrive as one matrix or as a batch flattened into one.
 void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
           int64_t n) {
-  if (UseNaiveGemm(m, k, n)) {
+  if (m < kMR) {
+    // Shorter than one register strip: no kernel below fills a tile.
     GemmNaive(pa, pb, po, m, k, n);
     return;
   }
   if (n <= kSmallNMax) {
-    // Skinny output: pad B's rows to a compile-time width once, then run
-    // the register-strip kernel over parallel row chunks (rows are
-    // independent, so any partition is bit-identical). GemmSmallPadded
-    // overwrites its output rows, matching the zero-filled C contract.
-    const int64_t pw = kSmallNMax;
-    auto bp =
-        std::make_unique_for_overwrite<float[]>(static_cast<size_t>(k * pw));
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* src = pb + kk * n;
-      float* dst = bp.get() + kk * pw;
-      for (int64_t j = 0; j < n; ++j) dst[j] = src[j];
-      for (int64_t j = n; j < pw; ++j) dst[j] = 0.0f;
+    // Skinny output: run the register-strip kernel over parallel row chunks
+    // against B's rows padded to kSmallNMax (B itself when n is that width).
+    const float* bp = pb;
+    if (n != kSmallNMax) {
+      float* pad = BScratch(k * kSmallNMax);
+      PadB(pb, k, n, 0, kSmallNMax, pad);
+      bp = pad;
     }
     ParallelFor(m, k * n, [&](int64_t i0, int64_t i1) {
-      GemmSmallPadded<kSmallNMax>(pa + i0 * k, bp.get(), po + i0 * n,
-                                  i1 - i0, k, n);
+      GemmSmallPadded<kSmallNMax>(pa + i0 * k, bp, po + i0 * n, i1 - i0, k,
+                                  n);
     });
     return;
   }
   if (m <= kSmallMMax) {
     // Short A against a wide B: packing either operand costs more than the
     // multiply itself. Stream B's full-width column panels in place and pad
-    // only the n % kNR tail into per-thread scratch. Panels write disjoint
-    // column ranges, so any partition across threads is bit-identical.
+    // only the n % kNR tail. Panels write disjoint column ranges, so any
+    // partition across threads is bit-identical.
     const int64_t full_tiles = n / kNR;
     ParallelFor(full_tiles, m * k * kNR, [&](int64_t t0, int64_t t1) {
       for (int64_t jt = t0; jt < t1; ++jt) {
@@ -421,29 +415,28 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
     });
     const int64_t j0 = full_tiles * kNR;
     if (j0 < n) {
-      const int64_t nr = n - j0;
-      float* pad = SmallMPadScratch(k);
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float* src = pb + kk * n + j0;
-        float* dst = pad + kk * kNR;
-        for (int64_t j = 0; j < nr; ++j) dst[j] = src[j];
-        for (int64_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
-      }
-      GemmSmallMPanel<kNR>(pa, pad, kNR, po, n, m, k, j0, nr);
+      float* pad = BScratch(k * kNR);
+      PadB(pb, k, n, j0, kNR, pad);
+      GemmSmallMPanel<kNR>(pa, pad, kNR, po, n, m, k, j0, n - j0);
     }
     return;
   }
-  // PackBTile fully writes each tile (padding included), so the pack buffer
-  // is allocated uninitialized.
-  auto bpack = std::make_unique_for_overwrite<float[]>(
-      static_cast<size_t>(NumJTiles(n) * k * kNR));
-  ParallelFor(NumJTiles(n), k * kNR, [&](int64_t t0, int64_t t1) {
-    for (int64_t jt = t0; jt < t1; ++jt) PackBTile(pb, k, n, jt, bpack.get());
-  });
+  // Blocked: pack B into j-tiles (B's own layout already when n == kNR),
+  // then run row blocks in parallel.
+  const float* bpack = pb;
+  if (n != kNR) {
+    float* pack = BScratch(NumJTiles(n) * k * kNR);
+    ParallelFor(NumJTiles(n), k * kNR, [&](int64_t t0, int64_t t1) {
+      for (int64_t jt = t0; jt < t1; ++jt) {
+        PadB(pb, k, n, jt * kNR, kNR, pack + jt * k * kNR);
+      }
+    });
+    bpack = pack;
+  }
   const int64_t num_blocks = (m + kMC - 1) / kMC;
   const int64_t block_work = std::min(kMC, m) * k * n;
   ParallelFor(num_blocks, block_work, [&](int64_t b0, int64_t b1) {
-    GemmRows(pa, bpack.get(), po, k, n, b0 * kMC, std::min(m, b1 * kMC),
+    GemmRows(pa, bpack, po, k, n, b0 * kMC, std::min(m, b1 * kMC),
              ApackScratch());
   });
 }
@@ -453,68 +446,6 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
 void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
                  int64_t k, int64_t n) {
   Gemm(a, b, out, m, k, n);
-}
-
-PackedGemmB PackGemmWeight(const Tensor& w) {
-  ODF_CHECK_EQ(w.rank(), 2);
-  const float* b = w.data();
-  PackedGemmB packed;
-  packed.k = w.dim(0);
-  packed.n = w.dim(1);
-  if (packed.n <= kSmallNMax) {
-    // Small-N path: row-major copy, columns zero-padded to one full SIMD
-    // vector (see kSmallNMax).
-    packed.pw = kSmallNMax;
-    packed.panels.assign(static_cast<size_t>(packed.k * packed.pw), 0.0f);
-    for (int64_t kk = 0; kk < packed.k; ++kk) {
-      for (int64_t j = 0; j < packed.n; ++j) {
-        packed.panels[static_cast<size_t>(kk * packed.pw + j)] =
-            b[kk * packed.n + j];
-      }
-    }
-    return packed;
-  }
-  packed.panels.resize(
-      static_cast<size_t>(NumJTiles(packed.n) * packed.k * kNR));
-  for (int64_t jt = 0; jt < NumJTiles(packed.n); ++jt) {
-    PackBTile(b, packed.k, packed.n, jt, packed.panels.data());
-  }
-  return packed;
-}
-
-bool PrepackedGemmViable(int64_t rows, int64_t k, int64_t n) {
-  (void)k;
-  (void)n;
-  return rows >= kMR;
-}
-
-void MatMulPrepackedInto(const Tensor& lhs, const PackedGemmB& b,
-                         Tensor* result) {
-  ODF_CHECK_EQ(lhs.numel() % b.k, 0);
-  const int64_t rows = lhs.numel() / b.k;
-  ODF_CHECK(PrepackedGemmViable(rows, b.k, b.n));
-  ODF_CHECK_EQ(result->numel(), rows * b.n);
-  const float* a = lhs.data();
-  float* out = result->data();
-  if (b.pw == kSmallNMax) {
-    GemmSmallPadded<kSmallNMax>(a, b.panels.data(), out, rows, b.k, b.n);
-    return;
-  }
-  std::fill(out, out + rows * b.n, 0.0f);
-  if (rows <= kSmallMMax) {
-    // Short A: the blocked path's per-call A packing costs more than the
-    // multiply. The packed tiles are already k x kNR row-major panels, so
-    // run the no-pack panel kernel straight over them (the last tile is
-    // zero-padded by PackBTile, making full-width reads safe).
-    for (int64_t jt = 0; jt < NumJTiles(b.n); ++jt) {
-      const int64_t j0 = jt * kNR;
-      GemmSmallMPanel<kNR>(a, b.panels.data() + jt * b.k * kNR, kNR, out,
-                           b.n, rows, b.k, j0,
-                           std::min<int64_t>(kNR, b.n - j0));
-    }
-    return;
-  }
-  GemmRows(a, b.panels.data(), out, b.k, b.n, 0, rows, ApackScratch());
 }
 
 namespace {
@@ -684,13 +615,6 @@ Tensor Sub(const Tensor& a, const Tensor& b) {
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BroadcastBinary(a, b, [](float x, float y) { return x * y; });
 }
-Tensor Div(const Tensor& a, const Tensor& b) {
-  return BroadcastBinary(a, b, [](float x, float y) { return x / y; });
-}
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  return BroadcastBinary(a, b,
-                         [](float x, float y) { return x > y ? x : y; });
-}
 
 Tensor AddScalar(const Tensor& a, float s) {
   return Unary(a, [s](float x) { return x + s; });
@@ -708,9 +632,6 @@ Tensor Exp(const Tensor& a) {
 Tensor Log(const Tensor& a) {
   return Unary(a, [](float x) { return std::log(x); });
 }
-Tensor Sqrt(const Tensor& a) {
-  return Unary(a, [](float x) { return std::sqrt(x); });
-}
 Tensor Tanh(const Tensor& a) {
   return Unary(a, [](float x) { return FastTanh(x); });
 }
@@ -719,15 +640,6 @@ Tensor Sigmoid(const Tensor& a) {
 }
 Tensor Relu(const Tensor& a) {
   return Unary(a, [](float x) { return x > 0 ? x : 0.0f; });
-}
-Tensor Abs(const Tensor& a) {
-  return Unary(a, [](float x) { return std::fabs(x); });
-}
-Tensor Clamp(const Tensor& a, float lo, float hi) {
-  return Unary(a, [lo, hi](float x) { return std::min(std::max(x, lo), hi); });
-}
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  return Unary(a, fn);
 }
 
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -816,54 +728,15 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out->data();
-  // The per-batch Gemm calls accumulate; start from the zero a fresh Tensor
-  // would hold.
+  // Gemm starts from the zero a fresh Tensor would hold.
   std::fill(po, po + batch * m * n, 0.0f);
-
-  const int64_t per_batch_flops = m * k * n;
-  if (batch * per_batch_flops <= kGemmNaiveFlops) {
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      GemmNaive(pa + bi * a_step, pb + bi * b_step, po + bi * m * n, m, k, n);
-    }
-    return;
-  }
-  if (UseNaiveGemm(m, k, n)) {
-    // Many small matrices: parallelize over whole batch elements.
-    ParallelFor(batch, per_batch_flops, [&](int64_t b0, int64_t b1) {
-      for (int64_t bi = b0; bi < b1; ++bi) {
-        GemmNaive(pa + bi * a_step, pb + bi * b_step, po + bi * m * n, m, k,
-                  n);
-      }
-    });
-    return;
-  }
   if (b_step == 0) {
-    // One shared right operand (broadcast): pack it once and parallelize
-    // over batch x row-block tasks.
-    std::vector<float> bpack(static_cast<size_t>(NumJTiles(n) * k * kNR));
-    ParallelFor(NumJTiles(n), k * kNR, [&](int64_t t0, int64_t t1) {
-      for (int64_t jt = t0; jt < t1; ++jt) {
-        PackBTile(pb, k, n, jt, bpack.data());
-      }
-    });
-    const int64_t num_blocks = (m + kMC - 1) / kMC;
-    const int64_t block_work = std::min(kMC, m) * k * n;
-    ParallelFor(batch * num_blocks, block_work, [&](int64_t t0, int64_t t1) {
-      std::vector<float> apack(static_cast<size_t>(kMC * kKC));
-      for (int64_t t = t0; t < t1; ++t) {
-        const int64_t bi = t / num_blocks;
-        const int64_t blk = t % num_blocks;
-        const int64_t i0 = blk * kMC;
-        GemmRows(pa + bi * a_step, bpack.data(), po + bi * m * n, k, n, i0,
-                 std::min(m, i0 + kMC), apack.data());
-      }
-    });
+    // One shared right operand: [batch, m, k] x [k, n] is one
+    // [batch·m, k] x [k, n] product, each row's sum unchanged.
+    Gemm(pa, pb, po, batch * m, k, n);
     return;
   }
-  // Large per-batch matrices, distinct B per batch: each batch element is a
-  // whole task running the full blocked pipeline (its nested ParallelFor
-  // calls serialize inside pool workers).
-  ParallelFor(batch, kMinChunkWork, [&](int64_t b0, int64_t b1) {
+  ParallelFor(batch, m * k * n, [&](int64_t b0, int64_t b1) {
     for (int64_t bi = b0; bi < b1; ++bi) {
       Gemm(pa + bi * a_step, pb + bi * b_step, po + bi * m * n, m, k, n);
     }

@@ -1,7 +1,6 @@
 #ifndef ODF_TENSOR_TENSOR_OPS_H_
 #define ODF_TENSOR_TENSOR_OPS_H_
 
-#include <functional>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -48,8 +47,6 @@ Tensor ReduceToShape(const Tensor& t, const Shape& target);
 Tensor Add(const Tensor& a, const Tensor& b);
 Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
-Tensor Div(const Tensor& a, const Tensor& b);
-Tensor Maximum(const Tensor& a, const Tensor& b);
 
 // -- Scalar ops ----------------------------------------------------------
 
@@ -62,15 +59,9 @@ Tensor Neg(const Tensor& a);
 Tensor Exp(const Tensor& a);
 /// Natural log; inputs must be positive (use AddScalar for smoothing).
 Tensor Log(const Tensor& a);
-Tensor Sqrt(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
-Tensor Abs(const Tensor& a);
-/// Clamps every element into [lo, hi].
-Tensor Clamp(const Tensor& a, float lo, float hi);
-/// Applies an arbitrary scalar function elementwise (test/utility use).
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
 
 // -- Matrix products ------------------------------------------------------
 
@@ -156,44 +147,12 @@ void SliceInto(const Tensor& a, int64_t axis, int64_t start, int64_t len,
 void SumInto(const Tensor& a, int64_t axis, bool keepdim, Tensor* out);
 void SoftmaxLastDimInto(const Tensor& a, Tensor* out);
 
-// -- Prepacked GEMM (compiled-inference weights) --------------------------
-//
-// The blocked GEMM packs its right operand into j-tile-major panels on
-// every call. For a static operand (a trained weight matrix on the serving
-// path) that pack can be hoisted: `PackGemmWeight` performs it once and
-// `MatMulPrepackedInto` runs the identical blocked row pipeline against the
-// stored panels — same micro-kernels, same k-ascending accumulation per
-// output element, so results are bit-identical to MatMul on the same
-// operands. Runs serially (the serving worker owns exactly one core-equiv
-// of work; pool dispatch on these problem sizes costs more than it saves).
-
-struct PackedGemmB {
-  // Narrow weights (n <= 16): row-major, columns zero-padded to `pw`.
-  // Wider weights (pw == 0): j-tile-major, kNR-strided (see tensor_ops.cc).
-  std::vector<float> panels;
-  int64_t k = 0;
-  int64_t n = 0;
-  int64_t pw = 0;  // padded row width of the small-n layout; 0 = blocked
-};
-
-/// Packs a rank-2 weight `b` ([k, n]) for MatMulPrepackedInto.
-PackedGemmB PackGemmWeight(const Tensor& b);
-
-/// True when the blocked prepacked path handles an [rows, k] x [k, n]
-/// product (enough rows for the register tile). Callers fall back to
-/// MatMulInto / BatchMatMulInto otherwise.
-bool PrepackedGemmViable(int64_t rows, int64_t k, int64_t n);
-
-/// out = a · b for `a` of any rank >= 1 flattened to [numel/k, k]; `out`
-/// must hold numel/k x n elements. Requires PrepackedGemmViable.
-void MatMulPrepackedInto(const Tensor& a, const PackedGemmB& b, Tensor* out);
-
 // -- Raw GEMM entry (layout kernels) --------------------------------------
 
 /// out (m x n, already zero-filled) += a (m x k) · b (k x n), raw row-major
-/// pointers. Runs the exact naive/blocked dispatch behind MatMul, so per-
-/// element accumulation (k-ascending, one fused chain) is bit-identical to
-/// the Tensor entry points. For layout-restructuring kernels (e.g. the wide
+/// pointers. Runs the one GEMM dispatch behind MatMul and BatchMatMul, so
+/// per-element accumulation (k-ascending, one fused chain) is bit-identical
+/// to the Tensor entry points. For layout-restructuring kernels (e.g. the wide
 /// Chebyshev basis) that operate on scratch buffers rather than Tensors.
 void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
                  int64_t k, int64_t n);

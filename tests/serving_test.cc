@@ -94,6 +94,34 @@ void ExpectPlanMatchesTape(Model& model, serve::ForwardPlan& plan,
   }
 }
 
+// Runs `plan` on samples `ids` as one batch, then on each sample alone, and
+// asserts that every row of the batched run equals that sample's batch-1
+// run bit for bit: the plan's flattened products must not depend on how
+// many samples share a batch.
+void ExpectBatchRowsMatchSingles(serve::ForwardPlan& plan,
+                                 const ForecastDataset& dataset,
+                                 const std::vector<int64_t>& ids) {
+  plan.Run(dataset.MakeBatch(ids).inputs);
+  std::vector<Tensor> batched;
+  for (int64_t j = 0; j < plan.horizon(); ++j) {
+    batched.push_back(plan.output(j));
+  }
+  for (size_t row = 0; row < ids.size(); ++row) {
+    plan.Run(dataset.MakeBatch({ids[row]}).inputs);
+    for (int64_t j = 0; j < plan.horizon(); ++j) {
+      const Tensor& single = plan.output(j);
+      const float* got = batched[static_cast<size_t>(j)].data() +
+                         static_cast<int64_t>(row) * single.numel();
+      EXPECT_EQ(std::memcmp(got, single.data(),
+                            static_cast<size_t>(single.numel()) *
+                                sizeof(float)),
+                0)
+          << "sample " << ids[row] << " horizon step " << j
+          << " differs between batch " << ids.size() << " and batch 1";
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Fused recovery kernel (satellite: one batched softmax_K(R⊗C) kernel).
 // ---------------------------------------------------------------------
@@ -254,7 +282,8 @@ TEST(ForwardPlanTest, MatchesTrainedCheckpointedAfAtEveryThreadCount) {
 // One table drives plan-vs-tape parity: every AF operator family, each
 // ablation, a two-layer CNRNN, dense and CSR graph paths, and BF with and
 // without attention. Every row runs at batch 1, 3 and 8 on 1 and 4 pool
-// threads, so each arena reallocation is covered too.
+// threads, so each arena reallocation is covered too, and each row's batch-8
+// run must equal its eight batch-1 runs.
 TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
   PoolGuard guard;
   TestWorld world = TestWorld::Make();
@@ -346,6 +375,8 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
         ExpectPlanMatchesTape(*model, plan, batch);
       }
     }
+    ExpectBatchRowsMatchSingles(plan, city.dataset,
+                                {1, 2, 6, 7, 9, 11, 13, 17});
   }
 }
 

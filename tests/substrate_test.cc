@@ -4,6 +4,7 @@
 // ODF_THREADS=1 and ODF_THREADS=4.
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
@@ -70,30 +71,54 @@ TEST(SubstrateGemmTest, LargeSquareMatchesNaiveReference) {
   EXPECT_TRUE(AllClose(MatMul(a, b), NaiveMatMulReference(a, b), 1e-4f));
 }
 
+// Shape alone picks the GEMM kernel, and every kernel gives each output
+// element the same bits. A rank-2 right operand flattens BatchMatMul into
+// one [batch·m, k] product, which lands in another regime than the per-slice
+// MatMul; a rank-3 one runs a product per slice. Both must equal MatMul of
+// each slice byte for byte. Rows put the slice in each regime for every
+// register tile a build may use (kMR 4, 6 or 8; kNR 8, 16 or 32).
 TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
   PoolGuard guard;
   Rng rng(21);
+  struct Row {
+    const char* regime;
+    int64_t m, k, n;
+  };
+  const Row rows[] = {
+      {"m < kMR", 3, 40, 20},
+      {"n == 16", 9, 37, 16},
+      {"n < 16", 13, 20, 5},
+      {"small m, n % kNR tail", 8, 50, 45},
+      {"blocked, n == kNR (kNR 32)", 40, 30, 32},
+      {"blocked, ragged n", 40, 70, 50},
+      {"blocked, ragged m, two row and k blocks", 67, 300, 40},
+  };
   const int64_t batch = 5;
-  const int64_t m = 33, k = 65, n = 17;
-  Tensor a = Tensor::RandomNormal(Shape({batch, m, k}), rng);
-  Tensor b3 = Tensor::RandomNormal(Shape({batch, k, n}), rng);
-  Tensor b2 = Tensor::RandomNormal(Shape({k, n}), rng);
-  for (int threads : {1, 4}) {
-    ThreadPool::Global().Resize(threads);
-    Tensor got3 = BatchMatMul(a, b3);
-    Tensor got2 = BatchMatMul(a, b2);  // rank-2 b broadcast over the batch
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      Tensor ai(Shape({m, k}));
-      std::copy(a.data() + bi * m * k, a.data() + (bi + 1) * m * k,
-                ai.data());
-      Tensor bslice(Shape({k, n}));
-      std::copy(b3.data() + bi * k * n, b3.data() + (bi + 1) * k * n,
-                bslice.data());
-      Tensor want3 = NaiveMatMulReference(ai, bslice);
-      Tensor want2 = NaiveMatMulReference(ai, b2);
-      for (int64_t i = 0; i < m * n; ++i) {
-        ASSERT_NEAR(got3.data()[bi * m * n + i], want3.data()[i], 1e-4f);
-        ASSERT_NEAR(got2.data()[bi * m * n + i], want2.data()[i], 1e-4f);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.regime);
+    const int64_t m = row.m, k = row.k, n = row.n;
+    Tensor a = Tensor::RandomNormal(Shape({batch, m, k}), rng);
+    Tensor b3 = Tensor::RandomNormal(Shape({batch, k, n}), rng);
+    Tensor w2 = Tensor::RandomNormal(Shape({k, n}), rng);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      ThreadPool::Global().Resize(threads);
+      const Tensor got2 = BatchMatMul(a, w2);
+      const Tensor got3 = BatchMatMul(a, b3);
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        const Tensor ai = Slice(a, 0, bi, 1).Reshape({m, k});
+        const Tensor bi3 = Slice(b3, 0, bi, 1).Reshape({k, n});
+        const Tensor want2 = MatMul(ai, w2);
+        const Tensor want3 = MatMul(ai, bi3);
+        const size_t bytes = static_cast<size_t>(m * n) * sizeof(float);
+        EXPECT_EQ(std::memcmp(got2.data() + bi * m * n, want2.data(), bytes),
+                  0)
+            << "BatchMatMul(a, w2) slice " << bi;
+        EXPECT_EQ(std::memcmp(got3.data() + bi * m * n, want3.data(), bytes),
+                  0)
+            << "BatchMatMul(a, b3) slice " << bi;
+        EXPECT_TRUE(AllClose(want2, NaiveMatMulReference(ai, w2), 1e-4f));
+        EXPECT_TRUE(AllClose(want3, NaiveMatMulReference(ai, bi3), 1e-4f));
       }
     }
   }
