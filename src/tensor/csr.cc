@@ -1,6 +1,7 @@
 #include "tensor/csr.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "tensor/tensor_ops.h"
@@ -11,9 +12,9 @@
 namespace odf {
 namespace {
 
-// Feature-tile width of the SpMM kernel: the accumulator block lives in a
-// stack array (vector registers once the loop is unrolled), so each x-row
-// visit costs only loads and FMAs — no read-modify-write of the output.
+// Feature-tile width of the SpMM kernel: the accumulator block lives in
+// vector registers across a row's nonzeros, so each x-row visit costs only
+// loads and FMAs — no read-modify-write of the output.
 constexpr int64_t kFTile = 32;
 
 }  // namespace
@@ -86,6 +87,124 @@ enum class SpmmEpilogue {
   kAddOther,     // out = acc + other       (final gradient combine)
 };
 
+// Accumulates the kW-lane feature window [w0, w0 + kW) of one output row,
+// Σ_idx av[idx]·x[ci[idx], w0 + c] over the row's nonzeros [begin, end), and
+// writes its lanes from f0 ≥ w0 on through the epilogue. kW is a compile-time
+// constant so the accumulator block stays in vector registers across the
+// nonzero loop; `xb`, `vrow` and `orow` point at column 0 of their rows.
+template <SpmmEpilogue kEp, int64_t kW>
+inline void SpmmWindow(int64_t begin, int64_t end, const int32_t* ci,
+                       const float* av, const float* __restrict xb,
+                       int64_t ldx, int64_t w0, int64_t f0,
+                       const float* __restrict vrow, float* __restrict orow) {
+  float acc[kW];
+  for (int64_t c = 0; c < kW; ++c) acc[c] = 0.0f;
+  for (int64_t idx = begin; idx < end; ++idx) {
+    const float v = av[idx];
+    const float* __restrict xrow =
+        xb + static_cast<int64_t>(ci[idx]) * ldx + w0;
+    for (int64_t c = 0; c < kW; ++c) acc[c] = ODF_FMADD(v, xrow[c], acc[c]);
+  }
+  for (int64_t c = 0; c < kW; ++c) {
+    const int64_t col = w0 + c;
+    if (col < f0) continue;
+    if constexpr (kEp == SpmmEpilogue::kStore) {
+      orow[col] = acc[c];
+    } else if constexpr (kEp == SpmmEpilogue::kChebCombine) {
+      orow[col] = 2.0f * acc[c] - vrow[col];
+    } else if constexpr (kEp == SpmmEpilogue::kAddTwice) {
+      orow[col] += 2.0f * acc[c];
+    } else {
+      orow[col] = acc[c] + vrow[col];
+    }
+  }
+}
+
+// SpmmWindow at the runtime power-of-two width w ≤ kW.
+template <SpmmEpilogue kEp, int64_t kW = 2 * kFTile>
+inline void SpmmWindowOfWidth(int64_t w, int64_t begin, int64_t end,
+                              const int32_t* ci, const float* av,
+                              const float* xb, int64_t ldx, int64_t w0,
+                              int64_t f0, const float* vrow, float* orow) {
+  if constexpr (kW > 1) {
+    if (w < kW) {
+      SpmmWindowOfWidth<kEp, kW / 2>(w, begin, end, ci, av, xb, ldx, w0, f0,
+                                     vrow, orow);
+      return;
+    }
+  }
+  SpmmWindow<kEp, kW>(begin, end, ci, av, xb, ldx, w0, f0, vrow, orow);
+}
+
+// GCC's -O3 unroll-and-jam (-floop-unroll-and-jam) fuses pairs of nonzero
+// iterations in SpmmWindow around its lane loop. The jammed body no longer
+// vectorizes and keeps the accumulator block on the stack: on the 64-node
+// shard graph the kernel ran 4.5–7.6× slower than with the pass off. The
+// row driver below, into which the windows inline, opts out. Clang has no
+// such pass.
+#if defined(__GNUC__) && !defined(__clang__)
+#define ODF_NO_UNROLL_AND_JAM \
+  __attribute__((optimize("no-loop-unroll-and-jam")))
+#else
+#define ODF_NO_UNROLL_AND_JAM
+#endif
+
+// Output rows t ∈ [t0, t1) of the flattened (batch, row) range, in lane
+// windows of compile-time width: kFTile-lane windows over [0, bulk), then
+// at most two power-of-two windows over the rest. With AVX2 or AVX-512 a
+// pass over a row's nonzeros costs about the same at 32 or 64 lanes (the
+// FMA chains' latency bounds it), so once f ≥ 2·kFTile a ragged tail joins
+// the last full window as one 2·kFTile-lane window. A tail window ends at
+// column f and may start before the lanes left to write; its leading lanes
+// repeat earlier windows' arithmetic in registers and are not stored. So
+// every window reads only columns [0, f) of x, and every output element
+// keeps one ascending-column fused chain.
+template <SpmmEpilogue kEp>
+ODF_NO_UNROLL_AND_JAM void SpmmRows(const CsrMatrix& a, int64_t f,
+                                    const float* x, int64_t ldx,
+                                    const float* other, int64_t ldother,
+                                    float* out, int64_t ldo, int64_t t0,
+                                    int64_t t1) {
+  const int64_t rows = a.rows();
+  const int64_t cols = a.cols();
+  const int64_t* rp = a.row_ptr().data();
+  const int32_t* ci = a.col_idx().data();
+  const float* av = a.values().data();
+  int64_t bulk = f / kFTile * kFTile;
+  if (bulk != f && bulk >= 2 * kFTile) bulk -= kFTile;
+  int64_t tail[2][2] = {};  // (width, first lane) of each tail window
+  int64_t tails = 0;
+  for (int64_t f0 = bulk; f0 < f; ++tails) {
+    const uint64_t rest = static_cast<uint64_t>(f - f0);
+    int64_t w = static_cast<int64_t>(std::bit_ceil(rest));
+    if (f >= kFTile) w = std::max(w, kFTile);
+    if (w > f) w = static_cast<int64_t>(std::bit_floor(rest));
+    tail[tails][0] = w;
+    tail[tails][1] = std::min(f0, f - w);
+    f0 = tail[tails][1] + w;
+  }
+  for (int64_t t = t0; t < t1; ++t) {
+    const int64_t b = t / rows;
+    const int64_t i = t % rows;
+    const float* xb = x + b * cols * ldx;
+    float* orow = out + (b * rows + i) * ldo;
+    const float* vrow =
+        other != nullptr ? other + (b * rows + i) * ldother : nullptr;
+    const int64_t begin = rp[i];
+    const int64_t end = rp[i + 1];
+    for (int64_t f0 = 0; f0 < bulk; f0 += kFTile) {
+      SpmmWindow<kEp, kFTile>(begin, end, ci, av, xb, ldx, f0, f0, vrow,
+                              orow);
+    }
+    int64_t f0 = bulk;
+    for (int64_t s = 0; s < tails; ++s) {
+      SpmmWindowOfWidth<kEp>(tail[s][0], begin, end, ci, av, xb, ldx,
+                             tail[s][1], f0, vrow, orow);
+      f0 = tail[s][1] + tail[s][0];
+    }
+  }
+}
+
 // Core CSR × dense kernel over strided row views. `x`, `other` and `out`
 // address row (b, i) at base + (b·n + i)·ld — so a feature-column slice of a
 // larger tensor can be read or written in place (ld = the enclosing row
@@ -97,64 +216,11 @@ void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
                int64_t ldx, const float* other, int64_t ldother, float* out,
                int64_t ldo) {
   if (f == 0 || batch == 0) return;
-  const int64_t rows = a.rows();
-  const int64_t cols = a.cols();
-  const int64_t* rp = a.row_ptr().data();
-  const int32_t* ci = a.col_idx().data();
-  const float* av = a.values().data();
   // Multiply-adds per output row: the mean row's nonzeros times f.
-  const int64_t row_work = a.nnz() * f / std::max<int64_t>(1, rows);
-  // Wrapped as a RangeFn even when it runs inline: as its own function the
-  // row body keeps the accumulator block in registers, while inlined into
-  // ChebyshevBasisInto it ran 10–15% slower.
-  ParallelFor(batch * rows, row_work, ThreadPool::RangeFn([&](int64_t t0,
-                                                              int64_t t1) {
-    float acc[kFTile];
-    for (int64_t t = t0; t < t1; ++t) {
-      const int64_t b = t / rows;
-      const int64_t i = t % rows;
-      const float* __restrict xb = x + b * cols * ldx;
-      float* __restrict orow = out + (b * rows + i) * ldo;
-      const float* __restrict vrow =
-          other != nullptr ? other + (b * rows + i) * ldother : nullptr;
-      const int64_t begin = rp[i];
-      const int64_t end = rp[i + 1];
-      for (int64_t f0 = 0; f0 < f; f0 += kFTile) {
-        const int64_t fw = std::min(kFTile, f - f0);
-        // `width` must be a compile-time constant on the full-tile path so
-        // the accumulator block registerizes across the nonzero loop (a
-        // runtime bound forces acc through the stack every iteration).
-        auto accumulate = [&]<bool kFull>(int64_t width) {
-          if constexpr (kFull) width = kFTile;
-          for (int64_t c = 0; c < width; ++c) acc[c] = 0.0f;
-          for (int64_t idx = begin; idx < end; ++idx) {
-            const float v = av[idx];
-            const float* __restrict xrow =
-                xb + static_cast<int64_t>(ci[idx]) * ldx + f0;
-            for (int64_t c = 0; c < width; ++c) {
-              acc[c] = ODF_FMADD(v, xrow[c], acc[c]);
-            }
-          }
-          for (int64_t c = 0; c < width; ++c) {
-            if constexpr (kEp == SpmmEpilogue::kStore) {
-              orow[f0 + c] = acc[c];
-            } else if constexpr (kEp == SpmmEpilogue::kChebCombine) {
-              orow[f0 + c] = 2.0f * acc[c] - vrow[f0 + c];
-            } else if constexpr (kEp == SpmmEpilogue::kAddTwice) {
-              orow[f0 + c] += 2.0f * acc[c];
-            } else {
-              orow[f0 + c] = acc[c] + vrow[f0 + c];
-            }
-          }
-        };
-        if (fw == kFTile) {
-          accumulate.template operator()<true>(kFTile);
-        } else {
-          accumulate.template operator()<false>(fw);
-        }
-      }
-    }
-  }));
+  const int64_t row_work = a.nnz() * f / std::max<int64_t>(1, a.rows());
+  ParallelFor(batch * a.rows(), row_work, [&](int64_t t0, int64_t t1) {
+    SpmmRows<kEp>(a, f, x, ldx, other, ldother, out, ldo, t0, t1);
+  });
 }
 
 Tensor SpMM(const CsrMatrix& a, const Tensor& x) {

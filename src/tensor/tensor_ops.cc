@@ -1122,7 +1122,10 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol) {
 
 namespace {
 
-// Per-thread scratch for FusedRecoverInto's flattened exp pass.
+// Destination cells per period of FusedRecoverInto's tiled r-vector.
+constexpr int64_t kRecoverTileCells = 16;
+
+// Per-thread scratch for FusedRecoverInto's flattened passes.
 float* RecoverMaxScratch(int64_t len) {
   thread_local std::vector<float> buf;
   if (static_cast<int64_t>(buf.size()) < len) {
@@ -1161,8 +1164,9 @@ void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
   // per-cell k-loops are too short for the vectorizer. Instead, each
   // (batch, origin) row owns an m·k contiguous slice of both `out` and the
   // destination factor `c`, so every pass below runs flat over that slice:
-  // pass 1 tiles the k-vector r[b,o,bb,:] across the row and accumulates
-  // with one contiguous FMA loop per beta term, pass 3 is one flat exp,
+  // pass 1 tiles the k-vector r[b,o,bb,:] into one period of whole cells
+  // and accumulates with one contiguous loop per beta term that sweeps the
+  // row period by period, pass 3 is one flat exp,
   // and pass 4 batches the per-cell reciprocals into a single vectorizable
   // divide loop. Every per-element operation (ascending-beta accumulate,
   // temperature scale, max-subtract, FastExp, ascending-k total, inverse
@@ -1173,13 +1177,14 @@ void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
   float* po = out->data();
   const int64_t rows = b * n;
   const int64_t row_len = m * k;
+  const int64_t period = std::min(kRecoverTileCells, m) * k;
   ParallelFor(rows, row_len * beta, [&](int64_t r0, int64_t r1) {
-    // Scratch: [0, row_len) tiled r-vector, [row_len, 2·row_len) per-element
-    // subtrahend / inverse, [2·row_len, 2·row_len + m) per-cell totals.
-    float* scratch = RecoverMaxScratch(2 * row_len + m);
-    float* tile = scratch;
-    float* sub = scratch + row_len;
-    float* tot = scratch + 2 * row_len;
+    // Scratch: [0, row_len) per-element subtrahend / inverse,
+    // [row_len, row_len + m) per-cell totals, then the r-tile period.
+    float* scratch = RecoverMaxScratch(row_len + m + period);
+    float* sub = scratch;
+    float* tot = scratch + row_len;
+    float* tile = scratch + row_len + m;
     for (int64_t row = r0; row < r1; ++row) {
       const int64_t bi = row / n;
       float* dst = po + row * row_len;
@@ -1187,11 +1192,21 @@ void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
       for (int64_t j = 0; j < row_len; ++j) dst[j] = 0.0f;
       for (int64_t bb = 0; bb < beta; ++bb) {
         const float* rv = pr + (row * beta + bb) * k;
-        for (int64_t d = 0; d < m; ++d) {
-          std::memcpy(tile + d * k, rv, static_cast<size_t>(k) * sizeof(float));
+        // Copy r once, then double the filled prefix: ⌈log2(period/k)⌉ + 1
+        // copies per (row, beta).
+        std::memcpy(tile, rv, static_cast<size_t>(k) * sizeof(float));
+        for (int64_t len = k; len < period; len *= 2) {
+          std::memcpy(tile + len, tile,
+                      static_cast<size_t>(std::min(len, period - len)) *
+                          sizeof(float));
         }
         const float* cv = pc + (bi * beta + bb) * row_len;
-        for (int64_t j = 0; j < row_len; ++j) dst[j] += tile[j] * cv[j];
+        for (int64_t j0 = 0; j0 < row_len; j0 += period) {
+          const int64_t len = std::min(period, row_len - j0);
+          float* __restrict out_j = dst + j0;
+          const float* __restrict c_j = cv + j0;
+          for (int64_t j = 0; j < len; ++j) out_j[j] += tile[j] * c_j[j];
+        }
       }
       for (int64_t j = 0; j < row_len; ++j) dst[j] *= temperature;
       // Pass 2: per-cell max, broadcast into the flat subtrahend array.

@@ -36,6 +36,7 @@
 #include "serve/service.h"
 #include "sim/scenario.h"
 #include "sim/trip_generator.h"
+#include "tensor/fast_math.h"
 #include "tensor/tensor_ops.h"
 #include "util/thread_pool.h"
 
@@ -164,10 +165,57 @@ TEST(FusedRecoverTest, GradCheckIncludingTemperature) {
   EXPECT_TRUE(result.ok) << result.max_abs_error;
 }
 
+// softmax_K(τ·R⊗C) one (b, o, d) cell at a time, in float, with the per-
+// element operations FusedRecover documents: acc += r·c over beta in
+// ascending order, times τ, the max over k, FastExp(q − max), the total
+// over k in ascending order, 1 / total, and one multiply.
+Tensor PerCellRecoverReference(const Tensor& r, const Tensor& c, float tau) {
+  const int64_t b = r.dim(0), n = r.dim(1), beta = r.dim(2), k = r.dim(3);
+  const int64_t m = c.dim(2);
+  Tensor out(Shape({b, n, m, k}));
+  std::vector<float> q(static_cast<size_t>(k));
+  for (int64_t bi = 0; bi < b; ++bi) {
+    for (int64_t o = 0; o < n; ++o) {
+      for (int64_t d = 0; d < m; ++d) {
+        for (int64_t j = 0; j < k; ++j) {
+          float acc = 0.0f;
+          for (int64_t be = 0; be < beta; ++be) {
+            acc += r[((bi * n + o) * beta + be) * k + j] *
+                   c[((bi * beta + be) * m + d) * k + j];
+          }
+          q[static_cast<size_t>(j)] = acc * tau;
+        }
+        float max_v = q[0];
+        for (int64_t j = 1; j < k; ++j) {
+          max_v = std::max(max_v, q[static_cast<size_t>(j)]);
+        }
+        float total = 0.0f;
+        for (float& v : q) total += (v = FastExp(v - max_v));
+        const float inv = 1.0f / total;
+        float* cell = out.data() + ((bi * n + o) * m + d) * k;
+        for (int64_t j = 0; j < k; ++j) {
+          cell[j] = q[static_cast<size_t>(j)] * inv;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Small signed integers times `scale`, a fixed non-random pattern.
+void FillPattern(Tensor* t, float scale, int shift) {
+  for (int64_t i = 0; i < t->numel(); ++i) {
+    t->data()[i] =
+        scale *
+        static_cast<float>(static_cast<int>((i * 13 + shift) % 23) - 11);
+  }
+}
+
 // The kernel the compiled plan calls, on edge inputs: FusedRecoverInto over
-// a preallocated buffer must equal the tape's allocating FusedRecover bit
-// for bit, stay within float rounding of a double-accumulated naive
-// softmax_K(τ·R⊗C), and keep every row finite and normalized.
+// a preallocated buffer and the tape's allocating FusedRecover must both
+// equal the per-cell float reference bit for bit, stay within float
+// rounding of a double-accumulated naive softmax_K(τ·R⊗C), and keep every
+// row finite and normalized.
 TEST(FusedRecoverTest, RawKernelEdgeInputs) {
   struct Case {
     const char* name;
@@ -188,25 +236,18 @@ TEST(FusedRecoverTest, RawKernelEdgeInputs) {
       {"b1-n2-m2-k1", 1, 2, 2, 3, 1, 0.4f, 0.3f, 1.1f, 7, 2, 0.0},
       {"b1-n16-m16", 1, 16, 16, 4, 7, 0.4f, 0.3f, 1.1f, 7, 2, 2e-6},
   };
-  // Small signed integers times `scale`, a fixed non-random pattern.
-  auto fill = [](Tensor* t, float scale, int shift) {
-    for (int64_t i = 0; i < t->numel(); ++i) {
-      t->data()[i] =
-          scale * static_cast<float>(static_cast<int>((i * 13 + shift) % 23) -
-                                     11);
-    }
-  };
   for (const Case& cs : cases) {
     SCOPED_TRACE(cs.name);
     const int64_t b = cs.b, n = cs.n, m = cs.m, beta = cs.beta, k = cs.k;
     Tensor r(Shape({b, n, beta, k}));
     Tensor c(Shape({b, beta, m, k}));
-    fill(&r, cs.r_scale, cs.r_shift);
-    fill(&c, cs.c_scale, cs.c_shift);
-    const Tensor want = FusedRecover(r, c, cs.tau);
+    FillPattern(&r, cs.r_scale, cs.r_shift);
+    FillPattern(&c, cs.c_scale, cs.c_shift);
+    const Tensor want = PerCellRecoverReference(r, c, cs.tau);
     Tensor got(Shape({b, n, m, k}));
     FusedRecoverInto(r, c, cs.tau, &got);
     ASSERT_TRUE(BitIdentical(got, want));
+    ASSERT_TRUE(BitIdentical(FusedRecover(r, c, cs.tau), want));
 
     std::vector<double> logits(static_cast<size_t>(k));
     for (int64_t cell = 0; cell < b * n * m; ++cell) {
@@ -233,6 +274,32 @@ TEST(FusedRecoverTest, RawKernelEdgeInputs) {
         sum += v;
       }
       ASSERT_NEAR(sum, 1.0, 1e-5) << "cell " << cell;
+    }
+  }
+}
+
+// The row-flattened kernel against the per-cell reference across the
+// shapes its row layout depends on: k below, at and past one vector of
+// lanes; m of one cell, a row shorter than the 16-cell r-tile period (5),
+// one period plus a partial one (17) and four whole periods (64); and beta
+// from one term to the shard model's 32.
+TEST(FusedRecoverTest, MatchesPerCellReferenceOnShapeGrid) {
+  for (const int64_t k : {1, 4, 7, 16, 17}) {
+    for (const int64_t m : {1, 5, 17, 64}) {
+      for (const int64_t beta : {1, 3, 32}) {
+        for (const int64_t b : {1, 2}) {
+          SCOPED_TRACE(::testing::Message() << "k=" << k << " m=" << m
+                                            << " beta=" << beta << " b=" << b);
+          const int64_t n = 3;
+          Tensor r(Shape({b, n, beta, k}));
+          Tensor c(Shape({b, beta, m, k}));
+          FillPattern(&r, 0.13f, 5);
+          FillPattern(&c, 0.09f, 8);
+          Tensor got(Shape({b, n, m, k}));
+          FusedRecoverInto(r, c, 1.7f, &got);
+          ASSERT_TRUE(BitIdentical(got, PerCellRecoverReference(r, c, 1.7f)));
+        }
+      }
     }
   }
 }
