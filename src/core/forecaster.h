@@ -44,11 +44,6 @@ struct TrainConfig {
   /// `<checkpoint_dir>/telemetry.jsonl` when checkpointing with `ODF_METRICS`
   /// truthy, otherwise disabled.
   std::string telemetry_path;
-  /// Chrome-trace capture scoped to this training run: started before the
-  /// first epoch and flushed here when training returns. Empty = no
-  /// run-scoped capture (a process-wide `ODF_TRACE=1` capture, if any,
-  /// still records the run and is left untouched).
-  std::string trace_path;
 };
 
 /// Common interface of every forecasting method in the study: the paper's

@@ -252,10 +252,6 @@ TrainResult TrainForecaster(NeuralForecaster& model,
                             const TrainConfig& config) {
   ODF_CHECK(!split.train.empty());
   const bool checkpointing = !config.checkpoint_dir.empty();
-  // Run-scoped trace capture: only when no process-wide capture (ODF_TRACE)
-  // is already recording, so we never steal an ambient trace's events.
-  const bool own_trace = !config.trace_path.empty() && !TraceEnabled();
-  if (own_trace) Tracer::Global().Start(config.trace_path);
   const std::string telemetry_path = ResolveTelemetryPath(config);
   if (!telemetry_path.empty()) {
     const auto parent = std::filesystem::path(telemetry_path).parent_path();
@@ -377,9 +373,6 @@ TrainResult TrainForecaster(NeuralForecaster& model,
     for (size_t i = 0; i < params.size(); ++i) {
       params[i].SetValue(best_weights[i]);
     }
-  }
-  if (own_trace && !Tracer::Global().Stop()) {
-    ODF_LOG(Warning) << "failed to write trace " << config.trace_path;
   }
   return result;
 }

@@ -194,6 +194,54 @@ ShardPartition PartitionRegions(const RegionGraph& graph,
   return out;
 }
 
+Tensor ShardPartition::MergeUnits(
+    const std::vector<const Tensor*>& units) const {
+  ODF_CHECK_EQ(static_cast<int64_t>(units.size()), num_units());
+  const int64_t n = num_regions;
+  const int64_t ps = num_shards();
+  const int64_t k = units.front()->shape().dims().back();
+  // The unit's [n_u, n_u, K] cells, dropping a leading batch-1 axis.
+  auto cells = [k](const Tensor& t, int64_t n_u) {
+    const int64_t rank = t.rank();
+    ODF_CHECK(rank == 3 || (rank == 4 && t.dim(0) == 1))
+        << "unit forecast must be [n, n, K] or [1, n, n, K]";
+    ODF_CHECK_EQ(t.dim(rank - 3), n_u);
+    ODF_CHECK_EQ(t.dim(rank - 2), n_u);
+    ODF_CHECK_EQ(t.dim(rank - 1), k);
+    return t.data();
+  };
+
+  Tensor out(Shape({n, n, k}));
+  float* dst = out.data();
+  for (int64_t p = 0; p < ps; ++p) {
+    const auto& shard = members[static_cast<size_t>(p)];
+    const int64_t np = static_cast<int64_t>(shard.size());
+    const float* src = cells(*units[static_cast<size_t>(p)], np);
+    for (int64_t lo = 0; lo < np; ++lo) {
+      for (int64_t ld = 0; ld < np; ++ld) {
+        const int64_t go = shard[static_cast<size_t>(lo)];
+        const int64_t gd = shard[static_cast<size_t>(ld)];
+        std::copy(src + (lo * np + ld) * k, src + (lo * np + ld + 1) * k,
+                  dst + (go * n + gd) * k);
+      }
+    }
+  }
+
+  if (num_units() > ps) {
+    const float* src = cells(*units.back(), ps);
+    for (int64_t go = 0; go < n; ++go) {
+      const int64_t so = shard_of[static_cast<size_t>(go)];
+      for (int64_t gd = 0; gd < n; ++gd) {
+        const int64_t sd = shard_of[static_cast<size_t>(gd)];
+        if (so == sd) continue;  // intra pairs belong to their shard
+        std::copy(src + (so * ps + sd) * k, src + (so * ps + sd + 1) * k,
+                  dst + (go * n + gd) * k);
+      }
+    }
+  }
+  return out;
+}
+
 RegionGraph ShardGraph(const RegionGraph& city,
                        const std::vector<int64_t>& members) {
   std::vector<Region> regions;

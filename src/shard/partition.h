@@ -9,6 +9,14 @@
 
 namespace odf::shard {
 
+/// Where one city OD pair lives in a sharded ensemble: the unit that owns
+/// it and the (row, col) cell of that unit's [n_u, n_u, K] forecast.
+struct UnitCell {
+  int64_t unit;
+  int64_t row;
+  int64_t col;
+};
+
 /// A disjoint cut of the city's regions into shards (docs/sharding.md).
 ///
 /// Shards are canonically ordered by their smallest member id and each
@@ -16,6 +24,11 @@ namespace odf::shard {
 /// function of (proximity matrix, num_shards) — shard membership determines
 /// model weights downstream, which makes this determinism load-bearing
 /// (shard_test pins it across runs and thread counts).
+///
+/// The partition is also the one owner of the ensemble's layout: the units
+/// are the shards in order, then (when there are two or more shards) the
+/// cross-shard boundary unit as unit num_shards(). Every OD pair belongs to
+/// exactly one unit; Locate names it and MergeUnits assembles the city.
 struct ShardPartition {
   int64_t num_regions = 0;
   /// Per shard, the global region ids it owns (ascending, non-empty).
@@ -32,6 +45,29 @@ struct ShardPartition {
     return shard_of[static_cast<size_t>(a)] ==
            shard_of[static_cast<size_t>(b)];
   }
+  /// Shards, plus the boundary unit when there is more than one shard.
+  int64_t num_units() const {
+    return num_shards() + (num_shards() > 1 ? 1 : 0);
+  }
+
+  /// The unit owning (origin, destination): an intra-shard pair lives in
+  /// its shard at the regions' local ids, a cross-shard pair in the
+  /// boundary unit at (origin's shard, destination's shard).
+  UnitCell Locate(int64_t origin, int64_t destination) const {
+    const int32_t so = shard_of[static_cast<size_t>(origin)];
+    const int32_t sd = shard_of[static_cast<size_t>(destination)];
+    if (so == sd) {
+      return {so, local_of[static_cast<size_t>(origin)],
+              local_of[static_cast<size_t>(destination)]};
+    }
+    return {num_shards(), so, sd};
+  }
+
+  /// The full-city [N, N, K] tensor of one horizon step, from that step of
+  /// every unit's forecast in unit order (`units.size() == num_units()`).
+  /// Unit u's tensor is [n_u, n_u, K], optionally with a leading batch-1
+  /// axis. Each city cell is a copy of the cell Locate names.
+  Tensor MergeUnits(const std::vector<const Tensor*>& units) const;
 };
 
 /// Cuts `graph` into (at most) `num_shards` spatially coherent shards by

@@ -26,89 +26,54 @@ ShardedModelConfig::ShardedModelConfig() {
 
 ShardedModel::ShardedModel(const RegionGraph& city, const TripSource* trips,
                            const ShardedModelConfig& config)
-    : city_(&city), trips_(trips), config_(config) {
+    : config_(config) {
   ODF_CHECK(trips != nullptr);
   partition_ = PartitionRegions(
       city, city.ProximityMatrix(config.partition_proximity),
       config.num_shards);
-  const int64_t p_count = partition_.num_shards();
 
-  for (int64_t p = 0; p < p_count; ++p) {
-    const std::vector<int64_t>& members = partition_.members[p];
-    // Intra-shard trips only, rewritten to shard-local region ids. The
-    // partition is captured by reference: it outlives every unit.
+  for (int64_t i = 0; i < partition_.num_units(); ++i) {
+    const bool boundary = i == partition_.num_shards();
+    // The unit's own trips, rewritten to its (row, col) cells: shard-local
+    // region ids for a shard, shard ids for the boundary. The boundary's
+    // diagonal never observes (intra pairs belong to the shards), which is
+    // loss-safe: the masked loss only scores observed cells. The partition
+    // is captured by reference: it outlives every unit.
     const ShardPartition& part = partition_;
-    TripMapper mapper = [&part, p](const Trip& trip, int32_t* o,
+    TripMapper mapper = [&part, i](const Trip& trip, int32_t* o,
                                    int32_t* d) {
-      if (part.shard_of[static_cast<size_t>(trip.origin)] != p ||
-          part.shard_of[static_cast<size_t>(trip.destination)] != p) {
-        return false;
-      }
-      *o = part.local_of[static_cast<size_t>(trip.origin)];
-      *d = part.local_of[static_cast<size_t>(trip.destination)];
+      const UnitCell cell = part.Locate(trip.origin, trip.destination);
+      if (cell.unit != i) return false;
+      *o = static_cast<int32_t>(cell.row);
+      *d = static_cast<int32_t>(cell.col);
       return true;
     };
-    AdvancedFrameworkConfig af = config_.shard_model;
-    af.seed = ShardSeed(config_.shard_model.seed, p);
-    shards_.push_back(
-        MakeUnit(ShardGraph(city, members), std::move(mapper), af, af.seed));
+    AdvancedFrameworkConfig af =
+        boundary ? config_.boundary_model : config_.shard_model;
+    af.seed = ShardSeed(af.seed, SeedIndex(i));
+
+    auto unit = std::make_unique<Unit>(
+        Unit{boundary ? BoundaryGraph(city, partition_)
+                      : ShardGraph(city, partition_.members[i]),
+             nullptr, nullptr, nullptr});
+    const int64_t n = unit->graph.size();
+    unit->source = std::make_unique<TripOdSource>(
+        trips, config_.spec, n, n, std::move(mapper), config_.stream_cache);
+    unit->dataset = std::make_unique<ForecastDataset>(
+        unit->source.get(), config_.history, config_.horizon);
+    unit->model = std::make_unique<AdvancedFramework>(
+        unit->graph, unit->graph, config_.spec.num_buckets(),
+        config_.horizon, af);
+    units_.push_back(std::move(unit));
   }
-
-  if (p_count > 1) {
-    // Cross-shard trips only, rewritten to shard ids — the boundary model
-    // forecasts one coarse histogram per (shard, shard) pair. Its diagonal
-    // never observes (intra pairs are filtered), which is loss-safe: the
-    // masked loss only scores observed cells.
-    const ShardPartition& part = partition_;
-    TripMapper mapper = [&part](const Trip& trip, int32_t* o, int32_t* d) {
-      const int32_t so = part.shard_of[static_cast<size_t>(trip.origin)];
-      const int32_t sd = part.shard_of[static_cast<size_t>(trip.destination)];
-      if (so == sd) return false;
-      *o = so;
-      *d = sd;
-      return true;
-    };
-    AdvancedFrameworkConfig af = config_.boundary_model;
-    af.seed = ShardSeed(config_.boundary_model.seed, -1);
-    boundary_ = MakeUnit(BoundaryGraph(city, partition_), std::move(mapper),
-                         af, af.seed);
-  }
-}
-
-std::unique_ptr<ShardedModel::Unit> ShardedModel::MakeUnit(
-    RegionGraph graph, TripMapper mapper,
-    const AdvancedFrameworkConfig& af_config, uint64_t unit_seed) {
-  auto unit = std::make_unique<Unit>(Unit{std::move(graph), nullptr, nullptr,
-                                          nullptr});
-  const int64_t n = unit->graph.size();
-  unit->source = std::make_unique<TripOdSource>(
-      trips_, config_.spec, n, n, std::move(mapper), config_.stream_cache);
-  unit->dataset = std::make_unique<ForecastDataset>(
-      unit->source.get(), config_.history, config_.horizon);
-  AdvancedFrameworkConfig af = af_config;
-  af.seed = unit_seed;
-  unit->model = std::make_unique<AdvancedFramework>(
-      unit->graph, unit->graph, config_.spec.num_buckets(), config_.horizon,
-      af);
-  return unit;
-}
-
-int64_t ShardedModel::num_units() const {
-  return num_shards() + (boundary_ ? 1 : 0);
-}
-
-ShardedModel::Unit& ShardedModel::unit(int64_t i) {
-  if (i < num_shards()) return *shards_[i];
-  ODF_CHECK(boundary_ != nullptr);
-  return *boundary_;
 }
 
 int64_t ShardedModel::NumSamples() const {
-  return shards_.front()->dataset->NumSamples();
+  return units_.front()->dataset->NumSamples();
 }
 
 ForecastDataset::Split ShardedModel::TrainSplit() const {
-  return shards_.front()->dataset->ChronologicalSplit(
+  return units_.front()->dataset->ChronologicalSplit(
       config_.train_fraction, config_.validation_fraction);
 }
 
@@ -125,9 +90,9 @@ std::vector<TrainResult> ShardedModel::Train(const TrainConfig& config) {
       TraceScope span("shard/", i < num_shards() ? "train_shard"
                                                  : "train_boundary",
                       "shard");
-      Unit& u = unit(i);
+      Unit& u = *units_[i];
       TrainConfig unit_config = config;
-      unit_config.seed = ShardSeed(config.seed, i < num_shards() ? i : -1);
+      unit_config.seed = ShardSeed(config.seed, SeedIndex(i));
       if (!config.checkpoint_dir.empty()) {
         unit_config.checkpoint_dir =
             config.checkpoint_dir +
@@ -142,53 +107,19 @@ std::vector<TrainResult> ShardedModel::Train(const TrainConfig& config) {
 }
 
 std::vector<Tensor> ShardedModel::Predict(int64_t sample) {
-  const int64_t n = city_->size();
-  const int64_t k = config_.spec.num_buckets();
-  const int64_t horizon = config_.horizon;
-
+  std::vector<std::vector<Tensor>> unit_preds;  // [1, n_u, n_u, K] per step
+  unit_preds.reserve(units_.size());
+  for (const auto& u : units_) {
+    unit_preds.push_back(u->model->Predict(u->dataset->MakeBatch({sample})));
+  }
   std::vector<Tensor> out;
-  out.reserve(static_cast<size_t>(horizon));
-  for (int64_t h = 0; h < horizon; ++h) {
-    out.emplace_back(Shape({n, n, k}));
-  }
-
-  for (int64_t p = 0; p < num_shards(); ++p) {
-    Unit& u = *shards_[p];
-    const std::vector<Tensor> pred =
-        u.model->Predict(u.dataset->MakeBatch({sample}));
-    const auto& members = partition_.members[p];
-    const int64_t np = static_cast<int64_t>(members.size());
-    for (int64_t h = 0; h < horizon; ++h) {
-      const float* src = pred[static_cast<size_t>(h)].data();  // [1,np,np,k]
-      float* dst = out[static_cast<size_t>(h)].data();
-      for (int64_t lo = 0; lo < np; ++lo) {
-        for (int64_t ld = 0; ld < np; ++ld) {
-          const int64_t go = members[static_cast<size_t>(lo)];
-          const int64_t gd = members[static_cast<size_t>(ld)];
-          std::copy(src + (lo * np + ld) * k, src + (lo * np + ld + 1) * k,
-                    dst + (go * n + gd) * k);
-        }
-      }
+  out.reserve(static_cast<size_t>(config_.horizon));
+  std::vector<const Tensor*> step(units_.size());
+  for (int64_t h = 0; h < config_.horizon; ++h) {
+    for (size_t u = 0; u < units_.size(); ++u) {
+      step[u] = &unit_preds[u][static_cast<size_t>(h)];
     }
-  }
-
-  if (boundary_ != nullptr) {
-    const std::vector<Tensor> pred =
-        boundary_->model->Predict(boundary_->dataset->MakeBatch({sample}));
-    const int64_t ps = num_shards();
-    for (int64_t h = 0; h < horizon; ++h) {
-      const float* src = pred[static_cast<size_t>(h)].data();  // [1,P,P,k]
-      float* dst = out[static_cast<size_t>(h)].data();
-      for (int64_t go = 0; go < n; ++go) {
-        const int64_t so = partition_.shard_of[static_cast<size_t>(go)];
-        for (int64_t gd = 0; gd < n; ++gd) {
-          const int64_t sd = partition_.shard_of[static_cast<size_t>(gd)];
-          if (so == sd) continue;  // intra pairs belong to their shard
-          std::copy(src + (so * ps + sd) * k, src + (so * ps + sd + 1) * k,
-                    dst + (go * n + gd) * k);
-        }
-      }
-    }
+    out.push_back(partition_.MergeUnits(step));
   }
   return out;
 }

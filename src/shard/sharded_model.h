@@ -63,29 +63,35 @@ struct ShardedModelConfig {
 /// values (shard_test pins this).
 class ShardedModel {
  public:
-  /// `city` and `trips` must outlive the model. `trips` must cover region
-  /// ids [0, city.size()) and be thread-safe (TripLogReader and
-  /// VectorTripSource both are).
+  /// `trips` must outlive the model, cover region ids [0, city.size()) and
+  /// be thread-safe (TripLogReader and VectorTripSource both are).
   ShardedModel(const RegionGraph& city, const TripSource* trips,
                const ShardedModelConfig& config);
 
   const ShardPartition& partition() const { return partition_; }
   int64_t num_shards() const { return partition_.num_shards(); }
-  bool has_boundary() const { return boundary_ != nullptr; }
-  /// Trainable units: num_shards(), plus 1 when has_boundary().
-  int64_t num_units() const;
+  bool has_boundary() const { return num_units() > num_shards(); }
+  /// Trainable units (ShardPartition::num_units): the shards, then the
+  /// boundary when has_boundary().
+  int64_t num_units() const { return static_cast<int64_t>(units_.size()); }
   const ShardedModelConfig& config() const { return config_; }
 
-  AdvancedFramework& shard_model(int64_t p) { return *shards_[p]->model; }
+  /// Unit `i`'s model and dataset, in ShardPartition's unit order.
+  AdvancedFramework& unit_model(int64_t i) { return *units_[i]->model; }
+  const ForecastDataset& unit_dataset(int64_t i) const {
+    return *units_[i]->dataset;
+  }
+
+  AdvancedFramework& shard_model(int64_t p) { return unit_model(p); }
   const ForecastDataset& shard_dataset(int64_t p) const {
-    return *shards_[p]->dataset;
+    return unit_dataset(p);
   }
   /// Null when num_shards() == 1 (no cross-shard pairs exist).
   AdvancedFramework* boundary_model() {
-    return boundary_ ? boundary_->model.get() : nullptr;
+    return has_boundary() ? &unit_model(num_shards()) : nullptr;
   }
   const ForecastDataset* boundary_dataset() const {
-    return boundary_ ? boundary_->dataset.get() : nullptr;
+    return has_boundary() ? &unit_dataset(num_shards()) : nullptr;
   }
 
   /// Windows per unit (identical across units by construction).
@@ -101,11 +107,12 @@ class ShardedModel {
   /// first.
   std::vector<TrainResult> Train(const TrainConfig& config);
 
-  /// Full-city forecast of window `sample`: horizon tensors [N, N, K] with
-  /// intra-shard cells from the owning shard's model and cross-shard cells
-  /// from the boundary model's (shard_o, shard_d) histogram. Runs the
-  /// units sequentially — the serving path (shard/sharded_service.h) is
-  /// the concurrent front-end.
+  /// Full-city forecast of window `sample`: horizon tensors [N, N, K], each
+  /// every unit's Predict merged by ShardPartition::MergeUnits (intra-shard
+  /// cells from the owning shard's model, cross-shard cells from the
+  /// boundary model's (shard_o, shard_d) histogram). Runs the units
+  /// sequentially — the serving path (shard/sharded_service.h) is the
+  /// concurrent front-end.
   std::vector<Tensor> Predict(int64_t sample);
 
  private:
@@ -116,17 +123,13 @@ class ShardedModel {
     std::unique_ptr<AdvancedFramework> model;
   };
 
-  std::unique_ptr<Unit> MakeUnit(RegionGraph graph, TripMapper mapper,
-                                 const AdvancedFrameworkConfig& af_config,
-                                 uint64_t unit_seed);
-  Unit& unit(int64_t i);
+  /// ShardSeed's shard index for unit `i`: its shard, or -1 for the
+  /// boundary.
+  int64_t SeedIndex(int64_t i) const { return i < num_shards() ? i : -1; }
 
-  const RegionGraph* city_;
-  const TripSource* trips_;
   ShardedModelConfig config_;
   ShardPartition partition_;
-  std::vector<std::unique_ptr<Unit>> shards_;
-  std::unique_ptr<Unit> boundary_;
+  std::vector<std::unique_ptr<Unit>> units_;  // ShardPartition's unit order
 };
 
 }  // namespace odf::shard

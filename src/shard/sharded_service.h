@@ -11,12 +11,12 @@
 namespace odf::shard {
 
 /// Sharded serving front-end (docs/sharding.md "Serving"): one compiled
-/// ForwardPlan + micro-batching ForecastService per shard, plus one for
-/// the boundary model, each with its own worker thread and
-/// current-interval cache. Queries route by the partition — an OD pair
-/// inside one shard hits that shard's service, a cross-shard pair hits
-/// the boundary service — and full-city snapshots are assembled by
-/// merging every service's cached forecast.
+/// ForwardPlan + micro-batching ForecastService per unit (every shard,
+/// then the boundary model), each with its own worker thread and
+/// current-interval cache. Queries route by ShardPartition::Locate — an OD
+/// pair inside one shard hits that shard's service, a cross-shard pair hits
+/// the boundary service — and full-city snapshots are every service's
+/// cached forecast merged by ShardPartition::MergeUnits.
 ///
 /// Plans are compiled at construction from the models' current weights
 /// (serve/forward_plan.h): construct after ShardedModel::Train. The model
@@ -47,17 +47,15 @@ class ShardedService {
   Tensor MergedForecast(int64_t step);
 
   int64_t num_shards() const { return model_->num_shards(); }
-  serve::ForecastService& shard_service(int64_t p) {
-    return *shard_services_[p];
-  }
+  serve::ForecastService& shard_service(int64_t p) { return *units_[p]; }
   serve::ForecastService* boundary_service() {
-    return boundary_service_.get();
+    return model_->has_boundary() ? units_.back().get() : nullptr;
   }
 
  private:
   ShardedModel* model_;
-  std::vector<std::unique_ptr<serve::ForecastService>> shard_services_;
-  std::unique_ptr<serve::ForecastService> boundary_service_;
+  /// One service per unit, in ShardPartition's unit order.
+  std::vector<std::unique_ptr<serve::ForecastService>> units_;
 };
 
 }  // namespace odf::shard

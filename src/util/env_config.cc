@@ -18,15 +18,6 @@ int64_t GetEnvInt(const char* name, int64_t fallback) {
   return static_cast<int64_t>(parsed);
 }
 
-double GetEnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr) return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  if (end == value) return fallback;
-  return parsed;
-}
-
 bool GetEnvBool(const char* name, bool fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr) return fallback;

@@ -65,9 +65,6 @@ std::string GetEnvString(const char* name, const std::string& fallback);
 /// Returns `name` parsed as int64, or `fallback` if unset/unparseable.
 int64_t GetEnvInt(const char* name, int64_t fallback);
 
-/// Returns `name` parsed as double, or `fallback` if unset/unparseable.
-double GetEnvDouble(const char* name, double fallback);
-
 /// Returns true when `name` is set to a truthy value ("1", "true", "on").
 bool GetEnvBool(const char* name, bool fallback);
 

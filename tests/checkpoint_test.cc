@@ -23,6 +23,7 @@
 #include "nn/linear.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
+#include "pool_guard.h"
 #include "sim/trip_generator.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
@@ -441,7 +442,8 @@ TrainConfig MakeTrainConfig(const std::string& dir, int epochs) {
 class ResumeDeterminismTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override { ThreadPool::Global().Resize(GetParam()); }
-  void TearDown() override { ThreadPool::Global().Resize(1); }
+
+  PoolGuard guard_;  // restores the pool size the test found
 };
 
 TEST_P(ResumeDeterminismTest, InterruptedRunIsBitIdenticalToStraightRun) {

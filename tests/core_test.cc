@@ -298,8 +298,10 @@ TEST(TrainerTest, ConfigDrivenTelemetryAndTrace) {
   TrainConfig train = FastTrain();
   train.epochs = 2;
   train.telemetry_path = dir + "/telemetry.jsonl";
-  train.trace_path = dir + "/train_trace.json";
+  const std::string trace_path = dir + "/train_trace.json";
+  Tracer::Global().Start(trace_path);
   TrainForecaster(model, world.dataset, world.split, train);
+  ASSERT_TRUE(Tracer::Global().Stop());
 
   std::ifstream telemetry(train.telemetry_path);
   ASSERT_TRUE(telemetry.good());
@@ -317,7 +319,7 @@ TEST(TrainerTest, ConfigDrivenTelemetryAndTrace) {
   }
   EXPECT_EQ(lines, 2);
 
-  std::ifstream trace(train.trace_path, std::ios::binary);
+  std::ifstream trace(trace_path, std::ios::binary);
   ASSERT_TRUE(trace.good());
   std::ostringstream buffer;
   buffer << trace.rdbuf();

@@ -1,23 +1,29 @@
 // Shard subsystem tests (docs/sharding.md): the partition is a
 // deterministic disjoint cover (byte-identical across runs and thread
 // counts — shard membership determines model weights, so this is
-// load-bearing), the Graclus coarsener it builds on is itself
-// deterministic, the sharded ensemble trains byte-identically across
-// ODF_THREADS, and the sharded serving path routes and merges exactly what
-// the models predict. The library's config defaults (model, shard, serve,
-// stream cache, graph path) hold whatever the environment says.
+// load-bearing), and the Graclus coarsener it builds on is itself
+// deterministic. One end-to-end table (MatchesPredictOnEveryConfiguration)
+// holds training determinism, Predict against a test-side reference, and
+// the serving merge and routing against Predict, over cities, shard counts,
+// trip backends and thread counts. The library's config defaults (model,
+// shard, serve, stream cache, graph path) hold whatever the environment
+// says. Tests that resize the pool restore it with PoolGuard, so the rest
+// run at the size the binary started with (ODF_THREADS).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/coarsen.h"
 #include "graph/laplacian.h"
 #include "od/stream_source.h"
 #include "od/trip_log.h"
+#include "pool_guard.h"
 #include "serve/service.h"
 #include "shard/partition.h"
 #include "shard/sharded_model.h"
@@ -73,12 +79,13 @@ std::vector<Trip> GridTrips(int rows, int cols, const TimePartition& tp,
   return trips;
 }
 
-ShardedModelConfig TinyConfig(int64_t num_shards) {
+ShardedModelConfig TinyConfig(int64_t num_shards, int64_t history = 2,
+                              int64_t buckets = 4) {
   ShardedModelConfig config;
   config.num_shards = num_shards;
-  config.spec = SpeedHistogramSpec(4, 4.0);
-  config.history = 2;
-  config.horizon = 1;
+  config.spec = SpeedHistogramSpec(buckets, 4.0);
+  config.history = history;
+  config.horizon = 2;
   config.shard_model.cheb_order = 2;
   config.shard_model.conv_filters = 2;
   config.shard_model.num_levels = 1;
@@ -108,13 +115,15 @@ TEST(CoarsenDeterminismTest, ByteIdenticalAcrossRunsAndThreadCounts) {
   const Tensor w = graph.ProximityMatrix(ProximityParams{1.0, 2.0});
 
   const CoarseningLevel first = CoarsenOnce(w);
-  for (int run = 0; run < 3; ++run) {
-    ThreadPool::Global().Resize(run % 2 == 0 ? 1 : 4);
-    const CoarseningLevel again = CoarsenOnce(w);
-    ASSERT_EQ(again.clusters, first.clusters);
-    ASSERT_TRUE(TensorBitEqual(again.coarse_w, first.coarse_w));
+  {
+    PoolGuard guard;
+    for (int run = 0; run < 3; ++run) {
+      ThreadPool::Global().Resize(run % 2 == 0 ? 1 : 4);
+      const CoarseningLevel again = CoarsenOnce(w);
+      ASSERT_EQ(again.clusters, first.clusters);
+      ASSERT_TRUE(TensorBitEqual(again.coarse_w, first.coarse_w));
+    }
   }
-  ThreadPool::Global().Resize(1);
 
   // The full hierarchy too.
   const auto h1 = BuildCoarseningHierarchy(w, 3);
@@ -223,6 +232,7 @@ TEST(PartitionTest, SpatiallyCoherentShards) {
 }
 
 TEST(PartitionTest, ByteIdenticalAcrossRunsAndThreadCounts) {
+  PoolGuard guard;
   const RegionGraph graph = RegionGraph::Grid(8, 8, 1.0);
   const Tensor w = graph.ProximityMatrix(ProximityParams{1.0, 2.0});
   const ShardPartition first = PartitionRegions(graph, w, 4);
@@ -233,7 +243,6 @@ TEST(PartitionTest, ByteIdenticalAcrossRunsAndThreadCounts) {
     ASSERT_EQ(again.shard_of, first.shard_of);
     ASSERT_EQ(again.local_of, first.local_of);
   }
-  ThreadPool::Global().Resize(1);
 }
 
 TEST(PartitionTest, ShardAndBoundaryGraphsPreserveGeometry) {
@@ -307,94 +316,194 @@ TEST(ConfigDefaultsTest, LibraryDefaultsIgnoreEnvironment) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: train determinism across thread counts, routing, merging.
+// End-to-end: training, Predict, routing and merging on one table.
 // ---------------------------------------------------------------------
 
-class ShardedEndToEndTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    tp_ = std::make_unique<TimePartition>(360, 2);  // 8 intervals
-    trips_ = GridTrips(4, 4, *tp_, /*per_interval=*/48, /*seed=*/99);
-    source_ = std::make_unique<VectorTripSource>(&trips_, *tp_);
-    city_ = std::make_unique<RegionGraph>(RegionGraph::Grid(4, 4, 1.0));
-  }
+/// A `rows`×`cols` grid city (1 km cells) with GridTrips over 8 six-hour
+/// intervals, held in memory.
+struct GridWorld {
+  GridWorld(int rows, int cols)
+      : trips(GridTrips(rows, cols, tp, /*per_interval=*/48, /*seed=*/99)),
+        memory(&trips, tp),
+        city(RegionGraph::Grid(rows, cols, 1.0)) {}
+  GridWorld(const GridWorld&) = delete;  // `memory` points at `trips`
+  GridWorld& operator=(const GridWorld&) = delete;
 
-  std::unique_ptr<TimePartition> tp_;
-  std::vector<Trip> trips_;
-  std::unique_ptr<VectorTripSource> source_;
-  std::unique_ptr<RegionGraph> city_;
+  TimePartition tp{360, 2};  // 8 intervals
+  std::vector<Trip> trips;
+  VectorTripSource memory;
+  RegionGraph city;
 };
 
-TEST_F(ShardedEndToEndTest, TrainAndPredictByteIdenticalAcrossThreadCounts) {
-  std::vector<std::vector<TrainResult>> results;
-  std::vector<std::vector<Tensor>> predictions;
-  for (int threads : {1, 4}) {
-    ThreadPool::Global().Resize(threads);
-    ShardedModel model(*city_, source_.get(), TinyConfig(4));
-    results.push_back(model.Train(TinyTrain()));
-    predictions.push_back(model.Predict(0));
+/// The city forecast of `sample`, one tensor per horizon step, built cell by
+/// cell from each unit's own Predict with the partition's `members`,
+/// `shard_of` and `local_of` alone — independent of ShardPartition::Locate
+/// and MergeUnits, which Predict and the service share.
+std::vector<Tensor> ReferencePredict(ShardedModel& model, int64_t sample) {
+  const ShardPartition& part = model.partition();
+  const int64_t n = part.num_regions;
+  const int64_t ps = part.num_shards();
+  const int64_t k = model.config().spec.num_buckets();
+  std::vector<std::vector<Tensor>> shard_preds;  // [1, n_p, n_p, K] per step
+  for (int64_t p = 0; p < ps; ++p) {
+    shard_preds.push_back(model.shard_model(p).Predict(
+        model.shard_dataset(p).MakeBatch({sample})));
   }
-  ThreadPool::Global().Resize(1);
+  std::vector<Tensor> boundary_preds;  // [1, P, P, K] per step
+  if (model.has_boundary()) {
+    boundary_preds = model.boundary_model()->Predict(
+        model.boundary_dataset()->MakeBatch({sample}));
+  }
 
-  ASSERT_EQ(results[0].size(), results[1].size());
-  for (size_t u = 0; u < results[0].size(); ++u) {
-    EXPECT_EQ(results[0][u].train_losses, results[1][u].train_losses)
-        << "unit " << u;
-    EXPECT_EQ(results[0][u].validation_losses,
-              results[1][u].validation_losses)
-        << "unit " << u;
+  std::vector<Tensor> out;
+  for (int64_t h = 0; h < model.config().horizon; ++h) {
+    const auto step = static_cast<size_t>(h);
+    Tensor city(Shape({n, n, k}));
+    for (int64_t o = 0; o < n; ++o) {
+      for (int64_t d = 0; d < n; ++d) {
+        const int64_t so = part.shard_of[static_cast<size_t>(o)];
+        const int64_t sd = part.shard_of[static_cast<size_t>(d)];
+        const float* cell = nullptr;
+        if (so == sd) {
+          const auto& members = part.members[static_cast<size_t>(so)];
+          const auto np = static_cast<int64_t>(members.size());
+          const int64_t lo = part.local_of[static_cast<size_t>(o)];
+          const int64_t ld = part.local_of[static_cast<size_t>(d)];
+          cell = shard_preds[static_cast<size_t>(so)][step].data() +
+                 (lo * np + ld) * k;
+        } else {
+          cell = boundary_preds[step].data() + (so * ps + sd) * k;
+        }
+        std::copy(cell, cell + k, city.data() + (o * n + d) * k);
+      }
+    }
+    out.push_back(std::move(city));
   }
-  ASSERT_EQ(predictions[0].size(), predictions[1].size());
-  for (size_t h = 0; h < predictions[0].size(); ++h) {
-    EXPECT_TRUE(TensorBitEqual(predictions[0][h], predictions[1][h]));
-  }
+  return out;
 }
 
-TEST_F(ShardedEndToEndTest, ServiceRoutesAndMergesExactly) {
-  ShardedModel model(*city_, source_.get(), TinyConfig(4));
-  ASSERT_TRUE(model.has_boundary());
-  model.Train(TinyTrain());
+// One table drives the sharded ensemble end to end. A 4×4 city and an
+// uneven 3×5 one (15 regions; history 1 and K = 2, the fewest buckets
+// SpeedHistogramSpec accepts) run at P ∈ {1, 2, 4} with horizon 2. Each
+// (city, P) trains on the in-memory trips and on an on-disk ODTL log of the
+// same trips, each at 1 and 4 pool threads, and every one of those runs
+// must:
+//   - have one unit per shard plus a boundary unit exactly when P > 1;
+//   - train to the same per-unit train and validation losses, and Predict
+//     the same bytes, as the in-memory 1-thread run;
+//   - Predict what the units' own Predict give, cell by cell
+//     (ReferencePredict);
+//   - serve MergedForecast(step) byte-identical to Predict at every step
+//     (compiled plans reproduce Predict bit for bit);
+//   - answer ForecastOd(o, d, step) with the merged cell for every pair,
+//     intra- and cross-shard alike.
+TEST(ShardedEndToEndTest, MatchesPredictOnEveryConfiguration) {
+  PoolGuard guard;
+  struct City {
+    const char* name;
+    int rows;
+    int cols;
+    int64_t history;
+    int64_t buckets;
+  };
+  const City cities[] = {{"grid4x4", 4, 4, 2, 4},
+                         {"grid3x5_h1_k2", 3, 5, 1, 2}};
+  for (const City& c : cities) {
+    SCOPED_TRACE(c.name);
+    const GridWorld world(c.rows, c.cols);
+    const std::string path =
+        ::testing::TempDir() + "/shard_e2e_" + c.name + ".odtl";
+    ASSERT_TRUE(WriteTripLog(world.trips, world.tp, world.city.size(), path));
+    TripLogReader log;
+    ASSERT_EQ(log.Open(path), TripLogStatus::kOk);
+    ASSERT_EQ(log.VerifyPayload(), TripLogStatus::kOk);
+    const std::pair<const char*, const TripSource*> backends[] = {
+        {"memory", &world.memory}, {"odtl", &log}};
 
-  const int64_t sample = 1;
-  const std::vector<Tensor> direct = model.Predict(sample);
+    for (const int64_t shards : {1, 2, 4}) {
+      const ShardedModelConfig config =
+          TinyConfig(shards, c.history, c.buckets);
+      const int64_t n = world.city.size();
+      const int64_t k = c.buckets;
+      std::vector<TrainResult> first_results;
+      std::vector<std::vector<Tensor>> first_predictions;  // per sample
+      for (const auto& [backend, trips] : backends) {
+        for (const int threads : {1, 4}) {
+          SCOPED_TRACE(testing::Message() << "P=" << shards << " " << backend
+                                          << " threads=" << threads);
+          ThreadPool::Global().Resize(threads);
+          ShardedModel model(world.city, trips, config);
+          ASSERT_EQ(model.num_shards(), shards);
+          EXPECT_EQ(model.has_boundary(), shards > 1);
+          EXPECT_EQ(model.num_units(), shards + (shards > 1 ? 1 : 0));
+          EXPECT_EQ(model.boundary_model() != nullptr, shards > 1);
 
-  ShardedService service(&model);
-  service.SetCurrentInterval(sample);
+          const std::vector<TrainResult> results = model.Train(TinyTrain());
+          ASSERT_EQ(static_cast<int64_t>(results.size()), model.num_units());
+          if (first_results.empty()) first_results = results;
+          for (size_t u = 0; u < results.size(); ++u) {
+            EXPECT_EQ(results[u].train_losses, first_results[u].train_losses)
+                << "unit " << u;
+            EXPECT_EQ(results[u].validation_losses,
+                      first_results[u].validation_losses)
+                << "unit " << u;
+          }
 
-  // Full-city merge is byte-identical to the direct (tape) prediction:
-  // compiled plans reproduce Predict bit-for-bit.
-  const Tensor merged = service.MergedForecast(0);
-  EXPECT_TRUE(TensorBitEqual(merged, direct[0]));
+          ShardedService service(&model);
+          EXPECT_EQ(service.boundary_service() != nullptr, shards > 1);
+          const int64_t samples[] = {0, model.NumSamples() - 1};
+          const bool first_run = first_predictions.empty();
+          for (size_t si = 0; si < 2; ++si) {
+            const int64_t sample = samples[si];
+            SCOPED_TRACE(testing::Message() << "sample " << sample);
+            const std::vector<Tensor> direct = model.Predict(sample);
+            ASSERT_EQ(static_cast<int64_t>(direct.size()), config.horizon);
+            if (first_run) first_predictions.push_back(direct);
+            const std::vector<Tensor> reference =
+                ReferencePredict(model, sample);
 
-  // Per-pair routing agrees with the merged tensor on intra- and
-  // cross-shard pairs alike.
-  const ShardPartition& partition = model.partition();
-  const int64_t n = partition.num_regions;
-  const int64_t k = model.config().spec.num_buckets();
-  int intra = 0;
-  int cross = 0;
-  for (int64_t o = 0; o < n; o += 3) {
-    for (int64_t d = 0; d < n; d += 5) {
-      const std::vector<float> hist = service.ForecastOd(o, d, 0);
-      ASSERT_EQ(hist.size(), static_cast<size_t>(k));
-      const float* expected = merged.data() + (o * n + d) * k;
-      for (int64_t b = 0; b < k; ++b) {
-        EXPECT_EQ(hist[static_cast<size_t>(b)], expected[b])
-            << "pair (" << o << "," << d << ") bucket " << b;
+            service.SetCurrentInterval(sample);
+            int intra = 0;
+            int cross = 0;
+            for (int64_t step = 0; step < config.horizon; ++step) {
+              SCOPED_TRACE(testing::Message() << "step " << step);
+              const auto h = static_cast<size_t>(step);
+              ASSERT_EQ(direct[h].shape(), Shape({n, n, k}));
+              EXPECT_TRUE(TensorBitEqual(direct[h], first_predictions[si][h]));
+              EXPECT_TRUE(TensorBitEqual(direct[h], reference[h]));
+              const Tensor merged = service.MergedForecast(step);
+              EXPECT_TRUE(TensorBitEqual(merged, direct[h]));
+
+              for (int64_t o = 0; o < n; ++o) {
+                for (int64_t d = 0; d < n; ++d) {
+                  const std::vector<float> hist =
+                      service.ForecastOd(o, d, step);
+                  ASSERT_EQ(hist.size(), static_cast<size_t>(k));
+                  ASSERT_EQ(std::memcmp(hist.data(),
+                                        merged.data() + (o * n + d) * k,
+                                        hist.size() * sizeof(float)),
+                            0)
+                      << "pair (" << o << "," << d << ")";
+                  (model.partition().SameShard(o, d) ? intra : cross) += 1;
+                }
+              }
+            }
+            EXPECT_GT(intra, 0);
+            EXPECT_EQ(cross > 0, shards > 1);
+          }
+        }
       }
-      (partition.SameShard(o, d) ? intra : cross) += 1;
     }
   }
-  EXPECT_GT(intra, 0);
-  EXPECT_GT(cross, 0);
 }
 
 // A client `step` outside [0, horizon) is rejected before any forecast is
 // read, on the per-pair and the merged path alike.
-TEST_F(ShardedEndToEndTest, StepOutsideHorizonIsRejected) {
+TEST(ShardedEndToEndTest, StepOutsideHorizonIsRejected) {
   // The service runs worker threads: re-execute the binary per death test.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  ShardedModel model(*city_, source_.get(), TinyConfig(4));
+  const GridWorld world(4, 4);
+  ShardedModel model(world.city, &world.memory, TinyConfig(4));
   ShardedService service(&model);
   service.SetCurrentInterval(1);
   const int64_t horizon = model.config().horizon;
@@ -402,44 +511,6 @@ TEST_F(ShardedEndToEndTest, StepOutsideHorizonIsRejected) {
     SCOPED_TRACE("step " + std::to_string(step));
     EXPECT_DEATH(service.ForecastOd(0, 1, step), "CHECK\\(step");
     EXPECT_DEATH(service.MergedForecast(step), "CHECK\\(step");
-  }
-}
-
-TEST_F(ShardedEndToEndTest, SingleShardHasNoBoundaryModel) {
-  ShardedModel model(*city_, source_.get(), TinyConfig(1));
-  EXPECT_EQ(model.num_shards(), 1);
-  EXPECT_FALSE(model.has_boundary());
-  EXPECT_EQ(model.boundary_model(), nullptr);
-  EXPECT_EQ(model.num_units(), 1);
-  model.Train(TinyTrain());
-  const std::vector<Tensor> predicted = model.Predict(0);
-  ASSERT_EQ(predicted.size(), 1u);
-  EXPECT_EQ(predicted[0].dim(0), 16);
-  EXPECT_EQ(predicted[0].dim(1), 16);
-}
-
-TEST_F(ShardedEndToEndTest, StreamingLogBackendMatchesInMemoryBackend) {
-  // The same ensemble built over the on-disk trip log trains to the same
-  // bytes as over the in-memory vector source.
-  const std::string path = ::testing::TempDir() + "/shard_e2e.odtl";
-  ASSERT_TRUE(WriteTripLog(trips_, *tp_, city_->size(), path));
-  TripLogReader reader;
-  ASSERT_EQ(reader.Open(path), TripLogStatus::kOk);
-  ASSERT_EQ(reader.VerifyPayload(), TripLogStatus::kOk);
-
-  ShardedModel from_memory(*city_, source_.get(), TinyConfig(2));
-  ShardedModel from_disk(*city_, &reader, TinyConfig(2));
-  const auto results_memory = from_memory.Train(TinyTrain());
-  const auto results_disk = from_disk.Train(TinyTrain());
-  ASSERT_EQ(results_memory.size(), results_disk.size());
-  for (size_t u = 0; u < results_memory.size(); ++u) {
-    EXPECT_EQ(results_memory[u].train_losses, results_disk[u].train_losses);
-  }
-  const std::vector<Tensor> p_memory = from_memory.Predict(2);
-  const std::vector<Tensor> p_disk = from_disk.Predict(2);
-  ASSERT_EQ(p_memory.size(), p_disk.size());
-  for (size_t h = 0; h < p_memory.size(); ++h) {
-    EXPECT_TRUE(TensorBitEqual(p_memory[h], p_disk[h]));
   }
 }
 
