@@ -175,16 +175,13 @@ Var SpMM(std::shared_ptr<const GraphOperator> op, const Var& x) {
   ODF_TRACE_SCOPE("fwd/", "SpMM", "fwd");
   ODF_CHECK(x.rank() == 2 || x.rank() == 3);
   ODF_CHECK_EQ(x.dim(x.rank() - 2), op->nodes());
-  Tensor out = SkipKernel(x)          ? Tensor::ShapeOnly(x.shape())
-               : op->use_sparse() ? odf::SpMM(op->csr(), x.value())
-                                  : odf::BatchMatMul(op->dense(), x.value());
+  Tensor out = SkipKernel(x) ? Tensor::ShapeOnly(x.shape())
+                             : odf::GraphApply(*op, x.value());
   return MakeOpVar(
       "SpMM", std::move(out), {x},
       [op](Node& node) {
-        Tensor dx = op->use_sparse()
-                        ? odf::SpMM(op->csr_transpose(), node.grad)
-                        : odf::BatchMatMul(op->dense_transpose(), node.grad);
-        node.parents[0]->AccumulateGrad(dx);
+        node.parents[0]->AccumulateGrad(
+            odf::GraphApply(*op, node.grad, /*transpose=*/true));
       },
       {.graph = op});
 }

@@ -33,9 +33,9 @@ Var BatchMatMul(const Var& a, const Var& b);
 
 /// Applies a constant graph operator along the node dimension:
 /// y[b, i, f] = Σ_j L̂[i, j] · x[b, j, f] for x of shape [B, n, F] (or
-/// [n, F]). Runs the CSR SpMM kernel when `op` selected the sparse path and
-/// the dense BatchMatMul kernel otherwise; the gradient w.r.t. x is
-/// L̂ᵀ · dy through the same kernel choice (L̂ itself is constant).
+/// [n, F]), through odf::GraphApply, which picks the CSR or dense kernel
+/// `op` selected; the gradient w.r.t. x is L̂ᵀ · dy through the same call
+/// with `transpose` (L̂ itself is constant).
 Var SpMM(std::shared_ptr<const GraphOperator> op, const Var& x);
 
 /// Fused Chebyshev basis: maps x [B, n, F] to [T_1 | T_2 | … | T_order]

@@ -7,10 +7,10 @@
 
 namespace odf {
 
-/// Read-only provider of per-interval OD tensors — the abstraction that lets
-/// ForecastDataset consume either a fully materialized OdTensorSeries or a
-/// streaming backend (od/stream_source.h) that builds tensors on demand from
-/// a trip log, so dataset size is no longer bounded by RAM.
+/// Read-only provider of per-interval OD tensors — the abstraction behind
+/// ForecastDataset's streaming mode, where a backend (od/stream_source.h)
+/// builds tensors on demand from a trip log, so dataset size is no longer
+/// bounded by RAM.
 ///
 /// `Interval` returns a shared snapshot rather than a bare reference so a
 /// bounded streaming cache can evict entries while callers (e.g. the
@@ -26,30 +26,6 @@ class OdSource {
 
   /// Snapshot of interval `t`'s OD tensor; never null.
   virtual std::shared_ptr<const OdTensor> Interval(int64_t t) const = 0;
-};
-
-/// Non-owning OdSource view over a materialized series: hands out aliasing
-/// shared_ptrs (no control block, no copy, no deleter) since the series —
-/// which must outlive the view — already owns every tensor.
-class SeriesOdSource final : public OdSource {
- public:
-  explicit SeriesOdSource(const OdTensorSeries* series) : series_(series) {
-    ODF_CHECK(series != nullptr);
-  }
-
-  int64_t NumIntervals() const override { return series_->NumIntervals(); }
-
-  std::shared_ptr<const OdTensor> Interval(int64_t t) const override {
-    ODF_CHECK_GE(t, 0);
-    ODF_CHECK_LT(t, series_->NumIntervals());
-    return std::shared_ptr<const OdTensor>(std::shared_ptr<const OdTensor>(),
-                                           &series_->at(t));
-  }
-
-  const OdTensorSeries& series() const { return *series_; }
-
- private:
-  const OdTensorSeries* series_;
 };
 
 }  // namespace odf

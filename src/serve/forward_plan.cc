@@ -112,8 +112,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
       ChebyshevBasisInto(*ins.attrs.graph, a, ins.attrs.order, &out);
       break;
     case OpKind::kGraphApply:
-      // The same kernels ag::SpMM's forward dispatches to (tiled CSR SpMM /
-      // batched blocked GEMM).
+      // The kernel ag::SpMM's forward calls.
       GraphApplyInto(*ins.attrs.graph, a, &out);
       break;
     case OpKind::kGraphPool:

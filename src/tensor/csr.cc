@@ -223,7 +223,12 @@ void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
   });
 }
 
-Tensor SpMM(const CsrMatrix& a, const Tensor& x) {
+namespace {
+
+// The CSR product behind odf::SpMM and GraphApplyInto's sparse path:
+// out[b] = a · x[b] for `batch` dense [a.cols(), f] operands.
+void SpmmInto(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
+              float* out) {
   ODF_TRACE_SCOPE("kernel/", "spmm", "kernel");
   static Histogram& spmm_hist =
       MetricsRegistry::Global().GetHistogram("spmm.seconds");
@@ -232,22 +237,8 @@ Tensor SpMM(const CsrMatrix& a, const Tensor& x) {
     static Counter& calls = MetricsRegistry::Global().GetCounter("spmm.calls");
     calls.Add(1);
   }
-  const bool squeeze = x.rank() == 2;
-  ODF_CHECK(x.rank() == 2 || x.rank() == 3);
-  const int64_t batch = squeeze ? 1 : x.dim(0);
-  const int64_t n = squeeze ? x.dim(0) : x.dim(1);
-  const int64_t f = squeeze ? x.dim(1) : x.dim(2);
-  ODF_CHECK_EQ(n, a.cols()) << "spmm " << a.rows() << "x" << a.cols()
-                            << " x " << x.shape().ToString();
-  Tensor out(squeeze ? Shape({a.rows(), f})
-                     : Shape({batch, a.rows(), f}));
-  if (a.nnz() == 0 || f == 0) return out;
-  SpmmTiled<SpmmEpilogue::kStore>(a, batch, f, x.data(), f, nullptr, 0,
-                                  out.data(), f);
-  return out;
+  SpmmTiled<SpmmEpilogue::kStore>(a, batch, f, x, f, nullptr, 0, out, f);
 }
-
-namespace {
 
 // Row-wise strided copy: dst row (b·n + i)·ld_dst ⟵ src row (b·n + i)·ld_src,
 // f floats each.
@@ -271,6 +262,20 @@ float* ChebWideScratch(int64_t len) {
 }
 
 }  // namespace
+
+Tensor SpMM(const CsrMatrix& a, const Tensor& x) {
+  const bool squeeze = x.rank() == 2;
+  ODF_CHECK(x.rank() == 2 || x.rank() == 3);
+  const int64_t batch = squeeze ? 1 : x.dim(0);
+  const int64_t n = squeeze ? x.dim(0) : x.dim(1);
+  const int64_t f = squeeze ? x.dim(1) : x.dim(2);
+  ODF_CHECK_EQ(n, a.cols()) << "spmm " << a.rows() << "x" << a.cols()
+                            << " x " << x.shape().ToString();
+  Tensor out(squeeze ? Shape({a.rows(), f})
+                     : Shape({batch, a.rows(), f}));
+  SpmmInto(a, batch, f, x.data(), out.data());
+  return out;
+}
 
 void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
                         int64_t order, Tensor* out) {
@@ -355,7 +360,6 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
     // either way and matches the SpMM's fused epilogue bit-for-bit.
     for (int64_t s = 1; s < order; ++s) {
       float* cur = bufs[s % 3];
-      std::fill(cur, cur + n * wide, 0.0f);
       GemmRawInto(op.dense().data(), s == 1 ? tap0() : bufs[(s - 1) % 3],
                   cur, n, n, wide);
       if (s >= 2) {
@@ -477,20 +481,27 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
   return gx;
 }
 
-void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out) {
+void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out,
+                    bool transpose) {
   ODF_TRACE_SCOPE("kernel/", "graph_apply", "kernel");
-  ODF_CHECK_EQ(x.rank(), 3);
-  const int64_t batch = x.dim(0);
-  const int64_t n = x.dim(1);
-  const int64_t f = x.dim(2);
+  ODF_CHECK(x.rank() == 2 || x.rank() == 3);
+  const int64_t batch = x.rank() == 2 ? 1 : x.dim(0);
+  const int64_t n = x.dim(-2);
+  const int64_t f = x.dim(-1);
   ODF_CHECK_EQ(n, op.nodes());
   ODF_CHECK(out->shape() == x.shape());
   if (op.use_sparse()) {
-    SpmmTiled<SpmmEpilogue::kStore>(op.csr(), batch, f, x.data(), f, nullptr,
-                                    0, out->data(), f);
+    SpmmInto(transpose ? op.csr_transpose() : op.csr(), batch, f, x.data(),
+             out->data());
   } else {
-    BatchMatMulInto(op.dense(), x, out);
+    BatchMatMulInto(transpose ? op.dense_transpose() : op.dense(), x, out);
   }
+}
+
+Tensor GraphApply(const GraphOperator& op, const Tensor& x, bool transpose) {
+  Tensor out(x.shape());
+  GraphApplyInto(op, x, &out, transpose);
+  return out;
 }
 
 std::shared_ptr<const GraphOperator> GraphOperator::Make(Tensor dense,

@@ -89,14 +89,20 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
 Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
                           int64_t order);
 
-/// Single graph application op · x [B, n, F] into a preallocated [B, n, F]
-/// output — the compiled serving path's lowering of ag::SpMM (serve
-/// kGraphApply, used by the diffusion and correlation bases). Calls the
-/// kernels ag::SpMM's forward calls — the CSR tiled SpMM behind odf::SpMM
-/// (parallel over output rows under ParallelFor) on the sparse path,
-/// BatchMatMulInto on the dense path — so results are bit-identical to the
-/// tape at every thread count.
-void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out);
+/// Single graph application op · x (or opᵀ · x with `transpose`) for x of
+/// shape [B, n, F] or [n, F], into a preallocated output of x's shape: the
+/// one owner of the dense-vs-CSR choice for a plain graph product. The tape
+/// runs it both ways (ag::SpMM's forward, and its backward with
+/// `transpose`) and the compiled serving plan runs its forward (serve
+/// kGraphApply, used by the diffusion and correlation bases). The sparse
+/// path runs the CSR tiled SpMM behind odf::SpMM, the dense path
+/// BatchMatMulInto, so results are bit-identical at every thread count.
+void GraphApplyInto(const GraphOperator& op, const Tensor& x, Tensor* out,
+                    bool transpose = false);
+
+/// GraphApplyInto into a fresh tensor of x's shape.
+Tensor GraphApply(const GraphOperator& op, const Tensor& x,
+                  bool transpose = false);
 
 /// A constant square matrix operand — the scaled graph Laplacian L̂ — held
 /// in both dense and CSR form (plus both transposes) behind one shared

@@ -87,9 +87,6 @@ class Tensor {
 
   // -- Factories --------------------------------------------------------
 
-  /// All-zeros tensor.
-  static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
-
   /// All-ones tensor.
   static Tensor Ones(Shape shape) { return Full(std::move(shape), 1.0f); }
 

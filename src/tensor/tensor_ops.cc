@@ -49,23 +49,6 @@ constexpr int64_t kMC = 64 / kMR * kMR;
 // plan share them, so plan-vs-tape bit-identity is structural). Tile
 // constants are sized for the fp32 vector width.
 
-// The seed's i-k-j triple loop, the path for A shorter than one register
-// strip. Accumulates over k in ascending order, exactly like the
-// micro-kernel.
-void GemmNaive(const float* pa, const float* pb, float* po, int64_t m,
-               int64_t k, int64_t n) {
-  for (int64_t i = 0; i < m; ++i) {
-    float* orow = po + i * n;
-    const float* arow = pa + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = pb + kk * n;
-      for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
-}
-
 // Packs rows [i0, i0+rows) x columns [k0, k0+depth) of `a` (leading
 // dimension `lda`) into `buf` as ceil(rows/kMR) interleaved strips:
 // buf[strip][kk * kMR + r] = a[i0 + strip*kMR + r][k0 + kk], zero-padded in
@@ -178,14 +161,16 @@ void MicroKernelEdge(const float* ap, const float* bp, float* c, int64_t ldc,
 }
 
 // Blocked GEMM over output rows [i0, i1) against packed B; `apack` is a
-// caller-provided kMC * kKC scratch buffer. Row-block boundaries are
-// absolute (multiples of kMC from row 0), so any partition of blocks across
-// threads computes each C element with the identical k-ascending
-// accumulation order.
+// caller-provided kMC * kKC scratch buffer. Each row block is zero-filled,
+// then the micro-kernels accumulate its kKC depth slices onto it. Row-block
+// boundaries are absolute (multiples of kMC from row 0), so any partition
+// of blocks across threads computes each C element with the identical
+// k-ascending accumulation order.
 void GemmRows(const float* pa, const float* bpack, float* po, int64_t k,
               int64_t n, int64_t i0, int64_t i1, float* apack) {
   for (int64_t ib = i0; ib < i1; ib += kMC) {
     const int64_t rows = std::min(kMC, i1 - ib);
+    std::fill(po + ib * n, po + (ib + rows) * n, 0.0f);
     for (int64_t k0 = 0; k0 < k; k0 += kKC) {
       const int64_t depth = std::min(kKC, k - k0);
       PackA(pa, k, ib, rows, k0, depth, apack);
@@ -253,7 +238,7 @@ float* BScratch(int64_t size) {
   return buf.get();
 }
 
-// Widest output for the register-strip small-N kernel below. The serving
+// Widest output for the row-strip kernel's small-N regime. The serving
 // models' weight matmuls are all this narrow (n = buckets, filters or
 // hidden size), where the blocked path's packing and edge tiles cost more
 // than the multiply itself. It is also the zero-padded row width of the
@@ -263,80 +248,28 @@ float* BScratch(int64_t size) {
 // so the choice is pure layout, not rounding.
 constexpr int64_t kSmallNMax = 16;
 
-// [rows, k] x [k, n] against B rows of width P: B itself when n == P, else
-// a copy zero-padded to P (compile-time, so the P-column accumulator strips
-// registerize). Each
-// output element accumulates a[i, :]·b[:, j] in ascending k — the identical
-// per-element sum, term for term, as GemmNaive — and padding columns are
-// computed into registers but never stored, so results are bit-identical to
-// the unpacked kernels. Serial; per-row results are independent, so callers
-// may split the row range across threads without changing any element.
-template <int64_t P>
-void GemmSmallPadded(const float* a, const float* bp, float* po, int64_t rows,
-                     int64_t k, int64_t n) {
-  constexpr int64_t R = 4;  // row strip: R·P accumulators
-  int64_t i = 0;
-  for (; i + R <= rows; i += R) {
-    float acc[R][P] = {};
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* brow = bp + kk * P;
-      const float v0 = a0[kk];
-      const float v1 = a1[kk];
-      const float v2 = a2[kk];
-      const float v3 = a3[kk];
-      for (int64_t j = 0; j < P; ++j) {
-        acc[0][j] = ODF_FMADD(v0, brow[j], acc[0][j]);
-        acc[1][j] = ODF_FMADD(v1, brow[j], acc[1][j]);
-        acc[2][j] = ODF_FMADD(v2, brow[j], acc[2][j]);
-        acc[3][j] = ODF_FMADD(v3, brow[j], acc[3][j]);
-      }
-    }
-    for (int64_t r = 0; r < R; ++r) {
-      float* orow = po + (i + r) * n;
-      for (int64_t j = 0; j < n; ++j) orow[j] = acc[r][j];
-    }
-  }
-  for (; i < rows; ++i) {
-    float acc[P] = {};
-    const float* ar = a + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* brow = bp + kk * P;
-      const float v = ar[kk];
-      for (int64_t j = 0; j < P; ++j) acc[j] = ODF_FMADD(v, brow[j], acc[j]);
-    }
-    float* orow = po + i * n;
-    for (int64_t j = 0; j < n; ++j) orow[j] = acc[j];
-  }
-}
-
-// Tallest A for the no-pack panel kernel below: two micro-kernel strips.
-// Above this the blocked path's A/B packing amortizes; at or below it the
-// packing costs more than the whole multiply.
+// Tallest A for the row-strip kernel's small-M regime: two micro-kernel
+// strips. Above this the blocked path's A/B packing amortizes; at or below
+// it the packing costs more than the whole multiply.
 constexpr int64_t kSmallMMax = 2 * kMR;
 
 // Row-strip kernel over one column panel of B read in place: `bp` points at
-// a k x P panel with leading dimension `ldb` (the unpacked B itself for full
-// panels, a zero-padded scratch copy for the n % kNR tail), and columns
-// [cj0, cj0+nr) of C receive the result. No per-call packing or allocation.
-// Accumulates onto C in ascending k with the pinned contraction, so per
-// live element the sum is term-for-term identical to the blocked
-// micro-kernels; lanes >= nr are computed in registers but never stored.
+// a k x P panel with leading dimension `ldb` (B itself where its columns
+// fill the panel, a zero-padded scratch copy otherwise), and columns
+// [cj0, cj0+nr) of C's `rows` rows receive the result. No per-call packing
+// or allocation. Accumulators start at +0 and C is only written: each live
+// element is its k-ascending chain under the pinned contraction, term for
+// term the blocked micro-kernels' sum; lanes >= nr are computed in
+// registers but never stored. Rows are independent, so callers may split
+// the row range or the column panels across threads without changing any
+// element.
 template <int64_t P>
-void GemmSmallMPanel(const float* a, const float* bp, int64_t ldb, float* c,
-                     int64_t ldc, int64_t rows, int64_t k, int64_t cj0,
-                     int64_t nr) {
+void GemmStrip(const float* a, const float* bp, int64_t ldb, float* c,
+               int64_t ldc, int64_t rows, int64_t k, int64_t cj0, int64_t nr) {
   constexpr int64_t R = 4;  // row strip: R·P accumulators
   int64_t i = 0;
   for (; i + R <= rows; i += R) {
     float acc[R][P] = {};
-    for (int64_t r = 0; r < R; ++r) {
-      const float* crow = c + (i + r) * ldc + cj0;
-      for (int64_t j = 0; j < nr; ++j) acc[r][j] = crow[j];
-    }
     const float* a0 = a + i * k;
     const float* a1 = a0 + k;
     const float* a2 = a1 + k;
@@ -361,34 +294,28 @@ void GemmSmallMPanel(const float* a, const float* bp, int64_t ldb, float* c,
   }
   for (; i < rows; ++i) {
     float acc[P] = {};
-    float* crow = c + i * ldc + cj0;
-    for (int64_t j = 0; j < nr; ++j) acc[j] = crow[j];
     const float* ar = a + i * k;
     for (int64_t kk = 0; kk < k; ++kk) {
       const float* brow = bp + kk * ldb;
       const float v = ar[kk];
       for (int64_t j = 0; j < P; ++j) acc[j] = ODF_FMADD(v, brow[j], acc[j]);
     }
+    float* crow = c + i * ldc + cj0;
     for (int64_t j = 0; j < nr; ++j) crow[j] = acc[j];
   }
 }
 
-// The one GEMM dispatch: C (m x n) = A (m x k) * B (k x n), with C
-// zero-filled on entry (the padded small-N kernel overwrites it; the others
-// accumulate onto it). Shape alone picks the kernel, and each one sums every
-// output element over k in ascending order under the pinned contraction, so
-// a product gives the same bits in every regime, at every thread count, and
+// The one GEMM dispatch: writes C (m x n) = A (m x k) * B (k x n) and never
+// reads C's prior contents. Shape alone picks one of two kernels, the row
+// strips or the blocked micro-kernel, and each sums every output element
+// over k in ascending order from +0 under the pinned contraction, so a
+// product gives the same bits in every regime, at every thread count, and
 // whether its rows arrive as one matrix or as a batch flattened into one.
 void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
           int64_t n) {
-  if (m < kMR) {
-    // Shorter than one register strip: no kernel below fills a tile.
-    GemmNaive(pa, pb, po, m, k, n);
-    return;
-  }
   if (n <= kSmallNMax) {
-    // Skinny output: run the register-strip kernel over parallel row chunks
-    // against B's rows padded to kSmallNMax (B itself when n is that width).
+    // Skinny output: row strips over parallel row chunks against B's rows
+    // padded to kSmallNMax (B itself when n is that width).
     const float* bp = pb;
     if (n != kSmallNMax) {
       float* pad = BScratch(k * kSmallNMax);
@@ -396,8 +323,8 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
       bp = pad;
     }
     ParallelFor(m, k * n, [&](int64_t i0, int64_t i1) {
-      GemmSmallPadded<kSmallNMax>(pa + i0 * k, bp, po + i0 * n, i1 - i0, k,
-                                  n);
+      GemmStrip<kSmallNMax>(pa + i0 * k, bp, kSmallNMax, po + i0 * n, n,
+                            i1 - i0, k, 0, n);
     });
     return;
   }
@@ -409,15 +336,14 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
     const int64_t full_tiles = n / kNR;
     ParallelFor(full_tiles, m * k * kNR, [&](int64_t t0, int64_t t1) {
       for (int64_t jt = t0; jt < t1; ++jt) {
-        GemmSmallMPanel<kNR>(pa, pb + jt * kNR, n, po, n, m, k, jt * kNR,
-                             kNR);
+        GemmStrip<kNR>(pa, pb + jt * kNR, n, po, n, m, k, jt * kNR, kNR);
       }
     });
     const int64_t j0 = full_tiles * kNR;
     if (j0 < n) {
       float* pad = BScratch(k * kNR);
       PadB(pb, k, n, j0, kNR, pad);
-      GemmSmallMPanel<kNR>(pa, pad, kNR, po, n, m, k, j0, n - j0);
+      GemmStrip<kNR>(pa, pad, kNR, po, n, m, k, j0, n - j0);
     }
     return;
   }
@@ -684,8 +610,6 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   ODF_CHECK_EQ(k, b.dim(0)) << "matmul " << a.shape().ToString() << " x "
                             << b.shape().ToString();
   ODF_CHECK(out->shape() == Shape({m, n}));
-  // Gemm accumulates into its output, matching a fresh zero-filled Tensor.
-  std::fill(out->data(), out->data() + m * n, 0.0f);
   Gemm(a.data(), b.data(), out->data(), m, k, n);
 }
 
@@ -728,8 +652,6 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out->data();
-  // Gemm starts from the zero a fresh Tensor would hold.
-  std::fill(po, po + batch * m * n, 0.0f);
   if (b_step == 0) {
     // One shared right operand: [batch, m, k] x [k, n] is one
     // [batch·m, k] x [k, n] product, each row's sum unchanged.

@@ -149,8 +149,9 @@ void SoftmaxLastDimInto(const Tensor& a, Tensor* out);
 
 // -- Raw GEMM entry (layout kernels) --------------------------------------
 
-/// out (m x n, already zero-filled) += a (m x k) · b (k x n), raw row-major
-/// pointers. Runs the one GEMM dispatch behind MatMul and BatchMatMul, so
+/// out (m x n) = a (m x k) · b (k x n), raw row-major pointers; out's prior
+/// contents are never read. Runs the one GEMM dispatch behind MatMul and
+/// BatchMatMul, so
 /// per-element accumulation (k-ascending, one fused chain) is bit-identical
 /// to the Tensor entry points. For layout-restructuring kernels (e.g. the wide
 /// Chebyshev basis) that operate on scratch buffers rather than Tensors.

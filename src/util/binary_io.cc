@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstring>
 
-#include "util/check.h"
-
 namespace odf {
 
 namespace {
@@ -141,81 +139,6 @@ bool WriteFileAtomic(const std::string& path, const void* data, size_t size) {
     return false;
   }
   return true;
-}
-
-BinaryWriter::BinaryWriter(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "wb");
-}
-
-BinaryWriter::~BinaryWriter() { Close(); }
-
-void BinaryWriter::WriteRaw(const void* data, size_t bytes) {
-  ODF_CHECK(file_ != nullptr) << "writer not open";
-  ODF_CHECK_EQ(std::fwrite(data, 1, bytes, file_), bytes) << "short write";
-}
-
-void BinaryWriter::WriteU64(uint64_t value) { WriteRaw(&value, sizeof value); }
-void BinaryWriter::WriteI64(int64_t value) { WriteRaw(&value, sizeof value); }
-void BinaryWriter::WriteFloat(float value) { WriteRaw(&value, sizeof value); }
-
-void BinaryWriter::WriteFloats(const float* data, size_t count) {
-  if (count > 0) WriteRaw(data, count * sizeof(float));
-}
-
-void BinaryWriter::WriteString(const std::string& value) {
-  WriteU64(value.size());
-  if (!value.empty()) WriteRaw(value.data(), value.size());
-}
-
-bool BinaryWriter::Close() {
-  if (file_ == nullptr) return true;
-  const bool ok = std::fclose(file_) == 0;
-  file_ = nullptr;
-  return ok;
-}
-
-BinaryReader::BinaryReader(const std::string& path) {
-  file_ = std::fopen(path.c_str(), "rb");
-}
-
-BinaryReader::~BinaryReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-void BinaryReader::ReadRaw(void* data, size_t bytes) {
-  ODF_CHECK(file_ != nullptr) << "reader not open";
-  ODF_CHECK_EQ(std::fread(data, 1, bytes, file_), bytes)
-      << "short read (truncated or corrupt file)";
-}
-
-uint64_t BinaryReader::ReadU64() {
-  uint64_t value = 0;
-  ReadRaw(&value, sizeof value);
-  return value;
-}
-
-int64_t BinaryReader::ReadI64() {
-  int64_t value = 0;
-  ReadRaw(&value, sizeof value);
-  return value;
-}
-
-float BinaryReader::ReadFloat() {
-  float value = 0;
-  ReadRaw(&value, sizeof value);
-  return value;
-}
-
-void BinaryReader::ReadFloats(float* data, size_t count) {
-  if (count > 0) ReadRaw(data, count * sizeof(float));
-}
-
-std::string BinaryReader::ReadString() {
-  const uint64_t size = ReadU64();
-  ODF_CHECK_LT(size, 1ull << 32) << "implausible string length";
-  std::string value(size, '\0');
-  if (size > 0) ReadRaw(value.data(), size);
-  return value;
 }
 
 }  // namespace odf

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -41,8 +40,8 @@ class ByteWriter {
   std::vector<uint8_t> bytes_;
 };
 
-/// Bounds-checked cursor over an in-memory buffer. Unlike BinaryReader this
-/// never aborts: reading past the end (or any earlier failure) latches
+/// Bounds-checked cursor over an in-memory buffer. It never aborts: reading
+/// past the end (or any earlier failure) latches
 /// `ok() == false` and every subsequent read returns a zero value, so
 /// corrupted or hostile checkpoint bytes can be parsed safely and rejected
 /// with a typed error instead of crashing the process.
@@ -85,56 +84,6 @@ bool ReadFileBytes(const std::string& path, std::vector<uint8_t>* out);
 /// never a torn mixture. Returns false on failure (the temp file is
 /// removed).
 bool WriteFileAtomic(const std::string& path, const void* data, size_t size);
-
-/// Minimal little-endian binary file writer used for model checkpoints.
-/// All methods abort on I/O errors via ODF_CHECK (checkpoints are developer
-/// artifacts; partial writes would be worse than a crash).
-class BinaryWriter {
- public:
-  /// Opens `path` for writing (truncates). Check `ok()` before use.
-  explicit BinaryWriter(const std::string& path);
-  BinaryWriter(const BinaryWriter&) = delete;
-  BinaryWriter& operator=(const BinaryWriter&) = delete;
-  ~BinaryWriter();
-
-  bool ok() const { return file_ != nullptr; }
-
-  void WriteU64(uint64_t value);
-  void WriteI64(int64_t value);
-  void WriteFloat(float value);
-  void WriteFloats(const float* data, size_t count);
-  void WriteString(const std::string& value);
-
-  /// Flushes and closes; returns false on failure. Safe to call twice.
-  bool Close();
-
- private:
-  void WriteRaw(const void* data, size_t bytes);
-
-  std::FILE* file_ = nullptr;
-};
-
-/// Counterpart reader; all Read* methods abort on EOF/corruption.
-class BinaryReader {
- public:
-  explicit BinaryReader(const std::string& path);
-  BinaryReader(const BinaryReader&) = delete;
-  BinaryReader& operator=(const BinaryReader&) = delete;
-  ~BinaryReader();
-
-  bool ok() const { return file_ != nullptr; }
-
-  uint64_t ReadU64();
-  int64_t ReadI64();
-  float ReadFloat();
-  void ReadFloats(float* data, size_t count);
-  std::string ReadString();
-
- private:
-  void ReadRaw(void* data, size_t bytes);
-
-  std::FILE* file_ = nullptr;
-};
 
 }  // namespace odf
 

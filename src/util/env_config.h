@@ -2,6 +2,7 @@
 #define ODF_UTIL_ENV_CONFIG_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace odf {
@@ -14,7 +15,10 @@ namespace odf {
 //   ODF_THREADS=<n>  size of the global compute thread pool (ThreadPool::
 //                    Global()). Defaults to hardware concurrency; 1 runs
 //                    every kernel serially. Numeric results are independent
-//                    of the value.
+//                    of the value. A value that is not a whole integer
+//                    keeps the default; the size is clamped to [1, 256]
+//                    (kMaxPoolThreads, util/thread_pool.h). Either case logs
+//                    one warning naming the value.
 //   ODF_METRICS=1    enable the process-wide metrics registry (kernel timing
 //                    histograms, pool/autograd counters, trainer gauges;
 //                    util/metrics.h). Off by default: the disabled check is
@@ -62,7 +66,11 @@ namespace odf {
 /// Returns the value of environment variable `name`, or `fallback` if unset.
 std::string GetEnvString(const char* name, const std::string& fallback);
 
-/// Returns `name` parsed as int64, or `fallback` if unset/unparseable.
+/// `text` as a base-10 int64, or nullopt unless the whole string is one
+/// in-range integer: "4x", "1e9", "" and "99999999999999999999" all fail.
+std::optional<int64_t> ParseInt64(const char* text);
+
+/// Returns `name` parsed by ParseInt64, or `fallback` if unset/unparseable.
 int64_t GetEnvInt(const char* name, int64_t fallback);
 
 /// Returns true when `name` is set to a truthy value ("1", "true", "on").

@@ -6,15 +6,9 @@
 namespace odf {
 namespace internal {
 
-LogLevel& MinLogLevel() {
-  static LogLevel level = LogLevel::kInfo;
-  return level;
-}
-
 void EmitLogLine(LogLevel level, const char* file, int line,
                  const std::string& message) {
-  if (static_cast<int>(level) < static_cast<int>(MinLogLevel())) return;
-  static const char* const kNames[] = {"DEBUG", "INFO", "WARN", "ERROR"};
+  static const char* const kNames[] = {"INFO", "WARN", "ERROR"};
   const char* base = file;
   for (const char* p = file; *p != '\0'; ++p) {
     if (*p == '/') base = p + 1;
@@ -30,7 +24,5 @@ void EmitLogLine(LogLevel level, const char* file, int line,
 }
 
 }  // namespace internal
-
-void SetMinLogLevel(LogLevel level) { internal::MinLogLevel() = level; }
 
 }  // namespace odf

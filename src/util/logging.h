@@ -8,12 +8,9 @@
 namespace odf {
 
 /// Log severities, in increasing order.
-enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
+enum class LogLevel : int { kInfo = 0, kWarning = 1, kError = 2 };
 
 namespace internal {
-
-/// Process-wide minimum severity; messages below it are dropped.
-LogLevel& MinLogLevel();
 
 /// Emits one formatted log line to stderr.
 void EmitLogLine(LogLevel level, const char* file, int line,
@@ -42,9 +39,6 @@ class LogMessage {
 };
 
 }  // namespace internal
-
-/// Sets the process-wide minimum log severity.
-void SetMinLogLevel(LogLevel level);
 
 }  // namespace odf
 

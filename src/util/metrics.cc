@@ -190,12 +190,4 @@ bool MetricsRegistry::WriteJsonFile(const std::string& path) const {
   return (std::fclose(f) == 0) && wrote;
 }
 
-void MetricsRegistry::ResetAll() {
-  Impl& m = impl();
-  std::lock_guard<std::mutex> lock(m.mu);
-  for (auto& [name, c] : m.counters) c->Reset();
-  for (auto& [name, g] : m.gauges) g->Reset();
-  for (auto& [name, h] : m.histograms) h->Reset();
-}
-
 }  // namespace odf

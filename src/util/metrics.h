@@ -40,7 +40,6 @@ class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -98,9 +97,6 @@ class MetricsRegistry {
   /// {"counters": {...}, "gauges": {...}, "histograms": {...}}.
   std::string ToJson() const;
   bool WriteJsonFile(const std::string& path) const;
-
-  /// Zeroes every registered metric (tests; metrics stay registered).
-  void ResetAll();
 
  private:
   MetricsRegistry() = default;

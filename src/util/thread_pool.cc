@@ -1,9 +1,12 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <optional>
 
 #include "util/check.h"
 #include "util/env_config.h"
+#include "util/logging.h"
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -21,10 +24,23 @@ int DefaultThreads() {
 
 }  // namespace
 
+int ResolvePoolThreads(const char* value, int fallback) {
+  const std::optional<int64_t> parsed =
+      value == nullptr ? std::nullopt : ParseInt64(value);
+  const int threads = static_cast<int>(std::clamp<int64_t>(
+      parsed.value_or(fallback), 1, kMaxPoolThreads));
+  if (value != nullptr && parsed != threads) {
+    ODF_LOG(Warning) << "ODF_THREADS=\"" << value
+                     << "\" is not an integer in [1, " << kMaxPoolThreads
+                     << "]; the pool size is " << threads;
+  }
+  return threads;
+}
+
 ThreadPool& ThreadPool::Global() {
   // Leaked on purpose: kernels may run during static destruction.
   static ThreadPool* pool = new ThreadPool(
-      static_cast<int>(GetEnvInt("ODF_THREADS", DefaultThreads())));
+      ResolvePoolThreads(std::getenv("ODF_THREADS"), DefaultThreads()));
   return *pool;
 }
 
@@ -35,7 +51,7 @@ ThreadPool::~ThreadPool() { Stop(); }
 bool ThreadPool::InWorker() { return t_in_pool_chunk; }
 
 void ThreadPool::Start(int threads) {
-  threads_ = std::max(1, threads);
+  threads_ = std::clamp(threads, 1, kMaxPoolThreads);
   stop_ = false;
   // threads_ counts the calling thread: a pool of size T spawns T-1 workers
   // and ParallelFor runs the first chunk on the caller.

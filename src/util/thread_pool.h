@@ -29,7 +29,8 @@ class ThreadPool {
   static ThreadPool& Global();
 
   /// A pool with `threads` workers total (including the calling thread's
-  /// share of ParallelFor work); `threads <= 1` means fully inline.
+  /// share of ParallelFor work), clamped to [1, kMaxPoolThreads];
+  /// `threads <= 1` means fully inline.
   explicit ThreadPool(int threads);
   ~ThreadPool();
 
@@ -71,6 +72,17 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// Most threads a pool starts. A larger request, such as a mistyped
+/// ODF_THREADS, would spawn that many workers and abort once thread
+/// creation fails.
+inline constexpr int kMaxPoolThreads = 256;
+
+/// The global pool's size for an ODF_THREADS value (`value` is null when the
+/// variable is unset): `fallback` unless the whole value parses as an
+/// integer (ParseInt64), clamped to [1, kMaxPoolThreads]. Logs one warning
+/// naming a value it does not use as given.
+int ResolvePoolThreads(const char* value, int fallback);
 
 /// Minimum work per parallel chunk, in the units kernels state their work
 /// in: inner-loop multiply-adds, or elements touched for loops that do no

@@ -17,7 +17,6 @@
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "od/trip_io.h"
-#include "util/binary_io.h"
 
 namespace odf {
 namespace {
@@ -26,39 +25,6 @@ namespace ag = odf::autograd;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-TEST(BinaryIoTest, RoundTripAllTypes) {
-  const std::string path = TempPath("binary_io.bin");
-  {
-    BinaryWriter writer(path);
-    ASSERT_TRUE(writer.ok());
-    writer.WriteU64(0xDEADBEEFCAFEull);
-    writer.WriteI64(-42);
-    writer.WriteFloat(3.25f);
-    const float floats[] = {1.0f, -2.0f, 0.5f};
-    writer.WriteFloats(floats, 3);
-    writer.WriteString("hello world");
-    writer.WriteString("");
-    ASSERT_TRUE(writer.Close());
-  }
-  BinaryReader reader(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.ReadU64(), 0xDEADBEEFCAFEull);
-  EXPECT_EQ(reader.ReadI64(), -42);
-  EXPECT_FLOAT_EQ(reader.ReadFloat(), 3.25f);
-  float floats[3];
-  reader.ReadFloats(floats, 3);
-  EXPECT_FLOAT_EQ(floats[1], -2.0f);
-  EXPECT_EQ(reader.ReadString(), "hello world");
-  EXPECT_EQ(reader.ReadString(), "");
-}
-
-TEST(BinaryIoTest, MissingFileNotOk) {
-  BinaryReader reader("/nonexistent/path/file.bin");
-  EXPECT_FALSE(reader.ok());
-  BinaryWriter writer("/nonexistent/path/file.bin");
-  EXPECT_FALSE(writer.ok());
 }
 
 TEST(SerializeTest, CheckpointRoundTripRestoresPredictions) {

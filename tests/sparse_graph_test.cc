@@ -422,7 +422,7 @@ TEST(RawKernelGradCheckTest, GemmRawBitIdenticalToTapeMatMul) {
               /*requires_grad=*/true)};
   auto fn = [&](const std::vector<ag::Var>& in) {
     ag::Var y = ag::MatMul(in[0], in[1]);
-    Tensor raw(Shape({m, n}));  // zero-filled, as GemmRawInto requires
+    Tensor raw(Shape({m, n}));
     GemmRawInto(in[0].value().data(), in[1].value().data(), raw.data(), m, k,
                 n);
     EXPECT_TRUE(BitIdentical(raw, y.value()));

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,7 +47,7 @@ Tensor NaiveMatMulReference(const Tensor& a, const Tensor& b) {
 TEST(SubstrateGemmTest, RandomizedShapesMatchNaiveReference) {
   PoolGuard guard;
   Rng rng(123);
-  // Shapes straddle every regime: the small-problem naive path, single
+  // Shapes straddle every regime: the unpacked row strips, single
   // micro-tiles, ragged edge tiles, multiple kMC/kKC blocks.
   for (int trial = 0; trial < 40; ++trial) {
     const int64_t m = 1 + rng.UniformInt(130);
@@ -71,12 +72,14 @@ TEST(SubstrateGemmTest, LargeSquareMatchesNaiveReference) {
   EXPECT_TRUE(AllClose(MatMul(a, b), NaiveMatMulReference(a, b), 1e-4f));
 }
 
-// Shape alone picks the GEMM kernel, and every kernel gives each output
-// element the same bits. A rank-2 right operand flattens BatchMatMul into
+// Shape alone picks the GEMM kernel, and both kernels give each output
+// element the same bits: row strips for n <= 16 or m <= 2·kMR, the blocked
+// micro-kernel otherwise. A rank-2 right operand flattens BatchMatMul into
 // one [batch·m, k] product, which lands in another regime than the per-slice
 // MatMul; a rank-3 one runs a product per slice. Both must equal MatMul of
-// each slice byte for byte. Rows put the slice in each regime for every
-// register tile a build may use (kMR 4, 6 or 8; kNR 8, 16 or 32).
+// each slice byte for byte. Rows put the slice on each side of every
+// boundary for every register tile a build may use (kMR 4, 6 or 8; kNR 8,
+// 16 or 32).
 TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
   PoolGuard guard;
   Rng rng(21);
@@ -85,9 +88,19 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
     int64_t m, k, n;
   };
   const Row rows[] = {
-      {"m < kMR", 3, 40, 20},
+      {"m == 1, n == 16", 1, 24, 16},
+      {"m == 1, n < 16", 1, 30, 5},
+      {"m < kMR, one padded panel (kNR 32)", 3, 40, 20},
+      {"m < kMR, n > kNR with a ragged tail", 3, 33, 45},
       {"n == 16", 9, 37, 16},
       {"n < 16", 13, 20, 5},
+      {"n == 17", 10, 23, 17},
+      {"m == 2·kMR (kMR 4)", 8, 31, 40},
+      {"m == 2·kMR + 1 (kMR 4)", 9, 31, 40},
+      {"m == 2·kMR (kMR 6)", 12, 31, 40},
+      {"m == 2·kMR + 1 (kMR 6)", 13, 31, 40},
+      {"m == 2·kMR (kMR 8)", 16, 31, 40},
+      {"m == 2·kMR + 1 (kMR 8)", 17, 31, 40},
       {"small m, n % kNR tail", 8, 50, 45},
       {"blocked, n == kNR (kNR 32)", 40, 30, 32},
       {"blocked, ragged n", 40, 70, 50},
@@ -120,6 +133,53 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
         EXPECT_TRUE(AllClose(want2, NaiveMatMulReference(ai, w2), 1e-4f));
         EXPECT_TRUE(AllClose(want3, NaiveMatMulReference(ai, bi3), 1e-4f));
       }
+    }
+  }
+}
+
+// Gemm writes C = A·B and never reads C: each entry point gives the same
+// bytes into an output pre-filled with NaN as into a zero-filled one, in
+// both kernels and across the blocked path's kKC depth blocks.
+TEST(SubstrateGemmTest, EntryPointsOverwriteTheirOutput) {
+  Rng rng(8);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  struct Dims {
+    int64_t m, k, n;
+  };
+  for (const Dims& d : {Dims{1, 7, 5}, Dims{3, 33, 45}, Dims{9, 37, 16},
+                        Dims{12, 31, 40}, Dims{67, 300, 40}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "m=" << d.m << " k=" << d.k << " n=" << d.n);
+    const int64_t batch = 2;
+    const Tensor a = Tensor::RandomNormal(Shape({batch, d.m, d.k}), rng);
+    const Tensor b3 = Tensor::RandomNormal(Shape({batch, d.k, d.n}), rng);
+    const Tensor b = Tensor::RandomNormal(Shape({d.k, d.n}), rng);
+    const Tensor a2 = Slice(a, 0, 0, 1).Reshape({d.m, d.k});
+    const auto same_bytes = [](const Tensor& x, const Tensor& y) {
+      return std::memcmp(x.data(), y.data(),
+                         static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
+    };
+
+    Tensor raw_zero(Shape({d.m, d.n}));
+    Tensor raw_nan = Tensor::Full(Shape({d.m, d.n}), nan);
+    GemmRawInto(a2.data(), b.data(), raw_zero.data(), d.m, d.k, d.n);
+    GemmRawInto(a2.data(), b.data(), raw_nan.data(), d.m, d.k, d.n);
+    EXPECT_TRUE(same_bytes(raw_nan, raw_zero)) << "GemmRawInto";
+
+    Tensor mm_zero(Shape({d.m, d.n}));
+    Tensor mm_nan = Tensor::Full(Shape({d.m, d.n}), nan);
+    MatMulInto(a2, b, &mm_zero);
+    MatMulInto(a2, b, &mm_nan);
+    EXPECT_TRUE(same_bytes(mm_nan, mm_zero)) << "MatMulInto";
+    EXPECT_TRUE(same_bytes(mm_zero, raw_zero)) << "MatMulInto vs GemmRawInto";
+
+    for (const Tensor* rhs : {&b, &b3}) {
+      Tensor bmm_zero(Shape({batch, d.m, d.n}));
+      Tensor bmm_nan = Tensor::Full(Shape({batch, d.m, d.n}), nan);
+      BatchMatMulInto(a, *rhs, &bmm_zero);
+      BatchMatMulInto(a, *rhs, &bmm_nan);
+      EXPECT_TRUE(same_bytes(bmm_nan, bmm_zero))
+          << "BatchMatMulInto, rank-" << rhs->rank() << " right operand";
     }
   }
 }

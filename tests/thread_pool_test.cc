@@ -13,6 +13,21 @@
 namespace odf {
 namespace {
 
+// The ODF_THREADS resolution as a pure function: no pool is built from these
+// values.
+TEST(ThreadPoolTest, ResolvesTheEnvironmentValueIntoTheCappedRange) {
+  EXPECT_EQ(ResolvePoolThreads(nullptr, 3), 3);
+  EXPECT_EQ(ResolvePoolThreads("2", 3), 2);
+  EXPECT_EQ(ResolvePoolThreads("4x", 3), 3);
+  EXPECT_EQ(ResolvePoolThreads("1e9", 3), 3);
+  EXPECT_EQ(ResolvePoolThreads("0", 3), 1);
+  EXPECT_EQ(ResolvePoolThreads("-3", 3), 1);
+  EXPECT_EQ(ResolvePoolThreads("99999999999", 3), kMaxPoolThreads);
+  // 2^32 + 1 wraps to 1 through a bare int cast.
+  EXPECT_EQ(ResolvePoolThreads("4294967297", 3), kMaxPoolThreads);
+  EXPECT_EQ(ResolvePoolThreads(nullptr, 100000), kMaxPoolThreads);
+}
+
 TEST(ThreadPoolTest, SingleThreadRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.threads(), 1);

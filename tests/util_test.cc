@@ -1,4 +1,5 @@
 #include <cstdlib>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -100,7 +101,19 @@ TEST(EnvConfigTest, FallbacksAndParsing) {
   EXPECT_TRUE(GetEnvBool("ODF_TEST_VAR", false));
   ::setenv("ODF_TEST_VAR", "bogus", 1);
   EXPECT_EQ(GetEnvInt("ODF_TEST_VAR", 42), 42);
+  ::setenv("ODF_TEST_VAR", "4x", 1);
+  EXPECT_EQ(GetEnvInt("ODF_TEST_VAR", 42), 42);
   ::unsetenv("ODF_TEST_VAR");
+}
+
+TEST(EnvConfigTest, ParseInt64TakesOnlyAWholeInRangeInteger) {
+  EXPECT_EQ(ParseInt64("17"), 17);
+  EXPECT_EQ(ParseInt64("-3"), -3);
+  EXPECT_EQ(ParseInt64("4294967297"), int64_t{4294967297});
+  for (const char* bad : {"", "4x", "1e9", "3.5", "banana", "7 ",
+                          "99999999999999999999"}) {
+    EXPECT_EQ(ParseInt64(bad), std::nullopt) << '"' << bad << '"';
+  }
 }
 
 TEST(TableTest, CsvEscapingAndLayout) {
