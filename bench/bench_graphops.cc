@@ -6,6 +6,8 @@
 // construction-time graphs vs per-interval operators rebuilt from
 // Scenario::ProximityMatrixAt. Everything is seeded, so the emitted
 // BENCH_graphops.json is bit-identical across runs and thread counts.
+// `--smoke` writes it to the system temp directory instead, so a smoke run
+// never overwrites the committed figures.
 //
 // Usage: bench_graphops [--smoke]
 // Knobs: ODF_GRAPHOPS_SEED, ODF_GRAPHOPS_EPOCHS, ODF_GRAPHOPS_MODES
@@ -14,6 +16,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -91,7 +94,10 @@ int main(int argc, char** argv) {
   const odf::eval::GraphOpsEvalResult result =
       odf::eval::RunGraphOpsSweep(spec, *closure, config);
   odf::eval::PrintGraphOpsReport(result, stdout);
-  const std::string path = "BENCH_graphops.json";
+  const std::string path =
+      smoke ? (std::filesystem::temp_directory_path() / "BENCH_graphops.json")
+                  .string()
+            : "BENCH_graphops.json";
   if (!odf::eval::WriteGraphOpsBenchJson(result, path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return 1;

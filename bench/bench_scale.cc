@@ -15,9 +15,11 @@
 // ODF_THREADS 1 and 4 and asserts training losses and full-city
 // predictions are byte-identical — the subsystem's determinism contract.
 //
-// Writes BENCH_scale.json. `--smoke` runs a 1-epoch n=64 subset and
-// exits non-zero if the warm serve p50 or peak RSS exceed generous
-// ceilings, or if the bit-identity check fails (CI smoke).
+// Writes BENCH_scale.json. `--smoke` runs a 1-epoch n=64 subset, writes
+// its JSON to the system temp directory instead (so a smoke run never
+// overwrites the committed figures), and exits non-zero if the warm serve
+// p50 or peak RSS exceed generous ceilings, or if the bit-identity check
+// fails (CI smoke).
 
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -329,9 +332,18 @@ int Run(bool smoke) {
   json += "  ],\n  \"metrics\": ";
   json += MetricsRegistry::Global().ToJson();
   json += "\n}\n";
-  std::ofstream out("BENCH_scale.json");
+  const std::string path =
+      smoke ? (std::filesystem::temp_directory_path() / "BENCH_scale.json")
+                  .string()
+            : "BENCH_scale.json";
+  std::ofstream out(path);
   out << json;
   out.close();
+  if (!out) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
 
   if (!all_identical) {
     std::fprintf(stderr, "FAIL: sharded results differ across ODF_THREADS\n");

@@ -12,14 +12,17 @@
 // as a snapshot for observability, not used for the ratios.
 //
 // Writes BENCH_serving.json to the working directory. `--smoke` runs a
-// fast subset and exits non-zero if the cached p50 exceeds a generous
-// ceiling or the compiled plan is slower than the tape (CI smoke).
+// fast subset, writes its JSON to the system temp directory instead (so a
+// smoke run never overwrites the committed figures), and exits non-zero if
+// the cached p50 exceeds a generous ceiling or the compiled plan is slower
+// than the tape (CI smoke).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -209,9 +212,18 @@ int Run(bool smoke) {
   json += "  \"metrics\": ";
   json += MetricsRegistry::Global().ToJson();
   json += "\n}\n";
-  std::ofstream out("BENCH_serving.json");
+  const std::string path =
+      smoke ? (std::filesystem::temp_directory_path() / "BENCH_serving.json")
+                  .string()
+            : "BENCH_serving.json";
+  std::ofstream out(path);
   out << json;
   out.close();
+  if (!out) {
+    std::fprintf(stderr, "failed to write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
   std::remove(checkpoint.c_str());
 
   if (smoke) {

@@ -26,6 +26,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <future>
 #include <string>
 #include <vector>
@@ -60,7 +61,9 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 
 // The scenario×model robustness harness (ROADMAP item 4). Everything is
 // seeded, so the emitted BENCH_scenarios.json is bit-identical across
-// runs and thread counts; `smoke` shrinks it to a CI-sized sweep.
+// runs and thread counts; `smoke` shrinks it to a CI-sized sweep and
+// writes it to the system temp directory, so a smoke run never overwrites
+// the committed figures.
 int RunScenarioHarness(bool smoke) {
   const uint64_t seed =
       static_cast<uint64_t>(odf::GetEnvInt("ODF_SCENARIO_SEED", 7));
@@ -105,7 +108,10 @@ int RunScenarioHarness(bool smoke) {
   const odf::eval::ScenarioEvalResult result =
       odf::eval::RunScenarioSweep(spec, suite, config);
   odf::eval::PrintScenarioReport(result, stdout);
-  const std::string path = "BENCH_scenarios.json";
+  const std::string path =
+      smoke ? (std::filesystem::temp_directory_path() / "BENCH_scenarios.json")
+                  .string()
+            : "BENCH_scenarios.json";
   if (!odf::eval::WriteScenarioBenchJson(result, path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return 1;

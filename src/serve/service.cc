@@ -75,24 +75,32 @@ ForecastResult ForecastService::Forecast(int64_t sample) {
   return ForecastAsync(sample).get();
 }
 
+ForecastResult ForecastService::LookupCurrent(int64_t* sample) {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  if (cached_ != nullptr) {
+    Metrics().cache_hits.Add(1);
+    return cached_;
+  }
+  Metrics().cache_misses.Add(1);
+  *sample = current_;
+  return nullptr;
+}
+
 ForecastResult ForecastService::ForecastCurrent() {
   ScopedTimer timer(Metrics().cached_request_seconds);
   int64_t sample;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cached_ != nullptr) {
-      Metrics().cache_hits.Add(1);
-      return cached_;
-    }
-    Metrics().cache_misses.Add(1);
-    sample = current_;
+  if (ForecastResult hit = LookupCurrent(&sample)) return hit;
+  return Forecast(sample);  // RunBatch publishes it
+}
+
+std::future<ForecastResult> ForecastService::ForecastCurrentAsync() {
+  int64_t sample;
+  if (ForecastResult hit = LookupCurrent(&sample)) {
+    std::promise<ForecastResult> ready;
+    ready.set_value(std::move(hit));
+    return ready.get_future();
   }
-  ForecastResult result = Forecast(sample);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  // A rollover mid-flight made `result` stale: publish only if `sample` is
-  // still the current interval.
-  if (current_ == sample) cached_ = result;
-  return result;
+  return ForecastAsync(sample);
 }
 
 void ForecastService::SetCurrentInterval(int64_t sample) {
@@ -154,6 +162,19 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
       forecast->push_back(std::move(slice));
     }
     results.push_back(std::move(forecast));
+  }
+
+  // Publish before fulfilling, so a caller that got the current interval's
+  // forecast finds the cache warm. A rollover while the batch ran moved
+  // current_ off the stale sample, so a stale result is never published.
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (cached_ == nullptr) {
+      const auto it = std::find(samples.begin(), samples.end(), current_);
+      if (it != samples.end()) {
+        cached_ = results[static_cast<size_t>(it - samples.begin())];
+      }
+    }
   }
 
   // Fulfill outside mu_ so waiters never contend with the queue.

@@ -37,8 +37,13 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 /// a result snapshot.
 ///
 /// The interval cache additionally pins the forecast of the designated
-/// "current" interval: after the first miss, `ForecastCurrent` is a lock +
-/// shared_ptr copy until `SetCurrentInterval` rolls the interval over.
+/// "current" interval. The worker publishes it: the first batch to compute
+/// the current interval's sample after a rollover fills the cache, whoever
+/// asked for it. From then on `ForecastCurrent` is a lock + shared_ptr copy
+/// until `SetCurrentInterval` rolls the interval over.
+/// `ForecastCurrentAsync` starts the same forecast without blocking, so a
+/// caller can start several services' current forecasts before waiting on
+/// any (ShardedService::MergedForecast).
 ///
 /// Instrumentation (util/metrics.h, enabled via ODF_METRICS):
 ///   counters   serve.requests, serve.batches, serve.cache_hits,
@@ -69,6 +74,10 @@ class ForecastService {
   /// it is warm. The first call after a rollover falls through to Forecast.
   ForecastResult ForecastCurrent();
 
+  /// ForecastCurrent without blocking: a ready future on a warm cache,
+  /// otherwise ForecastAsync of the current interval's sample.
+  std::future<ForecastResult> ForecastCurrentAsync();
+
   /// Rolls the current interval over to `sample`, invalidating the cache
   /// when it actually changes.
   void SetCurrentInterval(int64_t sample);
@@ -80,6 +89,9 @@ class ForecastService {
  private:
   void WorkerLoop();
   void RunBatch(const std::vector<int64_t>& samples);
+  /// The cached forecast on a hit; on a miss null, with the current
+  /// interval's sample in `*sample`. Counts the hit or miss.
+  ForecastResult LookupCurrent(int64_t* sample);
 
   const ForecastDataset* dataset_;
   ForwardPlan plan_;
@@ -94,7 +106,8 @@ class ForecastService {
 
   mutable std::mutex cache_mu_;
   int64_t current_ = 0;
-  ForecastResult cached_;  // forecast of current_; reset on rollover
+  ForecastResult cached_;  // forecast of current_; reset on rollover,
+                           // published by RunBatch
 
   std::thread worker_;
 };

@@ -1,5 +1,7 @@
 #include "shard/sharded_service.h"
 
+#include <future>
+
 #include "serve/forward_plan.h"
 #include "util/check.h"
 #include "util/metrics.h"
@@ -63,12 +65,19 @@ Tensor ShardedService::MergedForecast(int64_t step) {
   ODF_CHECK_GE(step, 0);
   ODF_CHECK_LT(step, model_->config().horizon);
 
+  // Start every unit's forecast before waiting on any: cold units run their
+  // plans at once, each on its own service's worker.
+  std::vector<std::future<serve::ForecastResult>> pending;
+  pending.reserve(units_.size());
+  for (auto& service : units_) {
+    pending.push_back(service->ForecastCurrentAsync());
+  }
   std::vector<serve::ForecastResult> results;  // keep the tensors alive
   std::vector<const Tensor*> unit_steps;
   results.reserve(units_.size());
   unit_steps.reserve(units_.size());
-  for (auto& service : units_) {
-    results.push_back(service->ForecastCurrent());
+  for (std::future<serve::ForecastResult>& future : pending) {
+    results.push_back(future.get());
     unit_steps.push_back(&(*results.back())[static_cast<size_t>(step)]);
   }
   return model_->partition().MergeUnits(unit_steps);

@@ -16,7 +16,10 @@ namespace odf::shard {
 /// current-interval cache. Queries route by ShardPartition::Locate — an OD
 /// pair inside one shard hits that shard's service, a cross-shard pair hits
 /// the boundary service — and full-city snapshots are every service's
-/// cached forecast merged by ShardPartition::MergeUnits.
+/// cached forecast merged by ShardPartition::MergeUnits. A snapshot starts
+/// every unit's current forecast before it waits on any, so after a
+/// rollover the cold unit plans run at once, each on its own service's
+/// worker; no thread is added.
 ///
 /// Plans are compiled at construction from the models' current weights
 /// (serve/forward_plan.h): construct after ShardedModel::Train. The model
@@ -41,9 +44,9 @@ class ShardedService {
                                 int64_t step);
 
   /// Full-city [N, N, K] forecast at horizon step `step`, merged from all
-  /// services' current-interval forecasts. Byte-identical to
-  /// ShardedModel::Predict of the same sample (plans reproduce Predict
-  /// bit-for-bit). `step` must lie in [0, horizon).
+  /// services' current-interval forecasts, which it starts together.
+  /// Byte-identical to ShardedModel::Predict of the same sample (plans
+  /// reproduce Predict bit-for-bit). `step` must lie in [0, horizon).
   Tensor MergedForecast(int64_t step);
 
   int64_t num_shards() const { return model_->num_shards(); }

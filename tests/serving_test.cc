@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -560,6 +561,54 @@ TEST(ForecastServiceTest, IntervalCacheHitsUntilRollover) {
   ASSERT_EQ(back->size(), first->size());
   for (size_t j = 0; j < back->size(); ++j) {
     EXPECT_TRUE(BitIdentical((*back)[j], (*first)[j])) << "step " << j;
+  }
+}
+
+// The worker publishes the current interval's forecast whoever asked for
+// it: a plain Forecast of the current sample on a cold cache warms it, a
+// forecast of any other sample never does, and ForecastCurrentAsync on a
+// warm cache hands back the cached snapshot without running a batch.
+TEST(ForecastServiceTest, WorkerPublishesTheCurrentInterval) {
+  TestWorld world = TestWorld::Make();
+  AdvancedFrameworkConfig config;
+  AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2, config);
+  auto service = MakeService(world, model, serve::ServeConfig{});
+
+  Counter& hits = MetricsRegistry::Global().GetCounter("serve.cache_hits");
+  Counter& misses =
+      MetricsRegistry::Global().GetCounter("serve.cache_misses");
+  Counter& batches = MetricsRegistry::Global().GetCounter("serve.batches");
+
+  service->SetCurrentInterval(2);
+  const serve::ForecastResult other = service->Forecast(3);
+  const uint64_t misses0 = misses.value();
+  const serve::ForecastResult current = service->ForecastCurrent();
+  EXPECT_EQ(misses.value(), misses0 + 1);  // Forecast(3) left it cold
+  EXPECT_NE(current.get(), other.get());
+
+  service->SetCurrentInterval(4);
+  const serve::ForecastResult direct = service->Forecast(4);
+  const uint64_t hits1 = hits.value();
+  const uint64_t misses1 = misses.value();
+  EXPECT_EQ(service->ForecastCurrent().get(), direct.get());
+  EXPECT_EQ(hits.value(), hits1 + 1);
+  EXPECT_EQ(misses.value(), misses1);
+
+  const uint64_t batches1 = batches.value();
+  std::future<serve::ForecastResult> ready = service->ForecastCurrentAsync();
+  ASSERT_EQ(ready.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(ready.get().get(), direct.get());
+  EXPECT_EQ(hits.value(), hits1 + 2);
+  EXPECT_EQ(batches.value(), batches1);
+
+  // Cold, it runs the current sample's forecast and publishes that.
+  service->SetCurrentInterval(5);
+  const serve::ForecastResult started = service->ForecastCurrentAsync().get();
+  EXPECT_EQ(service->ForecastCurrent().get(), started.get());
+  const serve::ForecastResult want = service->Forecast(5);
+  for (size_t j = 0; j < want->size(); ++j) {
+    EXPECT_TRUE(BitIdentical((*started)[j], (*want)[j])) << "step " << j;
   }
 }
 

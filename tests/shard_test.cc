@@ -5,7 +5,8 @@
 // deterministic. One end-to-end table (MatchesPredictOnEveryConfiguration)
 // holds training determinism, Predict against a test-side reference, and
 // the serving merge and routing against Predict, over cities, shard counts,
-// trip backends and thread counts. The library's config defaults (model,
+// trip backends and thread counts; a second case rolls over and merges
+// while other threads read. The library's config defaults (model,
 // shard, serve, stream cache, graph path) hold whatever the environment
 // says. Tests that resize the pool restore it with PoolGuard, so the rest
 // run at the size the binary started with (ODF_THREADS).
@@ -13,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -495,6 +498,63 @@ TEST(ShardedEndToEndTest, MatchesPredictOnEveryConfiguration) {
       }
     }
   }
+}
+
+// One thread rolls the interval over and takes merged snapshots while two
+// others read ForecastOd. Each snapshot starts every unit's cold plan at
+// once; the reads meet caches mid-rollover and start cold forecasts of
+// their own. Every snapshot must equal Predict byte for byte, and every
+// read the same cell of some sample's Predict. Run at ODF_THREADS=4 under
+// TSan, this puts concurrent unit plans under the race detector.
+TEST(ShardedEndToEndTest, ConcurrentRolloverMatchesPredict) {
+  const GridWorld world(4, 4);
+  ShardedModel model(world.city, &world.memory, TinyConfig(4));
+  model.Train(TinyTrain());
+  ShardedService service(&model);
+  const int64_t n = world.city.size();
+  const int64_t k = model.config().spec.num_buckets();
+  const int64_t horizon = model.config().horizon;
+  std::vector<std::vector<Tensor>> predictions;  // per sample
+  for (int64_t s = 0; s < model.NumSamples(); ++s) {
+    predictions.push_back(model.Predict(s));
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad_reads{0};
+  const auto reader = [&](int64_t cell) {
+    do {
+      cell = (cell * 7 + 3) % (n * n * horizon);
+      const int64_t step = cell / (n * n);
+      const int64_t pair = cell % (n * n);
+      const std::vector<float> hist =
+          service.ForecastOd(pair / n, pair % n, step);
+      const bool known = std::any_of(
+          predictions.begin(), predictions.end(),
+          [&](const std::vector<Tensor>& p) {
+            return std::memcmp(hist.data(),
+                               p[static_cast<size_t>(step)].data() + pair * k,
+                               hist.size() * sizeof(float)) == 0;
+          });
+      if (!known) bad_reads.fetch_add(1);
+    } while (!done.load());
+  };
+  std::thread first_reader(reader, 1);
+  std::thread second_reader(reader, 2);
+  for (int round = 0; round < 3; ++round) {
+    for (int64_t s = 0; s < model.NumSamples(); ++s) {
+      service.SetCurrentInterval(s);
+      for (int64_t step = 0; step < horizon; ++step) {
+        EXPECT_TRUE(TensorBitEqual(service.MergedForecast(step),
+                                   predictions[static_cast<size_t>(s)]
+                                              [static_cast<size_t>(step)]))
+            << "round " << round << " sample " << s << " step " << step;
+      }
+    }
+  }
+  done.store(true);
+  first_reader.join();
+  second_reader.join();
+  EXPECT_EQ(bad_reads.load(), 0);
 }
 
 // A client `step` outside [0, horizon) is rejected before any forecast is
