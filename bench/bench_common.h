@@ -22,15 +22,11 @@
 #include <sys/stat.h>
 #include <vector>
 
-#include "baselines/fc_gru.h"
-#include "baselines/gp.h"
-#include "baselines/multitask.h"
-#include "baselines/naive_histogram.h"
-#include "baselines/var.h"
 #include "core/advanced_framework.h"
 #include "core/basic_framework.h"
 #include "core/experiment.h"
 #include "core/trainer.h"
+#include "eval/scenario_eval.h"
 #include "sim/trip_generator.h"
 #include "util/env_config.h"
 #include "util/logging.h"
@@ -94,11 +90,8 @@ struct World {
   int64_t buckets;
 
   static World Build(DatasetSpec spec) {
-    TripGenerator generator(spec.graph, spec.config);
-    const TimePartition tp = generator.time_partition();
-    OdTensorSeries series = BuildOdTensorSeries(
-        generator.Generate(), tp, spec.graph.size(), spec.graph.size(),
-        SpeedHistogramSpec::Paper());
+    OdTensorSeries series = SimulateOdSeries(spec);
+    const TimePartition tp = spec.time_partition();
     const int64_t regions = spec.graph.size();
     return World{std::move(spec), std::move(series), tp, regions, 7};
   }
@@ -114,42 +107,6 @@ inline World BuildCd(const Scale& scale) {
   return World::Build(MakeChengduLike(scale.cd_regions, scale.num_days,
                                       scale.interval_minutes,
                                       2000 + scale.seed));
-}
-
-/// Builds a forecaster by table name for the given world and horizon.
-inline std::unique_ptr<Forecaster> MakeForecaster(
-    const std::string& method, const World& world, int64_t horizon,
-    const Scale& scale) {
-  const int64_t n = world.regions;
-  if (method == "NH") return std::make_unique<NaiveHistogramForecaster>();
-  if (method == "GP") return std::make_unique<GaussianProcessForecaster>();
-  if (method == "VAR") return std::make_unique<VarForecaster>();
-  if (method == "FC" || method == "RNN") {
-    FcGruConfig config;
-    config.seed = scale.seed + 17;
-    return std::make_unique<FcGruForecaster>(n, n, world.buckets, horizon,
-                                             config);
-  }
-  if (method == "MR") {
-    MultiTaskConfig config;
-    config.seed = scale.seed + 23;
-    return std::make_unique<MultiTaskForecaster>(
-        n, n, world.buckets, horizon, world.time_partition, config);
-  }
-  if (method == "BF") {
-    BasicFrameworkConfig config;
-    config.seed = scale.seed + 11;
-    return std::make_unique<BasicFramework>(n, n, world.buckets, horizon,
-                                            config);
-  }
-  if (method == "AF") {
-    AdvancedFrameworkConfig config;
-    config.seed = scale.seed + 13;
-    return std::make_unique<AdvancedFramework>(
-        world.spec.graph, world.spec.graph, world.buckets, horizon, config);
-  }
-  ODF_CHECK(false) << "unknown method " << method;
-  return nullptr;
 }
 
 /// Writes the table as CSV under bench_out/ when ODF_BENCH_CSV=1.

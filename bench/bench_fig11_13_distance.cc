@@ -24,7 +24,9 @@ void RunDataset(const World& world, const Scale& scale, Table& table) {
   std::vector<std::vector<MetricAccumulator>> results;
   for (const auto& method : methods) {
     Stopwatch watch;
-    auto model = MakeForecaster(method, world, horizon, scale);
+    auto model = eval::MakeForecasterByName(
+        method, world.spec.graph, world.buckets, horizon, world.time_partition,
+        scale.seed);
     model->Fit(dataset, split, train);
     results.push_back(EvaluateByDistance(*model, dataset, split.test,
                                          world.spec.graph, world.spec.graph,

@@ -24,7 +24,9 @@ void RunDataset(const World& world, const Scale& scale, Table& table) {
   std::vector<TimeOfDayResult> results;
   for (const auto& method : methods) {
     Stopwatch watch;
-    auto model = MakeForecaster(method, world, horizon, scale);
+    auto model = eval::MakeForecasterByName(
+        method, world.spec.graph, world.buckets, horizon, world.time_partition,
+        scale.seed);
     model->Fit(dataset, split, train);
     results.push_back(EvaluateByTimeOfDay(*model, dataset, split.test,
                                           world.time_partition, bin_hours,

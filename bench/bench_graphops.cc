@@ -10,38 +10,17 @@
 // never overwrites the committed figures.
 //
 // Usage: bench_graphops [--smoke]
-// Knobs: ODF_GRAPHOPS_SEED, ODF_GRAPHOPS_EPOCHS, ODF_GRAPHOPS_MODES
+// Knobs: ODF_SEED, ODF_EPOCHS (as in the paper benches), ODF_GRAPHOPS_MODES
 // (comma-separated subset of cheb,cheb_corr,diffusion,adaptive; must
 // include cheb).
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <string>
-#include <vector>
 
 #include "eval/graphops_eval.h"
 #include "sim/scenario.h"
-#include "sim/trip_generator.h"
 #include "util/env_config.h"
-
-namespace {
-
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    const size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) out.push_back(item);
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
@@ -54,36 +33,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  const uint64_t seed =
-      static_cast<uint64_t>(odf::GetEnvInt("ODF_GRAPHOPS_SEED", 7));
-  const odf::DatasetSpec spec =
-      smoke ? odf::MakeNycLike(3, 3, /*num_days=*/4, /*interval_minutes=*/60,
-                               1000 + seed)
-            : odf::MakeNycLike(4, 4, /*num_days=*/8, /*interval_minutes=*/30,
-                               1000 + seed);
-
+  const odf::eval::SweepSetup setup(
+      smoke, static_cast<uint64_t>(odf::GetEnvInt("ODF_SEED", 7)),
+      static_cast<int>(odf::GetEnvInt("ODF_EPOCHS", smoke ? 2 : 8)));
   odf::eval::GraphOpsEvalConfig config;
-  config.train.seed = seed;
-  config.train.epochs = static_cast<int>(
-      odf::GetEnvInt("ODF_GRAPHOPS_EPOCHS", smoke ? 2 : 8));
-  config.train.batch_size = 16;
-  config.train.patience = 4;
-  config.modes = SplitCsv(odf::GetEnvString(
+  config.train = setup.train;
+  config.modes = odf::eval::SplitCsv(odf::GetEnvString(
       "ODF_GRAPHOPS_MODES",
       smoke ? "cheb,diffusion,adaptive" : "cheb,cheb_corr,diffusion,adaptive"));
 
-  // The closure stresses only the test period, mirroring the scenario
-  // harness: clean-trained weights meet the incident at evaluation time.
-  const odf::TimePartition time_partition(spec.config.interval_minutes,
-                                          spec.config.num_days);
-  const int64_t num_intervals = time_partition.NumIntervals();
-  odf::ScenarioWindow window;
-  window.start_interval = num_intervals - num_intervals / 5;
-  window.end_interval = num_intervals;
-  std::vector<odf::Scenario> suite =
-      odf::StandardScenarioSuite(spec.graph, window, seed);
+  // The road closure drives the static-vs-dynamic graph comparison.
   const odf::Scenario* closure = nullptr;
-  for (const odf::Scenario& scenario : suite) {
+  for (const odf::Scenario& scenario : setup.suite) {
     if (scenario.name() == "road_closure") closure = &scenario;
   }
   if (closure == nullptr) {
@@ -92,16 +53,11 @@ int main(int argc, char** argv) {
   }
 
   const odf::eval::GraphOpsEvalResult result =
-      odf::eval::RunGraphOpsSweep(spec, *closure, config);
+      odf::eval::RunGraphOpsSweep(setup.spec, *closure, config);
   odf::eval::PrintGraphOpsReport(result, stdout);
-  const std::string path =
-      smoke ? (std::filesystem::temp_directory_path() / "BENCH_graphops.json")
-                  .string()
-            : "BENCH_graphops.json";
-  if (!odf::eval::WriteGraphOpsBenchJson(result, path)) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return 1;
-  }
+  const std::string path = setup.WriteJson(
+      "BENCH_graphops.json", odf::eval::GraphOpsBenchJson(result));
+  if (path.empty()) return 1;
   std::printf("\nwrote %s (%zu modes)\n", path.c_str(), result.modes.size());
   return 0;
 }

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 
+#include "baselines/fc_gru.h"
 #include "bench/bench_common.h"
 
 namespace odf::bench {

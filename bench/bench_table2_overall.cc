@@ -24,7 +24,9 @@ void RunDataset(const World& world, int64_t history, const Scale& scale,
 
   for (const char* method : kMethods) {
     Stopwatch watch;
-    auto model = MakeForecaster(method, world, horizon, scale);
+    auto model = eval::MakeForecasterByName(
+        method, world.spec.graph, world.buckets, horizon, world.time_partition,
+        scale.seed);
     model->Fit(dataset, split, train);
     const auto per_step =
         EvaluateForecaster(*model, dataset, split.test, train.batch_size);

@@ -34,10 +34,7 @@ int main() {
   odf::DatasetSpec spec = odf::MakeChengduLike(/*num_regions=*/18,
                                                /*num_days=*/6,
                                                /*interval_minutes=*/30);
-  odf::TripGenerator generator(spec.graph, spec.config);
-  odf::OdTensorSeries series = odf::BuildOdTensorSeries(
-      generator.Generate(), generator.time_partition(), spec.graph.size(),
-      spec.graph.size(), odf::SpeedHistogramSpec::Paper());
+  odf::OdTensorSeries series = odf::SimulateOdSeries(spec);
 
   odf::ForecastDataset dataset(&series, /*history=*/6, /*horizon=*/1);
   const auto split = dataset.ChronologicalSplit(0.7, 0.1);
@@ -48,7 +45,7 @@ int main() {
   model.Fit(dataset, split, train);
 
   const odf::SpeedHistogramSpec spec7 = odf::SpeedHistogramSpec::Paper();
-  const odf::TimePartition& tp = generator.time_partition();
+  const odf::TimePartition tp = spec.time_partition();
 
   // Roll through the last test day, 15:00-21:00 (the evening peak).
   std::printf("time   observed  net-mean-speed  cold-pair-speed  (km/h)\n");

@@ -20,10 +20,7 @@
 
 int main() {
   odf::DatasetSpec spec = odf::MakeNycLike(4, 4, 8, 30);
-  odf::TripGenerator generator(spec.graph, spec.config);
-  odf::OdTensorSeries series = odf::BuildOdTensorSeries(
-      generator.Generate(), generator.time_partition(), spec.graph.size(),
-      spec.graph.size(), odf::SpeedHistogramSpec::Paper());
+  odf::OdTensorSeries series = odf::SimulateOdSeries(spec);
   odf::ForecastDataset dataset(&series, /*history=*/6, /*horizon=*/1);
   const auto split = dataset.ChronologicalSplit(0.7, 0.1);
 
@@ -35,7 +32,7 @@ int main() {
   models.push_back(
       std::make_unique<odf::FcGruForecaster>(n, n, 7, 1, odf::FcGruConfig{}));
   models.push_back(std::make_unique<odf::MultiTaskForecaster>(
-      n, n, 7, 1, generator.time_partition(), odf::MultiTaskConfig{}));
+      n, n, 7, 1, spec.time_partition(), odf::MultiTaskConfig{}));
   models.push_back(std::make_unique<odf::BasicFramework>(
       n, n, 7, 1, odf::BasicFrameworkConfig{}));
   models.push_back(std::make_unique<odf::AdvancedFramework>(

@@ -22,11 +22,10 @@
 // dropout, composed) and the scenario×model table is written as
 // BENCH_scenarios.json. `--scenarios --smoke` is the fast CI variant
 // (tiny grid, 2 scenarios). Knobs: ODF_SCENARIO_MODELS (comma-separated
-// table names), ODF_SCENARIO_EPOCHS, ODF_SCENARIO_SEED.
+// table names), ODF_EPOCHS, ODF_SEED (as in the paper benches).
 
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <future>
 #include <string>
 #include <vector>
@@ -46,76 +45,33 @@
 
 namespace {
 
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    const size_t comma = csv.find(',', start);
-    const size_t end = comma == std::string::npos ? csv.size() : comma;
-    if (end > start) out.push_back(csv.substr(start, end - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return out;
-}
-
 // The scenario×model robustness harness (ROADMAP item 4). Everything is
 // seeded, so the emitted BENCH_scenarios.json is bit-identical across
 // runs and thread counts; `smoke` shrinks it to a CI-sized sweep and
 // writes it to the system temp directory, so a smoke run never overwrites
 // the committed figures.
 int RunScenarioHarness(bool smoke) {
-  const uint64_t seed =
-      static_cast<uint64_t>(odf::GetEnvInt("ODF_SCENARIO_SEED", 7));
-  odf::DatasetSpec spec =
-      smoke ? odf::MakeNycLike(3, 3, /*num_days=*/4, /*interval_minutes=*/60,
-                               1000 + seed)
-            : odf::MakeNycLike(4, 4, /*num_days=*/8, /*interval_minutes=*/30,
-                               1000 + seed);
-
+  odf::eval::SweepSetup setup(
+      smoke, static_cast<uint64_t>(odf::GetEnvInt("ODF_SEED", 7)),
+      static_cast<int>(odf::GetEnvInt("ODF_EPOCHS", smoke ? 2 : 8)));
   odf::eval::ScenarioEvalConfig config;
-  config.train.seed = seed;
-  config.train.epochs = static_cast<int>(
-      odf::GetEnvInt("ODF_SCENARIO_EPOCHS", smoke ? 2 : 8));
-  config.train.batch_size = 16;
-  config.train.patience = 4;
-  config.models = SplitCsv(odf::GetEnvString(
+  config.train = setup.train;
+  config.models = odf::eval::SplitCsv(odf::GetEnvString(
       "ODF_SCENARIO_MODELS", smoke ? "AF,NH" : "AF,AFD,BF,NH,VAR"));
-
-  // Stress only the test period: clean-trained models meet the incidents
-  // at evaluation time, never during training.
-  const odf::TimePartition time_partition(spec.config.interval_minutes,
-                                          spec.config.num_days);
-  const int64_t num_intervals = time_partition.NumIntervals();
-  odf::ScenarioWindow window;
-  window.start_interval = num_intervals -
-                          num_intervals / 5;  // last ~20% = test split
-  window.end_interval = num_intervals;
-  std::vector<odf::Scenario> suite =
-      odf::StandardScenarioSuite(spec.graph, window, seed);
   if (smoke) {
     // Keep the cheapest trip-level and observation-level injector each.
-    std::vector<odf::Scenario> small;
-    for (odf::Scenario& scenario : suite) {
-      if (scenario.name() == "clean" ||
-          scenario.name() == "weather_slowdown") {
-        small.push_back(std::move(scenario));
-      }
-    }
-    suite = std::move(small);
+    std::erase_if(setup.suite, [](const odf::Scenario& scenario) {
+      return scenario.name() != "clean" &&
+             scenario.name() != "weather_slowdown";
+    });
   }
 
   const odf::eval::ScenarioEvalResult result =
-      odf::eval::RunScenarioSweep(spec, suite, config);
+      odf::eval::RunScenarioSweep(setup.spec, setup.suite, config);
   odf::eval::PrintScenarioReport(result, stdout);
-  const std::string path =
-      smoke ? (std::filesystem::temp_directory_path() / "BENCH_scenarios.json")
-                  .string()
-            : "BENCH_scenarios.json";
-  if (!odf::eval::WriteScenarioBenchJson(result, path)) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return 1;
-  }
+  const std::string path = setup.WriteJson(
+      "BENCH_scenarios.json", odf::eval::ScenarioBenchJson(result));
+  if (path.empty()) return 1;
   std::printf("\nwrote %s (%zu scenarios x %zu models)\n", path.c_str(),
               result.scenarios.size(), result.models.size());
   return 0;
@@ -174,8 +130,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(graph.size()));
 
   // --- Features: sparse stochastic OD tensors. --------------------------
-  odf::TimePartition time_partition(spec.config.interval_minutes,
-                                    spec.config.num_days);
+  const odf::TimePartition time_partition = spec.time_partition();
   odf::OdTensorSeries series = odf::BuildOdTensorSeries(
       trips, time_partition, graph.size(), graph.size(),
       odf::SpeedHistogramSpec::Paper());

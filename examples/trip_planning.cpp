@@ -21,10 +21,7 @@
 int main() {
   // Simulate and train (same pipeline as quickstart, but with BF).
   odf::DatasetSpec spec = odf::MakeNycLike(4, 4, 6, 30);
-  odf::TripGenerator generator(spec.graph, spec.config);
-  odf::OdTensorSeries series = odf::BuildOdTensorSeries(
-      generator.Generate(), generator.time_partition(), spec.graph.size(),
-      spec.graph.size(), odf::SpeedHistogramSpec::Paper());
+  odf::OdTensorSeries series = odf::SimulateOdSeries(spec);
   odf::ForecastDataset dataset(&series, 6, 1);
   const auto split = dataset.ChronologicalSplit(0.7, 0.1);
 

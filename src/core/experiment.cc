@@ -4,40 +4,6 @@
 
 namespace odf {
 
-namespace {
-
-/// Runs Predict over `samples` in batches and invokes
-/// `visit(sample_index_in_list, horizon_step, prediction, truth)` per step.
-template <typename Visitor>
-void VisitPredictions(Forecaster& model, const ForecastDataset& dataset,
-                      const std::vector<int64_t>& samples,
-                      int64_t batch_size, Visitor visit) {
-  ODF_CHECK_GT(batch_size, 0);
-  for (size_t start = 0; start < samples.size();
-       start += static_cast<size_t>(batch_size)) {
-    const size_t end =
-        std::min(samples.size(), start + static_cast<size_t>(batch_size));
-    const std::vector<int64_t> indices(
-        samples.begin() + static_cast<int64_t>(start),
-        samples.begin() + static_cast<int64_t>(end));
-    Batch batch = dataset.MakeBatch(indices);
-    const std::vector<Tensor> predictions = model.Predict(batch);
-    ODF_CHECK_EQ(static_cast<int64_t>(predictions.size()),
-                 dataset.horizon());
-    for (size_t b = 0; b < indices.size(); ++b) {
-      const int64_t anchor = batch.anchor_intervals[b];
-      for (int64_t j = 0; j < dataset.horizon(); ++j) {
-        const Tensor pred = SamplePrediction(
-            predictions[static_cast<size_t>(j)], static_cast<int64_t>(b));
-        const OdTensor& truth = dataset.series().at(anchor + 1 + j);
-        visit(anchor, j, pred, truth);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 Tensor SamplePrediction(const Tensor& batched, int64_t b) {
   ODF_CHECK_EQ(batched.rank(), 4);
   const int64_t n = batched.dim(1);
@@ -55,7 +21,7 @@ std::vector<MetricAccumulator> EvaluateForecaster(
     const std::vector<int64_t>& samples, int64_t batch_size) {
   std::vector<MetricAccumulator> per_step(
       static_cast<size_t>(dataset.horizon()));
-  VisitPredictions(model, dataset, samples, batch_size,
+  VisitPredictions(model, dataset, dataset.series(), samples, batch_size,
                    [&](int64_t /*anchor*/, int64_t j, const Tensor& pred,
                        const OdTensor& truth) {
                      AccumulateForecast(pred, truth,
@@ -76,7 +42,7 @@ TimeOfDayResult EvaluateByTimeOfDay(Forecaster& model,
   result.bins.resize(static_cast<size_t>(num_bins));
 
   VisitPredictions(
-      model, dataset, samples, batch_size,
+      model, dataset, dataset.series(), samples, batch_size,
       [&](int64_t anchor, int64_t j, const Tensor& pred,
           const OdTensor& truth) {
         if (j != 0) return;  // 1-step-ahead, as in the figures
@@ -119,7 +85,7 @@ std::vector<MetricAccumulator> EvaluateByDistance(
     }
     return -1;
   };
-  VisitPredictions(model, dataset, samples, batch_size,
+  VisitPredictions(model, dataset, dataset.series(), samples, batch_size,
                    [&](int64_t /*anchor*/, int64_t j, const Tensor& pred,
                        const OdTensor& truth) {
                      if (j != 0) return;

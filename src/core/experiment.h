@@ -1,6 +1,8 @@
 #ifndef ODF_CORE_EXPERIMENT_H_
 #define ODF_CORE_EXPERIMENT_H_
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/forecaster.h"
@@ -13,6 +15,35 @@ namespace odf {
 /// Slices one batched prediction step [B, N, N', K] into the b-th sample's
 /// tensor [N, N', K].
 Tensor SamplePrediction(const Tensor& batched, int64_t b);
+
+/// Runs Predict over `samples` of `inputs` in batches of `batch_size` and
+/// invokes `visit(anchor_interval, horizon_step, prediction, target)`
+/// sample-major, step-minor, judging against `truth` (the inputs' own
+/// series, or a ground truth the inputs were degraded from).
+template <typename Visitor>
+void VisitPredictions(Forecaster& model, const ForecastDataset& inputs,
+                      const OdTensorSeries& truth,
+                      std::span<const int64_t> samples, int64_t batch_size,
+                      Visitor visit) {
+  ODF_CHECK_GT(batch_size, 0);
+  for (size_t start = 0; start < samples.size();
+       start += static_cast<size_t>(batch_size)) {
+    const std::span<const int64_t> indices = samples.subspan(
+        start, std::min(samples.size() - start,
+                        static_cast<size_t>(batch_size)));
+    Batch batch = inputs.MakeBatch(indices);
+    const std::vector<Tensor> predictions = model.Predict(batch);
+    ODF_CHECK_EQ(static_cast<int64_t>(predictions.size()), inputs.horizon());
+    for (size_t b = 0; b < indices.size(); ++b) {
+      const int64_t anchor = batch.anchor_intervals[b];
+      for (int64_t j = 0; j < inputs.horizon(); ++j) {
+        const Tensor pred = SamplePrediction(
+            predictions[static_cast<size_t>(j)], static_cast<int64_t>(b));
+        visit(anchor, j, pred, truth.at(anchor + 1 + j));
+      }
+    }
+  }
+}
 
 /// Evaluates a fitted forecaster on the given test windows.
 /// Returns one accumulator per horizon step (paper Table II rows: the

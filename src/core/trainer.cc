@@ -161,9 +161,15 @@ int ResumeFromCheckpoint(const TrainConfig& config, NeuralForecaster& model,
     const std::string& path = it->second;
     nn::TrainingCheckpoint checkpoint;
     nn::LoadResult load = nn::LoadTrainingCheckpoint(path, &checkpoint);
-    if (load.ok()) {
-      load = nn::ApplyParameters(model, checkpoint.parameters);
+    // Validate every section before committing any, so a rejected file
+    // leaves the model and the optimizer as they were.
+    if (load.ok()) load = nn::CheckParameters(model, checkpoint.parameters);
+    // Best weights, when present, must mirror the parameter shapes.
+    if (load.ok() && !checkpoint.best_weights.empty()) {
+      load = nn::CheckParameters(model, checkpoint.best_weights);
+      if (!load.ok()) load.message = "best weights: " + load.message;
     }
+    // ImportState checks every slot before it replaces any, so it goes last.
     if (load.ok() && !optimizer.ImportState(checkpoint.optimizer)) {
       load = {nn::LoadStatus::kArchMismatch,
               "optimizer state does not match model parameters"};
@@ -174,13 +180,7 @@ int ResumeFromCheckpoint(const TrainConfig& config, NeuralForecaster& model,
                        << load.message;
       continue;
     }
-    // Best weights, when present, must mirror the parameter shapes.
-    if (!checkpoint.best_weights.empty() &&
-        checkpoint.best_weights.size() != checkpoint.parameters.size()) {
-      ODF_LOG(Warning) << "skipping checkpoint " << path
-                       << ": best-weights/parameter count mismatch";
-      continue;
-    }
+    ODF_CHECK(nn::ApplyParameters(model, checkpoint.parameters).ok());
     rng.LoadState(checkpoint.rng);
     result.train_losses = checkpoint.train_losses;
     result.validation_losses = checkpoint.validation_losses;

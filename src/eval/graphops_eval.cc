@@ -1,8 +1,5 @@
 #include "eval/graphops_eval.h"
 
-#include <cmath>
-#include <cstdarg>
-#include <fstream>
 #include <memory>
 
 #include "core/advanced_framework.h"
@@ -12,33 +9,13 @@
 
 namespace odf::eval {
 
+using internal::AppendF;
+
 namespace {
-
-void AppendF(std::string* out, const char* format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  *out += buf;
-}
 
 GraphOpScore MakeScore(const std::string& mode, const std::string& setting,
                        const MetricAccumulator& accumulator) {
-  GraphOpScore score;
-  score.mode = mode;
-  score.setting = setting;
-  score.pairs = accumulator.count();
-  for (int k = 0; k < kNumMetrics; ++k) {
-    score.values[k] = accumulator.Mean(static_cast<Metric>(k));
-    ODF_CHECK(std::isfinite(score.values[k]))
-        << mode << "/" << setting << " "
-        << MetricName(static_cast<Metric>(k)) << " is not finite";
-  }
-  return score;
+  return {internal::MeansOf(accumulator, mode + "/" + setting), mode, setting};
 }
 
 /// One AF per mode name, identical seed across modes so the operator family
@@ -76,26 +53,17 @@ GraphOpsEvalResult RunGraphOpsSweep(const DatasetSpec& spec,
                                     const GraphOpsEvalConfig& config) {
   ODF_CHECK(!config.modes.empty());
   const SpeedHistogramSpec histogram = SpeedHistogramSpec::Paper();
-
-  TripGenerator generator(spec.graph, spec.config);
-  const TimePartition time_partition = generator.time_partition();
-  OdTensorSeries clean_series = BuildOdTensorSeries(
-      generator.Generate(), time_partition, spec.graph.size(),
-      spec.graph.size(), histogram);
-  ForecastDataset clean_dataset(&clean_series, config.history,
-                                config.horizon);
-  const ForecastDataset::Split split = clean_dataset.ChronologicalSplit(
-      config.train_fraction, config.validation_fraction);
-  ODF_CHECK(!split.train.empty());
-  ODF_CHECK(!split.test.empty());
+  const internal::CleanWorld clean(spec, config);
+  ODF_CHECK(!clean.split.train.empty());
 
   // Demand-correlation graphs from the *training* period only — the third
   // static graph input never sees validation or test demand.
-  const int64_t train_end = clean_dataset.AnchorInterval(split.train.back());
+  const int64_t train_end =
+      clean.dataset.AnchorInterval(clean.split.train.back());
   std::vector<Tensor> train_counts;
   train_counts.reserve(static_cast<size_t>(train_end + 1));
   for (int64_t t = 0; t <= train_end; ++t) {
-    train_counts.push_back(clean_series.at(t).counts());
+    train_counts.push_back(clean.series.at(t).counts());
   }
   const Tensor origin_correlation = DemandCorrelationGraph(
       train_counts, /*origin_side=*/true, config.correlation_threshold);
@@ -103,12 +71,7 @@ GraphOpsEvalResult RunGraphOpsSweep(const DatasetSpec& spec,
       train_counts, /*origin_side=*/false, config.correlation_threshold);
 
   GraphOpsEvalResult result;
-  result.dataset_name = spec.name;
-  result.regions = spec.graph.size();
-  result.seed = spec.config.seed;
-  result.history = config.history;
-  result.horizon = config.horizon;
-  result.test_windows = static_cast<int64_t>(split.test.size());
+  static_cast<SweepHeader&>(result) = clean.header;
   result.modes = config.modes;
   result.dynamic_scenario = scenario.name();
 
@@ -122,14 +85,14 @@ GraphOpsEvalResult RunGraphOpsSweep(const DatasetSpec& spec,
     {
       ScopedTimer timer(
           MetricsRegistry::Global().GetHistogram("graphops.train_seconds"));
-      model->Fit(clean_dataset, split, config.train);
+      model->Fit(clean.dataset, clean.split, config.train);
     }
     MetricAccumulator accumulator;
     {
       ScopedTimer timer(
           MetricsRegistry::Global().GetHistogram("graphops.eval_seconds"));
-      accumulator = ScoreForecaster(*model, clean_dataset, clean_series,
-                                    split.test, config.eval_batch_size);
+      accumulator = ScoreForecaster(*model, clean.dataset, clean.series,
+                                    clean.split.test, config.eval_batch_size);
     }
     result.clean.push_back(MakeScore(mode, "clean", accumulator));
     if (mode == "cheb") cheb_model = model.get();
@@ -142,58 +105,34 @@ GraphOpsEvalResult RunGraphOpsSweep(const DatasetSpec& spec,
   // construction-time graphs, once with per-interval operators rebuilt from
   // the scenario's closures (ROADMAP item 3's dynamic-graph path).
   ScenarioWorld world = BuildScenarioWorld(spec, scenario, histogram);
-  ODF_CHECK_EQ(world.truth.NumIntervals(), clean_series.NumIntervals());
+  ODF_CHECK_EQ(world.truth.NumIntervals(), clean.series.NumIntervals());
   ForecastDataset observed_dataset(&world.observed, config.history,
                                    config.horizon);
   result.scenario_scores.push_back(MakeScore(
       "cheb", "static",
-      ScoreForecaster(*cheb_model, observed_dataset, world.truth, split.test,
-                      config.eval_batch_size)));
-  DynamicGraphContext dynamic;
-  dynamic.graph = &spec.graph;
-  dynamic.scenario = &scenario;
-  dynamic.proximity = cheb_model->config().proximity;
+      ScoreForecaster(*cheb_model, observed_dataset, world.truth,
+                      clean.split.test, config.eval_batch_size)));
+  const DynamicGraphContext dynamic{&spec.graph, &scenario,
+                                    cheb_model->config().proximity};
   result.scenario_scores.push_back(MakeScore(
       "cheb", "dynamic",
-      ScoreForecaster(*cheb_model, observed_dataset, world.truth, split.test,
-                      config.eval_batch_size, &dynamic)));
+      ScoreForecaster(*cheb_model, observed_dataset, world.truth,
+                      clean.split.test, config.eval_batch_size, &dynamic)));
   return result;
 }
 
 std::string GraphOpsBenchJson(const GraphOpsEvalResult& result) {
   std::string out;
   out.reserve(4096);
-  out += "{\n";
-  AppendF(&out, "  \"bench\": \"graph_operators\",\n");
-  AppendF(&out, "  \"dataset\": \"%s\",\n", result.dataset_name.c_str());
-  AppendF(&out, "  \"regions\": %lld,\n",
-          static_cast<long long>(result.regions));
-  AppendF(&out, "  \"seed\": %llu,\n",
-          static_cast<unsigned long long>(result.seed));
-  AppendF(&out, "  \"history\": %lld,\n",
-          static_cast<long long>(result.history));
-  AppendF(&out, "  \"horizon\": %lld,\n",
-          static_cast<long long>(result.horizon));
-  AppendF(&out, "  \"test_windows\": %lld,\n",
-          static_cast<long long>(result.test_windows));
-  out += "  \"modes\": [";
-  for (size_t m = 0; m < result.modes.size(); ++m) {
-    AppendF(&out, "%s\"%s\"", m == 0 ? "" : ", ", result.modes[m].c_str());
-  }
-  out += "],\n";
+  internal::AppendHeaderJson(&out, "graph_operators", result, "modes",
+                             result.modes);
   const auto append_scores = [&](const std::vector<GraphOpScore>& scores) {
     for (size_t i = 0; i < scores.size(); ++i) {
       const GraphOpScore& score = scores[i];
-      for (int k = 0; k < kNumMetrics; ++k) {
-        ODF_CHECK(std::isfinite(score.values[k]));
-      }
-      AppendF(&out,
-              "    {\"mode\": \"%s\", \"setting\": \"%s\", \"kl\": %.9f, "
-              "\"js\": %.9f, \"emd\": %.9f, \"pairs\": %lld}%s\n",
-              score.mode.c_str(), score.setting.c_str(), score.values[0],
-              score.values[1], score.values[2],
-              static_cast<long long>(score.pairs),
-              i + 1 == scores.size() ? "" : ",");
+      AppendF(&out, "    {\"mode\": \"%s\", \"setting\": \"%s\", ",
+              score.mode.c_str(), score.setting.c_str());
+      internal::AppendScoreJson(&out, score);
+      out += i + 1 == scores.size() ? "\n" : ",\n";
     }
   };
   out += "  \"clean\": [\n";
@@ -207,25 +146,8 @@ std::string GraphOpsBenchJson(const GraphOpsEvalResult& result) {
   return out;
 }
 
-bool WriteGraphOpsBenchJson(const GraphOpsEvalResult& result,
-                            const std::string& path) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return false;
-  const std::string json = GraphOpsBenchJson(result);
-  file.write(json.data(), static_cast<std::streamsize>(json.size()));
-  return static_cast<bool>(file.flush());
-}
-
 void PrintGraphOpsReport(const GraphOpsEvalResult& result, std::FILE* out) {
-  std::fprintf(out,
-               "graph operators — %s, %lld regions, seed %llu, "
-               "%lld test windows (history %lld, horizon %lld)\n",
-               result.dataset_name.c_str(),
-               static_cast<long long>(result.regions),
-               static_cast<unsigned long long>(result.seed),
-               static_cast<long long>(result.test_windows),
-               static_cast<long long>(result.history),
-               static_cast<long long>(result.horizon));
+  internal::PrintReportHeader(out, "graph operators", result);
   const auto print_scores = [&](const std::vector<GraphOpScore>& scores,
                                 const char* label_header) {
     std::vector<std::string> headers{label_header};

@@ -17,40 +17,26 @@ namespace odf::eval {
 /// one AF per operator mode, identical seeds and training schedule, scored
 /// on the same clean test windows — so every difference in the table is the
 /// operator family, nothing else.
-struct GraphOpsEvalConfig {
+struct GraphOpsEvalConfig : SweepConfig {
   /// Operator modes swept, in table order. "cheb" is the paper's Chebyshev
   /// basis, "cheb_corr" joins the demand-correlation graph as a second
   /// static component, "diffusion" the DCRNN dual-direction walk,
   /// "adaptive" the learned ODCRN adjacency.
   std::vector<std::string> modes{"cheb", "cheb_corr", "diffusion",
                                  "adaptive"};
-  int64_t history = 4;
-  int64_t horizon = 1;
-  int64_t eval_batch_size = 16;
-  double train_fraction = 0.7;
-  double validation_fraction = 0.1;
   /// Pearson-r cutoff of the demand-correlation graph ("cheb_corr" only).
   double correlation_threshold = 0.3;
-  TrainConfig train;
 };
 
 /// One row of the sweep: a mode scored in one setting ("clean" for the
 /// held-out clean test windows; "static" / "dynamic" for the stress
 /// scenario scored with construction-time vs per-interval graphs).
-struct GraphOpScore {
+struct GraphOpScore : SweepScore {
   std::string mode;
   std::string setting;
-  double values[kNumMetrics] = {0.0, 0.0, 0.0};
-  int64_t pairs = 0;
 };
 
-struct GraphOpsEvalResult {
-  std::string dataset_name;
-  int64_t regions = 0;
-  uint64_t seed = 0;
-  int64_t history = 0;
-  int64_t horizon = 0;
-  int64_t test_windows = 0;
+struct GraphOpsEvalResult : SweepHeader {
   std::vector<std::string> modes;
   /// Per-mode clean-test scores, in `modes` order.
   std::vector<GraphOpScore> clean;
@@ -76,10 +62,6 @@ GraphOpsEvalResult RunGraphOpsSweep(const DatasetSpec& spec,
 /// Renders the result as the BENCH_graphops.json document. Deterministic:
 /// fixed key order, %.9f floats, no timestamps. Aborts on non-finite scores.
 std::string GraphOpsBenchJson(const GraphOpsEvalResult& result);
-
-/// Writes GraphOpsBenchJson() to `path`; returns false on I/O failure.
-bool WriteGraphOpsBenchJson(const GraphOpsEvalResult& result,
-                            const std::string& path);
 
 /// Prints the human-readable report (clean table + scenario comparison).
 void PrintGraphOpsReport(const GraphOpsEvalResult& result, std::FILE* out);

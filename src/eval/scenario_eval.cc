@@ -1,9 +1,5 @@
 #include "eval/scenario_eval.h"
 
-#include <cmath>
-#include <cstdarg>
-#include <fstream>
-
 #include "baselines/fc_gru.h"
 #include "baselines/gp.h"
 #include "baselines/multitask.h"
@@ -16,21 +12,7 @@
 
 namespace odf::eval {
 
-namespace {
-
-void AppendF(std::string* out, const char* format, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void AppendF(std::string* out, const char* format, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, format);
-  std::vsnprintf(buf, sizeof buf, format, args);
-  va_end(args);
-  *out += buf;
-}
-
-}  // namespace
+using internal::AppendF;
 
 MetricAccumulator ScoreForecaster(Forecaster& model,
                                   const ForecastDataset& observed,
@@ -40,47 +22,31 @@ MetricAccumulator ScoreForecaster(Forecaster& model,
                                   const DynamicGraphContext* dynamic) {
   ODF_CHECK_GT(batch_size, 0);
   MetricAccumulator accumulator;
-  AdvancedFramework* dynamic_model = nullptr;
-  if (dynamic != nullptr) {
-    ODF_CHECK(dynamic->graph != nullptr);
-    ODF_CHECK(dynamic->scenario != nullptr);
-    dynamic_model = dynamic_cast<AdvancedFramework*>(&model);
-    ODF_CHECK(dynamic_model != nullptr)
-        << "dynamic-graph scoring needs an AdvancedFramework, got "
-        << model.name();
-    // One window at a time: each window gets the graph of its own anchor
-    // interval, so windows cannot share a batched forward pass.
-    batch_size = 1;
+  const auto accumulate = [&](int64_t, int64_t, const Tensor& prediction,
+                              const OdTensor& target) {
+    AccumulateForecast(prediction, target, accumulator);
+  };
+  if (dynamic == nullptr) {
+    VisitPredictions(model, observed, truth, samples, batch_size, accumulate);
+    return accumulator;
   }
-  for (size_t start = 0; start < samples.size();
-       start += static_cast<size_t>(batch_size)) {
-    const size_t end =
-        std::min(samples.size(), start + static_cast<size_t>(batch_size));
-    const std::vector<int64_t> indices(
-        samples.begin() + static_cast<int64_t>(start),
-        samples.begin() + static_cast<int64_t>(end));
-    Batch batch = observed.MakeBatch(indices);
-    if (dynamic_model != nullptr) {
-      // A fresh operator snapshot per interval (never mutated in place);
-      // recurring matrices — most intervals outside the incident — hit the
-      // memoized Chebyshev factory instead of re-deriving L̂.
-      const Tensor w = dynamic->scenario->ProximityMatrixAt(
-          *dynamic->graph, dynamic->proximity, batch.anchor_intervals[0]);
-      dynamic_model->SetGcGruGraphs(w, w);
-    }
-    const std::vector<Tensor> predictions = model.Predict(batch);
-    ODF_CHECK_EQ(static_cast<int64_t>(predictions.size()),
-                 observed.horizon());
-    for (size_t b = 0; b < indices.size(); ++b) {
-      const int64_t anchor = batch.anchor_intervals[b];
-      for (int64_t j = 0; j < observed.horizon(); ++j) {
-        const Tensor prediction = SamplePrediction(
-            predictions[static_cast<size_t>(j)], static_cast<int64_t>(b));
-        AccumulateForecast(prediction, truth.at(anchor + 1 + j), accumulator);
-      }
-    }
+  ODF_CHECK(dynamic->graph != nullptr && dynamic->scenario != nullptr);
+  auto* dynamic_model = dynamic_cast<AdvancedFramework*>(&model);
+  ODF_CHECK(dynamic_model != nullptr)
+      << "dynamic-graph scoring needs an AdvancedFramework, got "
+      << model.name();
+  // One window at a time: each window gets the graph of its own anchor
+  // interval, so windows cannot share a batched forward pass.
+  for (const int64_t& sample : samples) {
+    // A fresh operator snapshot per interval (never mutated in place);
+    // recurring matrices — most intervals outside the incident — hit the
+    // memoized Chebyshev factory instead of re-deriving L̂.
+    const Tensor w = dynamic->scenario->ProximityMatrixAt(
+        *dynamic->graph, dynamic->proximity, observed.AnchorInterval(sample));
+    dynamic_model->SetGcGruGraphs(w, w);
+    VisitPredictions(model, observed, truth, {&sample, 1}, 1, accumulate);
   }
-  if (dynamic_model != nullptr) dynamic_model->ResetGcGruGraphs();
+  dynamic_model->ResetGcGruGraphs();
   return accumulator;
 }
 
@@ -132,24 +98,10 @@ ScenarioEvalResult RunScenarioSweep(const DatasetSpec& spec,
   // The clean world every model is trained on. Scenarios only perturb the
   // evaluation side: robustness is "clean-trained model meets an incident",
   // exactly the deployment situation the ROADMAP's north star describes.
-  TripGenerator generator(spec.graph, spec.config);
-  const TimePartition time_partition = generator.time_partition();
-  OdTensorSeries clean_series = BuildOdTensorSeries(
-      generator.Generate(), time_partition, spec.graph.size(),
-      spec.graph.size(), histogram);
-  ForecastDataset clean_dataset(&clean_series, config.history,
-                                config.horizon);
-  const ForecastDataset::Split split = clean_dataset.ChronologicalSplit(
-      config.train_fraction, config.validation_fraction);
-  ODF_CHECK(!split.test.empty()) << "no test windows to stress";
+  const internal::CleanWorld clean(spec, config);
 
   ScenarioEvalResult result;
-  result.dataset_name = spec.name;
-  result.regions = spec.graph.size();
-  result.seed = spec.config.seed;
-  result.history = config.history;
-  result.horizon = config.horizon;
-  result.test_windows = static_cast<int64_t>(split.test.size());
+  static_cast<SweepHeader&>(result) = clean.header;
   result.models = config.models;
   for (const Scenario& scenario : scenarios) {
     result.scenarios.push_back(scenario.name());
@@ -160,14 +112,14 @@ ScenarioEvalResult RunScenarioSweep(const DatasetSpec& spec,
   for (const std::string& name : config.models) {
     std::unique_ptr<Forecaster> model = MakeForecasterByName(
         name, spec.graph, histogram.num_buckets(), config.horizon,
-        time_partition, config.train.seed);
-    model->Fit(clean_dataset, split, config.train);
+        spec.time_partition(), config.train.seed);
+    model->Fit(clean.dataset, clean.split, config.train);
     models.push_back(std::move(model));
   }
 
   for (const Scenario& scenario : scenarios) {
     ScenarioWorld world = BuildScenarioWorld(spec, scenario, histogram);
-    ODF_CHECK_EQ(world.truth.NumIntervals(), clean_series.NumIntervals());
+    ODF_CHECK_EQ(world.truth.NumIntervals(), clean.series.NumIntervals());
     ForecastDataset observed_dataset(&world.observed, config.history,
                                      config.horizon);
     for (size_t m = 0; m < models.size(); ++m) {
@@ -178,9 +130,7 @@ ScenarioEvalResult RunScenarioSweep(const DatasetSpec& spec,
       if (const auto* af =
               dynamic_cast<const AdvancedFramework*>(models[m].get());
           af != nullptr && af->config().dynamic_graph) {
-        dynamic_context.graph = &spec.graph;
-        dynamic_context.scenario = &scenario;
-        dynamic_context.proximity = af->config().proximity;
+        dynamic_context = {&spec.graph, &scenario, af->config().proximity};
         dynamic = &dynamic_context;
       }
       MetricAccumulator accumulator;
@@ -189,22 +139,15 @@ ScenarioEvalResult RunScenarioSweep(const DatasetSpec& spec,
             MetricsRegistry::Global().GetHistogram("scenario.eval_seconds"));
         accumulator =
             ScoreForecaster(*models[m], observed_dataset, world.truth,
-                            split.test, config.eval_batch_size, dynamic);
+                            clean.split.test, config.eval_batch_size, dynamic);
       }
       if (MetricsEnabled()) {
         MetricsRegistry::Global().GetCounter("scenario.evaluations").Add();
       }
-      ScenarioScore score;
-      score.scenario = scenario.name();
-      score.model = config.models[m];
-      score.pairs = accumulator.count();
-      for (int k = 0; k < kNumMetrics; ++k) {
-        score.values[k] = accumulator.Mean(static_cast<Metric>(k));
-        ODF_CHECK(std::isfinite(score.values[k]))
-            << scenario.name() << "/" << config.models[m] << " "
-            << MetricName(static_cast<Metric>(k)) << " is not finite";
-      }
-      result.scores.push_back(std::move(score));
+      const std::string& model = config.models[m];
+      result.scores.push_back(
+          {internal::MeansOf(accumulator, scenario.name() + "/" + model),
+           scenario.name(), model});
     }
   }
   return result;
@@ -213,24 +156,8 @@ ScenarioEvalResult RunScenarioSweep(const DatasetSpec& spec,
 std::string ScenarioBenchJson(const ScenarioEvalResult& result) {
   std::string out;
   out.reserve(4096);
-  out += "{\n";
-  AppendF(&out, "  \"bench\": \"scenario_robustness\",\n");
-  AppendF(&out, "  \"dataset\": \"%s\",\n", result.dataset_name.c_str());
-  AppendF(&out, "  \"regions\": %lld,\n",
-          static_cast<long long>(result.regions));
-  AppendF(&out, "  \"seed\": %llu,\n",
-          static_cast<unsigned long long>(result.seed));
-  AppendF(&out, "  \"history\": %lld,\n",
-          static_cast<long long>(result.history));
-  AppendF(&out, "  \"horizon\": %lld,\n",
-          static_cast<long long>(result.horizon));
-  AppendF(&out, "  \"test_windows\": %lld,\n",
-          static_cast<long long>(result.test_windows));
-  out += "  \"models\": [";
-  for (size_t m = 0; m < result.models.size(); ++m) {
-    AppendF(&out, "%s\"%s\"", m == 0 ? "" : ", ", result.models[m].c_str());
-  }
-  out += "],\n";
+  internal::AppendHeaderJson(&out, "scenario_robustness", result, "models",
+                             result.models);
   out += "  \"scenarios\": [\n";
   for (size_t s = 0; s < result.scenarios.size(); ++s) {
     AppendF(&out, "    {\"name\": \"%s\", \"scores\": [\n",
@@ -239,30 +166,15 @@ std::string ScenarioBenchJson(const ScenarioEvalResult& result) {
       const ScenarioScore& score =
           result.scores[s * result.models.size() + m];
       ODF_CHECK(score.scenario == result.scenarios[s]);
-      for (int k = 0; k < kNumMetrics; ++k) {
-        ODF_CHECK(std::isfinite(score.values[k]));
-      }
-      AppendF(&out,
-              "      {\"model\": \"%s\", \"kl\": %.9f, \"js\": %.9f, "
-              "\"emd\": %.9f, \"pairs\": %lld}%s\n",
-              score.model.c_str(), score.values[0], score.values[1],
-              score.values[2], static_cast<long long>(score.pairs),
-              m + 1 == result.models.size() ? "" : ",");
+      AppendF(&out, "      {\"model\": \"%s\", ", score.model.c_str());
+      internal::AppendScoreJson(&out, score);
+      out += m + 1 == result.models.size() ? "\n" : ",\n";
     }
     AppendF(&out, "    ]}%s\n",
             s + 1 == result.scenarios.size() ? "" : ",");
   }
   out += "  ]\n}\n";
   return out;
-}
-
-bool WriteScenarioBenchJson(const ScenarioEvalResult& result,
-                            const std::string& path) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) return false;
-  const std::string json = ScenarioBenchJson(result);
-  file.write(json.data(), static_cast<std::streamsize>(json.size()));
-  return static_cast<bool>(file.flush());
 }
 
 Table ScenarioReportTable(const ScenarioEvalResult& result, Metric metric) {
@@ -282,15 +194,7 @@ Table ScenarioReportTable(const ScenarioEvalResult& result, Metric metric) {
 }
 
 void PrintScenarioReport(const ScenarioEvalResult& result, std::FILE* out) {
-  std::fprintf(out,
-               "scenario robustness — %s, %lld regions, seed %llu, "
-               "%lld test windows (history %lld, horizon %lld)\n",
-               result.dataset_name.c_str(),
-               static_cast<long long>(result.regions),
-               static_cast<unsigned long long>(result.seed),
-               static_cast<long long>(result.test_windows),
-               static_cast<long long>(result.history),
-               static_cast<long long>(result.horizon));
+  internal::PrintReportHeader(out, "scenario robustness", result);
   for (int k = 0; k < kNumMetrics; ++k) {
     std::fprintf(out, "\n%s (mean per observed pair; lower is better)\n",
                  MetricName(static_cast<Metric>(k)));

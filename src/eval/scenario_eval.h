@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/forecaster.h"
+#include "eval/sweep.h"
 #include "metrics/evaluation.h"
 #include "sim/scenario.h"
 #include "sim/trip_generator.h"
@@ -15,39 +16,21 @@
 namespace odf::eval {
 
 /// Configuration of the scenario×model robustness sweep (docs/scenarios.md).
-struct ScenarioEvalConfig {
+struct ScenarioEvalConfig : SweepConfig {
   /// Models scored, by table name: AF, BF, NH, GP, VAR, FC/RNN, MR.
   std::vector<std::string> models{"AF", "NH", "VAR"};
-  int64_t history = 4;
-  int64_t horizon = 1;
-  int64_t eval_batch_size = 16;
-  /// Chronological split fractions used for training the clean models and
-  /// selecting the stressed test windows.
-  double train_fraction = 0.7;
-  double validation_fraction = 0.1;
-  /// Training hyper-parameters of the neural models (epochs, seed, ...).
-  TrainConfig train;
 };
 
 /// One cell of the scenario×model table: mean KL/JS/EMD per observed
 /// ground-truth pair over the stressed test windows.
-struct ScenarioScore {
+struct ScenarioScore : SweepScore {
   std::string scenario;
   std::string model;
-  double values[kNumMetrics] = {0.0, 0.0, 0.0};
-  /// Observed (pair, horizon-step) ground-truth cells scored.
-  int64_t pairs = 0;
 };
 
 /// The full sweep outcome; `scores` is scenario-major, model-minor, in the
 /// exact order of the input scenario and model lists (deterministic).
-struct ScenarioEvalResult {
-  std::string dataset_name;
-  int64_t regions = 0;
-  uint64_t seed = 0;
-  int64_t history = 0;
-  int64_t horizon = 0;
-  int64_t test_windows = 0;
+struct ScenarioEvalResult : SweepHeader {
   std::vector<std::string> scenarios;
   std::vector<std::string> models;
   std::vector<ScenarioScore> scores;
@@ -102,10 +85,6 @@ ScenarioEvalResult RunScenarioSweep(const DatasetSpec& spec,
 /// docs/scenarios.md). Deterministic: fixed key order, fixed float
 /// formatting, no timestamps. Aborts if any score is non-finite.
 std::string ScenarioBenchJson(const ScenarioEvalResult& result);
-
-/// Writes ScenarioBenchJson() to `path`; returns false on I/O failure.
-bool WriteScenarioBenchJson(const ScenarioEvalResult& result,
-                            const std::string& path);
 
 /// One scenario×model table for `metric` (rows = scenarios, cols = models).
 Table ScenarioReportTable(const ScenarioEvalResult& result, Metric metric);

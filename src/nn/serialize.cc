@@ -189,9 +189,9 @@ bool SaveParameters(const Module& module, const std::string& path) {
   return WriteContainer(path, kParamMagic, payload);
 }
 
-LoadResult ApplyParameters(Module& module,
+LoadResult CheckParameters(const Module& module,
                            const std::vector<Tensor>& tensors) {
-  auto params = module.Parameters();
+  const auto params = module.Parameters();
   if (tensors.size() != params.size()) {
     std::ostringstream message;
     message << "parameter count mismatch: checkpoint has " << tensors.size()
@@ -207,9 +207,17 @@ LoadResult ApplyParameters(Module& module,
       return Fail(LoadStatus::kArchMismatch, message.str());
     }
   }
-  // All shapes verified — only now touch the model.
-  for (size_t i = 0; i < params.size(); ++i) params[i].SetValue(tensors[i]);
   return {};
+}
+
+LoadResult ApplyParameters(Module& module,
+                           const std::vector<Tensor>& tensors) {
+  LoadResult result = CheckParameters(module, tensors);
+  if (!result.ok()) return result;
+  // All shapes verified — only now touch the model.
+  auto params = module.Parameters();
+  for (size_t i = 0; i < params.size(); ++i) params[i].SetValue(tensors[i]);
+  return result;
 }
 
 LoadResult LoadParametersChecked(Module& module, const std::string& path) {

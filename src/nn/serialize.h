@@ -99,6 +99,11 @@ bool SaveTrainingCheckpoint(const TrainingCheckpoint& checkpoint,
 LoadResult LoadTrainingCheckpoint(const std::string& path,
                                   TrainingCheckpoint* out);
 
+/// Shape-checks `tensors` against `module.Parameters()`: kArchMismatch
+/// unless the counts and every shape agree. Touches nothing.
+LoadResult CheckParameters(const Module& module,
+                           const std::vector<Tensor>& tensors);
+
 /// Shape-checks `tensors` against `module.Parameters()` and applies them.
 /// On mismatch returns kArchMismatch and leaves the module untouched.
 LoadResult ApplyParameters(Module& module, const std::vector<Tensor>& tensors);

@@ -219,4 +219,11 @@ DatasetSpec MakeChengduLike(int num_regions, int num_days,
   };
 }
 
+OdTensorSeries SimulateOdSeries(const DatasetSpec& spec) {
+  TripGenerator generator(spec.graph, spec.config);
+  return BuildOdTensorSeries(generator.Generate(), generator.time_partition(),
+                             spec.graph.size(), spec.graph.size(),
+                             SpeedHistogramSpec::Paper());
+}
+
 }  // namespace odf

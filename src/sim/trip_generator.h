@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "graph/region_graph.h"
+#include "od/od_tensor.h"
 #include "od/trip.h"
 #include "tensor/tensor.h"
 
@@ -110,6 +111,11 @@ struct DatasetSpec {
   std::string name;
   RegionGraph graph;
   SimConfig config;
+
+  /// The interval grid of the simulated period.
+  TimePartition time_partition() const {
+    return {config.interval_minutes, config.num_days};
+  }
 };
 
 /// Manhattan-like city: homogeneous grid regions, data around the clock.
@@ -120,6 +126,11 @@ DatasetSpec MakeNycLike(int grid_rows, int grid_cols, int num_days,
 /// no data between 00:00 and 06:00.
 DatasetSpec MakeChengduLike(int num_regions, int num_days,
                             int interval_minutes, uint64_t seed = 2002);
+
+/// Simulates `spec`'s trips and bins them into OD tensors with the paper's
+/// speed histogram: the clean series the paper benches and the robustness
+/// sweeps train and score on.
+OdTensorSeries SimulateOdSeries(const DatasetSpec& spec);
 
 }  // namespace odf
 

@@ -34,17 +34,17 @@ namespace odf {
 // so their scale can be adjusted without recompiling, e.g.
 // `ODF_SCALE=paper ./bench_table2_overall`:
 //   ODF_SCALE, ODF_DAYS, ODF_EPOCHS, ODF_SEED   experiment scale (bench/).
+//                    The two robustness sweeps read ODF_SEED and ODF_EPOCHS
+//                    with the same meaning: ODF_SEED (default 7) seeds trip
+//                    generation, injector randomness and model init, so one
+//                    value pins the sweep's JSON bit-for-bit at any
+//                    ODF_THREADS; ODF_EPOCHS trains each learned model
+//                    (default 8, or 2 with --smoke).
 //   ODF_BENCH_JSON, ODF_BENCH_GRAPH_JSON, ODF_BENCH_CSV
 //                    benchmark output paths.
 //
 // Stress-scenario harness (docs/scenarios.md), read by
 // `production_pipeline --scenarios [--smoke]`:
-//   ODF_SCENARIO_SEED=<n>    master seed for the sweep — trip generation,
-//                    injector randomness, and model init all derive from
-//                    it, so one value pins the whole BENCH_scenarios.json
-//                    bit-for-bit (default 7; the committed table uses it).
-//   ODF_SCENARIO_EPOCHS=<n>  training epochs for each learned model in
-//                    the sweep (default 8, or 2 with --smoke).
 //   ODF_SCENARIO_MODELS=<csv> comma-separated table columns, e.g.
 //                    "AF,AFD,BF,NH,VAR" (the default; --smoke uses
 //                    "AF,NH").
@@ -54,11 +54,6 @@ namespace odf {
 //                    from Scenario::ProximityMatrixAt).
 //
 // Graph-operator sweep (docs/graph_operators.md), read by `bench_graphops`:
-//   ODF_GRAPHOPS_SEED=<n>    master seed of `bench_graphops` (default 7);
-//                    one value pins BENCH_graphops.json bit-for-bit at any
-//                    ODF_THREADS.
-//   ODF_GRAPHOPS_EPOCHS=<n>  training epochs per operator family in the
-//                    sweep (default 8, or 2 with --smoke).
 //   ODF_GRAPHOPS_MODES=<csv> operator families to sweep, a subset of
 //                    "cheb,cheb_corr,diffusion,adaptive" that must include
 //                    cheb (it anchors the static-vs-dynamic comparison).

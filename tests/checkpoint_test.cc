@@ -539,6 +539,84 @@ TEST(ResumeTest, SkipsCorruptLatestAndFallsBackToOlderSnapshot) {
   ASSERT_EQ(result.train_losses.size(), 5u);
 }
 
+// A CRC-valid snapshot with one section that does not fit the model must be
+// skipped whole: nothing of it may reach the model or the optimizer, so
+// the resumed run equals an empty-directory run byte for byte.
+struct RejectedSection {
+  const char* name;
+  void (*spoil)(nn::TrainingCheckpoint& checkpoint);
+};
+
+void PrintTo(const RejectedSection& section, std::ostream* os) {
+  *os << section.name;
+}
+
+class RejectedCheckpointTest
+    : public ::testing::TestWithParam<RejectedSection> {};
+
+TEST_P(RejectedCheckpointTest, ResumeEqualsAnEmptyDirectoryRun) {
+  TestWorld world = TestWorld::Make();
+  const std::string reference_dir =
+      FreshDir(std::string("rejected_reference_") + GetParam().name);
+  BasicFramework reference = MakeModel();
+  const TrainResult expected = TrainForecaster(
+      reference, world.dataset, world.split, MakeTrainConfig(reference_dir, 2));
+
+  // The reference run's last snapshot, spoiled in one section, is the only
+  // one the resumed run finds. It sits at the last epoch, so a resume that
+  // accepted it would train no further.
+  nn::TrainingCheckpoint checkpoint;
+  ASSERT_TRUE(nn::LoadTrainingCheckpoint(
+                  reference_dir + "/ckpt-00000001.odfckpt", &checkpoint)
+                  .ok());
+  ASSERT_FALSE(checkpoint.best_weights.empty());
+  GetParam().spoil(checkpoint);
+  const std::string dir =
+      FreshDir(std::string("rejected_") + GetParam().name);
+  ASSERT_TRUE(
+      nn::SaveTrainingCheckpoint(checkpoint, dir + "/ckpt-00000001.odfckpt"));
+
+  BasicFramework resumed = MakeModel();
+  TrainConfig config = MakeTrainConfig(dir, 2);
+  config.resume = true;
+  const TrainResult result =
+      TrainForecaster(resumed, world.dataset, world.split, config);
+
+  EXPECT_TRUE(BitEqual(expected.train_losses, result.train_losses));
+  EXPECT_TRUE(
+      BitEqual(expected.validation_losses, result.validation_losses));
+  EXPECT_EQ(expected.best_epoch, result.best_epoch);
+  EXPECT_EQ(expected.epochs_run, result.epochs_run);
+  const auto params_expected = reference.Parameters();
+  const auto params_resumed = resumed.Parameters();
+  ASSERT_EQ(params_expected.size(), params_resumed.size());
+  for (size_t i = 0; i < params_expected.size(); ++i) {
+    EXPECT_TRUE(
+        BitEqual(params_expected[i].value(), params_resumed[i].value()))
+        << "param " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sections, RejectedCheckpointTest,
+    ::testing::Values(
+        RejectedSection{"optimizer_slot_shape",
+                        [](nn::TrainingCheckpoint& checkpoint) {
+                          checkpoint.optimizer.slots[0] =
+                              Tensor(Shape({1, 1, 1}));
+                        }},
+        RejectedSection{"extra_best_weight",
+                        [](nn::TrainingCheckpoint& checkpoint) {
+                          checkpoint.best_weights.push_back(
+                              checkpoint.best_weights.back());
+                        }},
+        RejectedSection{"best_weight_shape",
+                        [](nn::TrainingCheckpoint& checkpoint) {
+                          checkpoint.best_weights[0] =
+                              Tensor(Shape({1, 1, 1}));
+                        }}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 TEST(ResumeTest, EmptyDirTrainsFromScratch) {
   TestWorld world = TestWorld::Make();
   const std::string dir = FreshDir("resume_empty");

@@ -17,10 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include "eval/graphops_eval.h"
 #include "eval/scenario_eval.h"
 #include "od/od_tensor.h"
+#include "pool_guard.h"
 #include "sim/scenario.h"
 #include "sim/trip_generator.h"
+#include "util/binary_io.h"
+#include "util/thread_pool.h"
 
 namespace odf {
 namespace {
@@ -569,9 +573,9 @@ TEST(ScenarioEvalTest, TinyGridSweepEmitsCompleteFiniteSchemaValidJson) {
   EXPECT_EQ(square, 0);
   EXPECT_EQ(eval::ScenarioBenchJson(result), json);
 
-  // And the file writer round-trips the same bytes.
+  // And the atomic file writer the drivers use round-trips the same bytes.
   const std::string path = ::testing::TempDir() + "/bench_scenarios.json";
-  ASSERT_TRUE(eval::WriteScenarioBenchJson(result, path));
+  ASSERT_TRUE(WriteFileAtomic(path, json.data(), json.size()));
   std::FILE* file = std::fopen(path.c_str(), "rb");
   ASSERT_NE(file, nullptr);
   std::string reread(json.size() + 64, '\0');
@@ -579,6 +583,59 @@ TEST(ScenarioEvalTest, TinyGridSweepEmitsCompleteFiniteSchemaValidJson) {
   std::fclose(file);
   reread.resize(read);
   EXPECT_EQ(reread, json);
+}
+
+// The graph-operator sweep on the world its CI smoke run uses: the same
+// bytes at every pool size, and its Chebyshev row is the scenario sweep's
+// AF on `clean` (same seed offset, same clean split, same scoring loop).
+TEST(GraphOpsEvalTest, SmokeSweepIsThreadInvariantAndMatchesScenarioAf) {
+  const uint64_t seed = 7;
+  const DatasetSpec spec = MakeNycLike(3, 3, /*num_days=*/4,
+                                       /*interval_minutes=*/60, 1000 + seed);
+  const int64_t num_intervals = 4 * 24;
+  const ScenarioWindow window{num_intervals - num_intervals / 5,
+                              num_intervals};
+  const std::vector<Scenario> suite =
+      StandardScenarioSuite(spec.graph, window, seed);
+  const Scenario* closure = nullptr;
+  for (const Scenario& scenario : suite) {
+    if (scenario.name() == "road_closure") closure = &scenario;
+  }
+  ASSERT_NE(closure, nullptr);
+
+  eval::GraphOpsEvalConfig config;
+  config.modes = {"cheb", "diffusion"};
+  config.train.seed = seed;
+  config.train.epochs = 2;
+  config.train.batch_size = 16;
+  config.train.patience = 4;
+
+  PoolGuard guard;
+  eval::GraphOpsEvalResult result;
+  std::vector<std::string> json;
+  for (const int threads : {1, 4}) {
+    ThreadPool::Global().Resize(threads);
+    result = eval::RunGraphOpsSweep(spec, *closure, config);
+    json.push_back(eval::GraphOpsBenchJson(result));
+  }
+  EXPECT_EQ(json[0], json[1]);
+
+  eval::ScenarioEvalConfig scenario_config;
+  scenario_config.models = {"AF"};
+  scenario_config.train = config.train;
+  std::vector<Scenario> clean;
+  clean.emplace_back("clean");
+  const eval::ScenarioEvalResult scenario_result =
+      eval::RunScenarioSweep(spec, clean, scenario_config);
+  ASSERT_EQ(scenario_result.scores.size(), 1u);
+  const eval::ScenarioScore& af = scenario_result.scores[0];
+  const eval::GraphOpScore& cheb = result.clean[0];
+  ASSERT_EQ(cheb.mode, "cheb");
+  EXPECT_EQ(cheb.pairs, af.pairs);
+  for (int k = 0; k < kNumMetrics; ++k) {
+    EXPECT_EQ(cheb.values[k], af.values[k])
+        << MetricName(static_cast<Metric>(k));
+  }
 }
 
 }  // namespace
