@@ -28,7 +28,8 @@ struct OpAttrs {
   bool keepdim = false;  // SumAxis
   std::vector<int64_t> perm = {};                        // Permute
   std::shared_ptr<const GraphOperator> graph = nullptr;  // SpMM, Chebyshev
-  const std::vector<std::vector<int64_t>>* clusters = nullptr;  // GraphPool
+  std::shared_ptr<const std::vector<std::vector<int64_t>>> clusters =
+      nullptr;  // GraphPool
 
   bool operator==(const OpAttrs&) const = default;
 };

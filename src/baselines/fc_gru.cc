@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "core/loss_util.h"
-
 namespace odf {
 
 namespace ag = odf::autograd;
@@ -12,10 +10,7 @@ FcGruForecaster::FcGruForecaster(int64_t num_origins,
                                  int64_t num_destinations,
                                  int64_t num_buckets, int64_t horizon,
                                  const FcGruConfig& config)
-    : num_origins_(num_origins),
-      num_destinations_(num_destinations),
-      num_buckets_(num_buckets),
-      horizon_(horizon),
+    : NeuralForecaster(num_origins, num_destinations, num_buckets, horizon),
       config_(config),
       init_rng_(config.seed),
       encode_(num_origins * num_destinations * num_buckets,
@@ -36,38 +31,25 @@ std::string FcGruForecaster::Describe() const {
   return os.str();
 }
 
-std::vector<ag::Var> FcGruForecaster::Run(const Batch& batch, bool train,
-                                          Rng& rng) const {
+std::vector<ag::Var> FcGruForecaster::Forecast(const Batch& batch,
+                                               bool train, Rng& rng) const {
   const int64_t b = batch.batch_size();
-  const int64_t flat = num_origins_ * num_destinations_ * num_buckets_;
+  const int64_t flat = num_origins() * num_destinations() * num_buckets();
   std::vector<ag::Var> encoded;
   encoded.reserve(batch.inputs.size());
   for (const Tensor& input : batch.inputs) {
     ag::Var x = ag::Var::Constant(input.Reshape({b, flat}));
     encoded.push_back(ag::Dropout(ag::Tanh(encode_.Forward(x)),
-                                  train ? dropout_rate() : 0.0f, train, rng));
+                                  dropout(train), train, rng));
   }
-  std::vector<ag::Var> outputs = seq_.Forward(encoded, horizon_);
+  std::vector<ag::Var> outputs = seq_.Forward(encoded, horizon());
   std::vector<ag::Var> predictions;
   predictions.reserve(outputs.size());
   for (const auto& out : outputs) {
     ag::Var full = ag::Reshape(
         decode_.Forward(out),
-        {b, num_origins_, num_destinations_, num_buckets_});
+        {b, num_origins(), num_destinations(), num_buckets()});
     predictions.push_back(ag::SoftmaxLastDim(full));
-  }
-  return predictions;
-}
-
-ag::Var FcGruForecaster::Loss(const Batch& batch, bool train, Rng& rng) {
-  return MaskedForecastError(Run(batch, train, rng), batch);
-}
-
-std::vector<Tensor> FcGruForecaster::Predict(const Batch& batch) {
-  Rng rng(0);
-  std::vector<Tensor> predictions;
-  for (const auto& p : Run(batch, /*train=*/false, rng)) {
-    predictions.push_back(p.value());
   }
   return predictions;
 }

@@ -35,17 +35,10 @@ class FcGruForecaster : public NeuralForecaster {
   std::string name() const override { return "FC"; }
   std::string Describe() const override;
 
-  autograd::Var Loss(const Batch& batch, bool train, Rng& rng) override;
-  std::vector<Tensor> Predict(const Batch& batch) override;
+  std::vector<autograd::Var> Forecast(const Batch& batch, bool train,
+                                      Rng& rng) const override;
 
  private:
-  std::vector<autograd::Var> Run(const Batch& batch, bool train,
-                                 Rng& rng) const;
-
-  int64_t num_origins_;
-  int64_t num_destinations_;
-  int64_t num_buckets_;
-  int64_t horizon_;
   FcGruConfig config_;
   Rng init_rng_;
   nn::Linear encode_;

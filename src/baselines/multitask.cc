@@ -3,8 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#include "core/loss_util.h"
-
 namespace odf {
 
 namespace ag = odf::autograd;
@@ -15,10 +13,7 @@ MultiTaskForecaster::MultiTaskForecaster(int64_t num_origins,
                                          int64_t horizon,
                                          const TimePartition& time_partition,
                                          const MultiTaskConfig& config)
-    : num_origins_(num_origins),
-      num_destinations_(num_destinations),
-      num_buckets_(num_buckets),
-      horizon_(horizon),
+    : NeuralForecaster(num_origins, num_destinations, num_buckets, horizon),
       time_partition_(time_partition),
       config_(config),
       init_rng_(config.seed),
@@ -37,7 +32,7 @@ MultiTaskForecaster::MultiTaskForecaster(int64_t num_origins,
 std::string MultiTaskForecaster::Describe() const {
   std::ostringstream os;
   os << "Emb_" << config_.embed_dim << "x2 + time_" << kTimeFeatures
-     << " -> FC_" << config_.hidden << " -> FC_" << num_buckets_;
+     << " -> FC_" << config_.hidden << " -> FC_" << num_buckets();
   return os.str();
 }
 
@@ -53,11 +48,12 @@ std::vector<float> MultiTaskForecaster::TimeFeatures(int64_t interval) const {
   };
 }
 
-std::vector<ag::Var> MultiTaskForecaster::Run(const Batch& batch, bool train,
-                                              Rng& rng) const {
+std::vector<ag::Var> MultiTaskForecaster::Forecast(const Batch& batch,
+                                                   bool train,
+                                                   Rng& rng) const {
   const int64_t b = batch.batch_size();
-  const int64_t n = num_origins_;
-  const int64_t m = num_destinations_;
+  const int64_t n = num_origins();
+  const int64_t m = num_destinations();
   const int64_t e = config_.embed_dim;
 
   // Broadcast the embeddings over the full OD grid once per batch.
@@ -71,8 +67,8 @@ std::vector<ag::Var> MultiTaskForecaster::Run(const Batch& batch, bool train,
       ag::Add(ag::Reshape(destination_embeddings_, {1, 1, m, e}), zeros_d);
 
   std::vector<ag::Var> predictions;
-  predictions.reserve(static_cast<size_t>(horizon_));
-  for (int64_t j = 0; j < horizon_; ++j) {
+  predictions.reserve(static_cast<size_t>(horizon()));
+  for (int64_t j = 0; j < horizon(); ++j) {
     // Temporal features of the TARGET interval t+j+1 (this model predicts
     // from calendar position only).
     Tensor time_feat(Shape({b, 1, 1, kTimeFeatures}));
@@ -92,24 +88,11 @@ std::vector<ag::Var> MultiTaskForecaster::Run(const Batch& batch, bool train,
     ag::Var features = ag::Concat({o_part, d_part, t_part}, 3);
     ag::Var flat =
         ag::Reshape(features, {b * n * m, 2 * e + kTimeFeatures});
-    ag::Var h = ag::Dropout(ag::Relu(hidden_.Forward(flat)),
-                            train ? dropout_rate() : 0.0f, train, rng);
+    ag::Var h = ag::Dropout(ag::Relu(hidden_.Forward(flat)), dropout(train),
+                            train, rng);
     ag::Var logits = ag::Reshape(output_.Forward(h),
-                                 {b, n, m, num_buckets_});
+                                 {b, n, m, num_buckets()});
     predictions.push_back(ag::SoftmaxLastDim(logits));
-  }
-  return predictions;
-}
-
-ag::Var MultiTaskForecaster::Loss(const Batch& batch, bool train, Rng& rng) {
-  return MaskedForecastError(Run(batch, train, rng), batch);
-}
-
-std::vector<Tensor> MultiTaskForecaster::Predict(const Batch& batch) {
-  Rng rng(0);
-  std::vector<Tensor> predictions;
-  for (const auto& p : Run(batch, /*train=*/false, rng)) {
-    predictions.push_back(p.value());
   }
   return predictions;
 }

@@ -37,8 +37,9 @@ class MultiTaskForecaster : public NeuralForecaster {
   std::string name() const override { return "MR"; }
   std::string Describe() const override;
 
-  autograd::Var Loss(const Batch& batch, bool train, Rng& rng) override;
-  std::vector<Tensor> Predict(const Batch& batch) override;
+  /// Predicted full tensors for each horizon step.
+  std::vector<autograd::Var> Forecast(const Batch& batch, bool train,
+                                      Rng& rng) const override;
 
   /// Number of temporal features per interval.
   static constexpr int64_t kTimeFeatures = 5;
@@ -46,14 +47,7 @@ class MultiTaskForecaster : public NeuralForecaster {
  private:
   /// Temporal feature vector for one interval.
   std::vector<float> TimeFeatures(int64_t interval) const;
-  /// Predicted full tensors for each horizon step.
-  std::vector<autograd::Var> Run(const Batch& batch, bool train,
-                                 Rng& rng) const;
 
-  int64_t num_origins_;
-  int64_t num_destinations_;
-  int64_t num_buckets_;
-  int64_t horizon_;
   TimePartition time_partition_;
   MultiTaskConfig config_;
   Rng init_rng_;

@@ -3,8 +3,6 @@
 #include <sstream>
 
 #include "autograd/capture.h"
-#include "core/loss_util.h"
-#include "core/recovery.h"
 #include "graph/coarsen.h"
 #include "graph/laplacian.h"
 
@@ -16,15 +14,12 @@ AdvancedFramework::AdvancedFramework(const RegionGraph& origin_graph,
                                      const RegionGraph& destination_graph,
                                      int64_t num_buckets, int64_t horizon,
                                      const AdvancedFrameworkConfig& config)
-    : num_origins_(origin_graph.size()),
-      num_destinations_(destination_graph.size()),
-      num_buckets_(num_buckets),
-      horizon_(horizon),
+    : FactorizedForecaster(origin_graph.size(), destination_graph.size(),
+                           num_buckets, horizon, config.lambda_r,
+                           config.lambda_c),
       rank_(0),
       config_(config),
-      init_rng_(config.seed),
-      temperature_(RegisterParameter(Tensor::Scalar(4.0f))) {
-  ODF_CHECK_GT(horizon, 0);
+      init_rng_(config.seed) {
   ODF_CHECK_GE(config.num_levels, 1);
 
   const Tensor w_origin = origin_graph.ProximityMatrix(config.proximity);
@@ -36,13 +31,13 @@ AdvancedFramework::AdvancedFramework(const RegionGraph& origin_graph,
   // R captures origin-side features: its factorization convolves each
   // origin slice over the DESTINATION graph (paper Fig. 4); vice versa
   // for C.
-  r_branch_ = BuildBranch(w_destination, num_origins_);
-  c_branch_ = BuildBranch(w_origin, num_destinations_);
+  r_branch_ = BuildBranch(w_destination);
+  c_branch_ = BuildBranch(w_origin);
   ODF_CHECK_EQ(r_branch_.output_nodes, c_branch_.output_nodes)
       << "origin/destination pooling hierarchies must agree on rank beta";
   rank_ = r_branch_.output_nodes;
 
-  const int64_t factor_features = rank_ * num_buckets_;
+  const int64_t factor_features = rank_ * num_buckets;
   if (config_.use_gcgru) {
     // Forecasting stage: CNRNN over the graph matching the factor's node
     // dimension (origin graph for R, destination graph for C; Sec. V-B).
@@ -57,26 +52,23 @@ AdvancedFramework::AdvancedFramework(const RegionGraph& origin_graph,
     gcgru_w_destination_ = w_destination;
     // Basis construction order (r before its cells, then c) pins the RNG
     // stream: adaptive embeddings draw origin-side first.
-    auto r_basis =
-        MakeGcGruBasis(w_origin, config_.origin_demand_correlation);
-    r_seq_gc_ = std::make_unique<nn::Seq2SeqGcGru>(
-        std::move(r_basis), factor_features, config_.gcgru_hidden, init_rng_,
+    r_basis_ = MakeGcGruBasis(w_origin, config_.origin_demand_correlation);
+    r_seq_ = std::make_unique<nn::Seq2SeqGcGru>(
+        r_basis_, factor_features, config_.gcgru_hidden, init_rng_,
         config_.gcgru_layers);
-    auto c_basis =
+    c_basis_ =
         MakeGcGruBasis(w_destination, config_.destination_demand_correlation);
-    c_seq_gc_ = std::make_unique<nn::Seq2SeqGcGru>(
-        std::move(c_basis), factor_features, config_.gcgru_hidden, init_rng_,
+    c_seq_ = std::make_unique<nn::Seq2SeqGcGru>(
+        c_basis_, factor_features, config_.gcgru_hidden, init_rng_,
         config_.gcgru_layers);
-    RegisterSubmodule(r_seq_gc_.get());
-    RegisterSubmodule(c_seq_gc_.get());
   } else {
-    r_seq_fc_ = std::make_unique<nn::Seq2SeqGru>(
-        num_origins_ * factor_features, 32, init_rng_);
-    c_seq_fc_ = std::make_unique<nn::Seq2SeqGru>(
-        num_destinations_ * factor_features, 32, init_rng_);
-    RegisterSubmodule(r_seq_fc_.get());
-    RegisterSubmodule(c_seq_fc_.get());
+    r_seq_ = std::make_unique<nn::Seq2SeqGru>(
+        num_origins() * factor_features, 32, init_rng_);
+    c_seq_ = std::make_unique<nn::Seq2SeqGru>(
+        num_destinations() * factor_features, 32, init_rng_);
   }
+  RegisterSubmodule(r_seq_.get());
+  RegisterSubmodule(c_seq_.get());
 }
 
 std::shared_ptr<nn::GraphBasis> AdvancedFramework::MakeGcGruBasis(
@@ -110,15 +102,14 @@ void AdvancedFramework::SetGcGruGraphs(const Tensor& w_origin,
       << "dynamic graphs need the GCGRU forecasting stage";
   switch (config_.graph_op) {
     case nn::GraphOpKind::kChebyshev:
-      r_seq_gc_->basis()->SetOperators(MakeScaledLaplacianOperator(w_origin));
-      c_seq_gc_->basis()->SetOperators(
-          MakeScaledLaplacianOperator(w_destination));
+      r_basis_->SetOperators(MakeScaledLaplacianOperator(w_origin));
+      c_basis_->SetOperators(MakeScaledLaplacianOperator(w_destination));
       break;
     case nn::GraphOpKind::kDiffusion: {
       auto [r_fwd, r_bwd] = MakeDiffusionOperators(w_origin);
-      r_seq_gc_->basis()->SetOperators(std::move(r_fwd), std::move(r_bwd));
+      r_basis_->SetOperators(std::move(r_fwd), std::move(r_bwd));
       auto [c_fwd, c_bwd] = MakeDiffusionOperators(w_destination);
-      c_seq_gc_->basis()->SetOperators(std::move(c_fwd), std::move(c_bwd));
+      c_basis_->SetOperators(std::move(c_fwd), std::move(c_bwd));
       break;
     }
     case nn::GraphOpKind::kAdaptive:
@@ -133,7 +124,7 @@ void AdvancedFramework::ResetGcGruGraphs() {
 }
 
 AdvancedFramework::FactorBranch AdvancedFramework::BuildBranch(
-    const Tensor& w, int64_t /*num_slices*/) {
+    const Tensor& w) {
   FactorBranch branch;
   const int64_t n = w.dim(0);
 
@@ -144,7 +135,7 @@ AdvancedFramework::FactorBranch AdvancedFramework::BuildBranch(
       out_nodes = (out_nodes + 1) / 2;
     }
     branch.fc = std::make_unique<nn::Linear>(
-        n * num_buckets_, out_nodes * num_buckets_, init_rng_);
+        n * num_buckets(), out_nodes * num_buckets(), init_rng_);
     RegisterSubmodule(branch.fc.get());
     branch.output_nodes = out_nodes;
     return branch;
@@ -153,17 +144,17 @@ AdvancedFramework::FactorBranch AdvancedFramework::BuildBranch(
   Tensor current_w = w;
   int64_t nodes = n;
   for (int64_t level = 0; level < config_.num_levels; ++level) {
-    const int64_t in_features = level == 0 ? num_buckets_
+    const int64_t in_features = level == 0 ? num_buckets()
                                            : config_.conv_filters;
     const int64_t out_features = level == config_.num_levels - 1
-                                     ? num_buckets_
+                                     ? num_buckets()
                                      : config_.conv_filters;
     branch.convs.push_back(std::make_unique<nn::ChebConv>(
         MakeScaledLaplacianOperator(current_w), in_features, out_features,
         config_.cheb_order, init_rng_));
     RegisterSubmodule(branch.convs.back().get());
 
-    std::vector<std::vector<int64_t>> clusters;
+    nn::Clusters clusters;
     if (config_.use_cluster_pooling) {
       CoarseningLevel coarse = CoarsenOnce(current_w);
       clusters = coarse.clusters;
@@ -173,7 +164,8 @@ AdvancedFramework::FactorBranch AdvancedFramework::BuildBranch(
       current_w = CoarseWeights(current_w, clusters);
     }
     nodes = static_cast<int64_t>(clusters.size());
-    branch.clusters.push_back(std::move(clusters));
+    branch.clusters.push_back(
+        std::make_shared<const nn::Clusters>(std::move(clusters)));
   }
   branch.output_nodes = nodes;
   return branch;
@@ -185,7 +177,7 @@ ag::Var AdvancedFramework::ApplyBranch(const FactorBranch& branch,
     const int64_t b = slices.dim(0);
     ag::Var flat = ag::Reshape(slices, {b, slices.dim(1) * slices.dim(2)});
     ag::Var out = ag::Tanh(branch.fc->Forward(flat));
-    return ag::Reshape(out, {b, branch.output_nodes, num_buckets_});
+    return ag::Reshape(out, {b, branch.output_nodes, num_buckets()});
   }
   ag::Var x = slices;
   for (size_t level = 0; level < branch.convs.size(); ++level) {
@@ -212,15 +204,13 @@ std::string AdvancedFramework::Describe() const {
   return os.str();
 }
 
-AdvancedFramework::Forward AdvancedFramework::Run(const Batch& batch,
-                                                  bool train,
-                                                  Rng& rng) const {
+AdvancedFramework::FactorSequences AdvancedFramework::FactorizeAndForecast(
+    const Batch& batch, bool train, Rng& rng) const {
   const int64_t b = batch.batch_size();
-  const int64_t n = num_origins_;
-  const int64_t m = num_destinations_;
-  const int64_t k = num_buckets_;
+  const int64_t n = num_origins();
+  const int64_t m = num_destinations();
+  const int64_t k = num_buckets();
   const int64_t beta = rank_;
-  const float dropout = train ? dropout_rate() : 0.0f;
 
   // Spatial factorization of every historical tensor (Sec. V-A).
   std::vector<ag::Var> r_seq;
@@ -236,98 +226,65 @@ AdvancedFramework::Forward AdvancedFramework::Run(const Batch& batch,
     ag::Var r_slices = ag::Reshape(x, {b * n, m, k});
     ag::Var r_fact = ApplyBranch(r_branch_, r_slices);  // [B·N, β, K]
     ag::Var r_nodes = ag::Reshape(r_fact, {b, n, beta * k});
-    r_seq.push_back(ag::Dropout(r_nodes, dropout, train, rng));
+    r_seq.push_back(ag::Dropout(r_nodes, dropout(train), train, rng));
 
     // C branch: destination slices [B·N', N, K] on the origin graph.
     ag::Var c_slices =
         ag::Reshape(ag::Permute(x, {0, 2, 1, 3}), {b * m, n, k});
     ag::Var c_fact = ApplyBranch(c_branch_, c_slices);  // [B·N', β, K]
     ag::Var c_nodes = ag::Reshape(c_fact, {b, m, beta * k});
-    c_seq.push_back(ag::Dropout(c_nodes, dropout, train, rng));
+    c_seq.push_back(ag::Dropout(c_nodes, dropout(train), train, rng));
   }
 
   // Spatio-temporal forecasting (Sec. V-B).
-  std::vector<ag::Var> r_outs;
-  std::vector<ag::Var> c_outs;
+  FactorSequences forecast;
   if (config_.use_gcgru) {
-    r_outs = r_seq_gc_->Forward(r_seq, horizon_);
-    c_outs = c_seq_gc_->Forward(c_seq, horizon_);
-  } else {
-    // Ablation: flatten node features and use a plain GRU.
-    std::vector<ag::Var> r_flat;
-    std::vector<ag::Var> c_flat;
-    for (const auto& v : r_seq) {
-      r_flat.push_back(ag::Reshape(v, {b, n * beta * k}));
-    }
-    for (const auto& v : c_seq) {
-      c_flat.push_back(ag::Reshape(v, {b, m * beta * k}));
-    }
-    for (auto& v : r_seq_fc_->Forward(r_flat, horizon_)) {
-      r_outs.push_back(ag::Reshape(v, {b, n, beta * k}));
-    }
-    for (auto& v : c_seq_fc_->Forward(c_flat, horizon_)) {
-      c_outs.push_back(ag::Reshape(v, {b, m, beta * k}));
-    }
+    forecast.r = r_seq_->Forward(r_seq, horizon());
+    forecast.c = c_seq_->Forward(c_seq, horizon());
+    return forecast;
   }
-
-  // Recovery (shared with BF).
-  ag::ScopedPhase phase("recover");
-  Forward forward;
-  for (int64_t j = 0; j < horizon_; ++j) {
-    ag::Var r = ag::Reshape(r_outs[static_cast<size_t>(j)],
-                            {b, n, beta, k});
-    ag::Var c = ag::Permute(
-        ag::Reshape(c_outs[static_cast<size_t>(j)], {b, m, beta, k}),
-        {0, 2, 1, 3});  // -> [B, β, N', K]
-    forward.predictions.push_back(
-        RecoverFullTensorWithTemperature(r, c, temperature_));
-    forward.r_factors.push_back(r);
-    forward.c_factors.push_back(c);
-  }
-  return forward;
+  // Ablation: flatten node features and use a plain GRU.
+  auto reshape_all = [](const std::vector<ag::Var>& seq,
+                        const std::vector<int64_t>& dims) {
+    std::vector<ag::Var> out;
+    for (const ag::Var& v : seq) out.push_back(ag::Reshape(v, dims));
+    return out;
+  };
+  const std::vector<ag::Var> r_flat = reshape_all(r_seq, {b, n * beta * k});
+  const std::vector<ag::Var> c_flat = reshape_all(c_seq, {b, m * beta * k});
+  forecast.r = reshape_all(r_seq_->Forward(r_flat, horizon()),
+                           {b, n, beta * k});
+  forecast.c = reshape_all(c_seq_->Forward(c_flat, horizon()),
+                           {b, m, beta * k});
+  return forecast;
 }
 
-ag::Var AdvancedFramework::Loss(const Batch& batch, bool train, Rng& rng) {
-  Forward forward = Run(batch, train, rng);
-  ag::Var loss = MaskedForecastError(forward.predictions, batch);
-  const int64_t b = batch.batch_size();
-  const float inv_batch = 1.0f / static_cast<float>(b);
-  for (int64_t j = 0; j < horizon_; ++j) {
-    const ag::Var& r = forward.r_factors[static_cast<size_t>(j)];
-    const ag::Var& c = forward.c_factors[static_cast<size_t>(j)];
-    if (config_.use_dirichlet_regularizer) {
-      // ||R̂||²_W and ||Ĉ||²_W' (Eq. 11): Dirichlet energy over the node
-      // dimension — origin regions for R, destination regions for C.
-      ag::Var r_nodes = ag::Reshape(r, {b, num_origins_,
-                                        rank_ * num_buckets_});
-      ag::Var c_nodes = ag::Reshape(
-          ag::Permute(c, {0, 2, 1, 3}),
-          {b, num_destinations_, rank_ * num_buckets_});
-      loss = ag::Add(loss, ag::MulScalar(
-                               ag::DirichletEnergy(r_nodes,
-                                                   origin_laplacian_, 1),
-                               config_.lambda_r * inv_batch));
-      loss = ag::Add(
-          loss, ag::MulScalar(ag::DirichletEnergy(
-                                  c_nodes, destination_laplacian_, 1),
-                              config_.lambda_c * inv_batch));
-    } else {
-      loss = ag::Add(loss, ag::MulScalar(ag::FrobeniusSquared(r),
-                                         config_.lambda_r * inv_batch));
-      loss = ag::Add(loss, ag::MulScalar(ag::FrobeniusSquared(c),
-                                         config_.lambda_c * inv_batch));
-    }
-  }
-  return loss;
+AdvancedFramework::Factors AdvancedFramework::StepFactors(
+    const FactorSequences& forecast, size_t j, int64_t batch) const {
+  // The forecast node features are the factors, C node-major.
+  return {ag::Reshape(forecast.r[j],
+                      {batch, num_origins(), rank_, num_buckets()}),
+          ag::Permute(ag::Reshape(forecast.c[j], {batch, num_destinations(),
+                                                  rank_, num_buckets()}),
+                      {0, 2, 1, 3})};  // -> [B, β, N', K]
 }
 
-std::vector<Tensor> AdvancedFramework::Predict(const Batch& batch) {
-  Rng rng(0);
-  Forward forward = Run(batch, /*train=*/false, rng);
-  std::vector<Tensor> predictions;
-  predictions.reserve(forward.predictions.size());
-  for (const auto& p : forward.predictions) predictions.push_back(p.value());
-  return predictions;
+AdvancedFramework::Factors AdvancedFramework::Regularizers(
+    const Factors& factors) const {
+  if (!config_.use_dirichlet_regularizer) {
+    return FactorizedForecaster::Regularizers(factors);
+  }
+  // ||R̂||²_W and ||Ĉ||²_W' (Eq. 11): Dirichlet energy over the node
+  // dimension — origin regions for R, destination regions for C.
+  const int64_t b = factors.r.dim(0);
+  const int64_t features = rank_ * num_buckets();
+  const ag::Var r_nodes =
+      ag::Reshape(factors.r, {b, num_origins(), features});
+  const ag::Var c_nodes =
+      ag::Reshape(ag::Permute(factors.c, {0, 2, 1, 3}),
+                  {b, num_destinations(), features});
+  return {ag::DirichletEnergy(r_nodes, origin_laplacian_, 1),
+          ag::DirichletEnergy(c_nodes, destination_laplacian_, 1)};
 }
 
 }  // namespace odf

@@ -76,7 +76,7 @@ struct AdvancedFrameworkConfig {
 /// stage 2 forecasts the factor sequences with CNRNNs (graph-convolutional
 /// GRUs); recovery is shared with BF. Trained with the Dirichlet-regularized
 /// masked loss (Eq. 11).
-class AdvancedFramework : public NeuralForecaster {
+class AdvancedFramework : public FactorizedForecaster {
  public:
   AdvancedFramework(const RegionGraph& origin_graph,
                     const RegionGraph& destination_graph,
@@ -87,9 +87,6 @@ class AdvancedFramework : public NeuralForecaster {
     return config_.dynamic_graph ? "AFD" : "AF";
   }
   std::string Describe() const override;
-
-  autograd::Var Loss(const Batch& batch, bool train, Rng& rng) override;
-  std::vector<Tensor> Predict(const Batch& batch) override;
 
   /// Factorization rank β implied by the pooling hierarchy.
   int64_t rank() const { return rank_; }
@@ -110,32 +107,25 @@ class AdvancedFramework : public NeuralForecaster {
   void ResetGcGruGraphs();
 
  private:
-  friend class odf::serve::PlanCompiler;
-
   /// One conv+pool factorization branch over one graph.
   struct FactorBranch {
     std::vector<std::unique_ptr<nn::ChebConv>> convs;
-    std::vector<std::vector<std::vector<int64_t>>> clusters;  // per level
+    std::vector<std::shared_ptr<const nn::Clusters>> clusters;  // per level
     std::unique_ptr<nn::Linear> fc;  // ablation path
     int64_t output_nodes = 0;
   };
 
-  struct Forward {
-    std::vector<autograd::Var> predictions;
-    std::vector<autograd::Var> r_factors;  // [B, N, β, K]
-    std::vector<autograd::Var> c_factors;  // [B, β, N', K]
-  };
+  FactorSequences FactorizeAndForecast(const Batch& batch, bool train,
+                                       Rng& rng) const override;
+  Factors StepFactors(const FactorSequences& forecast, size_t j,
+                      int64_t batch) const override;
+  Factors Regularizers(const Factors& factors) const override;
 
-  FactorBranch BuildBranch(const Tensor& w, int64_t num_slices);
+  FactorBranch BuildBranch(const Tensor& w);
   /// Applies a branch to slices [B·slices, n, K] -> [B·slices, β, K].
   autograd::Var ApplyBranch(const FactorBranch& branch,
                             const autograd::Var& slices) const;
-  Forward Run(const Batch& batch, bool train, Rng& rng) const;
 
-  int64_t num_origins_;
-  int64_t num_destinations_;
-  int64_t num_buckets_;
-  int64_t horizon_;
   int64_t rank_;
   AdvancedFrameworkConfig config_;
   Rng init_rng_;
@@ -153,12 +143,12 @@ class AdvancedFramework : public NeuralForecaster {
   FactorBranch r_branch_;  // convolves over the destination graph
   FactorBranch c_branch_;  // convolves over the origin graph
 
-  std::unique_ptr<nn::Seq2SeqGcGru> r_seq_gc_;
-  std::unique_ptr<nn::Seq2SeqGcGru> c_seq_gc_;
-  std::unique_ptr<nn::Seq2SeqGru> r_seq_fc_;  // ablation path
-  std::unique_ptr<nn::Seq2SeqGru> c_seq_fc_;
-  /// Learnable softmax temperature of the recovery step.
-  autograd::Var temperature_;
+  /// Forecasting stage: a CNRNN per side, or the plain-GRU ablation.
+  std::unique_ptr<nn::Seq2Seq> r_seq_;
+  std::unique_ptr<nn::Seq2Seq> c_seq_;
+  /// The CNRNNs' tap stacks (use_gcgru only), swapped by SetGcGruGraphs.
+  std::shared_ptr<nn::GraphBasis> r_basis_;
+  std::shared_ptr<nn::GraphBasis> c_basis_;
 };
 
 }  // namespace odf

@@ -33,7 +33,7 @@ struct BasicFrameworkConfig {
 /// Factorization (FC encode of each sparse flattened tensor, one branch per
 /// factor side) → Forecasting (two seq2seq GRUs) → Recovery (per-bucket
 /// factor product + softmax). Trained with the masked-Frobenius loss Eq. 4.
-class BasicFramework : public NeuralForecaster {
+class BasicFramework : public FactorizedForecaster {
  public:
   BasicFramework(int64_t num_origins, int64_t num_destinations,
                  int64_t num_buckets, int64_t horizon,
@@ -42,23 +42,12 @@ class BasicFramework : public NeuralForecaster {
   std::string name() const override { return "BF"; }
   std::string Describe() const override;
 
-  autograd::Var Loss(const Batch& batch, bool train, Rng& rng) override;
-  std::vector<Tensor> Predict(const Batch& batch) override;
-
  private:
-  friend class odf::serve::PlanCompiler;
+  FactorSequences FactorizeAndForecast(const Batch& batch, bool train,
+                                       Rng& rng) const override;
+  Factors StepFactors(const FactorSequences& forecast, size_t j,
+                      int64_t batch) const override;
 
-  struct Forward {
-    std::vector<autograd::Var> predictions;  // h × [B, N, N', K]
-    std::vector<autograd::Var> r_factors;    // h × [B, N, β, K]
-    std::vector<autograd::Var> c_factors;    // h × [B, β, N', K]
-  };
-  Forward Run(const Batch& batch, bool train, Rng& rng) const;
-
-  int64_t num_origins_;
-  int64_t num_destinations_;
-  int64_t num_buckets_;
-  int64_t horizon_;
   BasicFrameworkConfig config_;
   Rng init_rng_;
   nn::Linear encode_r_;
@@ -67,8 +56,6 @@ class BasicFramework : public NeuralForecaster {
   nn::Seq2SeqGru seq_c_;
   nn::Linear factor_r_;
   nn::Linear factor_c_;
-  /// Learnable softmax temperature of the recovery step.
-  autograd::Var temperature_;
 };
 
 }  // namespace odf

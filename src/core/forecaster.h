@@ -41,8 +41,9 @@ struct TrainConfig {
   // --- Observability (docs/observability.md). -----------------------------
   /// Per-epoch telemetry JSONL (train/val loss, grad norm, epoch wall time,
   /// checkpoint write time; one JSON object per line, appended). Empty =
-  /// `<checkpoint_dir>/telemetry.jsonl` when checkpointing with `ODF_METRICS`
-  /// truthy, otherwise disabled.
+  /// `<checkpoint_dir>/telemetry.jsonl` when checkpointing with metrics
+  /// enabled (`ODF_METRICS` truthy or SetMetricsEnabled), otherwise
+  /// disabled.
   std::string telemetry_path;
 };
 

@@ -2,14 +2,11 @@
 #define ODF_CORE_NEURAL_FORECASTER_H_
 
 #include <string>
+#include <vector>
 
 #include "core/forecaster.h"
 #include "nn/module.h"
 #include "util/rng.h"
-
-namespace odf::serve {
-class PlanCompiler;  // serve/forward_plan.h: captures Run to compile plans
-}  // namespace odf::serve
 
 namespace odf {
 
@@ -18,9 +15,19 @@ namespace odf {
 /// loss; Fit() is provided by the shared Trainer (core/trainer.h).
 class NeuralForecaster : public Forecaster, public nn::Module {
  public:
-  /// Scalar training objective for one batch (the framework-specific loss,
-  /// e.g. paper Eq. 4 for BF, Eq. 11 for AF). `train` enables dropout.
-  virtual autograd::Var Loss(const Batch& batch, bool train, Rng& rng) = 0;
+  /// The model's forward pass over a batch: `horizon()` predicted full
+  /// tensors [B, N, N', K]. `train` enables dropout, drawn from `rng`.
+  /// Predict, the default Loss and serve::PlanCompiler all run this.
+  virtual std::vector<autograd::Var> Forecast(const Batch& batch, bool train,
+                                              Rng& rng) const = 0;
+
+  /// Scalar training objective for one batch. The default is the masked
+  /// forecast error of Forecast (core/loss_util.h); BF and AF add their
+  /// factor regularizers (paper Eqs. 4 and 11). `train` enables dropout.
+  virtual autograd::Var Loss(const Batch& batch, bool train, Rng& rng);
+
+  /// Forecast at inference (no dropout), as plain tensors.
+  std::vector<Tensor> Predict(const Batch& batch) final;
 
   /// One-line architecture summary (paper Table I "Configuration").
   virtual std::string Describe() const = 0;
@@ -29,6 +36,11 @@ class NeuralForecaster : public Forecaster, public nn::Module {
   void Fit(const ForecastDataset& dataset,
            const ForecastDataset::Split& split,
            const TrainConfig& config) override;
+
+  int64_t num_origins() const { return num_origins_; }
+  int64_t num_destinations() const { return num_destinations_; }
+  int64_t num_buckets() const { return num_buckets_; }
+  int64_t horizon() const { return horizon_; }
 
   /// Dropout rate applied by Loss() when `train` is true. The Trainer sets
   /// this from TrainConfig::dropout; the default is the paper's 0.2.
@@ -39,8 +51,78 @@ class NeuralForecaster : public Forecaster, public nn::Module {
     dropout_rate_ = rate;
   }
 
+ protected:
+  /// N origins, N' destinations, K buckets, `horizon` forecast steps.
+  NeuralForecaster(int64_t num_origins, int64_t num_destinations,
+                   int64_t num_buckets, int64_t horizon);
+
+  /// The dropout rate Forecast applies: dropout_rate() when training, else 0.
+  float dropout(bool train) const { return train ? dropout_rate_ : 0.0f; }
+
  private:
+  int64_t num_origins_;
+  int64_t num_destinations_;
+  int64_t num_buckets_;
+  int64_t horizon_;
   float dropout_rate_ = 0.2f;
+};
+
+/// The paper's three-stage forecaster shared by BF (Sec. IV) and AF
+/// (Sec. V): factorize each historical tensor into an R side and a C side,
+/// forecast both factor sequences, then recover every step's full tensor
+/// from R̂ [B, N, β, K] and Ĉ [B, β, N', K] with the per-bucket factor
+/// product and a learnable-temperature softmax (Sec. IV-D). A framework
+/// supplies its factorize/forecast stage and, optionally, its regularizer;
+/// this class owns recovery, the temperature and the regularized loss.
+class FactorizedForecaster : public NeuralForecaster {
+ public:
+  std::vector<autograd::Var> Forecast(const Batch& batch, bool train,
+                                      Rng& rng) const final;
+
+  /// Masked forecast error plus, per step, λ_R·‖R̂‖ + λ_C·‖Ĉ‖ averaged over
+  /// the batch (paper Eq. 4 for BF, Eq. 11 for AF).
+  autograd::Var Loss(const Batch& batch, bool train, Rng& rng) final;
+
+ protected:
+  /// `lambda_r`/`lambda_c` weight the factor regularizers of Loss.
+  FactorizedForecaster(int64_t num_origins, int64_t num_destinations,
+                       int64_t num_buckets, int64_t horizon, float lambda_r,
+                       float lambda_c);
+
+  /// Per-step outputs of the forecasting stage, one sequence per factor
+  /// side, `horizon()` long each.
+  struct FactorSequences {
+    std::vector<autograd::Var> r;
+    std::vector<autograd::Var> c;
+  };
+  /// One horizon step's factors: R̂ [B, N, β, K] and Ĉ [B, β, N', K].
+  struct Factors {
+    autograd::Var r;
+    autograd::Var c;
+  };
+
+  /// Factorization and forecasting stages (the framework's own model).
+  virtual FactorSequences FactorizeAndForecast(const Batch& batch,
+                                               bool train, Rng& rng) const = 0;
+  /// Step `j`'s factors from the forecast sequences; runs inside the
+  /// `recover` phase, just before that step's recovery.
+  virtual Factors StepFactors(const FactorSequences& forecast, size_t j,
+                              int64_t batch) const = 0;
+  /// Unweighted regularizers of one step's factors (‖R̂‖, ‖Ĉ‖). The default
+  /// is the squared Frobenius norm of Eq. 4.
+  virtual Factors Regularizers(const Factors& factors) const;
+
+ private:
+  struct Forward {
+    std::vector<autograd::Var> predictions;  // h × [B, N, N', K]
+    std::vector<Factors> factors;            // h steps
+  };
+  Forward Run(const Batch& batch, bool train, Rng& rng) const;
+
+  float lambda_r_;
+  float lambda_c_;
+  /// Learnable softmax temperature of the recovery step.
+  autograd::Var temperature_;
 };
 
 }  // namespace odf

@@ -13,7 +13,6 @@
 
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
-#include "util/env_config.h"
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/stopwatch.h"
@@ -213,11 +212,11 @@ struct EpochTelemetry {
 };
 
 /// `config.telemetry_path` wins; otherwise checkpointing runs default to
-/// `<checkpoint_dir>/telemetry.jsonl` when `ODF_METRICS` is truthy. Empty
-/// result = telemetry disabled.
+/// `<checkpoint_dir>/telemetry.jsonl` while metrics are enabled
+/// (`ODF_METRICS` or SetMetricsEnabled). Empty result = telemetry disabled.
 std::string ResolveTelemetryPath(const TrainConfig& config) {
   if (!config.telemetry_path.empty()) return config.telemetry_path;
-  if (!config.checkpoint_dir.empty() && GetEnvBool("ODF_METRICS", false)) {
+  if (!config.checkpoint_dir.empty() && MetricsEnabled()) {
     return (std::filesystem::path(config.checkpoint_dir) / "telemetry.jsonl")
         .string();
   }

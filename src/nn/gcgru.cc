@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "autograd/capture.h"
 #include "tensor/tensor_ops.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -103,61 +102,22 @@ Seq2SeqGcGru::Seq2SeqGcGru(std::shared_ptr<GraphBasis> basis,
                            int64_t feature_size, int64_t hidden_size,
                            Rng& rng, int64_t num_layers)
     : basis_(std::move(basis)) {
-  ODF_CHECK_GE(num_layers, 1);
   // The basis registers first so adaptive embeddings lead the checkpoint
   // PARM order; a parameter-free basis (Chebyshev/diffusion) contributes
   // nothing and keeps the legacy order byte-for-byte.
   RegisterSubmodule(basis_.get());
-  for (int64_t l = 0; l < num_layers; ++l) {
-    encoder_layers_.push_back(std::make_unique<GcGruCell>(
-        basis_, l == 0 ? feature_size : hidden_size, hidden_size, rng));
-    RegisterSubmodule(encoder_layers_.back().get());
-  }
-  for (int64_t l = 0; l < num_layers; ++l) {
-    decoder_layers_.push_back(std::make_unique<GcGruCell>(
-        basis_, l == 0 ? feature_size : hidden_size, hidden_size, rng));
-    RegisterSubmodule(decoder_layers_.back().get());
-  }
+  BuildLayers(feature_size, hidden_size, num_layers, [&](int64_t in) {
+    return std::make_unique<GcGruCell>(basis_, in, hidden_size, rng);
+  });
   output_head_ =
       std::make_unique<ChebConv>(basis_, hidden_size, feature_size, rng);
   RegisterSubmodule(output_head_.get());
 }
 
-std::vector<ag::Var> Seq2SeqGcGru::Forward(
-    const std::vector<ag::Var>& inputs, int64_t horizon) const {
-  ODF_CHECK(!inputs.empty());
-  ODF_CHECK_GT(horizon, 0);
-  const int64_t batch = inputs.front().dim(0);
-  const size_t layers = encoder_layers_.size();
-  ag::ScopedPhase encode("encode");
-  std::vector<ag::Var> enc_state;
-  for (size_t l = 0; l < layers; ++l) {
-    enc_state.push_back(encoder_layers_[l]->InitialState(batch));
-  }
-  for (const ag::Var& x : inputs) {
-    ag::Var layer_input = x;
-    for (size_t l = 0; l < layers; ++l) {
-      enc_state[l] = encoder_layers_[l]->Step(layer_input, enc_state[l]);
-      layer_input = enc_state[l];
-    }
-  }
-
-  ag::ScopedPhase decode("decode");  // the innermost label wins
-  std::vector<ag::Var> dec_state = enc_state;
-  std::vector<ag::Var> outputs;
-  outputs.reserve(static_cast<size_t>(horizon));
-  ag::Var prev = inputs.back();
-  for (int64_t j = 0; j < horizon; ++j) {
-    ag::Var layer_input = prev;
-    for (size_t l = 0; l < layers; ++l) {
-      dec_state[l] = decoder_layers_[l]->Step(layer_input, dec_state[l]);
-      layer_input = dec_state[l];
-    }
-    ag::Var out = output_head_->Forward(dec_state.back());
-    outputs.push_back(out);
-    prev = out;
-  }
-  return outputs;
+ag::Var Seq2SeqGcGru::Head(const ag::Var& state,
+                           const std::vector<ag::Var>& /*encoder_states*/)
+    const {
+  return output_head_->Forward(state);
 }
 
 }  // namespace odf::nn

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "nn/cheb_conv.h"
-#include "nn/module.h"
+#include "nn/gru.h"
 
 namespace odf::nn {
 
@@ -25,7 +25,7 @@ namespace odf::nn {
 /// candidate basis) instead of the naive 3·(order−1).
 ///
 /// States and inputs are node-feature tensors [B, n, F].
-class GcGruCell : public Module {
+class GcGruCell : public RecurrentCell {
  public:
   /// `scaled_laplacian` is the graph's L̂; `order` the Chebyshev order.
   GcGruCell(Tensor scaled_laplacian, int64_t input_features,
@@ -43,10 +43,11 @@ class GcGruCell : public Module {
             int64_t hidden_features, Rng& rng);
 
   /// One step: x [B, n, F_in], h [B, n, F_hidden] -> [B, n, F_hidden].
-  autograd::Var Step(const autograd::Var& x, const autograd::Var& h) const;
+  autograd::Var Step(const autograd::Var& x,
+                     const autograd::Var& h) const override;
 
   /// Zero state [batch, n, hidden].
-  autograd::Var InitialState(int64_t batch) const;
+  autograd::Var InitialState(int64_t batch) const override;
 
   int64_t num_nodes() const { return basis_->nodes(); }
   int64_t input_features() const { return input_features_; }
@@ -66,12 +67,11 @@ class GcGruCell : public Module {
   ChebConv candidate_conv_;
 };
 
-/// Sequence-to-sequence CNRNN (paper Sec. V-B): encoder/decoder GcGru over
-/// node-feature sequences, with a ChebConv output head mapping hidden node
-/// features back to factor features. Autoregressive decoding (no latent
-/// ground truth exists for teacher forcing). All cells and the output head
-/// share one GraphOperator (a single dense + CSR copy of L̂).
-class Seq2SeqGcGru : public Module {
+/// Sequence-to-sequence CNRNN (paper Sec. V-B): the Seq2Seq loop over
+/// GcGru cells on node-feature sequences, with a ChebConv output head
+/// mapping hidden node features back to factor features. All cells and the
+/// output head share one GraphBasis (a single dense + CSR copy of L̂).
+class Seq2SeqGcGru : public Seq2Seq {
  public:
   /// `num_layers` stacks CNRNN cells (Table I's "CNRNN with n layers").
   Seq2SeqGcGru(Tensor scaled_laplacian, int64_t feature_size,
@@ -90,24 +90,16 @@ class Seq2SeqGcGru : public Module {
   Seq2SeqGcGru(std::shared_ptr<GraphBasis> basis, int64_t feature_size,
                int64_t hidden_size, Rng& rng, int64_t num_layers = 1);
 
-  /// Maps `inputs` (each [B, n, F]) to `horizon` future elements.
-  std::vector<autograd::Var> Forward(
-      const std::vector<autograd::Var>& inputs, int64_t horizon) const;
-
-  int64_t num_layers() const {
-    return static_cast<int64_t>(encoder_layers_.size());
-  }
   /// The shared tap stack (mutable for per-interval operator swaps —
   /// see GraphBasis::SetOperators and docs/graph_operators.md).
   const std::shared_ptr<GraphBasis>& basis() const { return basis_; }
-  const std::shared_ptr<const GraphOperator>& graph_op() const {
-    return encoder_layers_.front()->graph_op();
-  }
 
  private:
+  autograd::Var Head(
+      const autograd::Var& state,
+      const std::vector<autograd::Var>& encoder_states) const override;
+
   std::shared_ptr<GraphBasis> basis_;
-  std::vector<std::unique_ptr<GcGruCell>> encoder_layers_;
-  std::vector<std::unique_ptr<GcGruCell>> decoder_layers_;
   std::unique_ptr<ChebConv> output_head_;
 };
 

@@ -25,8 +25,7 @@ namespace {
 template <int64_t F>
 int64_t AveragePoolQuads(const float* x, int64_t batch, int64_t n,
                          int64_t features,
-                         const std::vector<std::vector<int64_t>>& clusters,
-                         float* out) {
+                         const Clusters& clusters, float* out) {
   const int64_t nf = F > 0 ? F : features;
   const int64_t nc = static_cast<int64_t>(clusters.size());
   int64_t b = 0;
@@ -69,8 +68,7 @@ int64_t AveragePoolQuads(const float* x, int64_t batch, int64_t n,
 
 }  // namespace
 
-void GraphPoolForwardInto(const Tensor& xv,
-                          const std::vector<std::vector<int64_t>>& clusters,
+void GraphPoolForwardInto(const Tensor& xv, const Clusters& clusters,
                           PoolKind kind, Tensor* out,
                           std::vector<int32_t>* argmax) {
   ODF_CHECK_EQ(xv.rank(), 3);
@@ -134,17 +132,16 @@ void GraphPoolForwardInto(const Tensor& xv,
   }
 }
 
-ag::Var GraphPool(const ag::Var& x,
-                  const std::vector<std::vector<int64_t>>& clusters,
+ag::Var GraphPool(const ag::Var& x, std::shared_ptr<const Clusters> clusters,
                   PoolKind kind) {
   ODF_TRACE_SCOPE("fwd/", "GraphPool", "fwd");
   ODF_CHECK_EQ(x.rank(), 3);
-  ODF_CHECK(!clusters.empty());
+  ODF_CHECK(clusters != nullptr && !clusters->empty());
   const int64_t batch = x.dim(0);
   const int64_t n = x.dim(1);
   const int64_t features = x.dim(2);
-  const int64_t nc = static_cast<int64_t>(clusters.size());
-  for (const auto& cluster : clusters) {
+  const int64_t nc = static_cast<int64_t>(clusters->size());
+  for (const auto& cluster : *clusters) {
     ODF_CHECK(!cluster.empty());
     for (int64_t i : cluster) {
       ODF_CHECK_GE(i, 0);
@@ -157,18 +154,20 @@ ag::Var GraphPool(const ag::Var& x,
   Tensor out = Tensor::ShapeOnly(Shape({batch, nc, features}));
   if (!ag::internal::SkipKernel(x)) {
     out = Tensor(out.shape());
-    GraphPoolForwardInto(x.value(), clusters, kind, &out,
+    GraphPoolForwardInto(x.value(), *clusters, kind, &out,
                          kind == PoolKind::kMax ? &argmax : nullptr);
   }
 
+  const ag::OpAttrs attrs{.pool = static_cast<int64_t>(kind),
+                          .clusters = clusters};
   return ag::internal::MakeOpVar(
       "GraphPool", std::move(out), {x},
-      [clusters, kind, argmax, batch, n, nc,
+      [clusters = std::move(clusters), kind, argmax, batch, n, nc,
        features](ag::internal::Node& node) {
         Tensor grad(Shape({batch, n, features}));
         for (int64_t b = 0; b < batch; ++b) {
           for (int64_t c = 0; c < nc; ++c) {
-            const auto& cluster = clusters[static_cast<size_t>(c)];
+            const auto& cluster = (*clusters)[static_cast<size_t>(c)];
             const float* g = node.grad.data() + (b * nc + c) * features;
             if (kind == PoolKind::kAverage) {
               const float inv = 1.0f / static_cast<float>(cluster.size());
@@ -189,7 +188,7 @@ ag::Var GraphPool(const ag::Var& x,
         }
         node.parents[0]->AccumulateGrad(grad);
       },
-      {.pool = static_cast<int64_t>(kind), .clusters = &clusters});
+      attrs);
 }
 
 }  // namespace odf::nn

@@ -36,32 +36,20 @@ ag::Var GruCell::InitialState(int64_t batch) const {
   return ag::Var::BatchZeros(Shape({batch, hidden_size_}));
 }
 
-Seq2SeqGru::Seq2SeqGru(int64_t feature_size, int64_t hidden_size, Rng& rng,
-                       bool use_attention, int64_t num_layers)
-    : feature_size_(feature_size), hidden_size_(hidden_size) {
+void Seq2Seq::BuildLayers(
+    int64_t feature_size, int64_t hidden_size, int64_t num_layers,
+    const std::function<std::unique_ptr<RecurrentCell>(int64_t)>& make) {
   ODF_CHECK_GE(num_layers, 1);
-  // Construction order (encoder, decoder, projection, attention) fixes the
-  // RNG consumption order and therefore the initialization.
-  for (int64_t l = 0; l < num_layers; ++l) {
-    encoder_layers_.push_back(std::make_unique<GruCell>(
-        l == 0 ? feature_size : hidden_size, hidden_size, rng));
-    RegisterSubmodule(encoder_layers_.back().get());
-  }
-  for (int64_t l = 0; l < num_layers; ++l) {
-    decoder_layers_.push_back(std::make_unique<GruCell>(
-        l == 0 ? feature_size : hidden_size, hidden_size, rng));
-    RegisterSubmodule(decoder_layers_.back().get());
-  }
-  output_proj_ = std::make_unique<Linear>(hidden_size, feature_size, rng);
-  RegisterSubmodule(output_proj_.get());
-  if (use_attention) {
-    attention_ = std::make_unique<LuongAttention>(hidden_size, rng);
-    RegisterSubmodule(attention_.get());
+  for (auto* layers : {&encoder_layers_, &decoder_layers_}) {
+    for (int64_t l = 0; l < num_layers; ++l) {
+      layers->push_back(make(l == 0 ? feature_size : hidden_size));
+      RegisterSubmodule(layers->back().get());
+    }
   }
 }
 
-std::vector<ag::Var> Seq2SeqGru::Forward(const std::vector<ag::Var>& inputs,
-                                         int64_t horizon) const {
+std::vector<ag::Var> Seq2Seq::Forward(const std::vector<ag::Var>& inputs,
+                                      int64_t horizon) const {
   ODF_CHECK(!inputs.empty());
   ODF_CHECK_GT(horizon, 0);
   const int64_t batch = inputs.front().dim(0);
@@ -94,14 +82,33 @@ std::vector<ag::Var> Seq2SeqGru::Forward(const std::vector<ag::Var>& inputs,
       dec_state[l] = decoder_layers_[l]->Step(layer_input, dec_state[l]);
       layer_input = dec_state[l];
     }
-    ag::Var head = attention_ != nullptr
-                       ? attention_->Apply(dec_state.back(), encoder_states)
-                       : dec_state.back();
-    ag::Var out = output_proj_->Forward(head);
+    ag::Var out = Head(dec_state.back(), encoder_states);
     outputs.push_back(out);
     prev = out;
   }
   return outputs;
+}
+
+Seq2SeqGru::Seq2SeqGru(int64_t feature_size, int64_t hidden_size, Rng& rng,
+                       bool use_attention, int64_t num_layers) {
+  // Construction order (encoder, decoder, projection, attention) fixes the
+  // RNG consumption order and therefore the initialization.
+  BuildLayers(feature_size, hidden_size, num_layers, [&](int64_t in) {
+    return std::make_unique<GruCell>(in, hidden_size, rng);
+  });
+  output_proj_ = std::make_unique<Linear>(hidden_size, feature_size, rng);
+  RegisterSubmodule(output_proj_.get());
+  if (use_attention) {
+    attention_ = std::make_unique<LuongAttention>(hidden_size, rng);
+    RegisterSubmodule(attention_.get());
+  }
+}
+
+ag::Var Seq2SeqGru::Head(const ag::Var& state,
+                         const std::vector<ag::Var>& encoder_states) const {
+  return output_proj_->Forward(
+      attention_ != nullptr ? attention_->Apply(state, encoder_states)
+                            : state);
 }
 
 }  // namespace odf::nn

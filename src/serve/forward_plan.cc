@@ -174,18 +174,20 @@ namespace {
 
 namespace ag = odf::autograd;
 
-/// Runs `forward` under a Capture on zero inputs of `batch` samples.
-template <typename Forward>
-ag::Recording Record(const Forward& forward, int64_t history,
-                     const std::vector<int64_t>& input_tail, int64_t batch) {
-  std::vector<int64_t> dims{batch};
-  dims.insert(dims.end(), input_tail.begin(), input_tail.end());
+/// Runs `model`'s inference forward under a Capture on `history` zero
+/// inputs of `batch` samples.
+ag::Recording Record(const FactorizedForecaster& model, int64_t history,
+                     int64_t batch) {
   Batch inputs;
   for (int64_t t = 0; t < history; ++t) {
-    inputs.inputs.emplace_back(Shape(dims));
+    inputs.inputs.emplace_back(Shape({batch, model.num_origins(),
+                                      model.num_destinations(),
+                                      model.num_buckets()}));
   }
   ag::Capture capture;
-  const std::vector<ag::Var> outputs = forward(inputs);
+  Rng rng(0);  // unused: dropout disabled
+  const std::vector<ag::Var> outputs =
+      model.Forecast(inputs, /*train=*/false, rng);
   return capture.Finish(outputs);
 }
 
@@ -503,38 +505,16 @@ ForwardPlan PlanCompiler::Build() {
   return std::move(plan_);
 }
 
-template <typename Forward>
-ForwardPlan PlanCompiler::CaptureAndLower(const Forward& forward,
-                                          int64_t history,
-                                          std::vector<int64_t> input_tail) {
+ForwardPlan PlanCompiler::Compile(const FactorizedForecaster& model,
+                                  int64_t history) {
   ODF_CHECK_GT(history, 0);
-  const ag::Recording one = Record(forward, history, input_tail, 1);
-  CheckBatchScaling(one, Record(forward, history, input_tail, 2));
-  PlanCompiler c(one, history, std::move(input_tail));
+  const ag::Recording one = Record(model, history, 1);
+  CheckBatchScaling(one, Record(model, history, 2));
+  PlanCompiler c(one, history,
+                 {model.num_origins(), model.num_destinations(),
+                  model.num_buckets()});
   c.Lower();
   return c.Build();
-}
-
-ForwardPlan PlanCompiler::Compile(const AdvancedFramework& model,
-                                  int64_t history) {
-  return CaptureAndLower(
-      [&model](const Batch& batch) {
-        Rng rng(0);
-        return model.Run(batch, /*train=*/false, rng).predictions;
-      },
-      history,
-      {model.num_origins_, model.num_destinations_, model.num_buckets_});
-}
-
-ForwardPlan PlanCompiler::Compile(const BasicFramework& model,
-                                  int64_t history) {
-  return CaptureAndLower(
-      [&model](const Batch& batch) {
-        Rng rng(0);
-        return model.Run(batch, /*train=*/false, rng).predictions;
-      },
-      history,
-      {model.num_origins_, model.num_destinations_, model.num_buckets_});
 }
 
 }  // namespace odf::serve

@@ -7,8 +7,7 @@
 #include <vector>
 
 #include "autograd/var.h"
-#include "core/advanced_framework.h"
-#include "core/basic_framework.h"
+#include "core/neural_forecaster.h"
 #include "tensor/csr.h"
 #include "tensor/tensor.h"
 #include "util/metrics.h"
@@ -23,10 +22,10 @@ namespace odf::serve {
 /// Tape-free compiled inference (docs/serving.md).
 ///
 /// `PlanCompiler::Compile` reads the model's inference forward from the
-/// model itself: it runs `Run(train=false)` once under an autograd Capture
-/// (autograd/capture.h), which records every op with its parents, output
-/// shape and attributes while skipping every kernel whose inputs depend on
-/// the batch. A table keyed by op name lowers each recorded op to one
+/// model itself: it runs the BF or AF `Forecast(train=false)` once under
+/// an autograd Capture (autograd/capture.h), which records every op with
+/// its parents, output shape and attributes while skipping every kernel
+/// whose inputs depend on the batch. A table keyed by op name lowers each recorded op to one
 /// `Instr`, and a liveness pass packs the values into a small arena of
 /// reusable buffers. `ForwardPlan::Run` then replays that schedule with
 /// zero autograd involvement: no `Var`/`Node` allocation, no `shared_ptr`
@@ -42,9 +41,9 @@ namespace odf::serve {
 /// Ops over parameters and constants only run during capture, so their
 /// results (the adaptive adjacency, for one) are plan constants. The plan
 /// snapshots those values at compile time — post-compile weight loads
-/// require recompiling — but holds non-owning references to branch cluster
-/// tables; the model must outlive the plan. Compile after
-/// `nn::LoadParametersChecked`, not before.
+/// require recompiling — and shares ownership of the graph operators and
+/// pooling cluster tables it reads, so it stays valid after the model is
+/// destroyed. Compile after `nn::LoadParametersChecked`, not before.
 ///
 /// `Run` is NOT reentrant — callers serialize (the serving front-end funnels
 /// every batch through one worker thread).
@@ -195,8 +194,8 @@ class PlanCompiler {
  public:
   /// `history` is the dataset's input window length s (ForecastDataset::
   /// history()); the schedule is unrolled over it.
-  static ForwardPlan Compile(const AdvancedFramework& model, int64_t history);
-  static ForwardPlan Compile(const BasicFramework& model, int64_t history);
+  static ForwardPlan Compile(const FactorizedForecaster& model,
+                             int64_t history);
 
   // -- lowering-rule interface: values are recorded op ids ----------------
   const autograd::CapturedOp& op(int32_t id) const;
@@ -224,11 +223,6 @@ class PlanCompiler {
   PlanCompiler(const autograd::Recording& rec, int64_t history,
                std::vector<int64_t> input_tail);
 
-  /// Captures `forward` (a model's Run at inference) at batch 1 and 2,
-  /// checks the two agree, and lowers the batch-1 recording.
-  template <typename Forward>
-  static ForwardPlan CaptureAndLower(const Forward& forward, int64_t history,
-                                     std::vector<int64_t> input_tail);
   void Lower();
   void AssignSlots();
   int32_t Buffer(int32_t id);

@@ -53,8 +53,8 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 ///              serve.batch_forward_seconds, plus the plan's serve.plan.*
 ///              family.
 ///
-/// The dataset must outlive the service (as must the model the plan was
-/// compiled from). All public methods are thread-safe.
+/// The dataset must outlive the service. All public methods are
+/// thread-safe.
 class ForecastService {
  public:
   ForecastService(const ForecastDataset* dataset, ForwardPlan plan,

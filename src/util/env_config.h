@@ -22,9 +22,11 @@ namespace odf {
 //   ODF_METRICS=1    enable the process-wide metrics registry (kernel timing
 //                    histograms, pool/autograd counters, trainer gauges;
 //                    util/metrics.h). Off by default: the disabled check is
-//                    one relaxed atomic load per instrumentation site. Also
-//                    turns on the trainer's default per-epoch telemetry
-//                    JSONL when checkpointing (docs/observability.md).
+//                    one relaxed atomic load per instrumentation site. Read
+//                    once at startup (MetricsEnabled/SetMetricsEnabled);
+//                    while enabled, the trainer also writes its default
+//                    per-epoch telemetry JSONL when checkpointing
+//                    (docs/observability.md).
 //   ODF_TRACE=1      capture a whole-process Chrome-trace (Perfetto) span
 //                    timeline (util/trace.h), flushed at exit to
 //                    ODF_TRACE_PATH (default odf_trace.json). Off by

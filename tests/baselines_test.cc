@@ -1,4 +1,7 @@
 #include <cmath>
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -7,8 +10,11 @@
 #include "baselines/multitask.h"
 #include "baselines/naive_histogram.h"
 #include "baselines/var.h"
+#include "core/advanced_framework.h"
+#include "core/basic_framework.h"
 #include "core/experiment.h"
 #include "core/trainer.h"
+#include "graph/region_graph.h"
 
 namespace odf {
 namespace {
@@ -284,6 +290,82 @@ TEST(ExperimentTest, SamplePredictionExtracts) {
   Tensor second = SamplePrediction(batched, 1);
   EXPECT_EQ(second.shape(), Shape({2, 2, 2}));
   EXPECT_FLOAT_EQ(second[0], 8.0f);
+}
+
+// Checkpoints store parameters by position (nn/serialize.h), so a model's
+// Parameters() order and shapes are its checkpoint format. Pins both, and
+// NumParameters(), for every neural model.
+std::string ParameterShapes(const nn::Module& model) {
+  std::ostringstream os;
+  for (const autograd::Var& p : model.Parameters()) {
+    os << (os.tellp() == 0 ? "" : " ") << p.dim(0);
+    for (int64_t i = 1; i < p.rank(); ++i) os << "x" << p.dim(i);
+  }
+  return os.str();
+}
+
+TEST(ParameterOrderTest, PinnedForEveryNeuralModel) {
+  const RegionGraph graph = RegionGraph::Grid(3, 3, 1.0);
+  AdvancedFrameworkConfig two_layers;
+  two_layers.gcgru_layers = 2;
+  AdvancedFrameworkConfig adaptive;
+  adaptive.graph_op = nn::GraphOpKind::kAdaptive;
+  BasicFrameworkConfig attention;
+  attention.use_attention = true;
+  struct Row {
+    const char* name;
+    std::unique_ptr<NeuralForecaster> model;
+    const char* shapes;  // Parameters() in order: dims "AxB", space-separated
+    int64_t count;
+  };
+  const Row rows[] = {
+      {"af",
+       std::make_unique<AdvancedFramework>(graph, graph, 7, 2,
+                                           AdvancedFrameworkConfig{}),
+       "1 21x8 8 24x7 7 21x8 8 24x7 7 111x32 32 111x16 16 111x32 32"
+       " 111x16 16 48x21 21 111x32 32 111x16 16 111x32 32 111x16 16"
+       " 48x21 21",
+       24265},
+      {"af_gcgru_layers_2",
+       std::make_unique<AdvancedFramework>(graph, graph, 7, 2, two_layers),
+       "1 21x8 8 24x7 7 21x8 8 24x7 7 111x32 32 111x16 16 96x32 32"
+       " 96x16 16 111x32 32 111x16 16 96x32 32 96x16 16 48x21 21"
+       " 111x32 32 111x16 16 96x32 32 96x16 16 111x32 32 111x16 16"
+       " 96x32 32 96x16 16 48x21 21",
+       42889},
+      {"af_adaptive",
+       std::make_unique<AdvancedFramework>(graph, graph, 7, 2, adaptive),
+       "1 21x8 8 24x7 7 21x8 8 24x7 7 9x8 9x8 111x32 32 111x16 16"
+       " 111x32 32 111x16 16 48x21 21 9x8 9x8 111x32 32 111x16 16"
+       " 111x32 32 111x16 16 48x21 21",
+       24553},
+      {"bf",
+       std::make_unique<BasicFramework>(9, 9, 7, 2, BasicFrameworkConfig{}),
+       "1 567x16 16 567x16 16 48x32 32 48x32 32 48x32 32 48x32 32"
+       " 48x32 32 48x32 32 32x16 16 48x32 32 48x32 32 48x32 32 48x32"
+       " 32 48x32 32 48x32 32 32x16 16 16x252 252 16x252 252",
+       46617},
+      {"bf_attention", std::make_unique<BasicFramework>(9, 9, 7, 2, attention),
+       "1 567x16 16 567x16 16 48x32 32 48x32 32 48x32 32 48x32 32"
+       " 48x32 32 48x32 32 32x16 16 32x32 64x32 32 48x32 32 48x32 32"
+       " 48x32 32 48x32 32 48x32 32 48x32 32 32x16 16 32x32 64x32 32"
+       " 16x252 252 16x252 252",
+       52825},
+      {"fc", std::make_unique<FcGruForecaster>(9, 9, 7, 2, FcGruConfig{}),
+       "567x16 16 48x32 32 48x32 32 48x32 32 48x32 32 48x32 32 48x32"
+       " 32 32x16 16 16x567 567",
+       28663},
+      {"mr",
+       std::make_unique<MultiTaskForecaster>(9, 9, 7, 2, TimePartition(60, 4),
+                                             MultiTaskConfig{}),
+       "9x8 9x8 21x32 32 32x7 7",
+       1079},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(ParameterShapes(*row.model), row.shapes);
+    EXPECT_EQ(row.model->NumParameters(), row.count);
+  }
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "core/trainer.h"
 #include "graph/region_graph.h"
 #include "sim/trip_generator.h"
+#include "util/metrics.h"
 #include "util/trace.h"
 
 namespace odf {
@@ -333,14 +334,47 @@ TEST(TrainerTest, ConfigDrivenTelemetryAndTrace) {
   std::filesystem::remove_all(dir);
 }
 
+// Metrics switched on in code (not through ODF_METRICS) must also turn on
+// the default telemetry file next to the checkpoints.
+TEST(TrainerTest, SetMetricsEnabledTurnsOnDefaultTelemetry) {
+  TestWorld world = TestWorld::Make();
+  BasicFramework model(9, 9, 7, 2, BasicFrameworkConfig{});
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "odf_trainer_metrics_on")
+          .string();
+  std::filesystem::remove_all(dir);
+  TrainConfig train = FastTrain();
+  train.epochs = 2;
+  train.checkpoint_dir = dir;
+  const bool was_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  TrainForecaster(model, world.dataset, world.split, train);
+  SetMetricsEnabled(was_enabled);
+
+  std::ifstream telemetry(dir + "/telemetry.jsonl");
+  ASSERT_TRUE(telemetry.good()) << "no default telemetry.jsonl";
+  std::string line;
+  int lines = 0;
+  while (std::getline(telemetry, line)) {
+    EXPECT_NE(line.find("\"epoch\":" + std::to_string(lines)),
+              std::string::npos);
+    ++lines;
+  }
+  EXPECT_EQ(lines, 2);
+  std::filesystem::remove_all(dir);
+}
+
 // Deterministic stub whose per-batch loss is the exact mean of a fixed
 // per-sample value, so EvaluateLoss's weighting is testable in closed form
 // (real models normalize by observed-cell count, not per sample).
 class StubLossModel : public NeuralForecaster {
  public:
+  StubLossModel() : NeuralForecaster(1, 1, 1, 1) {}
   std::string name() const override { return "stub"; }
   std::string Describe() const override { return "stub"; }
-  std::vector<Tensor> Predict(const Batch&) override { return {}; }
+  std::vector<ag::Var> Forecast(const Batch&, bool, Rng&) const override {
+    return {};
+  }
   ag::Var Loss(const Batch& batch, bool /*train*/, Rng& /*rng*/) override {
     double total = 0;
     for (int64_t anchor : batch.anchor_intervals) total += PerSample(anchor);

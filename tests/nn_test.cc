@@ -1,4 +1,6 @@
 #include <cmath>
+#include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -175,9 +177,13 @@ TEST(ChebConvTest, GradCheck) {
   EXPECT_TRUE(result.ok) << result.max_abs_error;
 }
 
+std::shared_ptr<const Clusters> Share(Clusters clusters) {
+  return std::make_shared<const Clusters>(std::move(clusters));
+}
+
 TEST(GraphPoolTest, AverageKnownValues) {
   Tensor x(Shape({1, 4, 1}), {1.0f, 3.0f, 5.0f, 9.0f});
-  auto y = GraphPool(ag::Var::Constant(x), {{0, 1}, {2, 3}},
+  auto y = GraphPool(ag::Var::Constant(x), Share({{0, 1}, {2, 3}}),
                      PoolKind::kAverage);
   EXPECT_EQ(y.shape(), Shape({1, 2, 1}));
   EXPECT_FLOAT_EQ(y.value()[0], 2.0f);
@@ -187,7 +193,8 @@ TEST(GraphPoolTest, AverageKnownValues) {
 TEST(GraphPoolTest, MaxKnownValues) {
   Tensor x(Shape({1, 4, 2}),
            {1.0f, -1.0f, 3.0f, -5.0f, 5.0f, 0.0f, 9.0f, -2.0f});
-  auto y = GraphPool(ag::Var::Constant(x), {{0, 1}, {2, 3}}, PoolKind::kMax);
+  auto y =
+      GraphPool(ag::Var::Constant(x), Share({{0, 1}, {2, 3}}), PoolKind::kMax);
   EXPECT_FLOAT_EQ(y.value().At3(0, 0, 0), 3.0f);
   EXPECT_FLOAT_EQ(y.value().At3(0, 0, 1), -1.0f);
   EXPECT_FLOAT_EQ(y.value().At3(0, 1, 0), 9.0f);
@@ -197,7 +204,7 @@ TEST(GraphPoolTest, MaxKnownValues) {
 TEST(GraphPoolTest, SingletonClustersIdentity) {
   Rng rng(12);
   Tensor x = Tensor::RandomNormal(Shape({2, 3, 2}), rng);
-  auto y = GraphPool(ag::Var::Constant(x), {{0}, {1}, {2}},
+  auto y = GraphPool(ag::Var::Constant(x), Share({{0}, {1}, {2}}),
                      PoolKind::kAverage);
   EXPECT_TRUE(AllClose(y.value(), x, 0.0f));
 }
@@ -228,7 +235,8 @@ TEST(GraphPoolTest, GradCheckAverage) {
   std::vector<ag::Var> inputs = {
       ag::Var(Tensor::RandomNormal(Shape({2, 4, 3}), rng), true)};
   auto fn = [](const std::vector<ag::Var>& in) {
-    auto pooled = GraphPool(in[0], {{0, 2}, {1, 3}}, PoolKind::kAverage);
+    auto pooled =
+        GraphPool(in[0], Share({{0, 2}, {1, 3}}), PoolKind::kAverage);
     return ag::SumAll(ag::Square(pooled));
   };
   auto result = ag::GradCheck(fn, inputs);
@@ -240,7 +248,8 @@ TEST(GraphPoolTest, GradCheckMax) {
   std::vector<ag::Var> inputs = {
       ag::Var(Tensor::RandomNormal(Shape({1, 4, 2}), rng), true)};
   auto fn = [](const std::vector<ag::Var>& in) {
-    auto pooled = GraphPool(in[0], {{0, 1}, {2, 3}}, PoolKind::kMax);
+    auto pooled =
+        GraphPool(in[0], Share({{0, 1}, {2, 3}}), PoolKind::kMax);
     return ag::SumAll(ag::Square(pooled));
   };
   auto result = ag::GradCheck(fn, inputs);

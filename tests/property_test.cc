@@ -348,7 +348,8 @@ TEST_P(PoolProperty, AveragePreservesGlobalMeanForEqualClusters) {
   const int64_t n = 4 * cluster_size;
   Rng rng(14);
   Tensor x = Tensor::RandomNormal(Shape({2, n, 3}), rng);
-  auto clusters = NaiveClusters(n, cluster_size);
+  const auto clusters =
+      std::make_shared<const nn::Clusters>(NaiveClusters(n, cluster_size));
   Tensor pooled =
       nn::GraphPool(ag::Var::Constant(x), clusters, nn::PoolKind::kAverage)
           .value();
@@ -361,7 +362,8 @@ TEST_P(PoolProperty, MaxDominatesAverage) {
   const int64_t n = 4 * cluster_size;
   Rng rng(15);
   Tensor x = Tensor::RandomNormal(Shape({1, n, 2}), rng);
-  auto clusters = NaiveClusters(n, cluster_size);
+  const auto clusters =
+      std::make_shared<const nn::Clusters>(NaiveClusters(n, cluster_size));
   Tensor avg =
       nn::GraphPool(ag::Var::Constant(x), clusters, nn::PoolKind::kAverage)
           .value();
@@ -463,8 +465,10 @@ TEST_P(ClusterPoolProperty, GradCheckThroughGraclusHierarchy) {
   std::vector<ag::Var> inputs = {
       ag::Var(Tensor::RandomNormal(Shape({2, n, 3}), rng), true)};
   auto fn = [&](const std::vector<ag::Var>& in) {
-    ag::Var pooled = nn::GraphPool(in[0], levels[0].clusters, kind);
-    pooled = nn::GraphPool(pooled, levels[1].clusters, kind);
+    ag::Var pooled = nn::GraphPool(
+        in[0], std::make_shared<const nn::Clusters>(levels[0].clusters), kind);
+    pooled = nn::GraphPool(
+        pooled, std::make_shared<const nn::Clusters>(levels[1].clusters), kind);
     return ag::SumAll(ag::Square(pooled));
   };
   auto result = ag::GradCheck(fn, inputs);

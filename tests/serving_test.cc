@@ -61,10 +61,11 @@ struct TestWorld {
   ForecastDataset dataset;
   ForecastDataset::Split split;
 
+  /// A `rows` × `cols` grid city (`cols` 0 = square).
   static TestWorld Make(int64_t history = 3, int64_t horizon = 2,
-                        int grid = 3) {
-    DatasetSpec spec = MakeNycLike(grid, grid, /*num_days=*/4,
-                                   /*interval_minutes=*/60);
+                        int rows = 3, int cols = 0) {
+    DatasetSpec spec = MakeNycLike(rows, cols > 0 ? cols : rows,
+                                   /*num_days=*/4, /*interval_minutes=*/60);
     spec.config.mean_trips_per_interval = 120;
     TripGenerator gen(spec.graph, spec.config);
     OdTensorSeries series = BuildOdTensorSeries(
@@ -348,17 +349,23 @@ TEST(ForwardPlanTest, MatchesTrainedCheckpointedAfAtEveryThreadCount) {
 }
 
 // One table drives plan-vs-tape parity: every AF operator family, each
-// ablation, a two-layer CNRNN, dense and CSR graph paths, and BF with and
-// without attention. Every row runs at batch 1, 3 and 8 on 1 and 4 pool
-// threads, so each arena reallocation is covered too, and each row's batch-8
-// run must equal its eight batch-1 runs.
+// ablation, a two-layer CNRNN, dense and CSR graph paths, BF with and
+// without attention, and the edge shapes: a one-step history, a one-region
+// city and a non-square city. Every row runs at batch 1, 3 and 8 on 1 and 4
+// pool threads, so each arena reallocation is covered too, and each row's
+// batch-8 run must equal its eight batch-1 runs.
 TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
   PoolGuard guard;
   TestWorld world = TestWorld::Make();
   // L̂ density picks each graph operator's kernel (tensor/csr.h). The 3×3
   // city is dense at every pooling level even with only adjacent regions
   // linked; a 7×7 city linked that way stays under the threshold at both.
-  TestWorld sparse_city = TestWorld::Make(3, 2, /*grid=*/7);
+  TestWorld sparse_city = TestWorld::Make(3, 2, /*rows=*/7);
+  TestWorld one_step = TestWorld::Make(/*history=*/1);
+  // One region: every pooling level keeps its single node and λ_max is
+  // degenerate (graph/laplacian.h logs a warning and falls back).
+  TestWorld one_region = TestWorld::Make(3, 2, /*rows=*/1);
+  TestWorld wide = TestWorld::Make(3, 2, /*rows=*/5, /*cols=*/3);
   std::vector<Tensor> counts;
   for (int64_t t = 0; t < world.series.NumIntervals(); ++t) {
     counts.push_back(world.series.at(t).counts());
@@ -369,6 +376,7 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
     int use_sparse = -1;  // every plan graph operator's path; -1 = either
     bool bf = false;
     bool attention = false;
+    const TestWorld* city = nullptr;  // null = the 3×3 world
   };
   using C = AdvancedFrameworkConfig;
   const Row rows[] = {
@@ -405,27 +413,32 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
        /*use_sparse=*/1},
       {"bf", nullptr, -1, /*bf=*/true},
       {"bf_attention", nullptr, -1, /*bf=*/true, /*attention=*/true},
+      {"history_1", nullptr, -1, false, false, &one_step},
+      {"bf_history_1", nullptr, -1, /*bf=*/true, false, &one_step},
+      {"one_region", nullptr, -1, false, false, &one_region},
+      {"bf_one_region", nullptr, -1, /*bf=*/true, false, &one_region},
+      {"grid_5x3", nullptr, -1, false, false, &wide},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
-    const TestWorld& city = row.use_sparse == 1 ? sparse_city : world;
-    std::unique_ptr<NeuralForecaster> model;
-    serve::ForwardPlan plan;
+    const TestWorld& city = row.city != nullptr ? *row.city
+                            : row.use_sparse == 1 ? sparse_city
+                                                  : world;
+    const int64_t regions = city.spec.graph.size();
+    std::unique_ptr<FactorizedForecaster> model;
     if (row.bf) {
       BasicFrameworkConfig config;
       config.rank = 3;
       config.use_attention = row.attention;
-      auto bf = std::make_unique<BasicFramework>(9, 9, 7, 2, config);
-      plan = serve::PlanCompiler::Compile(*bf, world.dataset.history());
-      model = std::move(bf);
+      model = std::make_unique<BasicFramework>(regions, regions, 7, 2, config);
     } else {
       AdvancedFrameworkConfig config;
-      row.edit(config);
-      auto af = std::make_unique<AdvancedFramework>(
+      if (row.edit) row.edit(config);
+      model = std::make_unique<AdvancedFramework>(
           city.spec.graph, city.spec.graph, 7, 2, config);
-      plan = serve::PlanCompiler::Compile(*af, city.dataset.history());
-      model = std::move(af);
     }
+    serve::ForwardPlan plan =
+        serve::PlanCompiler::Compile(*model, city.dataset.history());
     if (row.use_sparse >= 0) {
       ASSERT_FALSE(plan.graph_operators().empty());
       for (const auto& op : plan.graph_operators()) {
@@ -445,6 +458,26 @@ TEST(ForwardPlanTest, MatchesTapeOnEveryConfiguration) {
     }
     ExpectBatchRowsMatchSingles(plan, city.dataset,
                                 {1, 2, 6, 7, 9, 11, 13, 17});
+  }
+}
+
+// A plan owns everything it reads: graph operators, pooling cluster tables
+// and parameter snapshots. Destroying the model it was compiled from must
+// not change a single output bit.
+TEST(ForwardPlanTest, OutlivesItsModel) {
+  TestWorld world = TestWorld::Make();
+  const Batch batch = world.dataset.MakeBatch({0, 3, 5});
+  auto model = std::make_unique<AdvancedFramework>(
+      world.spec.graph, world.spec.graph, 7, 2, AdvancedFrameworkConfig{});
+  serve::ForwardPlan plan =
+      serve::PlanCompiler::Compile(*model, world.dataset.history());
+  const std::vector<Tensor> tape = model->Predict(batch);
+  model.reset();
+  plan.Run(batch.inputs);
+  ASSERT_EQ(static_cast<int64_t>(tape.size()), plan.horizon());
+  for (size_t j = 0; j < tape.size(); ++j) {
+    EXPECT_TRUE(BitIdentical(tape[j], plan.output(static_cast<int64_t>(j))))
+        << "horizon step " << j;
   }
 }
 
