@@ -29,6 +29,34 @@ void PrepareShape(Tensor* t, const BufShape& spec, int64_t batch) {
 
 }  // namespace
 
+const char* OpKindName(OpKind kind) {
+  switch (kind) {
+    case OpKind::kLoadInput: return "load_input";
+    case OpKind::kReshape: return "reshape";
+    case OpKind::kZero: return "zero";
+    case OpKind::kAdd: return "add";
+    case OpKind::kSub: return "sub";
+    case OpKind::kMul: return "mul";
+    case OpKind::kAddScalar: return "add_scalar";
+    case OpKind::kMulScalar: return "mul_scalar";
+    case OpKind::kSigmoid: return "sigmoid";
+    case OpKind::kTanh: return "tanh";
+    case OpKind::kRelu: return "relu";
+    case OpKind::kMatMul: return "matmul";
+    case OpKind::kBatchMatMul: return "batch_matmul";
+    case OpKind::kConcat: return "concat";
+    case OpKind::kSlice: return "slice";
+    case OpKind::kSum: return "sum";
+    case OpKind::kSoftmax: return "softmax";
+    case OpKind::kPermute: return "permute";
+    case OpKind::kChebBasis: return "cheb_basis";
+    case OpKind::kGraphApply: return "graph_apply";
+    case OpKind::kGraphPool: return "graph_pool";
+    case OpKind::kRecover: return "recover";
+  }
+  return "unknown";
+}
+
 // ---------------------------------------------------------------------------
 // ForwardPlan execution
 // ---------------------------------------------------------------------------
@@ -143,26 +171,34 @@ void ForwardPlan::Run(const std::vector<Tensor>& inputs) {
   static Histogram& run_hist =
       MetricsRegistry::Global().GetHistogram("serve.plan.run_seconds");
   ScopedTimer run_timer(run_hist);
-  const bool metrics = MetricsEnabled();
-  if (metrics) {
-    static Counter& runs =
-        MetricsRegistry::Global().GetCounter("serve.plan.runs");
-    runs.Add(1);
+  if (!MetricsEnabled()) {
+    for (const Instr& ins : instrs_) Exec(ins, inputs);
+    return;
   }
+  static Counter& runs =
+      MetricsRegistry::Global().GetCounter("serve.plan.runs");
+  runs.Add(1);
+  // One clock read per instruction: its time goes to its kind and phase.
   std::fill(phase_nanos_.begin(), phase_nanos_.end(), 0);
+  std::fill(op_nanos_.begin(), op_nanos_.end(), 0);
   size_t i = 0;
+  uint64_t last = MonotonicNanos();
   for (const Phase& phase : phases_) {
-    const uint64_t start = metrics ? MonotonicNanos() : 0;
-    for (; i < phase.end; ++i) Exec(instrs_[i], inputs);
-    if (metrics && phase.hist >= 0) {
-      phase_nanos_[static_cast<size_t>(phase.hist)] +=
-          MonotonicNanos() - start;
+    for (; i < phase.end; ++i) {
+      Exec(instrs_[i], inputs);
+      const uint64_t now = MonotonicNanos();
+      op_nanos_[static_cast<size_t>(instrs_[i].kind)] += now - last;
+      if (phase.hist >= 0) {
+        phase_nanos_[static_cast<size_t>(phase.hist)] += now - last;
+      }
+      last = now;
     }
   }
-  if (metrics) {
-    for (size_t h = 0; h < phase_hists_.size(); ++h) {
-      phase_hists_[h]->Record(phase_nanos_[h]);
-    }
+  for (size_t h = 0; h < phase_hists_.size(); ++h) {
+    phase_hists_[h]->Record(phase_nanos_[h]);
+  }
+  for (size_t k = 0; k < op_hists_.size(); ++k) {
+    if (op_hists_[k] != nullptr) op_hists_[k]->Record(op_nanos_[k]);
   }
 }
 
@@ -502,6 +538,15 @@ ForwardPlan PlanCompiler::Build() {
     plan_.phases_.back().end = i + 1;
   }
   plan_.phase_nanos_.assign(plan_.phase_hists_.size(), 0);
+  plan_.op_hists_.assign(kNumOpKinds, nullptr);
+  plan_.op_nanos_.assign(kNumOpKinds, 0);
+  for (const Instr& ins : plan_.instrs_) {
+    Histogram*& hist = plan_.op_hists_[static_cast<size_t>(ins.kind)];
+    if (hist == nullptr) {
+      hist = &MetricsRegistry::Global().GetHistogram(
+          std::string("serve.plan.op.") + OpKindName(ins.kind) + "_seconds");
+    }
+  }
   return std::move(plan_);
 }
 

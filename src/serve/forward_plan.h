@@ -98,8 +98,14 @@ enum class OpKind : uint8_t {
   kChebBasis,     // out = ChebyshevBasis(graph, a, order)
   kGraphApply,    // out = graph · a (SpMM)
   kGraphPool,     // out = GraphPool(a, *clusters, pool)
-  kRecover,       // out = FusedRecover(a, b, scalar)
+  kRecover,       // out = FusedRecover(a, b, scalar); stays last
 };
+inline constexpr int kNumOpKinds = static_cast<int>(OpKind::kRecover) + 1;
+
+/// The kind's snake-case name ("cheb_basis" for kChebBasis, …): with
+/// metrics on, `ForwardPlan::Run` times each kind as
+/// serve.plan.op.<name>_seconds.
+const char* OpKindName(OpKind kind);
 
 /// One schedule step. `a`/`b`/`out`/`srcs` index the plan's buffers: arena
 /// buffers first, then the plan's constants (parameter snapshots and folded
@@ -126,7 +132,11 @@ class ForwardPlan {
 
   /// Executes the schedule on `inputs` (the model's `Batch::inputs`:
   /// `history()` tensors, each [B, N, N', K]). Reallocates arena buffers
-  /// only when B differs from the previous call. Not reentrant.
+  /// only when B differs from the previous call. Not reentrant. With
+  /// metrics on, one Run records its total (serve.plan.run_seconds), each
+  /// phase label's total and each OpKind's total over its instructions
+  /// (serve.plan.op.<kind>_seconds, for the kinds the schedule holds);
+  /// with metrics off it reads no clock.
   void Run(const std::vector<Tensor>& inputs);
 
   /// Horizon-step prediction `j` of the last Run: [B, N, N', K]. The
@@ -143,6 +153,7 @@ class ForwardPlan {
   int64_t num_instructions() const {
     return static_cast<int64_t>(instrs_.size());
   }
+  const std::vector<Instr>& instructions() const { return instrs_; }
   /// Arena buffers (constants excluded).
   int64_t num_buffers() const { return static_cast<int64_t>(specs_.size()); }
 
@@ -177,6 +188,9 @@ class ForwardPlan {
   std::vector<Phase> phases_;
   std::vector<Histogram*> phase_hists_;
   std::vector<uint64_t> phase_nanos_;
+  // Per OpKind: its histogram if the schedule holds the kind, else null.
+  std::vector<Histogram*> op_hists_;
+  std::vector<uint64_t> op_nanos_;
   std::vector<std::shared_ptr<const GraphOperator>> graph_ops_;
   std::vector<const Tensor*> concat_scratch_;
 

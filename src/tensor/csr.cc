@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <type_traits>
 
 #include "tensor/tensor_ops.h"
 #include "util/metrics.h"
@@ -136,19 +137,12 @@ inline void SpmmWindowOfWidth(int64_t w, int64_t begin, int64_t end,
   SpmmWindow<kEp, kW>(begin, end, ci, av, xb, ldx, w0, f0, vrow, orow);
 }
 
-// GCC's -O3 unroll-and-jam (-floop-unroll-and-jam) fuses pairs of nonzero
-// iterations in SpmmWindow around its lane loop. The jammed body no longer
-// vectorizes and keeps the accumulator block on the stack: on the 64-node
-// shard graph the kernel ran 4.5–7.6× slower than with the pass off. The
-// row driver below, into which the windows inline, opts out. Clang has no
-// such pass.
-#if defined(__GNUC__) && !defined(__clang__)
-#define ODF_NO_UNROLL_AND_JAM \
-  __attribute__((optimize("no-loop-unroll-and-jam")))
-#else
-#define ODF_NO_UNROLL_AND_JAM
-#endif
-
+// GCC's -O3 unroll-and-jam fuses pairs of nonzero iterations in SpmmWindow
+// around its lane loop. The jammed body no longer vectorizes and keeps the
+// accumulator block on the stack: on the 64-node shard graph the kernel ran
+// 4.5–7.6× slower than with the pass off. The row driver below, into which
+// the windows inline, opts out (ODF_NO_UNROLL_AND_JAM, tensor_ops.h).
+//
 // Output rows t ∈ [t0, t1) of the flattened (batch, row) range, in lane
 // windows of compile-time width: kFTile-lane windows over [0, bulk), then
 // at most two power-of-two windows over the rest. With AVX2 or AVX-512 a
@@ -252,13 +246,44 @@ void CopyRows(int64_t rows, int64_t f, const float* src, int64_t ld_src,
   });
 }
 
-// Per-thread scratch for ChebyshevBasisInto's three wide taps (grow-only).
+// Per-thread scratch for ChebyshevBasisInto's wide taps (grow-only).
 float* ChebWideScratch(int64_t len) {
   thread_local std::vector<float> buf;
   if (static_cast<int64_t>(buf.size()) < len) {
     buf.resize(static_cast<size_t>(len));
   }
   return buf.data();
+}
+
+// Calls fn(std::integral_constant<int64_t, F>) with F = f for the feature
+// widths 1–8, else with F = 0 (runtime width). The Chebyshev layout passes
+// move f floats per row; at these widths a copy of compile-time length is
+// a register move, where a runtime-bounded loop costs more than the data.
+template <typename Fn>
+void WithLaneWidth(int64_t f, Fn fn) {
+  switch (f) {
+    case 1: return fn(std::integral_constant<int64_t, 1>());
+    case 2: return fn(std::integral_constant<int64_t, 2>());
+    case 3: return fn(std::integral_constant<int64_t, 3>());
+    case 4: return fn(std::integral_constant<int64_t, 4>());
+    case 5: return fn(std::integral_constant<int64_t, 5>());
+    case 6: return fn(std::integral_constant<int64_t, 6>());
+    case 7: return fn(std::integral_constant<int64_t, 7>());
+    case 8: return fn(std::integral_constant<int64_t, 8>());
+    default: return fn(std::integral_constant<int64_t, 0>());
+  }
+}
+
+// dst[0, f) = src[0, f). At a compile-time length F > 0 the compiler
+// expands the memcpy into a few (possibly overlapping) vector moves.
+template <int64_t F>
+inline void CopyLanes(const float* __restrict src, float* __restrict dst,
+                      int64_t f) {
+  if constexpr (F > 0) {
+    std::memcpy(dst, src, F * sizeof(float));
+  } else {
+    for (int64_t c = 0; c < f; ++c) dst[c] = src[c];
+  }
 }
 
 }  // namespace
@@ -300,102 +325,85 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
     return;
   }
 
-  // Each tile is padded by 128 bytes: when n·wide floats fill a multiple of
-  // 4 KiB, unpadded taps 4K-alias row for row, which cost 20–30% on the
-  // dense path.
+  // Every tap lives in node-major ("wide") layout, tap s as an [n, wide]
+  // tile with tile(s)[i, b·f + c] = T_{s+1}[b, i, c]: each L̂-product is one
+  // product with a wide operand, and `out` is written once, row by row,
+  // after the last tap. Each tile is padded by 128 bytes: when n·wide
+  // floats fill a multiple of 4 KiB, unpadded taps 4K-alias row for row,
+  // which cost 20–30% on the dense path. With one batch element the wide
+  // layout is x's own [n, f] layout, so tap 0 reads x in place and its tile
+  // stays unused.
   const int64_t tile = n * wide + 32;
-  float* scratch = ChebWideScratch(3 * tile);
-  float* bufs[3] = {scratch, scratch + tile, scratch + 2 * tile};
-
-  // With one batch element the wide node-major layout coincides with x's own
-  // [n, f] layout, so the transpose-in would be a verbatim copy: tap 0 reads
-  // x directly instead. (bufs[0] still serves as the s=3 cycle slot.)
-  const bool direct_t0 = batch == 1;
-  const auto tap0 = [&]() -> const float* {
-    return direct_t0 ? px : bufs[0];
-  };
-
-  // The per-row copies below move only a handful of elements each (f is a
-  // feature count, typically 7–21), so a library memcpy call per row would
-  // dominate the whole basis. Inline element loops keep them in-register.
-  //
-  // One pass over x does double duty: T_1 lands in its feature-column slice
-  // of `out`, and the transpose-in fills bufs[0][i, b·f + c] = x[b, i, c] —
-  // node-major, so every SpMM row visit streams `wide` contiguous elements.
-  for (int64_t b = 0; b < batch; ++b) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float* __restrict src = px + (b * n + i) * f;
-      float* __restrict t1 = po + (b * n + i) * ld;
-      if (direct_t0) {
-        for (int64_t c = 0; c < f; ++c) t1[c] = src[c];
-      } else {
-        float* __restrict tr = bufs[0] + i * wide + b * f;
-        for (int64_t c = 0; c < f; ++c) {
-          t1[c] = src[c];
-          tr[c] = src[c];
-        }
-      }
-    }
-  }
-  // Scatter a wide tap back into feature-column slice `s` of `out`. Reads
-  // stream through `tap` (i-major) while writes stride by `ld`.
-  const auto scatter = [&](const float* tap, int64_t s) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float* __restrict trow = tap + i * wide;
+  float* scratch = ChebWideScratch(order * tile);
+  const auto tap = [&](int64_t s) -> float* { return scratch + s * tile; };
+  // Both layout passes below visit the rows (b, i) in blocks of
+  // kLayoutRows nodes, every batch element within a block: a tile's rows
+  // lie `wide` floats apart, and at power-of-two widths a whole column of
+  // them maps to a few cache sets, so a pass over all n nodes per batch
+  // element evicts each line before the next element reuses it.
+  constexpr int64_t kLayoutRows = 16;
+  const auto for_each_row = [&](auto fn) {
+    for (int64_t i0 = 0; i0 < n; i0 += kLayoutRows) {
+      const int64_t i1 = std::min(n, i0 + kLayoutRows);
       for (int64_t b = 0; b < batch; ++b) {
-        float* __restrict dst = po + (b * n + i) * ld + s * f;
-        for (int64_t c = 0; c < f; ++c) dst[c] = trow[b * f + c];
+        for (int64_t i = i0; i < i1; ++i) fn(b, i);
       }
     }
   };
+  const float* t0 = px;
+  if (batch > 1) {
+    WithLaneWidth(f, [&](auto lanes) {
+      constexpr int64_t F = decltype(lanes)::value;
+      float* dst = tap(0);
+      for_each_row([&](int64_t b, int64_t i) {
+        CopyLanes<F>(px + (b * n + i) * f, dst + i * wide + b * f, f);
+      });
+    });
+    t0 = tap(0);
+  }
+  const auto prev = [&](int64_t s) -> const float* {
+    return s == 0 ? t0 : tap(s);
+  };
 
-  // T_2 = L̂·T_1, then T_s = 2·L̂·T_{s-1} − T_{s-2}, all in wide layout.
-  if (!op.use_sparse()) {
+  // T_2 = L̂·T_1, then T_s = 2·L̂·T_{s-1} − T_{s-2}.
+  if (op.use_sparse()) {
+    SpmmTiled<SpmmEpilogue::kStore>(op.csr(), 1, wide, t0, wide, nullptr, 0,
+                                    tap(1), wide);
+    for (int64_t s = 2; s < order; ++s) {
+      SpmmTiled<SpmmEpilogue::kChebCombine>(op.csr(), 1, wide, tap(s - 1),
+                                            wide, prev(s - 2), wide, tap(s),
+                                            wide);
+    }
+  } else {
     // Dense graph: one blocked [n,n] x [n,wide] GEMM per tap keeps the full
     // register-tile accumulator block hot — far higher throughput than the
     // row-chained SpMM on a dense operator. Zero-skip transparency plus the
     // shared fused-accumulation policy (ODF_FMADD) makes the result bit-
-    // identical to the CSR path. The 2·(L̂T) − T_{s-2} combine runs as a
-    // separate in-place pass; 2·x is exact, so the subtraction rounds once
+    // identical to the CSR path. The 2·(L̂T) − T_{s-2} combine runs as one
+    // flat pass over the tile; 2·x is exact, so the subtraction rounds once
     // either way and matches the SpMM's fused epilogue bit-for-bit.
     for (int64_t s = 1; s < order; ++s) {
-      float* cur = bufs[s % 3];
-      GemmRawInto(op.dense().data(), s == 1 ? tap0() : bufs[(s - 1) % 3],
-                  cur, n, n, wide);
+      float* __restrict cur = tap(s);
+      GemmRawInto(op.dense().data(), prev(s - 1), cur, n, n, wide);
       if (s >= 2) {
-        // Combine fused into the scatter: one pass computes 2·(L̂T) − T_{s-2}
-        // (identical arithmetic and rounding to the separate pass) and
-        // writes it both back into `cur` — the recurrence needs T_s — and
-        // into the output slice.
-        const float* __restrict p2 = s == 2 ? tap0() : bufs[(s - 2) % 3];
-        for (int64_t i = 0; i < n; ++i) {
-          float* __restrict crow = cur + i * wide;
-          const float* __restrict prow = p2 + i * wide;
-          for (int64_t b = 0; b < batch; ++b) {
-            float* __restrict dst = po + (b * n + i) * ld + s * f;
-            for (int64_t c = 0; c < f; ++c) {
-              const float v = 2.0f * crow[b * f + c] - prow[b * f + c];
-              crow[b * f + c] = v;
-              dst[c] = v;
-            }
-          }
-        }
-      } else {
-        scatter(cur, s);
+        const float* __restrict p2 = prev(s - 2);
+        for (int64_t e = 0; e < n * wide; ++e) cur[e] = 2.0f * cur[e] - p2[e];
       }
     }
-    return;
   }
 
-  SpmmTiled<SpmmEpilogue::kStore>(op.csr(), 1, wide, tap0(), wide, nullptr,
-                                  0, bufs[1], wide);
-  scatter(bufs[1], 1);
-  for (int64_t s = 2; s < order; ++s) {
-    SpmmTiled<SpmmEpilogue::kChebCombine>(
-        op.csr(), 1, wide, bufs[(s - 1) % 3], wide,
-        s == 2 ? tap0() : bufs[(s - 2) % 3], wide, bufs[s % 3], wide);
-    scatter(bufs[s % 3], s);
-  }
+  // Each output row (b, i) gathers its f lanes of every tap at once, so
+  // `out` is written once.
+  WithLaneWidth(f, [&](auto lanes) {
+    constexpr int64_t F = decltype(lanes)::value;
+    for_each_row([&](int64_t b, int64_t i) {
+      float* orow = po + (b * n + i) * ld;
+      CopyLanes<F>(px + (b * n + i) * f, orow, f);
+      for (int64_t s = 1; s < order; ++s) {
+        CopyLanes<F>(tap(s) + i * wide + b * f, orow + s * f, f);
+      }
+    });
+  });
 }
 
 Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x,

@@ -75,12 +75,14 @@ Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x, int64_t order);
 /// by the compiled serving plan alike. Each L̂-product runs in node-major
 /// ("wide") layout as ONE product with an [n, B·F] operand instead of B
 /// skinny [n, F] products: x is transposed so that batch and features fuse
-/// into one wide row, the register-tiled SpMM (or blocked GEMM on the dense
-/// path) streams full tiles, and each tap is scattered back into `out`. Per
-/// output element the accumulation is a's row in ascending column order, so
-/// results do not depend on the thread count. The three wide taps live in
-/// a per-thread grow-only scratch buffer, so repeated calls allocate
-/// nothing.
+/// into one wide row (at B = 1 x already is that row and is read in place),
+/// the register-tiled SpMM (or blocked GEMM on the dense path) streams full
+/// tiles, and every tap stays wide until the last one is done; then each
+/// row of `out` is written once from all taps. Per output element the
+/// accumulation is a's row in ascending column order, so results do not
+/// depend on the thread count or on B. The `order` wide taps, n·B·F floats
+/// each, live in a per-thread grow-only scratch buffer, so repeated calls
+/// allocate nothing.
 void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
                         int64_t order, Tensor* out);
 

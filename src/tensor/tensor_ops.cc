@@ -242,10 +242,11 @@ float* BScratch(int64_t size) {
 // models' weight matmuls are all this narrow (n = buckets, filters or
 // hidden size), where the blocked path's packing and edge tiles cost more
 // than the multiply itself. It is also the zero-padded row width of the
-// small-N layout: one full 16-lane SIMD vector per row (an 8-wide row
-// tempts the vectorizer into pairing two rows per register with cross-lane
-// inserts, which runs slower). Padding lanes are computed but never stored,
-// so the choice is pure layout, not rounding.
+// small-N layout: one full 16-lane SIMD vector per row. Padding lanes are
+// computed but never stored, so the choice is pure layout, not rounding.
+// An 8-wide padded row for n ≤ 8 measured faster at n = 8 (AVX-512, one
+// thread: m = 16, k = 132 took 0.79 µs against 1.41 µs) but 7–9% slower
+// at n = 4, so the one width stays.
 constexpr int64_t kSmallNMax = 16;
 
 // Tallest A for the row-strip kernel's small-M regime: two micro-kernel
@@ -262,10 +263,16 @@ constexpr int64_t kSmallMMax = 2 * kMR;
 // term the blocked micro-kernels' sum; lanes >= nr are computed in
 // registers but never stored. Rows are independent, so callers may split
 // the row range or the column panels across threads without changing any
-// element.
+// element. The kernel opts out of unroll-and-jam, which spilled the
+// accumulators of the kNR-wide strips, and pairs k steps in source instead,
+// which the 16-wide strips had gained from the pass (AVX-512, -O3, one
+// thread, median of 5 interleaved runs: m = 16, k = 132, n = 32 went from
+// 2.08 to 1.41 µs; n ≤ 16 products held level).
 template <int64_t P>
-void GemmStrip(const float* a, const float* bp, int64_t ldb, float* c,
-               int64_t ldc, int64_t rows, int64_t k, int64_t cj0, int64_t nr) {
+ODF_NO_UNROLL_AND_JAM void GemmStrip(const float* a, const float* bp,
+                                     int64_t ldb, float* c, int64_t ldc,
+                                     int64_t rows, int64_t k, int64_t cj0,
+                                     int64_t nr) {
   constexpr int64_t R = 4;  // row strip: R·P accumulators
   int64_t i = 0;
   for (; i + R <= rows; i += R) {
@@ -274,7 +281,23 @@ void GemmStrip(const float* a, const float* bp, int64_t ldb, float* c,
     const float* a1 = a0 + k;
     const float* a2 = a1 + k;
     const float* a3 = a2 + k;
-    for (int64_t kk = 0; kk < k; ++kk) {
+    // Two k steps per iteration, each lane's chain still in ascending k.
+    int64_t kk = 0;
+    for (; kk + 2 <= k; kk += 2) {
+      const float* b0 = bp + kk * ldb;
+      const float* b1 = b0 + ldb;
+      const float v0 = a0[kk], w0 = a0[kk + 1];
+      const float v1 = a1[kk], w1 = a1[kk + 1];
+      const float v2 = a2[kk], w2 = a2[kk + 1];
+      const float v3 = a3[kk], w3 = a3[kk + 1];
+      for (int64_t j = 0; j < P; ++j) {
+        acc[0][j] = ODF_FMADD(w0, b1[j], ODF_FMADD(v0, b0[j], acc[0][j]));
+        acc[1][j] = ODF_FMADD(w1, b1[j], ODF_FMADD(v1, b0[j], acc[1][j]));
+        acc[2][j] = ODF_FMADD(w2, b1[j], ODF_FMADD(v2, b0[j], acc[2][j]));
+        acc[3][j] = ODF_FMADD(w3, b1[j], ODF_FMADD(v3, b0[j], acc[3][j]));
+      }
+    }
+    for (; kk < k; ++kk) {
       const float* brow = bp + kk * ldb;
       const float v0 = a0[kk];
       const float v1 = a1[kk];

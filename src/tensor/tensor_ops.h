@@ -24,6 +24,20 @@ inline float Fmadd(float a, float b, float c) {
 #define ODF_FMADD(a, b, c) ((a) * (b) + (c))
 #endif
 
+// Opts one function out of GCC's -O3 unroll-and-jam (-floop-unroll-and-jam).
+// The pass fuses pairs of outer-reduction iterations around a compile-time
+// lane loop — the shape of every register-tiled kernel here — and the jammed
+// body no longer vectorizes: it keeps the accumulator block on the stack.
+// Clang has no such pass. CI fails if a -O3 compile reports the pass
+// anywhere in csr.cc, or in tensor_ops.cc outside the blocked GEMM's
+// micro-kernels, which time no faster without it.
+#if defined(__GNUC__) && !defined(__clang__)
+#define ODF_NO_UNROLL_AND_JAM \
+  __attribute__((optimize("no-loop-unroll-and-jam")))
+#else
+#define ODF_NO_UNROLL_AND_JAM
+#endif
+
 namespace odf {
 
 // Pure tensor kernels. These operate on values only; the autograd layer

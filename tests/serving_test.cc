@@ -481,6 +481,53 @@ TEST(ForwardPlanTest, OutlivesItsModel) {
   }
 }
 
+// With metrics on, one Run times every OpKind its schedule holds exactly
+// once (serve.plan.op.<kind>_seconds), and the per-kind totals add up to no
+// more than the Run's own time. With metrics off it records nothing.
+TEST(ForwardPlanTest, ProfilesEveryOpKindItRuns) {
+  TestWorld world = TestWorld::Make();
+  AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2,
+                          AdvancedFrameworkConfig{});
+  serve::ForwardPlan plan =
+      serve::PlanCompiler::Compile(model, world.dataset.history());
+  const Batch batch = world.dataset.MakeBatch({0, 3});
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Histogram& run = registry.GetHistogram("serve.plan.run_seconds");
+  std::vector<Histogram*> kinds;
+  std::vector<bool> held(serve::kNumOpKinds, false);
+  for (int k = 0; k < serve::kNumOpKinds; ++k) {
+    kinds.push_back(&registry.GetHistogram(
+        std::string("serve.plan.op.") +
+        serve::OpKindName(static_cast<serve::OpKind>(k)) + "_seconds"));
+    kinds.back()->Reset();
+  }
+  for (const serve::Instr& ins : plan.instructions()) {
+    held[static_cast<size_t>(ins.kind)] = true;
+  }
+  ASSERT_TRUE(held[static_cast<size_t>(serve::OpKind::kChebBasis)]);
+  run.Reset();
+
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(false);
+  plan.Run(batch.inputs);
+  EXPECT_EQ(run.count(), 0u);
+  for (const Histogram* h : kinds) EXPECT_EQ(h->count(), 0u);
+  SetMetricsEnabled(true);
+  plan.Run(batch.inputs);
+  SetMetricsEnabled(metrics_were_on);
+
+  ASSERT_EQ(run.count(), 1u);
+  uint64_t total = 0;
+  for (int k = 0; k < serve::kNumOpKinds; ++k) {
+    SCOPED_TRACE(serve::OpKindName(static_cast<serve::OpKind>(k)));
+    EXPECT_EQ(kinds[static_cast<size_t>(k)]->count(),
+              held[static_cast<size_t>(k)] ? 1u : 0u);
+    total += kinds[static_cast<size_t>(k)]->sum_nanos();
+  }
+  EXPECT_GT(total, 0u);
+  EXPECT_LE(total, run.sum_nanos());
+}
+
 // ---------------------------------------------------------------------
 // Memoized graph operators (satellite: λ_max / L̂ caching).
 // ---------------------------------------------------------------------

@@ -192,19 +192,21 @@ TEST(ChebyshevBasisTest, MatchesUnfusedRecurrence) {
 // chain over a's row in ascending column order (the dense GEMM's zero terms
 // leave that chain unchanged), so they agree bit for bit — not just to
 // tolerance — for the three graph kernels, at 1 and 4 threads. The widths
-// cover the 32-lane SpMM tile's edges (below, at and past one tile, the
-// tail windows of 70 and the shard GRU width 132); batch 3 and 16 widen the
-// node-major Chebyshev operand to batch·F.
+// cover the Chebyshev layout copies' compile-time widths (1–8) and their
+// fallback (9 and up), the 32-lane SpMM tile's edges (below, at and past
+// one tile, the tail windows of 70 and the shard GRU width 132); batch 3
+// and 16 widen the node-major Chebyshev operand to batch·F, and each
+// batched basis must equal its per-slice batch-1 bases bit for bit.
 TEST(SparseDenseParityTest, GraphKernelsBitIdentical) {
   PoolGuard guard;
   Rng rng(31);
-  for (const int64_t n : {1, 13, 29, 64}) {
+  for (const int64_t n : {1, 8, 13, 16, 29, 58, 64}) {
     for (const double keep : {0.0, 0.1, 0.5, 1.0}) {
       const Tensor lap = ScaledLaplacian(
           Laplacian(RandomThresholdedWeights(n, keep, rng)));
       const auto dense = GraphOperator::Make(lap, 0);
       const auto sparse = GraphOperator::Make(lap, 1);
-      for (const int64_t f : {1, 4, 7, 31, 32, 33, 64, 70, 132}) {
+      for (const int64_t f : {1, 4, 7, 8, 9, 31, 32, 33, 64, 70, 132}) {
         for (const int64_t batch : {1, 3, 16}) {
           const Tensor x = Tensor::RandomNormal(Shape({batch, n, f}), rng);
           const Tensor g4 =
@@ -218,10 +220,21 @@ TEST(SparseDenseParityTest, GraphKernelsBitIdentical) {
             GraphApplyInto(*dense, x, &applied[0]);
             GraphApplyInto(*sparse, x, &applied[1]);
             ASSERT_TRUE(BitIdentical(applied[0], applied[1]));
-            for (const int64_t order : {2, 3, 4}) {
+            for (const int64_t order : {1, 2, 3, 4}) {
               SCOPED_TRACE(::testing::Message() << "order=" << order);
+              const Tensor basis = ChebyshevBasis(*sparse, x, order);
               ASSERT_TRUE(BitIdentical(ChebyshevBasis(*dense, x, order),
-                                       ChebyshevBasis(*sparse, x, order)));
+                                       basis));
+              for (int64_t b = 0; batch > 1 && b < batch; ++b) {
+                const Tensor xb = Slice(x, 0, b, 1);
+                const Tensor want = Slice(basis, 0, b, 1);
+                ASSERT_TRUE(BitIdentical(ChebyshevBasis(*dense, xb, order),
+                                         want))
+                    << "dense slice " << b;
+                ASSERT_TRUE(BitIdentical(ChebyshevBasis(*sparse, xb, order),
+                                         want))
+                    << "sparse slice " << b;
+              }
               const Tensor g = Slice(g4, 2, 0, order * f);
               ASSERT_TRUE(BitIdentical(ChebyshevBasisGrad(*dense, g, order),
                                        ChebyshevBasisGrad(*sparse, g, order)));
