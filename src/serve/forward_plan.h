@@ -153,7 +153,6 @@ class ForwardPlan {
   int64_t num_instructions() const {
     return static_cast<int64_t>(instrs_.size());
   }
-  const std::vector<Instr>& instructions() const { return instrs_; }
   /// Arena buffers (constants excluded).
   int64_t num_buffers() const { return static_cast<int64_t>(specs_.size()); }
 

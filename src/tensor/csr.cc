@@ -256,18 +256,15 @@ float* ChebWideScratch(int64_t len) {
 }
 
 // Calls fn(std::integral_constant<int64_t, F>) with F = f for the feature
-// widths 1–8, else with F = 0 (runtime width). The Chebyshev layout passes
+// widths below 16 that the models feed the basis — 4 (the shard units'
+// K), 7 (the paper histogram's K) and 8 (AF's second level, Q = 8
+// filters) — else with F = 0 (runtime width). The Chebyshev layout passes
 // move f floats per row; at these widths a copy of compile-time length is
 // a register move, where a runtime-bounded loop costs more than the data.
 template <typename Fn>
 void WithLaneWidth(int64_t f, Fn fn) {
   switch (f) {
-    case 1: return fn(std::integral_constant<int64_t, 1>());
-    case 2: return fn(std::integral_constant<int64_t, 2>());
-    case 3: return fn(std::integral_constant<int64_t, 3>());
     case 4: return fn(std::integral_constant<int64_t, 4>());
-    case 5: return fn(std::integral_constant<int64_t, 5>());
-    case 6: return fn(std::integral_constant<int64_t, 6>());
     case 7: return fn(std::integral_constant<int64_t, 7>());
     case 8: return fn(std::integral_constant<int64_t, 8>());
     default: return fn(std::integral_constant<int64_t, 0>());

@@ -481,8 +481,8 @@ TEST(ForwardPlanTest, OutlivesItsModel) {
   }
 }
 
-// With metrics on, one Run times every OpKind its schedule holds exactly
-// once (serve.plan.op.<kind>_seconds), and the per-kind totals add up to no
+// With metrics on, one Run times each OpKind it executes once
+// (serve.plan.op.<kind>_seconds), and the per-kind totals add up to no
 // more than the Run's own time. With metrics off it records nothing.
 TEST(ForwardPlanTest, ProfilesEveryOpKindItRuns) {
   TestWorld world = TestWorld::Make();
@@ -494,17 +494,12 @@ TEST(ForwardPlanTest, ProfilesEveryOpKindItRuns) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Histogram& run = registry.GetHistogram("serve.plan.run_seconds");
   std::vector<Histogram*> kinds;
-  std::vector<bool> held(serve::kNumOpKinds, false);
   for (int k = 0; k < serve::kNumOpKinds; ++k) {
     kinds.push_back(&registry.GetHistogram(
         std::string("serve.plan.op.") +
         serve::OpKindName(static_cast<serve::OpKind>(k)) + "_seconds"));
     kinds.back()->Reset();
   }
-  for (const serve::Instr& ins : plan.instructions()) {
-    held[static_cast<size_t>(ins.kind)] = true;
-  }
-  ASSERT_TRUE(held[static_cast<size_t>(serve::OpKind::kChebBasis)]);
   run.Reset();
 
   const bool metrics_were_on = MetricsEnabled();
@@ -517,11 +512,19 @@ TEST(ForwardPlanTest, ProfilesEveryOpKindItRuns) {
   SetMetricsEnabled(metrics_were_on);
 
   ASSERT_EQ(run.count(), 1u);
+  // Kinds every AF plan runs: its inputs, the factorization stage's bases,
+  // pooling and GEMMs, and the recovery.
+  for (serve::OpKind kind :
+       {serve::OpKind::kLoadInput, serve::OpKind::kChebBasis,
+        serve::OpKind::kGraphPool, serve::OpKind::kBatchMatMul,
+        serve::OpKind::kRecover}) {
+    SCOPED_TRACE(serve::OpKindName(kind));
+    EXPECT_EQ(kinds[static_cast<size_t>(kind)]->count(), 1u);
+  }
   uint64_t total = 0;
   for (int k = 0; k < serve::kNumOpKinds; ++k) {
     SCOPED_TRACE(serve::OpKindName(static_cast<serve::OpKind>(k)));
-    EXPECT_EQ(kinds[static_cast<size_t>(k)]->count(),
-              held[static_cast<size_t>(k)] ? 1u : 0u);
+    EXPECT_LE(kinds[static_cast<size_t>(k)]->count(), 1u);
     total += kinds[static_cast<size_t>(k)]->sum_nanos();
   }
   EXPECT_GT(total, 0u);
