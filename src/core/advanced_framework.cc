@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "autograd/capture.h"
 #include "graph/coarsen.h"
 #include "graph/laplacian.h"
 
@@ -204,59 +203,54 @@ std::string AdvancedFramework::Describe() const {
   return os.str();
 }
 
-AdvancedFramework::FactorSequences AdvancedFramework::FactorizeAndForecast(
-    const Batch& batch, bool train, Rng& rng) const {
-  const int64_t b = batch.batch_size();
+AdvancedFramework::Factors AdvancedFramework::Factorize(const ag::Var& x,
+                                                        bool train,
+                                                        Rng& rng) const {
+  // Spatial factorization of one historical tensor x [B, N, N', K]
+  // (Sec. V-A).
+  const int64_t b = x.dim(0);
   const int64_t n = num_origins();
   const int64_t m = num_destinations();
   const int64_t k = num_buckets();
   const int64_t beta = rank_;
 
-  // Spatial factorization of every historical tensor (Sec. V-A).
-  std::vector<ag::Var> r_seq;
-  std::vector<ag::Var> c_seq;
-  r_seq.reserve(batch.inputs.size());
-  c_seq.reserve(batch.inputs.size());
-  for (size_t t = 0; t < batch.inputs.size(); ++t) {
-    ag::ScopedPhase phase("factorize");
-    // [B, N, N', K]
-    ag::Var x = ag::Var::BatchInput(batch.inputs[t], static_cast<int64_t>(t));
+  // R branch: origin slices [B·N, N', K] convolved on the dest graph.
+  ag::Var r_slices = ag::Reshape(x, {b * n, m, k});
+  ag::Var r_fact = ApplyBranch(r_branch_, r_slices);  // [B·N, β, K]
+  ag::Var r_nodes = ag::Reshape(r_fact, {b, n, beta * k});
+  ag::Var r = ag::Dropout(r_nodes, dropout(train), train, rng);
 
-    // R branch: origin slices [B·N, N', K] convolved on the dest graph.
-    ag::Var r_slices = ag::Reshape(x, {b * n, m, k});
-    ag::Var r_fact = ApplyBranch(r_branch_, r_slices);  // [B·N, β, K]
-    ag::Var r_nodes = ag::Reshape(r_fact, {b, n, beta * k});
-    r_seq.push_back(ag::Dropout(r_nodes, dropout(train), train, rng));
+  // C branch: destination slices [B·N', N, K] on the origin graph.
+  ag::Var c_slices = ag::Reshape(ag::Permute(x, {0, 2, 1, 3}), {b * m, n, k});
+  ag::Var c_fact = ApplyBranch(c_branch_, c_slices);  // [B·N', β, K]
+  ag::Var c_nodes = ag::Reshape(c_fact, {b, m, beta * k});
+  return {std::move(r), ag::Dropout(c_nodes, dropout(train), train, rng)};
+}
 
-    // C branch: destination slices [B·N', N, K] on the origin graph.
-    ag::Var c_slices =
-        ag::Reshape(ag::Permute(x, {0, 2, 1, 3}), {b * m, n, k});
-    ag::Var c_fact = ApplyBranch(c_branch_, c_slices);  // [B·N', β, K]
-    ag::Var c_nodes = ag::Reshape(c_fact, {b, m, beta * k});
-    c_seq.push_back(ag::Dropout(c_nodes, dropout(train), train, rng));
-  }
-
+AdvancedFramework::FactorSequences AdvancedFramework::ForecastFactors(
+    const FactorSequences& history) const {
   // Spatio-temporal forecasting (Sec. V-B).
-  FactorSequences forecast;
   if (config_.use_gcgru) {
-    forecast.r = r_seq_->Forward(r_seq, horizon());
-    forecast.c = c_seq_->Forward(c_seq, horizon());
-    return forecast;
+    return {r_seq_->Forward(history.r, horizon()),
+            c_seq_->Forward(history.c, horizon())};
   }
   // Ablation: flatten node features and use a plain GRU.
+  const int64_t b = history.r.front().dim(0);
+  const int64_t n = num_origins();
+  const int64_t m = num_destinations();
+  const int64_t features = rank_ * num_buckets();
   auto reshape_all = [](const std::vector<ag::Var>& seq,
                         const std::vector<int64_t>& dims) {
     std::vector<ag::Var> out;
     for (const ag::Var& v : seq) out.push_back(ag::Reshape(v, dims));
     return out;
   };
-  const std::vector<ag::Var> r_flat = reshape_all(r_seq, {b, n * beta * k});
-  const std::vector<ag::Var> c_flat = reshape_all(c_seq, {b, m * beta * k});
-  forecast.r = reshape_all(r_seq_->Forward(r_flat, horizon()),
-                           {b, n, beta * k});
-  forecast.c = reshape_all(c_seq_->Forward(c_flat, horizon()),
-                           {b, m, beta * k});
-  return forecast;
+  const std::vector<ag::Var> r_flat =
+      reshape_all(history.r, {b, n * features});
+  const std::vector<ag::Var> c_flat =
+      reshape_all(history.c, {b, m * features});
+  return {reshape_all(r_seq_->Forward(r_flat, horizon()), {b, n, features}),
+          reshape_all(c_seq_->Forward(c_flat, horizon()), {b, m, features})};
 }
 
 AdvancedFramework::Factors AdvancedFramework::StepFactors(

@@ -115,8 +115,10 @@ class AdvancedFramework : public FactorizedForecaster {
     int64_t output_nodes = 0;
   };
 
-  FactorSequences FactorizeAndForecast(const Batch& batch, bool train,
-                                       Rng& rng) const override;
+  Factors Factorize(const autograd::Var& x, bool train,
+                    Rng& rng) const override;
+  FactorSequences ForecastFactors(
+      const FactorSequences& history) const override;
   Factors StepFactors(const FactorSequences& forecast, size_t j,
                       int64_t batch) const override;
   Factors Regularizers(const Factors& factors) const override;

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "autograd/capture.h"
-
 namespace odf {
 
 namespace ag = odf::autograd;
@@ -44,31 +42,23 @@ std::string BasicFramework::Describe() const {
   return os.str();
 }
 
-BasicFramework::FactorSequences BasicFramework::FactorizeAndForecast(
-    const Batch& batch, bool train, Rng& rng) const {
-  const int64_t b = batch.batch_size();
-  const int64_t flat = num_origins() * num_destinations() * num_buckets();
+BasicFramework::Factors BasicFramework::Factorize(const ag::Var& x,
+                                                  bool train,
+                                                  Rng& rng) const {
+  // Factorization: FC-encode the sparse tensor, flattened (Sec. IV-B).
+  const ag::Var flat = ag::Reshape(
+      x, {x.dim(0), num_origins() * num_destinations() * num_buckets()});
+  return {ag::Dropout(ag::Tanh(encode_r_.Forward(flat)), dropout(train),
+                      train, rng),
+          ag::Dropout(ag::Tanh(encode_c_.Forward(flat)), dropout(train),
+                      train, rng)};
+}
 
-  // Factorization: FC-encode each sparse historical tensor (Sec. IV-B).
-  std::vector<ag::Var> r_seq;
-  std::vector<ag::Var> c_seq;
-  r_seq.reserve(batch.inputs.size());
-  c_seq.reserve(batch.inputs.size());
-  for (size_t t = 0; t < batch.inputs.size(); ++t) {
-    ag::ScopedPhase phase("factorize");
-    ag::Var x = ag::Var::BatchInput(batch.inputs[t].Reshape({b, flat}),
-                                    static_cast<int64_t>(t));
-    r_seq.push_back(ag::Dropout(ag::Tanh(encode_r_.Forward(x)),
-                                dropout(train), train, rng));
-    c_seq.push_back(ag::Dropout(ag::Tanh(encode_c_.Forward(x)),
-                                dropout(train), train, rng));
-  }
-
+BasicFramework::FactorSequences BasicFramework::ForecastFactors(
+    const FactorSequences& history) const {
   // Forecasting: two independent seq2seq GRUs (Sec. IV-C, Eq. 2).
-  FactorSequences forecast;
-  forecast.r = seq_r_.Forward(r_seq, horizon());
-  forecast.c = seq_c_.Forward(c_seq, horizon());
-  return forecast;
+  return {seq_r_.Forward(history.r, horizon()),
+          seq_c_.Forward(history.c, horizon())};
 }
 
 BasicFramework::Factors BasicFramework::StepFactors(

@@ -43,8 +43,10 @@ class BasicFramework : public FactorizedForecaster {
   std::string Describe() const override;
 
  private:
-  FactorSequences FactorizeAndForecast(const Batch& batch, bool train,
-                                       Rng& rng) const override;
+  Factors Factorize(const autograd::Var& x, bool train,
+                    Rng& rng) const override;
+  FactorSequences ForecastFactors(
+      const FactorSequences& history) const override;
   Factors StepFactors(const FactorSequences& forecast, size_t j,
                       int64_t batch) const override;
 

@@ -41,15 +41,42 @@ FactorizedForecaster::FactorizedForecaster(int64_t num_origins,
       lambda_c_(lambda_c),
       temperature_(RegisterParameter(Tensor::Scalar(4.0f))) {}
 
+FactorizedForecaster::Factors FactorizedForecaster::FactorizeInterval(
+    const Tensor& x, int64_t input_index, bool train, Rng& rng) const {
+  ag::ScopedPhase phase("factorize");
+  return Factorize(ag::Var::BatchInput(x, input_index), train, rng);
+}
+
+std::vector<ag::Var> FactorizedForecaster::ForecastFromFactors(
+    const FactorSequences& history) const {
+  return ForecastAndRecover(history).predictions;
+}
+
 FactorizedForecaster::Forward FactorizedForecaster::Run(const Batch& batch,
                                                         bool train,
                                                         Rng& rng) const {
-  const FactorSequences forecast = FactorizeAndForecast(batch, train, rng);
+  // Factorization of each historical tensor on its own (Sec. IV-B, V-A).
+  FactorSequences history;
+  history.r.reserve(batch.inputs.size());
+  history.c.reserve(batch.inputs.size());
+  for (size_t t = 0; t < batch.inputs.size(); ++t) {
+    Factors factors = FactorizeInterval(
+        batch.inputs[t], static_cast<int64_t>(t), train, rng);
+    history.r.push_back(std::move(factors.r));
+    history.c.push_back(std::move(factors.c));
+  }
+  return ForecastAndRecover(history);
+}
+
+FactorizedForecaster::Forward FactorizedForecaster::ForecastAndRecover(
+    const FactorSequences& history) const {
+  const FactorSequences forecast = ForecastFactors(history);
+  const int64_t batch = history.r.front().dim(0);
   // Recovery: factor product + softmax (Sec. IV-D, Eq. 3).
   ag::ScopedPhase phase("recover");
   Forward forward;
   for (size_t j = 0; j < static_cast<size_t>(horizon()); ++j) {
-    Factors factors = StepFactors(forecast, j, batch.batch_size());
+    Factors factors = StepFactors(forecast, j, batch);
     forward.predictions.push_back(
         RecoverFullTensorWithTemperature(factors.r, factors.c, temperature_));
     forward.factors.push_back(std::move(factors));

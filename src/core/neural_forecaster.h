@@ -68,14 +68,31 @@ class NeuralForecaster : public Forecaster, public nn::Module {
 };
 
 /// The paper's three-stage forecaster shared by BF (Sec. IV) and AF
-/// (Sec. V): factorize each historical tensor into an R side and a C side,
-/// forecast both factor sequences, then recover every step's full tensor
-/// from R̂ [B, N, β, K] and Ĉ [B, β, N', K] with the per-bucket factor
+/// (Sec. V): factorize each historical tensor on its own into an R side and
+/// a C side, forecast both factor sequences, then recover every step's full
+/// tensor from R̂ [B, N, β, K] and Ĉ [B, β, N', K] with the per-bucket factor
 /// product and a learnable-temperature softmax (Sec. IV-D). A framework
-/// supplies its factorize/forecast stage and, optionally, its regularizer;
-/// this class owns recovery, the temperature and the regularized loss.
+/// supplies one interval's factorization, its forecasting stage and,
+/// optionally, its regularizer; this class owns the per-interval loop,
+/// recovery, the temperature and the regularized loss.
+///
+/// The forward splits at the factorization: `FactorizeInterval` and
+/// `ForecastFromFactors` are the two stages serve::PlanCompiler captures,
+/// and Forecast is the one on each input interval, then the other.
 class FactorizedForecaster : public NeuralForecaster {
  public:
+  /// An R side and a C side: one interval's factorization, or one horizon
+  /// step's factors R̂ [B, N, β, K] and Ĉ [B, β, N', K].
+  struct Factors {
+    autograd::Var r;
+    autograd::Var c;
+  };
+  /// One factor sequence per side, one element per time step.
+  struct FactorSequences {
+    std::vector<autograd::Var> r;
+    std::vector<autograd::Var> c;
+  };
+
   std::vector<autograd::Var> Forecast(const Batch& batch, bool train,
                                       Rng& rng) const final;
 
@@ -83,27 +100,33 @@ class FactorizedForecaster : public NeuralForecaster {
   /// the batch (paper Eq. 4 for BF, Eq. 11 for AF).
   autograd::Var Loss(const Batch& batch, bool train, Rng& rng) final;
 
+  /// The factorization stage on one interval `x` [B, N, N', K], fed as batch
+  /// input `input_index`, under the `factorize` phase. `train` applies
+  /// dropout, drawn R then C. A sample's factors depend only on its interval
+  /// and the weights.
+  Factors FactorizeInterval(const Tensor& x, int64_t input_index, bool train,
+                            Rng& rng) const;
+
+  /// The forecasting and recovery stages: `history` holds one factor pair
+  /// per input interval, oldest first, as FactorizeInterval returns them;
+  /// the result is `horizon()` predicted tensors [B, N, N', K].
+  std::vector<autograd::Var> ForecastFromFactors(
+      const FactorSequences& history) const;
+
  protected:
   /// `lambda_r`/`lambda_c` weight the factor regularizers of Loss.
   FactorizedForecaster(int64_t num_origins, int64_t num_destinations,
                        int64_t num_buckets, int64_t horizon, float lambda_r,
                        float lambda_c);
 
-  /// Per-step outputs of the forecasting stage, one sequence per factor
-  /// side, `horizon()` long each.
-  struct FactorSequences {
-    std::vector<autograd::Var> r;
-    std::vector<autograd::Var> c;
-  };
-  /// One horizon step's factors: R̂ [B, N, β, K] and Ĉ [B, β, N', K].
-  struct Factors {
-    autograd::Var r;
-    autograd::Var c;
-  };
-
-  /// Factorization and forecasting stages (the framework's own model).
-  virtual FactorSequences FactorizeAndForecast(const Batch& batch,
-                                               bool train, Rng& rng) const = 0;
+  /// One interval's factorization (the framework's own model): x
+  /// [B, N, N', K] to its R and C sides, dropout drawn R then C.
+  virtual Factors Factorize(const autograd::Var& x, bool train,
+                            Rng& rng) const = 0;
+  /// Forecasting stage: the factor sequences of the input window to
+  /// `horizon()`-long output sequences.
+  virtual FactorSequences ForecastFactors(
+      const FactorSequences& history) const = 0;
   /// Step `j`'s factors from the forecast sequences; runs inside the
   /// `recover` phase, just before that step's recovery.
   virtual Factors StepFactors(const FactorSequences& forecast, size_t j,
@@ -118,6 +141,7 @@ class FactorizedForecaster : public NeuralForecaster {
     std::vector<Factors> factors;            // h steps
   };
   Forward Run(const Batch& batch, bool train, Rng& rng) const;
+  Forward ForecastAndRecover(const FactorSequences& history) const;
 
   float lambda_r_;
   float lambda_c_;

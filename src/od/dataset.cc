@@ -85,39 +85,55 @@ ForecastDataset::Split ForecastDataset::ChronologicalSplit(
   return split;
 }
 
+Tensor ForecastDataset::StackIntervals(
+    std::span<const int64_t> intervals) const {
+  return Stack(intervals, /*masks=*/false);
+}
+
+Tensor ForecastDataset::Stack(std::span<const int64_t> intervals,
+                              bool masks) const {
+  ODF_CHECK(!intervals.empty());
+  const int64_t cell = num_origins_ * num_destinations_ * num_buckets_;
+  Tensor stacked(Shape({static_cast<int64_t>(intervals.size()), num_origins_,
+                        num_destinations_, num_buckets_}));
+  float* row = stacked.data();
+  for (const int64_t t : intervals) {
+    ODF_CHECK_GE(t, 0);
+    ODF_CHECK_LT(t, SourceNumIntervals());
+    // The shared_ptr keeps the tensor alive across the copy even if a
+    // streaming source evicts it from its cache concurrently.
+    const std::shared_ptr<const OdTensor> tensor = SourceInterval(t);
+    if (masks) {
+      const Tensor mask = tensor->ExpandedMask();
+      std::copy(mask.data(), mask.data() + cell, row);
+    } else {
+      std::copy(tensor->values().data(), tensor->values().data() + cell, row);
+    }
+    row += cell;
+  }
+  return stacked;
+}
+
 Batch ForecastDataset::MakeBatch(
     std::span<const int64_t> sample_indices) const {
   ODF_CHECK(!sample_indices.empty());
-  const int64_t n = num_origins_;
-  const int64_t m = num_destinations_;
-  const int64_t k = num_buckets_;
-  const int64_t batch = static_cast<int64_t>(sample_indices.size());
-  const int64_t cell = n * m * k;
-
   Batch out;
   out.anchor_intervals.reserve(sample_indices.size());
   for (int64_t i : sample_indices) {
     out.anchor_intervals.push_back(AnchorInterval(i));
   }
 
+  // Each step stacks one interval per sample, at a fixed offset from the
+  // sample's anchor.
+  std::vector<int64_t> step(sample_indices.size());
   auto stack = [&](int64_t offset_from_anchor, bool masks) {
-    Tensor stacked(Shape({batch, n, m, k}));
-    for (int64_t b = 0; b < batch; ++b) {
-      const int64_t t = out.anchor_intervals[static_cast<size_t>(b)] +
-                        offset_from_anchor;
-      // The shared_ptr keeps the tensor alive across the copy even if a
-      // streaming source evicts it from its cache concurrently.
-      const std::shared_ptr<const OdTensor> tensor = SourceInterval(t);
-      const Tensor source =
-          masks ? tensor->ExpandedMask() : tensor->values();
-      std::copy(source.data(), source.data() + cell,
-                stacked.data() + b * cell);
+    for (size_t b = 0; b < step.size(); ++b) {
+      step[b] = out.anchor_intervals[b] + offset_from_anchor;
     }
-    return stacked;
+    return Stack(step, masks);
   };
-
-  for (int64_t step = 0; step < history_; ++step) {
-    out.inputs.push_back(stack(step - history_ + 1, /*masks=*/false));
+  for (int64_t t = 0; t < history_; ++t) {
+    out.inputs.push_back(stack(t - history_ + 1, /*masks=*/false));
   }
   for (int64_t j = 1; j <= horizon_; ++j) {
     out.targets.push_back(stack(j, /*masks=*/false));

@@ -82,6 +82,12 @@ class ForecastDataset {
         std::span<const int64_t>(sample_indices.begin(), sample_indices.end()));
   }
 
+  /// Stacks the OD tensors of `intervals` (interval indices, repeats
+  /// allowed) as one [intervals.size(), N, N', K] tensor, row i interval
+  /// i's; MakeBatch stacks each step of its windows with it. The serving
+  /// front-end stacks just the intervals whose factors it lacks.
+  Tensor StackIntervals(std::span<const int64_t> intervals) const;
+
   /// Splits `samples` into shuffled mini-batches of at most `batch_size`.
   std::vector<std::vector<int64_t>> ShuffledBatches(
       const std::vector<int64_t>& samples, int64_t batch_size,
@@ -100,6 +106,8 @@ class ForecastDataset {
  private:
   int64_t SourceNumIntervals() const;
   std::shared_ptr<const OdTensor> SourceInterval(int64_t t) const;
+  /// StackIntervals of the values, or of the bucket-expanded masks.
+  Tensor Stack(std::span<const int64_t> intervals, bool masks) const;
   void InitDims();
 
   const OdTensorSeries* series_ = nullptr;  // in-memory mode

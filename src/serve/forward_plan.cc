@@ -29,6 +29,9 @@ void PrepareShape(Tensor* t, const BufShape& spec, int64_t batch) {
 
 }  // namespace
 
+// Stage::kinds holds one bit per kind.
+static_assert(kNumOpKinds <= 32);
+
 const char* OpKindName(OpKind kind) {
   switch (kind) {
     case OpKind::kLoadInput: return "load_input";
@@ -61,22 +64,43 @@ const char* OpKindName(OpKind kind) {
 // ForwardPlan execution
 // ---------------------------------------------------------------------------
 
-void ForwardPlan::EnsureBatch(int64_t batch) {
-  if (batch == batch_) return;
-  batch_ = batch;
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    bufs_[i] = Tensor(Shape(specs_[i].Dims(batch)));
+// The arena is allocated once at the largest batch the stage has run; a
+// smaller batch re-views a prefix of each slot, which allocates nothing.
+void ForwardPlan::EnsureBatch(Stage& stage, int64_t batch) {
+  if (batch == stage.batch) return;
+  stage.batch = batch;
+  const bool grow = batch > stage.capacity;
+  if (grow) stage.capacity = batch;
+  for (size_t i = 0; i < stage.specs.size(); ++i) {
+    Shape shape(stage.specs[i].Dims(batch));
+    if (grow) {
+      stage.bufs[i] = Tensor(std::move(shape));
+    } else {
+      stage.bufs[i].Resize(std::move(shape));
+    }
   }
 }
 
-void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
-  Tensor& out = bufs_[static_cast<size_t>(ins.out)];
-  PrepareShape(&out, ins.shape, batch_);
-  const Tensor& a = ins.a >= 0 ? bufs_[static_cast<size_t>(ins.a)] : out;
-  const Tensor& b = ins.b >= 0 ? bufs_[static_cast<size_t>(ins.b)] : out;
+int64_t ForwardPlan::arena_bytes() const {
+  int64_t floats = 0;
+  for (const Stage* stage : {&factorize_, &forecast_}) {
+    for (const BufShape& spec : stage->specs) {
+      floats += spec.NumelPerBatch() * stage->capacity;
+    }
+  }
+  return floats * static_cast<int64_t>(sizeof(float));
+}
+
+void ForwardPlan::Exec(Stage& stage, const Instr& ins,
+                       const Tensor* const* inputs) {
+  std::vector<Tensor>& bufs = stage.bufs;
+  Tensor& out = bufs[static_cast<size_t>(ins.out)];
+  PrepareShape(&out, ins.shape, stage.batch);
+  const Tensor& a = ins.a >= 0 ? bufs[static_cast<size_t>(ins.a)] : out;
+  const Tensor& b = ins.b >= 0 ? bufs[static_cast<size_t>(ins.b)] : out;
   switch (ins.kind) {
     case OpKind::kLoadInput: {
-      const Tensor& in = inputs[static_cast<size_t>(ins.input_index)];
+      const Tensor& in = *inputs[ins.input_index];
       ODF_CHECK_EQ(in.numel(), out.numel());
       std::copy(in.data(), in.data() + in.numel(), out.data());
       break;
@@ -119,7 +143,7 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
     case OpKind::kConcat:
       concat_scratch_.clear();
       for (int32_t src : ins.srcs) {
-        concat_scratch_.push_back(&bufs_[static_cast<size_t>(src)]);
+        concat_scratch_.push_back(&bufs[static_cast<size_t>(src)]);
       }
       ConcatInto(concat_scratch_.data(), concat_scratch_.size(),
                  ins.attrs.axis, &out);
@@ -154,52 +178,104 @@ void ForwardPlan::Exec(const Instr& ins, const std::vector<Tensor>& inputs) {
   }
 }
 
-void ForwardPlan::Run(const std::vector<Tensor>& inputs) {
-  ODF_CHECK_EQ(static_cast<int64_t>(inputs.size()), history_)
-      << "plan compiled for a different history length";
-  const int64_t batch = inputs.front().dim(0);
+void ForwardPlan::Execute(Stage& stage, const Tensor* const* inputs) {
+  const BufShape& first = stage.inputs.front();
+  ODF_CHECK_GT(inputs[0]->rank(), 0);
+  const int64_t batch = inputs[0]->dim(0) / first.mult;
   ODF_CHECK_GT(batch, 0);
-  for (const Tensor& in : inputs) {
-    ODF_CHECK_EQ(in.rank(), static_cast<int64_t>(input_tail_.size()) + 1);
-    ODF_CHECK_EQ(in.dim(0), batch);
-    for (size_t d = 0; d < input_tail_.size(); ++d) {
-      ODF_CHECK_EQ(in.dim(static_cast<int64_t>(d) + 1), input_tail_[d]);
+  for (size_t i = 0; i < stage.inputs.size(); ++i) {
+    const std::vector<int64_t>& dims = inputs[i]->shape().dims();
+    const BufShape& want = stage.inputs[i];
+    bool ok = dims.size() == want.tail.size() + 1 &&
+              dims[0] == want.mult * batch;
+    for (size_t d = 0; ok && d < want.tail.size(); ++d) {
+      ok = dims[d + 1] == want.tail[d];
     }
+    ODF_CHECK(ok) << "plan input " << i << " is "
+                  << inputs[i]->shape().ToString() << ", want "
+                  << Shape(want.Dims(batch)).ToString();
   }
-  EnsureBatch(batch);
+  EnsureBatch(stage, batch);
 
-  static Histogram& run_hist =
-      MetricsRegistry::Global().GetHistogram("serve.plan.run_seconds");
-  ScopedTimer run_timer(run_hist);
-  if (!MetricsEnabled()) {
-    for (const Instr& ins : instrs_) Exec(ins, inputs);
+  if (!profiling_) {
+    for (const Instr& ins : stage.instrs) Exec(stage, ins, inputs);
     return;
   }
-  static Counter& runs =
-      MetricsRegistry::Global().GetCounter("serve.plan.runs");
-  runs.Add(1);
+  ran_kinds_ |= stage.kinds;
+  ran_phases_ |= stage.phase_set;
   // One clock read per instruction: its time goes to its kind and phase.
-  std::fill(phase_nanos_.begin(), phase_nanos_.end(), 0);
-  std::fill(op_nanos_.begin(), op_nanos_.end(), 0);
   size_t i = 0;
   uint64_t last = MonotonicNanos();
-  for (const Phase& phase : phases_) {
+  for (const Phase& phase : stage.phases) {
     for (; i < phase.end; ++i) {
-      Exec(instrs_[i], inputs);
+      Exec(stage, stage.instrs[i], inputs);
       const uint64_t now = MonotonicNanos();
-      op_nanos_[static_cast<size_t>(instrs_[i].kind)] += now - last;
+      op_nanos_[static_cast<size_t>(stage.instrs[i].kind)] += now - last;
       if (phase.hist >= 0) {
         phase_nanos_[static_cast<size_t>(phase.hist)] += now - last;
       }
       last = now;
     }
   }
+}
+
+template <typename Body>
+void ForwardPlan::Profiled(Body body) {
+  static Histogram& run_hist =
+      MetricsRegistry::Global().GetHistogram("serve.plan.run_seconds");
+  ScopedTimer run_timer(run_hist);
+  profiling_ = MetricsEnabled();
+  if (!profiling_) {
+    body();
+    return;
+  }
+  static Counter& runs =
+      MetricsRegistry::Global().GetCounter("serve.plan.runs");
+  runs.Add(1);
+  std::fill(phase_nanos_.begin(), phase_nanos_.end(), 0);
+  std::fill(op_nanos_.begin(), op_nanos_.end(), 0);
+  ran_kinds_ = 0;
+  ran_phases_ = 0;
+  body();
   for (size_t h = 0; h < phase_hists_.size(); ++h) {
-    phase_hists_[h]->Record(phase_nanos_[h]);
+    if ((ran_phases_ >> h) & 1) phase_hists_[h]->Record(phase_nanos_[h]);
   }
   for (size_t k = 0; k < op_hists_.size(); ++k) {
-    if (op_hists_[k] != nullptr) op_hists_[k]->Record(op_nanos_[k]);
+    if ((ran_kinds_ >> k) & 1) op_hists_[k]->Record(op_nanos_[k]);
   }
+}
+
+void ForwardPlan::Run(const std::vector<Tensor>& inputs) {
+  ODF_CHECK_EQ(static_cast<int64_t>(inputs.size()), history_)
+      << "plan compiled for a different history length";
+  const int64_t batch = inputs.front().dim(0);
+  for (const Tensor& in : inputs) ODF_CHECK_EQ(in.dim(0), batch);
+  Profiled([&] {
+    for (size_t t = 0; t < inputs.size(); ++t) {
+      const Tensor* in = &inputs[t];
+      Execute(factorize_, &in);
+      factor_inputs_[t] = factors(0);
+      factor_inputs_[inputs.size() + t] = factors(1);
+    }
+    ExecuteForecast(factor_inputs_);
+  });
+}
+
+void ForwardPlan::Factorize(const Tensor& intervals) {
+  const Tensor* in = &intervals;
+  Profiled([&] { Execute(factorize_, &in); });
+}
+
+void ForwardPlan::Forecast(const std::vector<Tensor>& factors) {
+  Profiled([&] { ExecuteForecast(factors); });
+}
+
+void ForwardPlan::ExecuteForecast(const std::vector<Tensor>& factors) {
+  ODF_CHECK_EQ(static_cast<int64_t>(factors.size()), 2 * history_)
+      << "plan compiled for a different history length";
+  input_ptrs_.clear();
+  for (const Tensor& f : factors) input_ptrs_.push_back(&f);
+  Execute(forecast_, input_ptrs_.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -210,21 +286,38 @@ namespace {
 
 namespace ag = odf::autograd;
 
-/// Runs `model`'s inference forward under a Capture on `history` zero
-/// inputs of `batch` samples.
-ag::Recording Record(const FactorizedForecaster& model, int64_t history,
-                     int64_t batch) {
-  Batch inputs;
-  for (int64_t t = 0; t < history; ++t) {
-    inputs.inputs.emplace_back(Shape({batch, model.num_origins(),
-                                      model.num_destinations(),
-                                      model.num_buckets()}));
-  }
+/// Stage F's forward under a Capture: `model`'s factorization of one zero
+/// interval stack of `batch` intervals. Outputs: the R and C factors.
+ag::Recording RecordFactorize(const FactorizedForecaster& model,
+                              int64_t batch) {
+  const Tensor intervals(Shape({batch, model.num_origins(),
+                                model.num_destinations(),
+                                model.num_buckets()}));
   ag::Capture capture;
   Rng rng(0);  // unused: dropout disabled
-  const std::vector<ag::Var> outputs =
-      model.Forecast(inputs, /*train=*/false, rng);
-  return capture.Finish(outputs);
+  const FactorizedForecaster::Factors factors =
+      model.FactorizeInterval(intervals, 0, /*train=*/false, rng);
+  return capture.Finish({factors.r, factors.c});
+}
+
+/// Stage G's forward under a Capture: `model`'s forecast and recovery of
+/// `history` zero factor pairs of `batch` samples, shaped `factor_shapes`
+/// (R, C). Inputs: the R factors oldest first, then the C factors.
+ag::Recording RecordForecast(const FactorizedForecaster& model,
+                             const std::vector<BufShape>& factor_shapes,
+                             int64_t history, int64_t batch) {
+  auto input = [&](int side, int64_t index) {
+    return ag::Var::BatchInput(
+        Tensor(Shape(factor_shapes[static_cast<size_t>(side)].Dims(batch))),
+        index);
+  };
+  ag::Capture capture;
+  FactorizedForecaster::FactorSequences window;
+  for (int64_t t = 0; t < history; ++t) window.r.push_back(input(0, t));
+  for (int64_t t = 0; t < history; ++t) {
+    window.c.push_back(input(1, history + t));
+  }
+  return capture.Finish(model.ForecastFromFactors(window));
 }
 
 /// The plan reads every batch-dependent value as {mult · B, tail}. Checks
@@ -259,11 +352,9 @@ void CheckBatchScaling(const ag::Recording& one, const ag::Recording& two) {
 // PlanCompiler: lowering
 // ---------------------------------------------------------------------------
 
-PlanCompiler::PlanCompiler(const ag::Recording& rec, int64_t history,
-                           std::vector<int64_t> input_tail)
-    : rec_(rec) {
-  plan_.history_ = history;
-  plan_.input_tail_ = std::move(input_tail);
+PlanCompiler::PlanCompiler(const ag::Recording& rec, ForwardPlan* plan,
+                           ForwardPlan::Stage* stage)
+    : rec_(rec), plan_(plan), stage_(stage) {
   values_.resize(rec.ops.size());
   for (size_t id = 0; id < rec.ops.size(); ++id) {
     const ag::CapturedOp& op = rec.ops[id];
@@ -271,7 +362,13 @@ PlanCompiler::PlanCompiler(const ag::Recording& rec, int64_t history,
     const std::vector<int64_t>& dims = op.shape().dims();
     values_[id].shape = {dims[0], {dims.begin() + 1, dims.end()}};
     values_[id].root = static_cast<int32_t>(id);
+    if (op.input_index >= 0) {
+      const size_t index = static_cast<size_t>(op.input_index);
+      if (stage->inputs.size() <= index) stage->inputs.resize(index + 1);
+      stage->inputs[index] = values_[id].shape;
+    }
   }
+  ODF_CHECK(!stage->inputs.empty()) << "a plan stage reads no input";
 }
 
 const ag::CapturedOp& PlanCompiler::op(int32_t id) const {
@@ -420,8 +517,8 @@ void PlanCompiler::AssignSlots() {
       pool.pop_back();
       return;
     }
-    v.buf = static_cast<int32_t>(plan_.specs_.size());
-    plan_.specs_.push_back({v.shape.NumelPerBatch(), {}});
+    v.buf = static_cast<int32_t>(stage_->specs.size());
+    stage_->specs.push_back({v.shape.NumelPerBatch(), {}});
   };
   auto release = [&](int32_t id, int32_t p) {
     const size_t r = static_cast<size_t>(values_[static_cast<size_t>(id)].root);
@@ -454,22 +551,22 @@ void PlanCompiler::AssignSlots() {
   }
 }
 
-/// The plan buffer holding value `id`: its root's arena slot, or (for a
+/// The stage buffer holding value `id`: its root's arena slot, or (for a
 /// parameter or folded value) a constant appended after the arena.
 int32_t PlanCompiler::Buffer(int32_t id) {
   if (batched(id)) return root(id).buf;
   const auto it = constants_.find(id);
   if (it != constants_.end()) return it->second;
-  const int32_t buf = static_cast<int32_t>(plan_.bufs_.size());
-  plan_.bufs_.push_back(op(id).value());
+  const int32_t buf = static_cast<int32_t>(stage_->bufs.size());
+  stage_->bufs.push_back(op(id).value());
   constants_[id] = buf;
   return buf;
 }
 
-ForwardPlan PlanCompiler::Build() {
+void PlanCompiler::Build() {
   AssignSlots();
-  const size_t slots = plan_.specs_.size();
-  plan_.bufs_.resize(slots);
+  const size_t slots = stage_->specs.size();
+  stage_->bufs.resize(slots);
   // A shared slot is re-viewed whenever an instruction reads a value whose
   // view differs from what the slot last held.
   std::vector<BufShape> view(slots);
@@ -484,7 +581,7 @@ ForwardPlan PlanCompiler::Build() {
     ins.kind = OpKind::kReshape;
     ins.out = static_cast<int32_t>(slot);
     ins.shape = shape(id);
-    plan_.instrs_.push_back(std::move(ins));
+    stage_->instrs.push_back(std::move(ins));
     labels.push_back(label);
     view[slot] = shape(id);
     known[slot] = true;
@@ -505,61 +602,87 @@ ForwardPlan PlanCompiler::Build() {
     view[static_cast<size_t>(ins.out)] = ins.shape;
     known[static_cast<size_t>(ins.out)] = true;
     const auto& graph = ins.attrs.graph;
-    if (graph != nullptr && std::find(plan_.graph_ops_.begin(),
-                                      plan_.graph_ops_.end(),
-                                      graph) == plan_.graph_ops_.end()) {
-      plan_.graph_ops_.push_back(graph);
+    std::vector<std::shared_ptr<const GraphOperator>>& graphs =
+        plan_->graph_ops_;
+    if (graph != nullptr &&
+        std::find(graphs.begin(), graphs.end(), graph) == graphs.end()) {
+      graphs.push_back(graph);
     }
-    plan_.instrs_.push_back(std::move(ins));
+    stage_->instrs.push_back(std::move(ins));
     labels.push_back(label);
   }
   for (int32_t out : rec_.outputs) {
     ensure_view(out);
-    plan_.outputs_.push_back(root(out).buf);
+    stage_->outputs.push_back(root(out).buf);
   }
 
-  // Phase segments: maximal runs of instructions under one label.
-  std::map<std::string, int32_t> hist_ids;
+  // Phase segments: maximal runs of instructions under one label. Both
+  // stages share the plan's list of phase histograms.
+  auto phase_of = [&](const char* name) {
+    if (name == nullptr) return -1;
+    Histogram* h = &MetricsRegistry::Global().GetHistogram(
+        std::string("serve.plan.") + name + "_seconds");
+    std::vector<Histogram*>& hists = plan_->phase_hists_;
+    const auto hist = static_cast<int32_t>(
+        std::find(hists.begin(), hists.end(), h) - hists.begin());
+    if (hist == static_cast<int32_t>(hists.size())) hists.push_back(h);
+    ODF_CHECK_LT(hist, 64);
+    stage_->phase_set |= uint64_t{1} << hist;
+    return hist;
+  };
   for (size_t i = 0; i < labels.size(); ++i) {
-    int32_t hist = -1;
-    if (labels[i] != nullptr) {
-      const std::string name = labels[i];
-      const auto [it, added] = hist_ids.emplace(
-          name, static_cast<int32_t>(plan_.phase_hists_.size()));
-      if (added) {
-        plan_.phase_hists_.push_back(&MetricsRegistry::Global().GetHistogram(
-            "serve.plan." + name + "_seconds"));
+    if (i == 0 || labels[i] != labels[i - 1]) {
+      const int32_t hist = phase_of(labels[i]);
+      if (stage_->phases.empty() || stage_->phases.back().hist != hist) {
+        stage_->phases.push_back({i, hist});
       }
-      hist = it->second;
     }
-    if (plan_.phases_.empty() || plan_.phases_.back().hist != hist) {
-      plan_.phases_.push_back({i, hist});
-    }
-    plan_.phases_.back().end = i + 1;
+    stage_->phases.back().end = i + 1;
   }
-  plan_.phase_nanos_.assign(plan_.phase_hists_.size(), 0);
-  plan_.op_hists_.assign(kNumOpKinds, nullptr);
-  plan_.op_nanos_.assign(kNumOpKinds, 0);
-  for (const Instr& ins : plan_.instrs_) {
-    Histogram*& hist = plan_.op_hists_[static_cast<size_t>(ins.kind)];
+  plan_->op_hists_.resize(kNumOpKinds, nullptr);
+  for (const Instr& ins : stage_->instrs) {
+    stage_->kinds |= uint32_t{1} << static_cast<int>(ins.kind);
+    Histogram*& hist = plan_->op_hists_[static_cast<size_t>(ins.kind)];
     if (hist == nullptr) {
       hist = &MetricsRegistry::Global().GetHistogram(
           std::string("serve.plan.op.") + OpKindName(ins.kind) + "_seconds");
     }
   }
-  return std::move(plan_);
 }
 
 ForwardPlan PlanCompiler::Compile(const FactorizedForecaster& model,
                                   int64_t history) {
   ODF_CHECK_GT(history, 0);
-  const ag::Recording one = Record(model, history, 1);
-  CheckBatchScaling(one, Record(model, history, 2));
-  PlanCompiler c(one, history,
-                 {model.num_origins(), model.num_destinations(),
-                  model.num_buckets()});
-  c.Lower();
-  return c.Build();
+  ForwardPlan plan;
+  plan.history_ = history;
+
+  // Stage F: one interval to its factors.
+  const ag::Recording factorize = RecordFactorize(model, 1);
+  CheckBatchScaling(factorize, RecordFactorize(model, 2));
+  ODF_CHECK_EQ(factorize.outputs.size(), 2u);
+  PlanCompiler f(factorize, &plan, &plan.factorize_);
+  f.Lower();
+  f.Build();
+  for (int32_t out : factorize.outputs) {
+    ODF_CHECK(f.batched(out)) << "a factor that does not depend on its input";
+    plan.factor_shapes_.push_back(f.shape(out));
+  }
+
+  // Stage G: one window of factors to the horizon outputs.
+  const ag::Recording forecast =
+      RecordForecast(model, plan.factor_shapes_, history, 1);
+  CheckBatchScaling(forecast,
+                    RecordForecast(model, plan.factor_shapes_, history, 2));
+  PlanCompiler g(forecast, &plan, &plan.forecast_);
+  g.Lower();
+  g.Build();
+  ODF_CHECK_EQ(static_cast<int64_t>(plan.forecast_.inputs.size()),
+               2 * history);
+
+  plan.factor_inputs_.resize(static_cast<size_t>(2 * history));
+  plan.phase_nanos_.assign(plan.phase_hists_.size(), 0);
+  plan.op_nanos_.assign(kNumOpKinds, 0);
+  return plan;
 }
 
 }  // namespace odf::serve

@@ -34,14 +34,92 @@ ServeMetrics& Metrics() {
 
 }  // namespace
 
+ServingPlan::ServingPlan(const ForecastDataset* dataset, ForwardPlan plan,
+                         int64_t max_batch)
+    : dataset_(dataset), plan_(std::move(plan)), max_batch_(max_batch) {
+  ODF_CHECK(dataset_ != nullptr);
+  ODF_CHECK_EQ(plan_.history(), dataset_->history());
+  ODF_CHECK_GE(max_batch_, 1);
+  window_.resize(static_cast<size_t>(2 * plan_.history()));
+}
+
+void ServingPlan::Run(std::span<const int64_t> samples) {
+  static Counter& hits =
+      MetricsRegistry::Global().GetCounter("serve.factor_cache_hits");
+  static Counter& misses =
+      MetricsRegistry::Global().GetCounter("serve.factor_cache_misses");
+  const int64_t history = plan_.history();
+  // Sample i's window is intervals first(i) .. first(i) + history - 1.
+  auto first = [&](int64_t sample) {
+    return dataset_->AnchorInterval(sample) - history + 1;
+  };
+
+  intervals_.clear();
+  for (const int64_t sample : samples) {
+    for (int64_t t = 0; t < history; ++t) {
+      intervals_.push_back(first(sample) + t);
+    }
+  }
+  std::sort(intervals_.begin(), intervals_.end());
+  intervals_.erase(std::unique(intervals_.begin(), intervals_.end()),
+                   intervals_.end());
+  missing_.clear();
+  for (const int64_t t : intervals_) {
+    if (!factors_.contains(t)) missing_.push_back(t);
+  }
+  hits.Add(intervals_.size() - missing_.size());
+  misses.Add(missing_.size());
+
+  // Stage F on the missing intervals, as many at a time as the widest batch
+  // of windows run so far (at most max_batch_): stage F's arena never
+  // outgrows the one a whole-forward plan would have needed.
+  widest_ = std::max(widest_, std::min(samples.size(),
+                                       static_cast<size_t>(max_batch_)));
+  const size_t chunk_size = widest_;
+  for (size_t start = 0; start < missing_.size(); start += chunk_size) {
+    const std::span<const int64_t> chunk = std::span(missing_).subspan(
+        start, std::min(chunk_size, missing_.size() - start));
+    plan_.Factorize(dataset_->StackIntervals(chunk));
+    for (int side = 0; side < 2; ++side) {
+      const Tensor& rows = plan_.factors(side);
+      const int64_t row = rows.numel() / static_cast<int64_t>(chunk.size());
+      for (size_t i = 0; i < chunk.size(); ++i) {
+        const float* src = rows.data() + static_cast<int64_t>(i) * row;
+        factors_[chunk[i]][static_cast<size_t>(side)].assign(src, src + row);
+      }
+    }
+  }
+
+  // Stage G on every sample's window of factors.
+  const int64_t batch = static_cast<int64_t>(samples.size());
+  for (int side = 0; side < 2; ++side) {
+    for (int64_t t = 0; t < history; ++t) {
+      Tensor& in = window_[static_cast<size_t>(side * history + t)];
+      in.Resize(Shape(plan_.factor_shape(side).Dims(batch)));
+      const int64_t row = in.numel() / batch;
+      for (int64_t i = 0; i < batch; ++i) {
+        const std::vector<float>& src =
+            factors_.at(first(samples[static_cast<size_t>(i)]) + t)
+                [static_cast<size_t>(side)];
+        std::copy(src.begin(), src.end(), in.data() + i * row);
+      }
+    }
+  }
+  plan_.Forecast(window_);
+}
+
+void ServingPlan::KeepWindow(int64_t sample) {
+  const int64_t last = dataset_->AnchorInterval(sample);
+  factors_.erase(factors_.begin(),
+                 factors_.lower_bound(last - plan_.history() + 1));
+  factors_.erase(factors_.upper_bound(last), factors_.end());
+}
+
 ForecastService::ForecastService(const ForecastDataset* dataset,
                                  ForwardPlan plan, ServeConfig config)
     : dataset_(dataset),
-      plan_(std::move(plan)),
-      config_(config) {
-  ODF_CHECK(dataset_ != nullptr);
-  ODF_CHECK_EQ(plan_.history(), dataset_->history());
-  ODF_CHECK_GE(config_.max_batch, 1);
+      config_(config),
+      plan_(dataset, std::move(plan), config.max_batch) {
   worker_ = std::thread(&ForecastService::WorkerLoop, this);
 }
 
@@ -137,10 +215,9 @@ void ForecastService::WorkerLoop() {
 }
 
 void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
-  Batch batch = dataset_->MakeBatch(samples);
   {
     ScopedTimer timer(Metrics().batch_forward_seconds);
-    plan_.Run(batch.inputs);
+    plan_.Run(samples);
   }
   Metrics().batches.Add(1);
 
@@ -167,8 +244,10 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
   // Publish before fulfilling, so a caller that got the current interval's
   // forecast finds the cache warm. A rollover while the batch ran moved
   // current_ off the stale sample, so a stale result is never published.
+  int64_t current;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
+    current = current_;
     if (cached_ == nullptr) {
       const auto it = std::find(samples.begin(), samples.end(), current_);
       if (it != samples.end()) {
@@ -176,6 +255,9 @@ void ForecastService::RunBatch(const std::vector<int64_t>& samples) {
       }
     }
   }
+  // The next rollover's window overlaps the current one in all but one
+  // interval.
+  plan_.KeepWindow(current);
 
   // Fulfill outside mu_ so waiters never contend with the queue.
   std::vector<std::vector<std::promise<ForecastResult>>> waiters;

@@ -1,12 +1,15 @@
 #ifndef ODF_SERVE_SERVICE_H_
 #define ODF_SERVE_SERVICE_H_
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +23,48 @@ namespace odf::serve {
 struct ServeConfig {
   /// Largest number of distinct samples coalesced into one plan execution.
   int64_t max_batch = 8;
+};
+
+/// A ForwardPlan bound to a dataset: forecasts dataset samples by index,
+/// factorizing each interval a batch reads once (docs/serving.md "Factor
+/// window"). A sample's window is the `history` intervals ending at its
+/// anchor, and an interval's factors depend only on the interval and the
+/// weights, so windows that share intervals share their factors: within a
+/// batch, and across batches for the intervals of the one window it keeps.
+/// Not thread-safe: ForecastService's worker owns it.
+class ServingPlan {
+ public:
+  /// Stage F runs on at most `max_batch` intervals at once, and on no more
+  /// than the most samples one Run has held, so its arena never outgrows a
+  /// whole-forward plan's.
+  ServingPlan(const ForecastDataset* dataset, ForwardPlan plan,
+              int64_t max_batch);
+
+  /// Forecasts `samples` (repeats allowed): output(j) is
+  /// [samples.size(), N, N', K], row i sample i's, bit-identical to the
+  /// model's Predict. Takes the factors it holds, runs stage F on the
+  /// missing distinct intervals, then stage G on every sample's window.
+  /// Counts each distinct interval as a serve.factor_cache_hits or a
+  /// serve.factor_cache_misses.
+  void Run(std::span<const int64_t> samples);
+
+  /// Drops every factor outside sample `sample`'s window, leaving at most
+  /// `history` intervals' factors.
+  void KeepWindow(int64_t sample);
+
+  const Tensor& output(int64_t j) const { return plan_.output(j); }
+  int64_t horizon() const { return plan_.horizon(); }
+
+ private:
+  const ForecastDataset* dataset_;
+  ForwardPlan plan_;
+  int64_t max_batch_;
+  size_t widest_ = 0;  // most samples in one Run, capped at max_batch_
+  /// Per interval held: one row of its R factors, then one of its C.
+  std::map<int64_t, std::array<std::vector<float>, 2>> factors_;
+  std::vector<int64_t> intervals_;  // Run scratch: the batch's distinct
+  std::vector<int64_t> missing_;    // intervals, and those lacking factors
+  std::vector<Tensor> window_;      // stage-G inputs
 };
 
 /// One forecast: `horizon` tensors, each [N, N', K], for a single sample.
@@ -41,13 +86,18 @@ using ForecastResult = std::shared_ptr<const std::vector<Tensor>>;
 /// the current interval's sample after a rollover fills the cache, whoever
 /// asked for it. From then on `ForecastCurrent` is a lock + shared_ptr copy
 /// until `SetCurrentInterval` rolls the interval over.
+/// Between batches the worker keeps the factors of the current sample's
+/// window (ServingPlan), so a rollover to the next sample factorizes one new
+/// interval and reuses `history - 1`.
 /// `ForecastCurrentAsync` starts the same forecast without blocking, so a
 /// caller can start several services' current forecasts before waiting on
 /// any (ShardedService::MergedForecast).
 ///
 /// Instrumentation (util/metrics.h, enabled via ODF_METRICS):
 ///   counters   serve.requests, serve.batches, serve.cache_hits,
-///              serve.cache_misses (mean batch size is requests / batches)
+///              serve.cache_misses (mean batch size is requests / batches),
+///              serve.factor_cache_hits, serve.factor_cache_misses (per
+///              distinct interval a batch reads)
 ///   gauge      serve.queue_depth (after each batch is cut)
 ///   histograms serve.request_seconds, serve.cached_request_seconds,
 ///              serve.batch_forward_seconds, plus the plan's serve.plan.*
@@ -94,8 +144,8 @@ class ForecastService {
   ForecastResult LookupCurrent(int64_t* sample);
 
   const ForecastDataset* dataset_;
-  ForwardPlan plan_;
   ServeConfig config_;
+  ServingPlan plan_;  // the worker's alone
 
   std::mutex mu_;
   std::condition_variable cv_;

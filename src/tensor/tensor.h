@@ -182,6 +182,15 @@ class Tensor {
   Tensor Reshape(std::vector<int64_t> dims) const&;
   Tensor Reshape(std::vector<int64_t> dims) &&;
 
+  /// Changes the shape, element count included, in place. Storage is kept:
+  /// shrinking frees nothing, so growing back to an element count the
+  /// tensor held before allocates nothing. Elements past the old count read
+  /// zero.
+  void Resize(Shape shape) {
+    data_.resize(static_cast<size_t>(shape.numel()));
+    shape_ = std::move(shape);
+  }
+
   /// Flattens to rank 1.
   Tensor Flatten() const& { return Reshape({numel()}); }
   Tensor Flatten() && { return std::move(*this).Reshape({numel()}); }

@@ -481,6 +481,39 @@ TEST(ForwardPlanTest, OutlivesItsModel) {
   }
 }
 
+// Each stage's arena is allocated at the largest batch it has run and
+// re-viewed for smaller ones: Runs at batch 8, 3, 8 and 1 all equal the tape,
+// and after the first Run at 8 no arena buffer moves or grows.
+TEST(ForwardPlanTest, ArenaGrowsOnlyAndReviewsPrefixes) {
+  TestWorld world = TestWorld::Make();
+  AdvancedFramework model(world.spec.graph, world.spec.graph, 7, 2,
+                          AdvancedFrameworkConfig{});
+  serve::ForwardPlan plan =
+      serve::PlanCompiler::Compile(model, world.dataset.history());
+  const std::vector<int64_t> eight = {1, 2, 6, 7, 9, 11, 13, 17};
+  ExpectPlanMatchesTape(model, plan, world.dataset.MakeBatch(eight));
+  const int64_t bytes = plan.arena_bytes();
+  EXPECT_GT(bytes, 0);
+  auto buffers = [&] {
+    std::vector<const float*> data;
+    for (int side = 0; side < 2; ++side) {
+      data.push_back(plan.factors(side).data());
+    }
+    for (int64_t j = 0; j < plan.horizon(); ++j) {
+      data.push_back(plan.output(j).data());
+    }
+    return data;
+  };
+  const std::vector<const float*> at_eight = buffers();
+  for (const std::vector<int64_t>& ids :
+       {std::vector<int64_t>{0, 3, 5}, eight, {4}}) {
+    SCOPED_TRACE(testing::Message() << "batch " << ids.size());
+    ExpectPlanMatchesTape(model, plan, world.dataset.MakeBatch(ids));
+    EXPECT_EQ(plan.arena_bytes(), bytes);
+    EXPECT_EQ(buffers(), at_eight);
+  }
+}
+
 // With metrics on, one Run times each OpKind it executes once
 // (serve.plan.op.<kind>_seconds), and the per-kind totals add up to no
 // more than the Run's own time. With metrics off it records nothing.
@@ -575,6 +608,151 @@ std::unique_ptr<serve::ForecastService> MakeService(
   return std::make_unique<serve::ForecastService>(
       &world.dataset,
       serve::PlanCompiler::Compile(model, world.dataset.history()), config);
+}
+
+// Asserts that `result`, one sample's served forecast, equals that sample's
+// tape forecast `tape` (batch 1) bit for bit at every horizon step.
+void ExpectResultMatchesTape(const serve::ForecastResult& result,
+                             const std::vector<Tensor>& tape) {
+  ASSERT_EQ(result->size(), tape.size());
+  for (size_t j = 0; j < tape.size(); ++j) {
+    ASSERT_EQ((*result)[j].numel(), tape[j].numel());
+    EXPECT_EQ(std::memcmp((*result)[j].data(), tape[j].data(),
+                          static_cast<size_t>(tape[j].numel()) *
+                              sizeof(float)),
+              0)
+        << "horizon step " << j;
+  }
+}
+
+// The distinct intervals of `samples`' windows that are not in `held`.
+std::vector<int64_t> MissingIntervals(const ForecastDataset& dataset,
+                                      const std::vector<int64_t>& samples,
+                                      const std::vector<int64_t>& held) {
+  std::vector<int64_t> missing;
+  for (int64_t sample : samples) {
+    const int64_t last = dataset.AnchorInterval(sample);
+    for (int64_t t = last - dataset.history() + 1; t <= last; ++t) {
+      if (std::find(held.begin(), held.end(), t) == held.end() &&
+          std::find(missing.begin(), missing.end(), t) == missing.end()) {
+        missing.push_back(t);
+      }
+    }
+  }
+  return missing;
+}
+
+// Serving factorizes each interval once. One table over AF (Chebyshev and
+// diffusion), BF and a one-step history, each row:
+//   - rolls a service's current sample forward one step at a time: every
+//     forecast equals the tape, the first rollover factorizes the whole
+//     window, and each later one misses exactly its one new interval, hits
+//     the other history - 1, and runs stage F once, at batch 1;
+//   - runs one batch of max_batch consecutive samples, and a random batch
+//     holding a duplicate, cold and then warm: every row equals the tape,
+//     and a batch's misses are exactly its distinct intervals outside the
+//     kept window.
+TEST(ServingPlanTest, FactorizesEachIntervalOnce) {
+  TestWorld world = TestWorld::Make();
+  TestWorld one_step = TestWorld::Make(/*history=*/1);
+  struct Row {
+    const char* name;
+    nn::GraphOpKind graph_op = nn::GraphOpKind::kChebyshev;
+    bool bf = false;
+    const TestWorld* city = nullptr;  // null = the 3×3 world, history 3
+  };
+  const Row rows[] = {
+      {"af_cheb"},
+      {"af_diffusion", nn::GraphOpKind::kDiffusion},
+      {"bf", nn::GraphOpKind::kChebyshev, /*bf=*/true},
+      {"af_history_1", nn::GraphOpKind::kChebyshev, false, &one_step},
+  };
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  Counter& hits = registry.GetCounter("serve.factor_cache_hits");
+  Counter& misses = registry.GetCounter("serve.factor_cache_misses");
+  Histogram& factorize = registry.GetHistogram("serve.plan.factorize_seconds");
+  const bool metrics_were_on = MetricsEnabled();
+  SetMetricsEnabled(true);
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    const TestWorld& city = row.city != nullptr ? *row.city : world;
+    const ForecastDataset& dataset = city.dataset;
+    const int64_t history = dataset.history();
+    const int64_t regions = city.spec.graph.size();
+    std::unique_ptr<FactorizedForecaster> model;
+    if (row.bf) {
+      model = std::make_unique<BasicFramework>(regions, regions, 7, 2,
+                                               BasicFrameworkConfig{});
+    } else {
+      AdvancedFrameworkConfig config;
+      config.graph_op = row.graph_op;
+      model = std::make_unique<AdvancedFramework>(
+          city.spec.graph, city.spec.graph, 7, 2, config);
+    }
+    auto tape = [&](const std::vector<int64_t>& samples) {
+      return model->Predict(dataset.MakeBatch(samples));
+    };
+
+    // Consecutive rollovers through the service.
+    {
+      serve::ForecastService service(
+          &dataset, serve::PlanCompiler::Compile(*model, history));
+      for (int64_t sample = 3; sample < history + 6; ++sample) {
+        SCOPED_TRACE(testing::Message() << "rollover to sample " << sample);
+        const uint64_t hits0 = hits.value();
+        const uint64_t misses0 = misses.value();
+        const uint64_t runs0 = factorize.count();
+        service.SetCurrentInterval(sample);
+        ExpectResultMatchesTape(service.ForecastCurrent(), tape({sample}));
+        const bool cold = sample == 3;
+        EXPECT_EQ(misses.value() - misses0,
+                  static_cast<uint64_t>(cold ? history : 1));
+        EXPECT_EQ(hits.value() - hits0,
+                  static_cast<uint64_t>(cold ? 0 : history - 1));
+        // Stage F runs one interval at a time here: no batch has held more
+        // than one sample.
+        EXPECT_EQ(factorize.count() - runs0,
+                  static_cast<uint64_t>(cold ? history : 1));
+      }
+    }
+
+    // Batches of samples, cold and then warm.
+    const int64_t max_batch = serve::ServeConfig{}.max_batch;
+    std::vector<int64_t> consecutive;
+    for (int64_t i = 0; i < max_batch; ++i) consecutive.push_back(20 + i);
+    const std::vector<int64_t> duplicate = {41, 7, 30, 7, 12};
+    for (const std::vector<int64_t>& samples : {consecutive, duplicate}) {
+      SCOPED_TRACE(testing::Message() << "batch of " << samples.size());
+      const std::vector<Tensor> want = tape(samples);
+      serve::ServingPlan served(
+          &dataset, serve::PlanCompiler::Compile(*model, history), max_batch);
+      // Warm, it holds the window of the batch's second sample.
+      const int64_t kept = samples[1];
+      std::vector<int64_t> window;
+      for (int64_t t = kept; t < kept + history; ++t) window.push_back(t);
+      for (const bool warm : {false, true}) {
+        SCOPED_TRACE(warm ? "warm" : "cold");
+        const uint64_t hits0 = hits.value();
+        const uint64_t misses0 = misses.value();
+        served.Run(samples);
+        const uint64_t distinct =
+            MissingIntervals(dataset, samples, {}).size();
+        const uint64_t missed =
+            MissingIntervals(dataset, samples,
+                             warm ? window : std::vector<int64_t>{})
+                .size();
+        EXPECT_EQ(misses.value() - misses0, missed);
+        EXPECT_EQ(hits.value() - hits0, distinct - missed);
+        for (size_t j = 0; j < want.size(); ++j) {
+          EXPECT_TRUE(BitIdentical(want[j],
+                                   served.output(static_cast<int64_t>(j))))
+              << "horizon step " << j;
+        }
+        served.KeepWindow(kept);
+      }
+    }
+  }
+  SetMetricsEnabled(metrics_were_on);
 }
 
 TEST(ForecastServiceTest, SingleQueryMatchesTapePredict) {

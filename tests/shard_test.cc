@@ -397,7 +397,9 @@ std::vector<Tensor> ReferencePredict(ShardedModel& model, int64_t sample) {
 //   - Predict what the units' own Predict give, cell by cell
 //     (ReferencePredict);
 //   - serve MergedForecast(step) byte-identical to Predict at every step
-//     (compiled plans reproduce Predict bit for bit);
+//     (compiled plans reproduce Predict bit for bit), over history + 2
+//     consecutive rollovers, whose units reuse the factors of their last
+//     window, and one jump to the last sample;
 //   - answer ForecastOd(o, d, step) with the merged cell for every pair,
 //     intra- and cross-shard alike.
 TEST(ShardedEndToEndTest, MatchesPredictOnEveryConfiguration) {
@@ -454,9 +456,13 @@ TEST(ShardedEndToEndTest, MatchesPredictOnEveryConfiguration) {
 
           ShardedService service(&model);
           EXPECT_EQ(service.boundary_service() != nullptr, shards > 1);
-          const int64_t samples[] = {0, model.NumSamples() - 1};
+          // Consecutive rollovers (each unit then factorizes one new
+          // interval and reuses the rest of its window), then a jump.
+          std::vector<int64_t> samples;
+          for (int64_t s = 0; s < c.history + 2; ++s) samples.push_back(s);
+          samples.push_back(model.NumSamples() - 1);
           const bool first_run = first_predictions.empty();
-          for (size_t si = 0; si < 2; ++si) {
+          for (size_t si = 0; si < samples.size(); ++si) {
             const int64_t sample = samples[si];
             SCOPED_TRACE(testing::Message() << "sample " << sample);
             const std::vector<Tensor> direct = model.Predict(sample);
