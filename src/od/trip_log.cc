@@ -23,15 +23,6 @@ constexpr uint64_t kDirEntryBytes = 8 + 8 + 4;
 // magic + version + payload size prefix.
 constexpr uint64_t kPreludeBytes = 4 + 4 + 8;
 
-// Little-endian scalar load without alignment assumptions (the mapped trip
-// section is only 4-byte aligned at best).
-template <typename T>
-T LoadLe(const uint8_t* p) {
-  T value;
-  std::memcpy(&value, p, sizeof value);
-  return value;
-}
-
 }  // namespace
 
 const char* TripLogStatusName(TripLogStatus status) {

@@ -1,6 +1,7 @@
 #include "shard/partition.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "graph/coarsen.h"
@@ -211,31 +212,59 @@ Tensor ShardPartition::MergeUnits(
     return t.data();
   };
 
-  Tensor out(Shape({n, n, k}));
-  float* dst = out.data();
-  for (int64_t p = 0; p < ps; ++p) {
-    const auto& shard = members[static_cast<size_t>(p)];
-    const int64_t np = static_cast<int64_t>(shard.size());
-    const float* src = cells(*units[static_cast<size_t>(p)], np);
-    for (int64_t lo = 0; lo < np; ++lo) {
-      for (int64_t ld = 0; ld < np; ++ld) {
-        const int64_t go = shard[static_cast<size_t>(lo)];
-        const int64_t gd = shard[static_cast<size_t>(ld)];
-        std::copy(src + (lo * np + ld) * k, src + (lo * np + ld + 1) * k,
-                  dst + (go * n + gd) * k);
-      }
+  // Column runs: maximal spans of destinations in one shard. A shard's
+  // members ascend, so a run's local ids ascend by one: in a city row, an
+  // intra run is one contiguous span of the origin's unit row, and a cross
+  // run one boundary cell repeated.
+  struct Run {
+    int64_t begin;  // first destination
+    int64_t size;   // destinations
+    int32_t shard;
+    int32_t local;  // local id of the first destination
+  };
+  std::vector<Run> runs;
+  for (int64_t gd = 0; gd < n; ++gd) {
+    const int32_t sd = shard_of[static_cast<size_t>(gd)];
+    if (!runs.empty() && runs.back().shard == sd) {
+      ++runs.back().size;
+    } else {
+      runs.push_back({gd, 1, sd, local_of[static_cast<size_t>(gd)]});
     }
   }
 
-  if (num_units() > ps) {
-    const float* src = cells(*units.back(), ps);
-    for (int64_t go = 0; go < n; ++go) {
-      const int64_t so = shard_of[static_cast<size_t>(go)];
-      for (int64_t gd = 0; gd < n; ++gd) {
-        const int64_t sd = shard_of[static_cast<size_t>(gd)];
-        if (so == sd) continue;  // intra pairs belong to their shard
-        std::copy(src + (so * ps + sd) * k, src + (so * ps + sd + 1) * k,
-                  dst + (go * n + gd) * k);
+  std::vector<const float*> src(units.size());
+  for (int64_t p = 0; p < ps; ++p) {
+    src[static_cast<size_t>(p)] =
+        cells(*units[static_cast<size_t>(p)],
+              static_cast<int64_t>(members[static_cast<size_t>(p)].size()));
+  }
+  if (num_units() > ps) src.back() = cells(*units.back(), ps);
+
+  Tensor out(Shape({n, n, k}));
+  for (int64_t go = 0; go < n; ++go) {
+    const int32_t so = shard_of[static_cast<size_t>(go)];
+    const int64_t lo = local_of[static_cast<size_t>(go)];
+    const int64_t np =
+        static_cast<int64_t>(members[static_cast<size_t>(so)].size());
+    const float* intra = src[static_cast<size_t>(so)] + lo * np * k;
+    float* row = out.data() + go * n * k;
+    for (const Run& run : runs) {
+      float* dst = row + run.begin * k;
+      const int64_t len = run.size * k;
+      if (run.shard == so) {
+        // Intra run: one span of the origin's row in its shard's unit.
+        std::memcpy(dst, intra + run.local * k,
+                    static_cast<size_t>(len) * sizeof(float));
+        continue;
+      }
+      // Cross run: the boundary unit's (so, sd) cell, then double the
+      // filled prefix.
+      std::memcpy(dst, src.back() + (so * ps + run.shard) * k,
+                  static_cast<size_t>(k) * sizeof(float));
+      for (int64_t filled = k; filled < len; filled *= 2) {
+        std::memcpy(dst + filled, dst,
+                    static_cast<size_t>(std::min(filled, len - filled)) *
+                        sizeof(float));
       }
     }
   }

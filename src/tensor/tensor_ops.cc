@@ -1067,16 +1067,129 @@ bool AllClose(const Tensor& a, const Tensor& b, float atol) {
 
 namespace {
 
-// Destination cells per period of FusedRecoverInto's tiled r-vector.
-constexpr int64_t kRecoverTileCells = 16;
+// Destination cells per register block of FusedRecoverInto: 16·K floats,
+// four AVX-512 vectors at the shard units' K = 4, seven at K = 7.
+constexpr int64_t kRecoverBlockCells = 16;
 
-// Per-thread scratch for FusedRecoverInto's flattened passes.
-float* RecoverMaxScratch(int64_t len) {
+// Per-thread scratch for FusedRecoverInto: a row's r-tiles, then (at a
+// runtime K only) the block and its per-cell arrays.
+float* RecoverScratch(int64_t len) {
   thread_local std::vector<float> buf;
   if (static_cast<int64_t>(buf.size()) < len) {
     buf.resize(static_cast<size_t>(len));
   }
   return buf.data();
+}
+
+// One block of `cells` destination cells of one (batch, origin) row, at
+// histogram depth K (0: the runtime `k`) and C cells (0: the runtime
+// `cells`). `tiles` holds the row's r-tile of every beta term (stride
+// kRecoverBlockCells·k), `c` the block's first destination factor at beta 0
+// (stride `c_stride` per beta). The scores accumulate over ascending beta
+// in a local block, run the softmax passes there and are stored once.
+// Every element keeps the per-cell reference's operands and order
+// (ascending-beta accumulate, temperature scale, max-subtract, FastExp,
+// ascending-k total, inverse scale), so the result is bit-identical to it.
+// At compile-time K and C every loop has a constant trip count, so the
+// block can stay in registers. GCC's -O3 unroll-and-jam fuses pairs of beta
+// iterations here, which timed no faster (AVX-512, one thread), so the
+// block opts out like the other lane-tiled kernels.
+template <int64_t K, int64_t C>
+ODF_NO_UNROLL_AND_JAM void RecoverBlock(const float* tiles, const float* c,
+                                        int64_t c_stride, int64_t beta,
+                                        int64_t k_rt, int64_t cells_rt,
+                                        float temperature, float* spill,
+                                        float* __restrict dst) {
+  const int64_t k = K > 0 ? K : k_rt;
+  const int64_t cells = C > 0 ? C : cells_rt;
+  const int64_t len = cells * k;
+  const int64_t tile_stride = kRecoverBlockCells * k;
+  constexpr int64_t kLocal = K > 0 ? K * kRecoverBlockCells : 1;
+  float acc_local[kLocal];
+  float sub_local[kLocal];
+  float tot_local[kRecoverBlockCells];
+  float* __restrict acc = K > 0 ? acc_local : spill;
+  float* __restrict sub = K > 0 ? sub_local : spill + tile_stride;
+  float* __restrict tot = K > 0 ? tot_local : spill + 2 * tile_stride;
+  for (int64_t j = 0; j < len; ++j) acc[j] = 0.0f;
+  for (int64_t bb = 0; bb < beta; ++bb) {
+    const float* __restrict t = tiles + bb * tile_stride;
+    const float* __restrict cv = c + bb * c_stride;
+    for (int64_t j = 0; j < len; ++j) acc[j] = ODF_FMADD(t[j], cv[j], acc[j]);
+  }
+  for (int64_t j = 0; j < len; ++j) acc[j] *= temperature;
+  for (int64_t cell = 0; cell < cells; ++cell) {
+    const float* sc = acc + cell * k;
+    float max_v = sc[0];
+    for (int64_t kk = 1; kk < k; ++kk) max_v = std::max(max_v, sc[kk]);
+    for (int64_t kk = 0; kk < k; ++kk) sub[cell * k + kk] = max_v;
+  }
+  for (int64_t j = 0; j < len; ++j) acc[j] = FastExp(acc[j] - sub[j]);
+  // IEEE division is exact per lane, so one batched divide loop changes no
+  // bit against the per-cell reciprocal.
+  for (int64_t cell = 0; cell < cells; ++cell) {
+    const float* sc = acc + cell * k;
+    float total = 0;
+    for (int64_t kk = 0; kk < k; ++kk) total += sc[kk];
+    tot[cell] = total;
+  }
+  for (int64_t cell = 0; cell < cells; ++cell) tot[cell] = 1.0f / tot[cell];
+  for (int64_t cell = 0; cell < cells; ++cell) {
+    for (int64_t kk = 0; kk < k; ++kk) sub[cell * k + kk] = tot[cell];
+  }
+  for (int64_t j = 0; j < len; ++j) dst[j] = acc[j] * sub[j];
+}
+
+// FusedRecoverInto's (batch, origin) rows [r0, r1) at histogram depth K
+// (0: the runtime `k`). Each row builds the r-tile of every beta term once
+// (r[b,o,bb,:] repeated over one block's cells), then runs its destination
+// cells block by block: whole blocks at compile-time length, then a
+// shorter last block.
+template <int64_t K>
+void RecoverRows(const float* pr, const float* pc, float temperature,
+                 float* po, int64_t n, int64_t beta, int64_t m, int64_t k_rt,
+                 int64_t r0, int64_t r1) {
+  const int64_t k = K > 0 ? K : k_rt;
+  const int64_t row_len = m * k;
+  const int64_t tile_stride = kRecoverBlockCells * k;
+  float* tiles = RecoverScratch(beta * tile_stride +
+                                (K > 0 ? 0 : 2 * tile_stride +
+                                                 kRecoverBlockCells));
+  float* spill = tiles + beta * tile_stride;
+  for (int64_t row = r0; row < r1; ++row) {
+    for (int64_t bb = 0; bb < beta; ++bb) {
+      const float* rv = pr + (row * beta + bb) * k;
+      float* tile = tiles + bb * tile_stride;
+      if constexpr (K > 0) {
+        // Sixteen register moves of K floats, each from r itself: doubling
+        // the prefix instead loads what it just stored, and at compile-time
+        // K that stalled store forwarding made the whole kernel 4–6× slower.
+        for (int64_t cell = 0; cell < kRecoverBlockCells; ++cell) {
+          std::memcpy(tile + cell * K, rv, K * sizeof(float));
+        }
+      } else {
+        // Copy r once, then double the filled prefix (16 = 2^4 copies):
+        // five runtime-length copies, not sixteen.
+        std::memcpy(tile, rv, static_cast<size_t>(k) * sizeof(float));
+        for (int64_t len = k; len < tile_stride; len *= 2) {
+          std::memcpy(tile + len, tile,
+                      static_cast<size_t>(len) * sizeof(float));
+        }
+      }
+    }
+    const float* cb = pc + row / n * beta * row_len;
+    float* dst = po + row * row_len;
+    int64_t d0 = 0;
+    for (; d0 + kRecoverBlockCells <= m; d0 += kRecoverBlockCells) {
+      RecoverBlock<K, kRecoverBlockCells>(tiles, cb + d0 * k, row_len, beta,
+                                          k, kRecoverBlockCells, temperature,
+                                          spill, dst + d0 * k);
+    }
+    if (d0 < m) {
+      RecoverBlock<K, 0>(tiles, cb + d0 * k, row_len, beta, k, m - d0,
+                         temperature, spill, dst + d0 * k);
+    }
+  }
 }
 
 }  // namespace
@@ -1106,81 +1219,23 @@ void FusedRecoverInto(const Tensor& r, const Tensor& c, float temperature,
             out->dim(2) == m && out->dim(3) == k);
   ODF_CHECK_GT(k, 0);
   // Histogram depth k is small (single digits in the paper's setups), so
-  // per-cell k-loops are too short for the vectorizer. Instead, each
-  // (batch, origin) row owns an m·k contiguous slice of both `out` and the
-  // destination factor `c`, so every pass below runs flat over that slice:
-  // pass 1 tiles the k-vector r[b,o,bb,:] into one period of whole cells
-  // and accumulates with one contiguous loop per beta term that sweeps the
-  // row period by period, pass 3 is one flat exp,
-  // and pass 4 batches the per-cell reciprocals into a single vectorizable
-  // divide loop. Every per-element operation (ascending-beta accumulate,
-  // temperature scale, max-subtract, FastExp, ascending-k total, inverse
-  // scale) keeps the same operands in the same order as the per-cell form,
-  // so results are bit-identical to the unfused reference.
+  // per-cell k-loops are too short for the vectorizer. Each (batch, origin)
+  // row instead owns an m·k contiguous slice of both `out` and the
+  // destination factor `c`, and RecoverRows runs it in register blocks of
+  // whole cells against k-periodic r-tiles. The depths that reach it — 4
+  // (the shard units) and 7 (the paper's histogram) — run compile-time
+  // instances; every other k runs the runtime-k one.
   const float* pr = r.data();
   const float* pc = c.data();
   float* po = out->data();
-  const int64_t rows = b * n;
-  const int64_t row_len = m * k;
-  const int64_t period = std::min(kRecoverTileCells, m) * k;
-  ParallelFor(rows, row_len * beta, [&](int64_t r0, int64_t r1) {
-    // Scratch: [0, row_len) per-element subtrahend / inverse,
-    // [row_len, row_len + m) per-cell totals, then the r-tile period.
-    float* scratch = RecoverMaxScratch(row_len + m + period);
-    float* sub = scratch;
-    float* tot = scratch + row_len;
-    float* tile = scratch + row_len + m;
-    for (int64_t row = r0; row < r1; ++row) {
-      const int64_t bi = row / n;
-      float* dst = po + row * row_len;
-      // Pass 1: scores = temperature * sum_beta r[b,o,bb,:] ⊙ c[b,bb,d,:].
-      for (int64_t j = 0; j < row_len; ++j) dst[j] = 0.0f;
-      for (int64_t bb = 0; bb < beta; ++bb) {
-        const float* rv = pr + (row * beta + bb) * k;
-        // Copy r once, then double the filled prefix: ⌈log2(period/k)⌉ + 1
-        // copies per (row, beta).
-        std::memcpy(tile, rv, static_cast<size_t>(k) * sizeof(float));
-        for (int64_t len = k; len < period; len *= 2) {
-          std::memcpy(tile + len, tile,
-                      static_cast<size_t>(std::min(len, period - len)) *
-                          sizeof(float));
-        }
-        const float* cv = pc + (bi * beta + bb) * row_len;
-        for (int64_t j0 = 0; j0 < row_len; j0 += period) {
-          const int64_t len = std::min(period, row_len - j0);
-          float* __restrict out_j = dst + j0;
-          const float* __restrict c_j = cv + j0;
-          for (int64_t j = 0; j < len; ++j) out_j[j] += tile[j] * c_j[j];
-        }
-      }
-      for (int64_t j = 0; j < row_len; ++j) dst[j] *= temperature;
-      // Pass 2: per-cell max, broadcast into the flat subtrahend array.
-      for (int64_t cell = 0; cell < m; ++cell) {
-        const float* sc = dst + cell * k;
-        float max_v = sc[0];
-        for (int64_t kk = 1; kk < k; ++kk) max_v = std::max(max_v, sc[kk]);
-        float* s = sub + cell * k;
-        for (int64_t kk = 0; kk < k; ++kk) s[kk] = max_v;
-      }
-      // Pass 3: the flat vectorizable exp.
-      for (int64_t j = 0; j < row_len; ++j) {
-        dst[j] = FastExp(dst[j] - sub[j]);
-      }
-      // Pass 4: ascending-k totals, one batched divide loop (IEEE division
-      // is exact per lane, so batching it does not change any bit), then a
-      // flat scale against the tiled inverses.
-      for (int64_t cell = 0; cell < m; ++cell) {
-        const float* sc = dst + cell * k;
-        float total = 0;
-        for (int64_t kk = 0; kk < k; ++kk) total += sc[kk];
-        tot[cell] = total;
-      }
-      for (int64_t cell = 0; cell < m; ++cell) tot[cell] = 1.0f / tot[cell];
-      for (int64_t cell = 0; cell < m; ++cell) {
-        float* s = sub + cell * k;
-        for (int64_t kk = 0; kk < k; ++kk) s[kk] = tot[cell];
-      }
-      for (int64_t j = 0; j < row_len; ++j) dst[j] *= sub[j];
+  ParallelFor(b * n, m * k * beta, [&](int64_t r0, int64_t r1) {
+    switch (k) {
+      case 4:
+        return RecoverRows<4>(pr, pc, temperature, po, n, beta, m, k, r0, r1);
+      case 7:
+        return RecoverRows<7>(pr, pc, temperature, po, n, beta, m, k, r0, r1);
+      default:
+        return RecoverRows<0>(pr, pc, temperature, po, n, beta, m, k, r0, r1);
     }
   });
 }

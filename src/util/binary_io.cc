@@ -10,26 +10,48 @@ namespace odf {
 
 namespace {
 
-std::array<uint32_t, 256> BuildCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: table[0] is the bytewise table, and table[t][i] is
+// the CRC register after byte i is followed by t zero bytes, so one lookup
+// per byte of an 8-byte word advances the register by the whole word.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables BuildCrc32Tables() {
+  Crc32Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t t = 1; t < tables.size(); ++t) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[t - 1][i];
+      tables[t][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
+
+constexpr Crc32Tables kCrc32Tables = BuildCrc32Tables();
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t crc) {
-  static const std::array<uint32_t, 256> table = BuildCrc32Table();
+  const Crc32Tables& t = kCrc32Tables;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  // Eight bytes per step: the low word carries the register, and byte j of
+  // the word is followed by 7 − j more bytes of this step.
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = LoadLe<uint32_t>(bytes) ^ c;
+    const uint32_t hi = LoadLe<uint32_t>(bytes + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

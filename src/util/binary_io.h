@@ -1,12 +1,28 @@
 #ifndef ODF_UTIL_BINARY_IO_H_
 #define ODF_UTIL_BINARY_IO_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 namespace odf {
+
+// Every on-disk format here is little-endian and is read and written in
+// host byte order.
+static_assert(std::endian::native == std::endian::little,
+              "the binary formats assume a little-endian host");
+
+/// Little-endian scalar load without alignment assumptions (a mapped trip
+/// section is only 4-byte aligned at best).
+template <typename T>
+T LoadLe(const uint8_t* p) {
+  T value;
+  std::memcpy(&value, p, sizeof value);
+  return value;
+}
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `size` bytes,
 /// continuing from `crc` (pass 0 to start). Matches zlib's crc32().

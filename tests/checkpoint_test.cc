@@ -57,6 +57,19 @@ bool BitEqual(const std::vector<float>& a, const std::vector<float>& b) {
 // Low-level pieces: CRC, byte reader/writer.
 // ---------------------------------------------------------------------
 
+// Bit-at-a-time CRC-32 over the reflected polynomial, independent of the
+// library's tables.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return ~c;
+}
+
 TEST(Crc32Test, MatchesKnownVector) {
   // The canonical CRC-32 check value.
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
@@ -64,6 +77,32 @@ TEST(Crc32Test, MatchesKnownVector) {
   // Incremental == one-shot.
   const uint32_t first = Crc32("12345", 5);
   EXPECT_EQ(Crc32("6789", 4, first), 0xCBF43926u);
+}
+
+// The sliced CRC against the bitwise reference: every length 0–67 (below,
+// at and past the 8-byte step, with every tail length) at every start
+// offset 0–7 (every word alignment), and every such buffer split into two
+// chained calls at every point.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthOffsetAndSplit) {
+  std::vector<uint8_t> bytes(8 + 67);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 167 + 13);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 67; ++size) {
+      SCOPED_TRACE(::testing::Message() << "offset " << offset << " size "
+                                        << size);
+      const uint8_t* data = bytes.data() + offset;
+      const uint32_t want = BitwiseCrc32(data, size, 0);
+      ASSERT_EQ(Crc32(data, size), want);
+      ASSERT_EQ(Crc32(data, size, 0x12345678u),
+                BitwiseCrc32(data, size, 0x12345678u));
+      for (size_t split = 0; split <= size; ++split) {
+        ASSERT_EQ(Crc32(data + split, size - split, Crc32(data, split)), want)
+            << "split " << split;
+      }
+    }
+  }
 }
 
 TEST(ByteIoTest, RoundTripAllTypes) {

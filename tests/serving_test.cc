@@ -280,28 +280,42 @@ TEST(FusedRecoverTest, RawKernelEdgeInputs) {
   }
 }
 
-// The row-flattened kernel against the per-cell reference across the
-// shapes its row layout depends on: k below, at and past one vector of
-// lanes; m of one cell, a row shorter than the 16-cell r-tile period (5),
-// one period plus a partial one (17) and four whole periods (64); and beta
-// from one term to the shard model's 32.
+// The register-blocked kernel against the per-cell reference across the
+// shapes its blocks depend on: k at the compile-time depths (4, 7) and the
+// runtime one (1, 16, 17); m of one cell, a row shorter than one 16-cell
+// block (5, 15), one block (16), a block plus one cell (17), two blocks
+// plus one (33) and four blocks (64); beta from one term to the shard
+// model's 32; and 3 or 64 origin rows, at pool sizes 1 and 4, so the row
+// range splits across threads where the work allows.
 TEST(FusedRecoverTest, MatchesPerCellReferenceOnShapeGrid) {
-  for (const int64_t k : {1, 4, 7, 16, 17}) {
-    for (const int64_t m : {1, 5, 17, 64}) {
-      for (const int64_t beta : {1, 3, 32}) {
-        for (const int64_t b : {1, 2}) {
-          SCOPED_TRACE(::testing::Message() << "k=" << k << " m=" << m
-                                            << " beta=" << beta << " b=" << b);
-          const int64_t n = 3;
-          Tensor r(Shape({b, n, beta, k}));
-          Tensor c(Shape({b, beta, m, k}));
-          FillPattern(&r, 0.13f, 5);
-          FillPattern(&c, 0.09f, 8);
-          Tensor got(Shape({b, n, m, k}));
-          FusedRecoverInto(r, c, 1.7f, &got);
-          ASSERT_TRUE(BitIdentical(got, PerCellRecoverReference(r, c, 1.7f)));
+  PoolGuard guard;
+  for (const int threads : {1, 4}) {
+    ThreadPool::Global().Resize(threads);
+    PoolCounts counts;
+    for (const int64_t k : {1, 4, 7, 16, 17}) {
+      for (const int64_t m : {1, 5, 15, 16, 17, 33, 64}) {
+        for (const int64_t beta : {1, 3, 32}) {
+          for (const int64_t b : {1, 2}) {
+            for (const int64_t n : {3, 64}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "threads=" << threads << " k=" << k
+                           << " m=" << m << " beta=" << beta << " b=" << b
+                           << " n=" << n);
+              Tensor r(Shape({b, n, beta, k}));
+              Tensor c(Shape({b, beta, m, k}));
+              FillPattern(&r, 0.13f, 5);
+              FillPattern(&c, 0.09f, 8);
+              Tensor got(Shape({b, n, m, k}));
+              FusedRecoverInto(r, c, 1.7f, &got);
+              ASSERT_TRUE(
+                  BitIdentical(got, PerCellRecoverReference(r, c, 1.7f)));
+            }
+          }
         }
       }
+    }
+    if (threads > 1) {
+      EXPECT_GT(counts.parallel_fors(), 0u);
     }
   }
 }

@@ -265,6 +265,66 @@ TEST(PartitionTest, ShardAndBoundaryGraphsPreserveGeometry) {
   EXPECT_EQ(coarse.size(), partition.num_shards());
 }
 
+// MergeUnits against a per-cell copy of the cell Locate names, with no
+// model: every unit cell holds a distinct value, so a cell taken from the
+// wrong unit, row or column (or a run copied one cell long or short)
+// cannot match. Cities with one shard (no boundary unit), several shards
+// and a 3×5 grid whose shards cut its rows short; unit tensors with and
+// without the leading batch-1 axis.
+TEST(PartitionTest, MergeUnitsCopiesTheCellLocateNames) {
+  struct City {
+    int rows, cols;
+    int64_t shards;
+  };
+  for (const City city : {City{16, 16, 1}, City{16, 16, 2}, City{16, 16, 4},
+                          City{3, 5, 4}}) {
+    const RegionGraph graph = RegionGraph::Grid(city.rows, city.cols, 1.0);
+    const ShardPartition partition = PartitionRegions(
+        graph, graph.ProximityMatrix(ProximityParams{1.0, 2.0}), city.shards);
+    const int64_t n = partition.num_regions;
+    for (const int64_t k : {1, 4, 7}) {
+      for (const bool batch_axis : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << city.rows << "x" << city.cols << " P=" << city.shards
+                     << " k=" << k << " batch_axis=" << batch_axis);
+        std::vector<Tensor> units;
+        std::vector<int64_t> unit_size;
+        float next = 0.0f;
+        for (int64_t u = 0; u < partition.num_units(); ++u) {
+          const int64_t n_u =
+              u < partition.num_shards()
+                  ? static_cast<int64_t>(partition.members[u].size())
+                  : partition.num_shards();
+          unit_size.push_back(n_u);
+          units.emplace_back(batch_axis ? Shape({1, n_u, n_u, k})
+                                        : Shape({n_u, n_u, k}));
+          for (int64_t i = 0; i < units.back().numel(); ++i) {
+            units.back().data()[i] = next++;
+          }
+        }
+        std::vector<const Tensor*> ptrs;
+        for (const Tensor& t : units) ptrs.push_back(&t);
+
+        const Tensor merged = partition.MergeUnits(ptrs);
+        ASSERT_EQ(merged.shape(), Shape({n, n, k}));
+        for (int64_t o = 0; o < n; ++o) {
+          for (int64_t d = 0; d < n; ++d) {
+            const shard::UnitCell at = partition.Locate(o, d);
+            const float* want =
+                units[static_cast<size_t>(at.unit)].data() +
+                (at.row * unit_size[static_cast<size_t>(at.unit)] + at.col) *
+                    k;
+            ASSERT_EQ(std::memcmp(merged.data() + (o * n + d) * k, want,
+                                  static_cast<size_t>(k) * sizeof(float)),
+                      0)
+                << "origin " << o << " destination " << d;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Seeds.
 // ---------------------------------------------------------------------
