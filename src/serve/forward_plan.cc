@@ -13,22 +13,6 @@
 
 namespace odf::serve {
 
-namespace {
-
-/// Re-views `t` as `spec` at batch size `batch` (allocation-free: the
-/// buffer's element count never changes within a plan).
-void PrepareShape(Tensor* t, const BufShape& spec, int64_t batch) {
-  const auto& cur = t->shape().dims();
-  const int64_t lead = spec.mult * batch;
-  bool same = cur.size() == spec.tail.size() + 1 && cur[0] == lead;
-  for (size_t i = 0; same && i < spec.tail.size(); ++i) {
-    same = cur[i + 1] == spec.tail[i];
-  }
-  if (!same) *t = std::move(*t).Reshape(spec.Dims(batch));
-}
-
-}  // namespace
-
 // Stage::kinds holds one bit per kind.
 static_assert(kNumOpKinds <= 32);
 
@@ -65,20 +49,23 @@ const char* OpKindName(OpKind kind) {
 // ---------------------------------------------------------------------------
 
 // The arena is allocated once at the largest batch the stage has run; a
-// smaller batch re-views a prefix of each slot, which allocates nothing.
+// smaller batch re-views a prefix of each slot, and sets each instruction's
+// view to the batch, which allocates nothing.
 void ForwardPlan::EnsureBatch(Stage& stage, int64_t batch) {
   if (batch == stage.batch) return;
   stage.batch = batch;
   const bool grow = batch > stage.capacity;
   if (grow) stage.capacity = batch;
+  Shape flat({0});  // a slot's flat shape; each view sets its own
   for (size_t i = 0; i < stage.specs.size(); ++i) {
-    Shape shape(stage.specs[i].Dims(batch));
+    flat.set_dim(0, stage.specs[i].mult * batch);
     if (grow) {
-      stage.bufs[i] = Tensor(std::move(shape));
+      stage.bufs[i] = Tensor(flat);
     } else {
-      stage.bufs[i].Resize(std::move(shape));
+      stage.bufs[i].Resize(flat);
     }
   }
+  for (Instr& ins : stage.instrs) ins.view.set_dim(0, ins.shape.mult * batch);
 }
 
 int64_t ForwardPlan::arena_bytes() const {
@@ -95,7 +82,11 @@ void ForwardPlan::Exec(Stage& stage, const Instr& ins,
                        const Tensor* const* inputs) {
   std::vector<Tensor>& bufs = stage.bufs;
   Tensor& out = bufs[static_cast<size_t>(ins.out)];
-  PrepareShape(&out, ins.shape, stage.batch);
+  // A re-view: the slot holds exactly the view's elements.
+  if (out.shape() != ins.view) {
+    ODF_DCHECK(ins.view.numel() == out.numel());
+    out.Resize(ins.view);
+  }
   const Tensor& a = ins.a >= 0 ? bufs[static_cast<size_t>(ins.a)] : out;
   const Tensor& b = ins.b >= 0 ? bufs[static_cast<size_t>(ins.b)] : out;
   switch (ins.kind) {
@@ -106,7 +97,7 @@ void ForwardPlan::Exec(Stage& stage, const Instr& ins,
       break;
     }
     case OpKind::kReshape:
-      break;  // PrepareShape did the work
+      break;  // the re-view above did the work
     case OpKind::kZero:
       std::fill(out.data(), out.data() + out.numel(), 0.0f);
       break;
@@ -640,7 +631,8 @@ void PlanCompiler::Build() {
     stage_->phases.back().end = i + 1;
   }
   plan_->op_hists_.resize(kNumOpKinds, nullptr);
-  for (const Instr& ins : stage_->instrs) {
+  for (Instr& ins : stage_->instrs) {
+    ins.view = Shape(ins.shape.Dims(1));  // EnsureBatch sets the batch
     stage_->kinds |= uint32_t{1} << static_cast<int>(ins.kind);
     Histogram*& hist = plan_->op_hists_[static_cast<size_t>(ins.kind)];
     if (hist == nullptr) {

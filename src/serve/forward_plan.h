@@ -126,7 +126,9 @@ const char* OpKindName(OpKind kind);
 /// values). `attrs` are the recorded op's attributes (kRecover keeps its
 /// temperature in `scalar`). Unused fields stay at their defaults. `shape`
 /// is the output buffer's view for this instruction and is applied (as a
-/// free re-view; numel never changes) before the kernel runs.
+/// free re-view; numel never changes) before the kernel runs. `view` is
+/// `shape` at the stage's current batch, kept so a re-view copies dims into
+/// the buffer's shape instead of building one.
 struct Instr {
   OpKind kind = OpKind::kZero;
   int32_t a = -1;
@@ -134,6 +136,7 @@ struct Instr {
   int32_t out = -1;
   int32_t input_index = -1;
   BufShape shape;
+  Shape view;
   std::vector<int32_t> srcs;  // kConcat parts
   autograd::OpAttrs attrs;
 };

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <type_traits>
 
+#include "tensor/lanes.h"
 #include "tensor/tensor_ops.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
@@ -253,34 +253,6 @@ float* ChebWideScratch(int64_t len) {
     buf.resize(static_cast<size_t>(len));
   }
   return buf.data();
-}
-
-// Calls fn(std::integral_constant<int64_t, F>) with F = f for the feature
-// widths below 16 that the models feed the basis — 4 (the shard units'
-// K), 7 (the paper histogram's K) and 8 (AF's second level, Q = 8
-// filters) — else with F = 0 (runtime width). The Chebyshev layout passes
-// move f floats per row; at these widths a copy of compile-time length is
-// a register move, where a runtime-bounded loop costs more than the data.
-template <typename Fn>
-void WithLaneWidth(int64_t f, Fn fn) {
-  switch (f) {
-    case 4: return fn(std::integral_constant<int64_t, 4>());
-    case 7: return fn(std::integral_constant<int64_t, 7>());
-    case 8: return fn(std::integral_constant<int64_t, 8>());
-    default: return fn(std::integral_constant<int64_t, 0>());
-  }
-}
-
-// dst[0, f) = src[0, f). At a compile-time length F > 0 the compiler
-// expands the memcpy into a few (possibly overlapping) vector moves.
-template <int64_t F>
-inline void CopyLanes(const float* __restrict src, float* __restrict dst,
-                      int64_t f) {
-  if constexpr (F > 0) {
-    std::memcpy(dst, src, F * sizeof(float));
-  } else {
-    for (int64_t c = 0; c < f; ++c) dst[c] = src[c];
-  }
 }
 
 }  // namespace

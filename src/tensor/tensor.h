@@ -50,6 +50,12 @@ class Shape {
 
   const std::vector<int64_t>& dims() const { return dims_; }
 
+  /// Sets dimension `axis` (non-negative) in place.
+  void set_dim(int64_t axis, int64_t size) {
+    ODF_CHECK_GE(size, 0);
+    dims_.at(static_cast<size_t>(axis)) = size;
+  }
+
   bool operator==(const Shape& other) const { return dims_ == other.dims_; }
   bool operator!=(const Shape& other) const { return dims_ != other.dims_; }
 
@@ -184,11 +190,12 @@ class Tensor {
 
   /// Changes the shape, element count included, in place. Storage is kept:
   /// shrinking frees nothing, so growing back to an element count the
-  /// tensor held before allocates nothing. Elements past the old count read
-  /// zero.
-  void Resize(Shape shape) {
+  /// tensor held before allocates nothing, and neither does a shape of no
+  /// higher rank than one the tensor has held (the dims are copied into
+  /// the ones it holds). Elements past the old count read zero.
+  void Resize(const Shape& shape) {
     data_.resize(static_cast<size_t>(shape.numel()));
-    shape_ = std::move(shape);
+    shape_ = shape;
   }
 
   /// Flattens to rank 1.

@@ -4,9 +4,11 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "tensor/fast_math.h"
+#include "tensor/lanes.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 #include "util/trace.h"
@@ -249,10 +251,26 @@ float* BScratch(int64_t size) {
 // at n = 4, so the one width stays.
 constexpr int64_t kSmallNMax = 16;
 
-// Tallest A for the row-strip kernel's small-M regime: two micro-kernel
-// strips. Above this the blocked path's A/B packing amortizes; at or below
-// it the packing costs more than the whole multiply.
+// Tallest A the row strips take at any n and k: two micro-kernel strips.
+// At or below it packing A and B costs more than the whole multiply.
 constexpr int64_t kSmallMMax = 2 * kMR;
+
+// Widest output the row strips take at every m, for k <= kKC; wider
+// outputs, and deeper ones, go to the blocked micro-kernel, whose packing
+// does not pay for itself below this width. A one-thread sweep of both
+// kernels (m 32–2048, k 24–1024, n 17–128; median of three interleaved
+// runs; equal bytes at every shape) put the crossover here for each tile
+// a build may use:
+//  - AVX-512 (kNR 32): strips 1.09–7.7× the blocked kernel's GMAC/s at
+//    n <= 64, every m and k; 0.94–2.3× at n 65–96; 0.82–0.98× at n = 128
+//    with k >= 132 and m >= 512.
+//  - SSE (kNR 8): strips 0.45–1.09× at n > 16 (below 1× at 228 of 252
+//    shapes), so the bound is the small-N regime's 16 and changes nothing.
+//  - AVX2 (kNR 16): strips 9–25× at every n up to 128 in that build, so
+//    the bound does not bind on speed there; it keeps the one rule.
+// Beyond kKC the strips still led at n <= 64 (k 512 and 1024), but no
+// served product is that deep, so depth stays the blocked kernel's block.
+constexpr int64_t kStripNMax = 2 * kNR;
 
 // Row-strip kernel over one column panel of B read in place: `bp` points at
 // a k x P panel with leading dimension `ldb` (B itself where its columns
@@ -328,6 +346,46 @@ ODF_NO_UNROLL_AND_JAM void GemmStrip(const float* a, const float* bp,
   }
 }
 
+// Row strips over B's kNR-wide column panels, read in place; only the
+// n % kNR tail panel is padded, once per call. A short A splits the panels
+// across threads; a taller one splits its rows, and each chunk walks its
+// rows in blocks of kMC against every panel, so a block's A rows stay in
+// cache while the panels stream past. Panels and rows write disjoint parts
+// of C, so any partition is bit-identical.
+void GemmPanels(const float* pa, const float* pb, float* po, int64_t m,
+                int64_t k, int64_t n) {
+  const int64_t tiles = NumJTiles(n);
+  const int64_t tail_j0 = n / kNR * kNR;
+  float* tail = nullptr;
+  if (tail_j0 < n) {
+    tail = BScratch(k * kNR);
+    PadB(pb, k, n, tail_j0, kNR, tail);
+  }
+  auto panels = [&](int64_t i0, int64_t rows, int64_t t0, int64_t t1) {
+    for (int64_t jt = t0; jt < t1; ++jt) {
+      const int64_t j0 = jt * kNR;
+      if (j0 == tail_j0) {
+        GemmStrip<kNR>(pa + i0 * k, tail, kNR, po + i0 * n, n, rows, k, j0,
+                       n - j0);
+      } else {
+        GemmStrip<kNR>(pa + i0 * k, pb + j0, n, po + i0 * n, n, rows, k, j0,
+                       kNR);
+      }
+    }
+  };
+  if (m <= kSmallMMax) {
+    ParallelFor(tiles, m * k * kNR, [&](int64_t t0, int64_t t1) {
+      panels(0, m, t0, t1);
+    });
+    return;
+  }
+  ParallelFor(m, k * n, [&](int64_t i0, int64_t i1) {
+    for (int64_t ib = i0; ib < i1; ib += kMC) {
+      panels(ib, std::min(kMC, i1 - ib), 0, tiles);
+    }
+  });
+}
+
 // The one GEMM dispatch: writes C (m x n) = A (m x k) * B (k x n) and never
 // reads C's prior contents. Shape alone picks one of two kernels, the row
 // strips or the blocked micro-kernel, and each sums every output element
@@ -351,23 +409,8 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
     });
     return;
   }
-  if (m <= kSmallMMax) {
-    // Short A against a wide B: packing either operand costs more than the
-    // multiply itself. Stream B's full-width column panels in place and pad
-    // only the n % kNR tail. Panels write disjoint column ranges, so any
-    // partition across threads is bit-identical.
-    const int64_t full_tiles = n / kNR;
-    ParallelFor(full_tiles, m * k * kNR, [&](int64_t t0, int64_t t1) {
-      for (int64_t jt = t0; jt < t1; ++jt) {
-        GemmStrip<kNR>(pa, pb + jt * kNR, n, po, n, m, k, jt * kNR, kNR);
-      }
-    });
-    const int64_t j0 = full_tiles * kNR;
-    if (j0 < n) {
-      float* pad = BScratch(k * kNR);
-      PadB(pb, k, n, j0, kNR, pad);
-      GemmStrip<kNR>(pa, pad, kNR, po, n, m, k, j0, n - j0);
-    }
+  if (m <= kSmallMMax || (k <= kKC && n <= kStripNMax)) {
+    GemmPanels(pa, pb, po, m, k, n);
     return;
   }
   // Blocked: pack B into j-tiles (B's own layout already when n == kNR),
@@ -399,6 +442,10 @@ void GemmRawInto(const float* a, const float* b, float* out, int64_t m,
 
 namespace {
 
+// Floats in the row-bias path's repeated tile: at least 241 (a whole number
+// of rows of cols < 16), so its inner loop spans many 16-lane vectors.
+constexpr int64_t kBiasTile = 256;
+
 // Iterates over a broadcast binary op. `out[i] = fn(a[ai], b[bi])` where the
 // flat indices ai/bi are computed with broadcast-aware strides. `out` must
 // already hold the broadcast result shape; the allocating BroadcastBinary
@@ -425,7 +472,28 @@ void BroadcastBinaryInto(const Tensor& a, const Tensor& b, Tensor* out,
     const float* pa = a.data();
     const float* pb = b.data();
     float* po = out->data();
-    // Captures by value and bumps row pointers: at single-digit `cols` the
+    if (cols > 0 && cols < kBiasTile / 16) {
+      // A row narrower than one 16-lane vector: repeat b over as many whole
+      // rows as fit in kBiasTile floats and pair a's flat spans with that
+      // tile, so the loop runs vector-wide instead of cols at a time.
+      float tile[kBiasTile];
+      const int64_t span = kBiasTile / cols * cols;
+      for (int64_t j = 0; j < span; ++j) tile[j] = pb[j % cols];
+      const float* pt = tile;
+      const int64_t total = a.numel();
+      ParallelFor((total + span - 1) / span, span,
+                  [pa, pt, po, span, total, fn](int64_t s0, int64_t s1) {
+                    const int64_t end = std::min(total, s1 * span);
+                    for (int64_t i = s0 * span; i < end; i += span) {
+                      const int64_t len = std::min(span, end - i);
+                      for (int64_t j = 0; j < len; ++j) {
+                        po[i + j] = fn(pa[i + j], pt[j]);
+                      }
+                    }
+                  });
+      return;
+    }
+    // Captures by value and bumps row pointers: at narrow rows the
     // by-reference form measured slower.
     ParallelFor(rows, cols, [pa, pb, po, cols, fn](int64_t r0, int64_t r1) {
       const float* ar = pa + r0 * cols;
@@ -632,7 +700,8 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(1);
   ODF_CHECK_EQ(k, b.dim(0)) << "matmul " << a.shape().ToString() << " x "
                             << b.shape().ToString();
-  ODF_CHECK(out->shape() == Shape({m, n}));
+  ODF_CHECK(out->rank() == 2 && out->dim(0) == m && out->dim(1) == n)
+      << "matmul output " << out->shape().ToString();
   Gemm(a.data(), b.data(), out->data(), m, k, n);
 }
 
@@ -669,7 +738,9 @@ void BatchMatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   const int64_t n = b.dim(-1);
   ODF_CHECK_EQ(k, b.dim(-2)) << "bmm " << a.shape().ToString() << " x "
                              << b.shape().ToString();
-  ODF_CHECK(out->shape() == Shape({batch, m, n}));
+  ODF_CHECK(out->rank() == 3 && out->dim(0) == batch && out->dim(1) == m &&
+            out->dim(2) == n)
+      << "bmm output " << out->shape().ToString();
   const int64_t a_step = a.rank() == 3 ? m * k : 0;
   const int64_t b_step = b.rank() == 3 ? k * n : 0;
   const float* pa = a.data();
@@ -735,63 +806,76 @@ Tensor TransposeLast2(const Tensor& a) {
 void PermuteInto(const Tensor& a, const std::vector<int64_t>& perm,
                  Tensor* out) {
   ODF_CHECK_EQ(static_cast<int64_t>(perm.size()), a.rank());
-  std::vector<int64_t> new_dims(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) new_dims[i] = a.dim(perm[i]);
-  ODF_CHECK(out->shape().dims() == new_dims);
-  const auto in_strides = a.shape().Strides();
-  std::vector<int64_t> src_strides(perm.size());
-  for (size_t i = 0; i < perm.size(); ++i) {
-    src_strides[i] = in_strides[static_cast<size_t>(perm[i])];
-  }
   const int64_t rank = a.rank();
+  ODF_CHECK_EQ(out->rank(), rank);
+  for (int64_t d = 0; d < rank; ++d) {
+    ODF_CHECK_EQ(out->dim(d), a.dim(perm[static_cast<size_t>(d)]));
+  }
+  const std::vector<int64_t>& new_dims = out->shape().dims();
   const float* pa = a.data();
   float* po = out->data();
 
-  // Fast path: only the last two axes swap -> a batch of cache-blocked 2-D
-  // transposes over contiguous slices.
-  bool last2_swap = rank >= 2;
-  for (int64_t d = 0; d < rank - 2 && last2_swap; ++d) {
-    last2_swap = perm[static_cast<size_t>(d)] == d;
-  }
-  if (last2_swap) {
-    last2_swap = perm[static_cast<size_t>(rank - 2)] == rank - 1 &&
-                 perm[static_cast<size_t>(rank - 1)] == rank - 2;
-  }
-  if (last2_swap) {
-    const int64_t rows = a.dim(rank - 2);
-    const int64_t cols = a.dim(rank - 1);
-    const int64_t slice = rows * cols;
-    const int64_t slices = a.numel() / std::max<int64_t>(1, slice);
-    constexpr int64_t kTile = 32;
-    ParallelFor(slices, slice, [&](int64_t s0, int64_t s1) {
-      for (int64_t s = s0; s < s1; ++s) {
-        const float* src = pa + s * slice;
-        float* dst = po + s * slice;
-        for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
-          const int64_t i1 = std::min(rows, i0 + kTile);
-          for (int64_t j0 = 0; j0 < cols; j0 += kTile) {
-            const int64_t j1 = std::min(cols, j0 + kTile);
-            for (int64_t i = i0; i < i1; ++i) {
-              for (int64_t j = j0; j < j1; ++j) {
-                dst[j * rows + i] = src[i * cols + j];
-              }
-            }
-          }
-        }
-      }
-    });
-    return;
-  }
-
   // Axes the permutation leaves in place at the tail are contiguous in both
-  // layouts, so the odometer walks the leading axes and copies the tail as
-  // one chunk per step (a pure relabeling: any traversal gives these bytes).
+  // layouts, so every path below moves the tail as one chunk (a pure
+  // relabeling: any traversal gives these bytes).
   int64_t outer_rank = rank;
   int64_t chunk = 1;
   while (outer_rank > 0 &&
          perm[static_cast<size_t>(outer_rank - 1)] == outer_rank - 1) {
     --outer_rank;
     chunk *= new_dims[static_cast<size_t>(outer_rank)];
+  }
+
+  // The last two axes ahead of the tail swap, the rest stay: a batch of
+  // cache-blocked 2-D transposes whose elements are chunks (single floats
+  // when nothing follows the swapped axes), each copied at compile-time
+  // length where WithLaneWidth has one.
+  bool swap = outer_rank >= 2 &&
+              perm[static_cast<size_t>(outer_rank - 2)] == outer_rank - 1 &&
+              perm[static_cast<size_t>(outer_rank - 1)] == outer_rank - 2;
+  for (int64_t d = 0; d < outer_rank - 2 && swap; ++d) {
+    swap = perm[static_cast<size_t>(d)] == d;
+  }
+  if (swap) {
+    const int64_t rows = a.dim(outer_rank - 2);
+    const int64_t cols = a.dim(outer_rank - 1);
+    const int64_t slice = rows * cols * chunk;
+    const int64_t slices = slice == 0 ? 0 : a.numel() / slice;
+    constexpr int64_t kTile = 32;
+    auto transpose = [&](auto width) {
+      constexpr int64_t W = decltype(width)::value;
+      ParallelFor(slices, slice, [&](int64_t s0, int64_t s1) {
+        for (int64_t s = s0; s < s1; ++s) {
+          const float* src = pa + s * slice;
+          float* dst = po + s * slice;
+          for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
+            const int64_t i1 = std::min(rows, i0 + kTile);
+            for (int64_t j0 = 0; j0 < cols; j0 += kTile) {
+              const int64_t j1 = std::min(cols, j0 + kTile);
+              for (int64_t i = i0; i < i1; ++i) {
+                for (int64_t j = j0; j < j1; ++j) {
+                  CopyLanes<W>(src + (i * cols + j) * chunk,
+                               dst + (j * rows + i) * chunk, chunk);
+                }
+              }
+            }
+          }
+        }
+      });
+    };
+    if (chunk == 1) {
+      transpose(std::integral_constant<int64_t, 1>());
+    } else {
+      WithLaneWidth(chunk, transpose);
+    }
+    return;
+  }
+
+  // Otherwise the odometer walks the leading axes, one chunk per step.
+  const auto in_strides = a.shape().Strides();
+  std::vector<int64_t> src_strides(perm.size());
+  for (size_t i = 0; i < perm.size(); ++i) {
+    src_strides[i] = in_strides[static_cast<size_t>(perm[i])];
   }
   const int64_t chunks = chunk == 0 ? 0 : a.numel() / chunk;
   ParallelFor(chunks, chunk, [&](int64_t begin, int64_t end) {
@@ -845,9 +929,10 @@ void ConcatInto(const Tensor* const* parts, size_t count, int64_t axis,
     }
     concat_dim += parts[p]->dim(axis);
   }
-  std::vector<int64_t> dims = first.shape().dims();
-  dims[static_cast<size_t>(axis)] = concat_dim;
-  ODF_CHECK(out->shape() == Shape(dims));
+  ODF_CHECK_EQ(out->rank(), first.rank());
+  for (int64_t d = 0; d < first.rank(); ++d) {
+    ODF_CHECK_EQ(out->dim(d), d == axis ? concat_dim : first.dim(d));
+  }
 
   // outer = product of dims before axis; inner = product after axis.
   int64_t outer = 1;

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -13,6 +14,8 @@
 #include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/optimizer.h"
+#include "pool_guard.h"
+#include "util/thread_pool.h"
 
 namespace odf::nn {
 namespace {
@@ -209,23 +212,41 @@ TEST(GraphPoolTest, SingletonClustersIdentity) {
   EXPECT_TRUE(AllClose(y.value(), x, 0.0f));
 }
 
-// Average pooling runs four batch cells per step (with the feature width
-// fixed at compile time for 7 and 8) and the leftover cells one at a time;
-// each cell must come out exactly as when it is pooled alone.
-TEST(GraphPoolTest, AverageBatchedCellsMatchSingleCells) {
+// Average pooling (register accumulators at feature widths 4, 7 and 8, a
+// runtime width otherwise) must give each output row its cluster's rows
+// summed from +0 in cluster order and scaled by the inverse cluster size,
+// byte for byte, at 1 and 4 threads. Clusters of sizes 1, 2 and 3 come in a
+// shuffled node order; the output starts as NaN so a row left unwritten
+// shows.
+TEST(GraphPoolTest, AverageMatchesPerElementReference) {
+  PoolGuard guard;
   Rng rng(12);
-  const std::vector<std::vector<int64_t>> clusters = {{0, 3, 4}, {1}, {2, 5}};
-  for (const int64_t f : {3, 7, 8}) {
-    const Tensor x = Tensor::RandomNormal(Shape({6, 6, f}), rng);
-    Tensor all(Shape({6, 3, f}));
-    GraphPoolForwardInto(x, clusters, PoolKind::kAverage, &all, nullptr);
-    for (int64_t b = 0; b < 6; ++b) {
-      Tensor one(Shape({1, 3, f}));
-      GraphPoolForwardInto(Slice(x, 0, b, 1), clusters, PoolKind::kAverage,
-                           &one, nullptr);
-      for (int64_t i = 0; i < one.numel(); ++i) {
-        EXPECT_EQ(all[b * one.numel() + i], one[i]) << "F=" << f << " b=" << b;
+  const Clusters clusters = {{0, 3, 4}, {1}, {2, 5}, {7, 6}, {8}};
+  const int64_t batch = 9, n = 9;
+  const int64_t nc = static_cast<int64_t>(clusters.size());
+  for (const int64_t f : {2, 4, 7, 8, 9}) {
+    SCOPED_TRACE(::testing::Message() << "F=" << f);
+    const Tensor x = Tensor::RandomNormal(Shape({batch, n, f}), rng);
+    Tensor want(Shape({batch, nc, f}));
+    for (int64_t b = 0; b < batch; ++b) {
+      for (int64_t c = 0; c < nc; ++c) {
+        const auto& cluster = clusters[static_cast<size_t>(c)];
+        const float inv = 1.0f / static_cast<float>(cluster.size());
+        for (int64_t j = 0; j < f; ++j) {
+          float sum = 0.0f;
+          for (int64_t i : cluster) sum += x[(b * n + i) * f + j];
+          want[(b * nc + c) * f + j] = sum * inv;
+        }
       }
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      ThreadPool::Global().Resize(threads);
+      Tensor got = Tensor::Full(want.shape(), std::nanf(""));
+      GraphPoolForwardInto(x, clusters, PoolKind::kAverage, &got, nullptr);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<size_t>(want.numel()) * sizeof(float)),
+                0);
     }
   }
 }

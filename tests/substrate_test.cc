@@ -73,13 +73,13 @@ TEST(SubstrateGemmTest, LargeSquareMatchesNaiveReference) {
 }
 
 // Shape alone picks the GEMM kernel, and both kernels give each output
-// element the same bits: row strips for n <= 16 or m <= 2·kMR, the blocked
-// micro-kernel otherwise. A rank-2 right operand flattens BatchMatMul into
-// one [batch·m, k] product, which lands in another regime than the per-slice
-// MatMul; a rank-3 one runs a product per slice. Both must equal MatMul of
-// each slice byte for byte. Rows put the slice on each side of every
-// boundary for every register tile a build may use (kMR 4, 6 or 8; kNR 8,
-// 16 or 32).
+// element the same bits: row strips for n <= 16, for m <= 2·kMR, and for
+// k <= kKC (256) with n <= 2·kNR; the blocked micro-kernel otherwise. A
+// rank-2 right operand flattens BatchMatMul into one [batch·m, k] product,
+// which lands in another regime than the per-slice MatMul; a rank-3 one runs
+// a product per slice. Both must equal MatMul of each slice byte for byte.
+// Rows put the slice on each side of every boundary for every register tile
+// a build may use (kMR 4, 6 or 8; kNR 8, 16 or 32).
 TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
   PoolGuard guard;
   Rng rng(21);
@@ -102,9 +102,17 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
       {"m == 2·kMR (kMR 8)", 16, 31, 40},
       {"m == 2·kMR + 1 (kMR 8)", 17, 31, 40},
       {"small m, n % kNR tail", 8, 50, 45},
-      {"blocked, n == kNR (kNR 32)", 40, 30, 32},
-      {"blocked, ragged n", 40, 70, 50},
-      {"blocked, ragged m, two row and k blocks", 67, 300, 40},
+      {"n == 2·kNR (kNR 8)", 40, 30, 16},
+      {"n == 2·kNR + 1 (kNR 8)", 40, 30, 17},
+      {"n == 2·kNR (kNR 16)", 40, 30, 32},
+      {"n == 2·kNR + 1 (kNR 16)", 40, 30, 33},
+      {"n == 2·kNR (kNR 32)", 40, 30, 64},
+      {"n == 2·kNR + 1 (kNR 32)", 40, 30, 65},
+      {"k == kKC", 40, 256, 40},
+      {"k == kKC + 1", 40, 257, 40},
+      {"ragged n", 40, 70, 50},
+      {"m == 2048", 2048, 24, 40},
+      {"ragged m, two row and k blocks", 67, 300, 40},
   };
   const int64_t batch = 5;
   for (const Row& row : rows) {

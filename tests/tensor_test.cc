@@ -3,14 +3,18 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "pool_guard.h"
 #include "tensor/fast_math.h"
 #include "tensor/tensor_ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace odf {
 namespace {
@@ -106,27 +110,31 @@ TEST(TensorOpsTest, BroadcastOuter) {
   EXPECT_EQ(c.At2(1, 2), 300.0f);
 }
 
-// A rank-1 operand spanning the last axis takes the row-bias loop; the same
-// operand reshaped to [1, 1, F] takes the general odometer. Both must give
-// the same bits, through the facades, the Into kernels, and in place. The
-// largest case splits across the pool.
+// A rank-1 operand spanning the last axis takes the row-bias path (rows
+// narrower than 16 floats pair a's flat spans with the bias repeated over
+// whole rows); the same operand reshaped to [1, 1, F] takes the general
+// odometer. Both must give the same bytes, through the facades, the Into
+// kernels and in place, at 1 and 4 threads. The row counts are prime, so
+// no repeated tile divides them, and the larger ones split across the pool.
 TEST(TensorTest, RowBiasBroadcastMatchesGeneralBroadcast) {
+  PoolGuard guard;
   struct Case {
     int64_t batch, n, f;
   };
-  const Case cases[] = {{2, 3, 5}, {4, 7, 1}, {0, 3, 4}, {16, 64, 33}};
+  std::vector<Case> cases = {{0, 3, 4}, {1, 3, 5}, {16, 64, 33}};
+  for (const int64_t f : {1, 2, 4, 7, 8, 15, 16, 17}) {
+    cases.push_back({1, 2503, f});
+    cases.push_back({7, 1429, f});
+  }
   using Facade = Tensor (*)(const Tensor&, const Tensor&);
   using Into = void (*)(const Tensor&, const Tensor&, Tensor*);
   const std::pair<Facade, Into> ops[] = {
       {Add, AddInto}, {Sub, SubInto}, {Mul, MulInto}};
-  auto same_bits = [](const Tensor& x, const Tensor& y) {
-    if (x.shape() != y.shape()) return false;
-    for (int64_t i = 0; i < x.numel(); ++i) {
-      if (std::bit_cast<uint32_t>(x[i]) != std::bit_cast<uint32_t>(y[i])) {
-        return false;
-      }
-    }
-    return true;
+  auto same_bytes = [](const Tensor& x, const Tensor& y) {
+    return x.shape() == y.shape() &&
+           (x.numel() == 0 ||
+            std::memcmp(x.data(), y.data(),
+                        static_cast<size_t>(x.numel()) * sizeof(float)) == 0);
   };
   Rng rng(41);
   for (const Case& cs : cases) {
@@ -135,15 +143,19 @@ TEST(TensorTest, RowBiasBroadcastMatchesGeneralBroadcast) {
     const Tensor a = Tensor::RandomNormal(Shape({cs.batch, cs.n, cs.f}), rng);
     const Tensor row = Tensor::RandomNormal(Shape({cs.f}), rng);
     const Tensor general = row.Reshape({1, 1, cs.f});
-    for (const auto& [facade, into] : ops) {
-      const Tensor want = facade(a, general);
-      EXPECT_TRUE(same_bits(facade(a, row), want));
-      Tensor out(a.shape());
-      into(a, row, &out);
-      EXPECT_TRUE(same_bits(out, want));
-      Tensor in_place = a;
-      into(in_place, row, &in_place);
-      EXPECT_TRUE(same_bits(in_place, want));
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      ThreadPool::Global().Resize(threads);
+      for (const auto& [facade, into] : ops) {
+        const Tensor want = facade(a, general);
+        EXPECT_TRUE(same_bytes(facade(a, row), want));
+        Tensor out(a.shape());
+        into(a, row, &out);
+        EXPECT_TRUE(same_bytes(out, want));
+        Tensor in_place = a;
+        into(in_place, row, &in_place);
+        EXPECT_TRUE(same_bytes(in_place, want));
+      }
     }
   }
 }
@@ -215,6 +227,41 @@ TEST(TensorOpsTest, PermuteMatchesManual) {
       for (int64_t k = 0; k < 4; ++k) {
         EXPECT_EQ(p.At3(k, i, j), a.At3(i, j, k));
       }
+    }
+  }
+}
+
+// The middle-axis swap (0,2,1,3) ahead of a contiguous tail of K floats
+// runs as a batch of tiled transposes of K-float chunks (a compile-time copy
+// at K 4, 7 and 8). Each output element must be its source element, byte
+// for byte, at 1 and 4 threads; 37 rows cross the 32-element tile.
+TEST(TensorOpsTest, PermuteMiddleSwapMatchesReference) {
+  PoolGuard guard;
+  Rng rng(43);
+  const int64_t batch = 150, rows = 37, cols = 5;
+  for (const int64_t k : {1, 4, 7, 8, 9}) {
+    SCOPED_TRACE(::testing::Message() << "K=" << k);
+    const Tensor a =
+        Tensor::RandomNormal(Shape({batch, rows, cols, k}), rng);
+    Tensor want(Shape({batch, cols, rows, k}));
+    for (int64_t b = 0; b < batch; ++b) {
+      for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < cols; ++j) {
+          for (int64_t c = 0; c < k; ++c) {
+            want[((b * cols + j) * rows + i) * k + c] =
+                a[((b * rows + i) * cols + j) * k + c];
+          }
+        }
+      }
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      ThreadPool::Global().Resize(threads);
+      Tensor got = Tensor::Full(want.shape(), std::nanf(""));
+      PermuteInto(a, {0, 2, 1, 3}, &got);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<size_t>(want.numel()) * sizeof(float)),
+                0);
     }
   }
 }
