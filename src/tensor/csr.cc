@@ -344,7 +344,7 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
                                             wide);
     }
   } else {
-    // Dense graph: one blocked [n,n] x [n,wide] GEMM per tap keeps the full
+    // Dense graph: one [n,n] x [n,wide] GEMM per tap keeps the full
     // register-tile accumulator block hot — far higher throughput than the
     // row-chained SpMM on a dense operator. Zero-skip transparency plus the
     // shared fused-accumulation policy (ODF_FMADD) makes the result bit-
@@ -426,7 +426,7 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
     return gx;
   }
 
-  // Dense path: contiguous copies of the slices feed the blocked GEMM.
+  // Dense path: contiguous copies of the slices feed the GEMM.
   auto slice_copy = [&](int64_t s) {
     Tensor t(Shape({batch, n, f}));
     CopyRows(batch * n, f, pg + s * f, ld, t.data(), f);

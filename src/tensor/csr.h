@@ -76,7 +76,7 @@ Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x, int64_t order);
 /// ("wide") layout as ONE product with an [n, B·F] operand instead of B
 /// skinny [n, F] products: x is transposed so that batch and features fuse
 /// into one wide row (at B = 1 x already is that row and is read in place),
-/// the register-tiled SpMM (or blocked GEMM on the dense path) streams full
+/// the register-tiled SpMM (or the GEMM on the dense path) streams full
 /// tiles, and every tap stays wide until the last one is done; then each
 /// row of `out` is written once from all taps. Per output element the
 /// accumulation is a's row in ascending column order, so results do not
@@ -116,14 +116,17 @@ Tensor GraphApply(const GraphOperator& op, const Tensor& x,
 /// density ≤ kSparseDensityThreshold).
 class GraphOperator {
  public:
-  /// Above this density the dense blocked GEMM outruns the CSR kernel.
+  /// Above this density the dense GEMM outruns the CSR kernel.
   /// Measured with order-2 ChebyshevBasisInto at batch 1 on one thread
   /// (AVX-512, Release -O3) over the 8×8 region grid, widening the
   /// proximity cutoff to raise the density. At the shard graph's own
-  /// density, 0.165, CSR takes 2.8 µs against 9.9 µs dense at F = 32,
-  /// 9.1 against 21.0 at F = 132 and 20.5 against 40.8 at F = 280, and
-  /// the two tie at F = 4 (3.0 against 3.4). CSR keeps winning at F ≥ 32
-  /// up to density ≈ 0.45; at F = 4 dense wins from ≈ 0.25.
+  /// density, 0.165, CSR takes 2.8 µs against 9.9 µs dense at F = 32, and
+  /// the two tie at F = 4 (3.0 against 3.4). A later run, once the GEMM
+  /// row strips took every product, read 12.8 against 29.6 µs at F = 132
+  /// and 21.9 against 51.3 µs at F = 280 (medians of three; compare within
+  /// a row, the host ran slower). CSR keeps winning at F ≥ 32 up to density
+  /// ≈ 0.4 (F = 280 ties from ≈ 0.39, F = 132 from ≈ 0.45); at F = 4 dense
+  /// wins from ≈ 0.25.
   static constexpr double kSparseDensityThreshold = 0.25;
 
   /// `force_sparse`: -1 = auto (by density), 0 = dense, 1 = sparse.

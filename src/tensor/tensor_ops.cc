@@ -25,58 +25,29 @@ namespace {
 // tensors (asserted by substrate_test). Each call states its work per item
 // (multiply-adds, or elements touched) and odf::ParallelFor sizes the chunks.
 
-// GEMM cache blocking: kMC x kKC panels of A are packed into thread-local
-// buffers (at most 64 KiB, L2-resident) and multiplied into C through a
-// kMR x kNR register-tiled micro-kernel; B is packed once per call into
-// j-tile-major panels so the micro-kernel streams both operands with unit
-// stride (the unpacked column access pattern, stride = row length, thrashes
-// L1 set associativity for power-of-two widths). The register tile is sized
-// to the widest vector unit the translation unit is compiled for.
-constexpr int64_t kKC = 256;
+// GEMM panel width: every product runs through the row strips below, over
+// kNR-wide column panels of B. A 4-row strip holds its accumulators in 8
+// zmm registers on AVX-512 and in 8 ymm on AVX2. SSE builds take the same
+// 16 lanes (16 xmm accumulators) rather than 8: at one thread 8 lanes ran
+// the products wider than 16 columns 1.1–1.8× slower than 16 lanes did.
 #if defined(__AVX512F__)
-constexpr int64_t kMR = 8;
-constexpr int64_t kNR = 32;  // 16 zmm accumulators
-#elif defined(__AVX2__)
-constexpr int64_t kMR = 6;
-constexpr int64_t kNR = 16;  // 12 ymm accumulators
+constexpr int64_t kNR = 32;
 #else
-constexpr int64_t kMR = 4;
-constexpr int64_t kNR = 8;  // 8 xmm accumulators fit the SSE register file
+constexpr int64_t kNR = 16;
 #endif
-// Row block: the most whole kMR strips that fit in 64 rows. It only sets
-// row-block boundaries, never a per-element sum.
-constexpr int64_t kMC = 64 / kMR * kMR;
+// Row block of a tall A (GemmPanels). It sets the traversal order and the
+// thread split, never a per-element sum.
+constexpr int64_t kMC = 64;
 
 // The kernels in this block are the fp32 GEMM substrate (tape and compiled
-// plan share them, so plan-vs-tape bit-identity is structural). Tile
-// constants are sized for the fp32 vector width.
-
-// Packs rows [i0, i0+rows) x columns [k0, k0+depth) of `a` (leading
-// dimension `lda`) into `buf` as ceil(rows/kMR) interleaved strips:
-// buf[strip][kk * kMR + r] = a[i0 + strip*kMR + r][k0 + kk], zero-padded in
-// r, so the micro-kernel loads kMR contiguous elements per k step.
-void PackA(const float* a, int64_t lda, int64_t i0, int64_t rows, int64_t k0,
-           int64_t depth, float* buf) {
-  const int64_t strips = (rows + kMR - 1) / kMR;
-  for (int64_t s = 0; s < strips; ++s) {
-    float* dst = buf + s * depth * kMR;
-    const int64_t r_limit = std::min<int64_t>(kMR, rows - s * kMR);
-    for (int64_t kk = 0; kk < depth; ++kk) {
-      for (int64_t r = 0; r < kMR; ++r) {
-        dst[kk * kMR + r] =
-            r < r_limit ? a[(i0 + s * kMR + r) * lda + k0 + kk] : 0.0f;
-      }
-    }
-  }
-}
+// plan share them, so plan-vs-tape bit-identity is structural).
 
 // Number of j-tiles of width kNR covering n columns.
 int64_t NumJTiles(int64_t n) { return (n + kNR - 1) / kNR; }
 
 // Copies columns [j0, j0 + pw) of `b` (k x n) into `dst` as a k x pw
-// row-major panel, zero-padded past n. With pw = kNR and dst at tile jt's
-// offset (jt * k * kNR) it packs one j-tile: the micro-kernels then stream B
-// with unit stride regardless of n.
+// row-major panel, zero-padded past n, so a strip reads whole pw-wide rows
+// of B however narrow its live columns are.
 void PadB(const float* b, int64_t k, int64_t n, int64_t j0, int64_t pw,
           float* dst) {
   const int64_t width = std::min(pw, n - j0);
@@ -88,148 +59,12 @@ void PadB(const float* b, int64_t k, int64_t n, int64_t j0, int64_t pw,
   }
 }
 
-// C[kMR, W] += Apack_strip[depth, kMR] * Bpack_tile[depth, kNR]; compile-time
-// bounds let the j loops vectorize and keep the kMR*W accumulator block in
-// vector registers. W is the live tile width: kNR for interior tiles, and a
-// narrower power-of-two (kNR/2, kNR/4) for n % kNR column remainders so that
-// common skinny outputs (e.g. n = 16 with kNR = 32) do not fall back to the
-// runtime-bounded edge kernel. B panel rows keep their kNR stride.
-template <int64_t W>
-void MicroKernelFull(const float* ap, const float* bp, float* c, int64_t ldc,
-                     int64_t depth) {
-  float acc[kMR * W];
-  for (int64_t r = 0; r < kMR; ++r) {
-    for (int64_t j = 0; j < W; ++j) acc[r * W + j] = c[r * ldc + j];
-  }
-  for (int64_t kk = 0; kk < depth; ++kk) {
-    const float* brow = bp + kk * kNR;
-    const float* astrip = ap + kk * kMR;
-    for (int64_t r = 0; r < kMR; ++r) {
-      const float av = astrip[r];
-      for (int64_t j = 0; j < W; ++j) acc[r * W + j] += av * brow[j];
-    }
-  }
-  for (int64_t r = 0; r < kMR; ++r) {
-    for (int64_t j = 0; j < W; ++j) c[r * ldc + j] = acc[r * W + j];
-  }
-}
-
-// Full-height tiles whose nr is not one of the compile-time widths above
-// (skinny n % kNR remainders, e.g. the model's beta/bucket dims landing on
-// n in 4..16): compute the whole compile-time width W >= nr in registers —
-// B panel rows are zero-padded to kNR, so the extra lanes read zeros — and
-// store back only the nr live columns. Per live element the accumulation is
-// term-for-term identical to MicroKernelFull/Edge, so this is a pure store
-// mask, not a different rounding.
-template <int64_t W>
-void MicroKernelFullTail(const float* ap, const float* bp, float* c,
-                         int64_t ldc, int64_t depth, int64_t nr) {
-  float acc[kMR * W] = {};
-  for (int64_t r = 0; r < kMR; ++r) {
-    for (int64_t j = 0; j < nr; ++j) acc[r * W + j] = c[r * ldc + j];
-  }
-  for (int64_t kk = 0; kk < depth; ++kk) {
-    const float* brow = bp + kk * kNR;
-    const float* astrip = ap + kk * kMR;
-    for (int64_t r = 0; r < kMR; ++r) {
-      const float av = astrip[r];
-      for (int64_t j = 0; j < W; ++j) acc[r * W + j] += av * brow[j];
-    }
-  }
-  for (int64_t r = 0; r < kMR; ++r) {
-    for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = acc[r * W + j];
-  }
-}
-
-// Edge tiles (m % kMR row remainders) with runtime bounds; B padding makes
-// reads past nr safe, but only [mr, nr) is stored back.
-void MicroKernelEdge(const float* ap, const float* bp, float* c, int64_t ldc,
-                     int64_t depth, int64_t mr, int64_t nr) {
-  float acc[kMR * kNR] = {};
-  for (int64_t r = 0; r < mr; ++r) {
-    for (int64_t j = 0; j < nr; ++j) acc[r * kNR + j] = c[r * ldc + j];
-  }
-  for (int64_t kk = 0; kk < depth; ++kk) {
-    const float* brow = bp + kk * kNR;
-    const float* astrip = ap + kk * kMR;
-    for (int64_t r = 0; r < mr; ++r) {
-      const float av = astrip[r];
-      for (int64_t j = 0; j < nr; ++j) acc[r * kNR + j] += av * brow[j];
-    }
-  }
-  for (int64_t r = 0; r < mr; ++r) {
-    for (int64_t j = 0; j < nr; ++j) c[r * ldc + j] = acc[r * kNR + j];
-  }
-}
-
-// Blocked GEMM over output rows [i0, i1) against packed B; `apack` is a
-// caller-provided kMC * kKC scratch buffer. Each row block is zero-filled,
-// then the micro-kernels accumulate its kKC depth slices onto it. Row-block
-// boundaries are absolute (multiples of kMC from row 0), so any partition
-// of blocks across threads computes each C element with the identical
-// k-ascending accumulation order.
-void GemmRows(const float* pa, const float* bpack, float* po, int64_t k,
-              int64_t n, int64_t i0, int64_t i1, float* apack) {
-  for (int64_t ib = i0; ib < i1; ib += kMC) {
-    const int64_t rows = std::min(kMC, i1 - ib);
-    std::fill(po + ib * n, po + (ib + rows) * n, 0.0f);
-    for (int64_t k0 = 0; k0 < k; k0 += kKC) {
-      const int64_t depth = std::min(kKC, k - k0);
-      PackA(pa, k, ib, rows, k0, depth, apack);
-      const int64_t strips = (rows + kMR - 1) / kMR;
-      for (int64_t jt = 0; jt < NumJTiles(n); ++jt) {
-        const int64_t j0 = jt * kNR;
-        const int64_t nr = std::min<int64_t>(kNR, n - j0);
-        const float* bpanel = bpack + jt * k * kNR + k0 * kNR;
-        for (int64_t s = 0; s < strips; ++s) {
-          const float* ap = apack + s * depth * kMR;
-          float* c = po + (ib + s * kMR) * n + j0;
-          const int64_t mr = std::min(kMR, rows - s * kMR);
-          if (mr == kMR) {
-            // Full-height strip: pick the narrowest compile-time tile
-            // covering nr so no skinny column remainder (n % kNR down to 1)
-            // ever reaches the runtime-bounded edge kernel.
-            if (nr == kNR) {
-              MicroKernelFull<kNR>(ap, bpanel, c, n, depth);
-            } else if (nr == kNR / 2 && kNR / 2 >= 8) {
-              MicroKernelFull<kNR / 2>(ap, bpanel, c, n, depth);
-            } else if (nr == kNR / 4 && kNR / 4 >= 8) {
-              MicroKernelFull<kNR / 4>(ap, bpanel, c, n, depth);
-            } else if (nr <= 4) {
-              MicroKernelFullTail<4>(ap, bpanel, c, n, depth, nr);
-            } else if (nr <= 8) {
-              MicroKernelFullTail<8>(ap, bpanel, c, n, depth, nr);
-            } else if (nr <= kNR / 2) {
-              MicroKernelFullTail<kNR / 2>(ap, bpanel, c, n, depth, nr);
-            } else {
-              MicroKernelFullTail<kNR>(ap, bpanel, c, n, depth, nr);
-            }
-          } else {
-            MicroKernelEdge(ap, bpanel, c, n, depth, mr, nr);
-          }
-        }
-      }
-    }
-  }
-}
-
-// Per-thread A-packing scratch (kMC x kKC, fixed size — one buffer per
-// scalar width). PackA fully writes every element it later reads — padding
-// included — so the buffer is never zero-initialized; reusing it across
-// calls removes a 64 KB value-init from every blocked GEMM, which dominates
-// small serving-sized products.
-float* ApackScratch() {
-  thread_local std::unique_ptr<float[]> buf =
-      std::make_unique_for_overwrite<float[]>(static_cast<size_t>(kMC * kKC));
-  return buf.get();
-}
-
-// Per-thread scratch for the B copies (the small-N pad, the small-M tail pad
-// and the blocked pack), grown on demand and never shrunk. Gemm fills it on
-// the calling thread, or in pool chunks it waits on, before any chunk reads
-// it; the caller runs no other work while it waits, so no second call can
-// reuse the buffer mid-read. Every element a kernel reads is written first,
-// so the buffer is never zero-initialized.
+// Per-thread scratch for the B copies (the small-N pad and the n % kNR tail
+// panel), grown on demand and never shrunk. Gemm fills it on the calling
+// thread before any chunk reads it; the caller runs no other work while it
+// waits on the chunks, so no second call can reuse the buffer mid-read.
+// Every element a kernel reads is written first, so the buffer is never
+// zero-initialized.
 float* BScratch(int64_t size) {
   thread_local std::unique_ptr<float[]> buf;
   thread_local int64_t capacity = 0;
@@ -242,50 +77,32 @@ float* BScratch(int64_t size) {
 
 // Widest output for the row-strip kernel's small-N regime. The serving
 // models' weight matmuls are all this narrow (n = buckets, filters or
-// hidden size), where the blocked path's packing and edge tiles cost more
-// than the multiply itself. It is also the zero-padded row width of the
-// small-N layout: one full 16-lane SIMD vector per row. Padding lanes are
-// computed but never stored, so the choice is pure layout, not rounding.
+// hidden size). It is also the zero-padded row width of the small-N layout:
+// one full 16-lane SIMD vector per row. Padding lanes are computed but
+// never stored, so the choice is pure layout, not rounding.
 // An 8-wide padded row for n ≤ 8 measured faster at n = 8 (AVX-512, one
 // thread: m = 16, k = 132 took 0.79 µs against 1.41 µs) but 7–9% slower
 // at n = 4, so the one width stays.
 constexpr int64_t kSmallNMax = 16;
 
-// Tallest A the row strips take at any n and k: two micro-kernel strips.
-// At or below it packing A and B costs more than the whole multiply.
-constexpr int64_t kSmallMMax = 2 * kMR;
-
-// Widest output the row strips take at every m, for k <= kKC; wider
-// outputs, and deeper ones, go to the blocked micro-kernel, whose packing
-// does not pay for itself below this width. A one-thread sweep of both
-// kernels (m 32–2048, k 24–1024, n 17–128; median of three interleaved
-// runs; equal bytes at every shape) put the crossover here for each tile
-// a build may use:
-//  - AVX-512 (kNR 32): strips 1.09–7.7× the blocked kernel's GMAC/s at
-//    n <= 64, every m and k; 0.94–2.3× at n 65–96; 0.82–0.98× at n = 128
-//    with k >= 132 and m >= 512.
-//  - SSE (kNR 8): strips 0.45–1.09× at n > 16 (below 1× at 228 of 252
-//    shapes), so the bound is the small-N regime's 16 and changes nothing.
-//  - AVX2 (kNR 16): strips 9–25× at every n up to 128 in that build, so
-//    the bound does not bind on speed there; it keeps the one rule.
-// Beyond kKC the strips still led at n <= 64 (k 512 and 1024), but no
-// served product is that deep, so depth stays the blocked kernel's block.
-constexpr int64_t kStripNMax = 2 * kNR;
+// Tallest A whose column panels, not its row blocks, are split across
+// threads: such an A is at most four 4-row strips, too few to share out.
+// It sets only the thread split, never an element's sum.
+constexpr int64_t kShortAMax = 16;
 
 // Row-strip kernel over one column panel of B read in place: `bp` points at
 // a k x P panel with leading dimension `ldb` (B itself where its columns
 // fill the panel, a zero-padded scratch copy otherwise), and columns
 // [cj0, cj0+nr) of C's `rows` rows receive the result. No per-call packing
 // or allocation. Accumulators start at +0 and C is only written: each live
-// element is its k-ascending chain under the pinned contraction, term for
-// term the blocked micro-kernels' sum; lanes >= nr are computed in
-// registers but never stored. Rows are independent, so callers may split
-// the row range or the column panels across threads without changing any
-// element. The kernel opts out of unroll-and-jam, which spilled the
-// accumulators of the kNR-wide strips, and pairs k steps in source instead,
-// which the 16-wide strips had gained from the pass (AVX-512, -O3, one
-// thread, median of 5 interleaved runs: m = 16, k = 132, n = 32 went from
-// 2.08 to 1.41 µs; n ≤ 16 products held level).
+// element is its k-ascending chain under the pinned contraction; lanes >= nr
+// are computed in registers but never stored. Rows are independent, so
+// callers may split the row range or the column panels across threads
+// without changing any element. The kernel opts out of unroll-and-jam,
+// which spilled the accumulators of the kNR-wide strips, and pairs k steps
+// in source instead, which the 16-wide strips had gained from the pass
+// (AVX-512, -O3, one thread, median of 5 interleaved runs: m = 16, k = 132,
+// n = 32 went from 2.08 to 1.41 µs; n ≤ 16 products held level).
 template <int64_t P>
 ODF_NO_UNROLL_AND_JAM void GemmStrip(const float* a, const float* bp,
                                      int64_t ldb, float* c, int64_t ldc,
@@ -348,10 +165,12 @@ ODF_NO_UNROLL_AND_JAM void GemmStrip(const float* a, const float* bp,
 
 // Row strips over B's kNR-wide column panels, read in place; only the
 // n % kNR tail panel is padded, once per call. A short A splits the panels
-// across threads; a taller one splits its rows, and each chunk walks its
-// rows in blocks of kMC against every panel, so a block's A rows stay in
-// cache while the panels stream past. Panels and rows write disjoint parts
-// of C, so any partition is bit-identical.
+// across threads; a taller one splits its blocks of kMC rows, and each
+// block runs against every panel, so its A rows stay in cache while the
+// panels stream past. A whole block per item keeps a product of one block
+// (every batch-1 serving product) on the calling thread, where a finer
+// row split cost more in fork and join than it saved. Panels and rows
+// write disjoint parts of C, so any partition is bit-identical.
 void GemmPanels(const float* pa, const float* pb, float* po, int64_t m,
                 int64_t k, int64_t n) {
   const int64_t tiles = NumJTiles(n);
@@ -373,25 +192,27 @@ void GemmPanels(const float* pa, const float* pb, float* po, int64_t m,
       }
     }
   };
-  if (m <= kSmallMMax) {
+  if (m <= kShortAMax) {
     ParallelFor(tiles, m * k * kNR, [&](int64_t t0, int64_t t1) {
       panels(0, m, t0, t1);
     });
     return;
   }
-  ParallelFor(m, k * n, [&](int64_t i0, int64_t i1) {
-    for (int64_t ib = i0; ib < i1; ib += kMC) {
-      panels(ib, std::min(kMC, i1 - ib), 0, tiles);
-    }
-  });
+  ParallelFor((m + kMC - 1) / kMC, std::min(kMC, m) * k * n,
+              [&](int64_t b0, int64_t b1) {
+                for (int64_t b = b0; b < b1; ++b) {
+                  panels(b * kMC, std::min(kMC, m - b * kMC), 0, tiles);
+                }
+              });
 }
 
 // The one GEMM dispatch: writes C (m x n) = A (m x k) * B (k x n) and never
-// reads C's prior contents. Shape alone picks one of two kernels, the row
-// strips or the blocked micro-kernel, and each sums every output element
-// over k in ascending order from +0 under the pinned contraction, so a
-// product gives the same bits in every regime, at every thread count, and
-// whether its rows arrive as one matrix or as a batch flattened into one.
+// reads C's prior contents. Every product runs through the row strips, n <=
+// kSmallNMax against B padded to one vector per row and wider n against
+// B's kNR-wide column panels; each sums every output element over k in
+// ascending order from +0 under the pinned contraction, so a product gives
+// the same bits at every thread count, and whether its rows arrive as one
+// matrix or as a batch flattened into one.
 void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
           int64_t n) {
   if (n <= kSmallNMax) {
@@ -409,28 +230,7 @@ void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
     });
     return;
   }
-  if (m <= kSmallMMax || (k <= kKC && n <= kStripNMax)) {
-    GemmPanels(pa, pb, po, m, k, n);
-    return;
-  }
-  // Blocked: pack B into j-tiles (B's own layout already when n == kNR),
-  // then run row blocks in parallel.
-  const float* bpack = pb;
-  if (n != kNR) {
-    float* pack = BScratch(NumJTiles(n) * k * kNR);
-    ParallelFor(NumJTiles(n), k * kNR, [&](int64_t t0, int64_t t1) {
-      for (int64_t jt = t0; jt < t1; ++jt) {
-        PadB(pb, k, n, jt * kNR, kNR, pack + jt * k * kNR);
-      }
-    });
-    bpack = pack;
-  }
-  const int64_t num_blocks = (m + kMC - 1) / kMC;
-  const int64_t block_work = std::min(kMC, m) * k * n;
-  ParallelFor(num_blocks, block_work, [&](int64_t b0, int64_t b1) {
-    GemmRows(pa, bpack, po, k, n, b0 * kMC, std::min(m, b1 * kMC),
-             ApackScratch());
-  });
+  GemmPanels(pa, pb, po, m, k, n);
 }
 
 }  // namespace

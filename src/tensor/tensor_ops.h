@@ -29,8 +29,7 @@ inline float Fmadd(float a, float b, float c) {
 // lane loop — the shape of every register-tiled kernel here — and the jammed
 // body no longer vectorizes: it keeps the accumulator block on the stack.
 // Clang has no such pass. CI fails if a -O3 compile reports the pass
-// anywhere in csr.cc, or in tensor_ops.cc outside the blocked GEMM's
-// micro-kernels, which time no faster without it.
+// anywhere in csr.cc, tensor_ops.cc or graph_pool.cc.
 #if defined(__GNUC__) && !defined(__clang__)
 #define ODF_NO_UNROLL_AND_JAM \
   __attribute__((optimize("no-loop-unroll-and-jam")))

@@ -1,4 +1,4 @@
-// Tests of the parallel compute substrate: the blocked GEMM against a naive
+// Tests of the parallel compute substrate: the GEMM against a naive
 // reference over randomized shapes, and thread-count invariance — every
 // kernel (and a full training run) must produce the same result for
 // ODF_THREADS=1 and ODF_THREADS=4.
@@ -27,7 +27,7 @@
 namespace odf {
 namespace {
 
-// The seed's i-k-j triple loop, the reference the blocked GEMM must match.
+// The seed's i-k-j triple loop, the reference the GEMM must match.
 Tensor NaiveMatMulReference(const Tensor& a, const Tensor& b) {
   const int64_t m = a.dim(0);
   const int64_t k = a.dim(1);
@@ -47,8 +47,8 @@ Tensor NaiveMatMulReference(const Tensor& a, const Tensor& b) {
 TEST(SubstrateGemmTest, RandomizedShapesMatchNaiveReference) {
   PoolGuard guard;
   Rng rng(123);
-  // Shapes straddle every regime: the unpacked row strips, single
-  // micro-tiles, ragged edge tiles, multiple kMC/kKC blocks.
+  // Shapes straddle every regime of the row strips: the n <= 16 pad, the
+  // short-A panel split, ragged n % kNR tail panels, several kMC row blocks.
   for (int trial = 0; trial < 40; ++trial) {
     const int64_t m = 1 + rng.UniformInt(130);
     const int64_t k = 1 + rng.UniformInt(300);
@@ -72,14 +72,17 @@ TEST(SubstrateGemmTest, LargeSquareMatchesNaiveReference) {
   EXPECT_TRUE(AllClose(MatMul(a, b), NaiveMatMulReference(a, b), 1e-4f));
 }
 
-// Shape alone picks the GEMM kernel, and both kernels give each output
-// element the same bits: row strips for n <= 16, for m <= 2·kMR, and for
-// k <= kKC (256) with n <= 2·kNR; the blocked micro-kernel otherwise. A
+// Every product runs through the row strips, and shape alone picks their
+// layout: B padded to 16 lanes for n <= 16, B's kNR-wide column panels
+// otherwise, with only the n % kNR tail panel padded. An A of at most 16
+// rows splits its panels across threads; a taller one splits its kMC (64)
+// row blocks. Each output element gets the same bits in every layout. A
 // rank-2 right operand flattens BatchMatMul into one [batch·m, k] product,
 // which lands in another regime than the per-slice MatMul; a rank-3 one runs
 // a product per slice. Both must equal MatMul of each slice byte for byte.
-// Rows put the slice on each side of every boundary for every register tile
-// a build may use (kMR 4, 6 or 8; kNR 8, 16 or 32).
+// Rows put the slice on each side of every edge for every panel width a
+// build may use (kNR 16 or 32). The last three are products a packed
+// kernel once took: a shard unit's serving shapes and a deep n = 48 one.
 TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
   PoolGuard guard;
   Rng rng(21);
@@ -88,31 +91,34 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
     int64_t m, k, n;
   };
   const Row rows[] = {
-      {"m == 1, n == 16", 1, 24, 16},
-      {"m == 1, n < 16", 1, 30, 5},
-      {"m < kMR, one padded panel (kNR 32)", 3, 40, 20},
-      {"m < kMR, n > kNR with a ragged tail", 3, 33, 45},
-      {"n == 16", 9, 37, 16},
-      {"n < 16", 13, 20, 5},
-      {"n == 17", 10, 23, 17},
-      {"m == 2·kMR (kMR 4)", 8, 31, 40},
-      {"m == 2·kMR + 1 (kMR 4)", 9, 31, 40},
-      {"m == 2·kMR (kMR 6)", 12, 31, 40},
-      {"m == 2·kMR + 1 (kMR 6)", 13, 31, 40},
-      {"m == 2·kMR (kMR 8)", 16, 31, 40},
-      {"m == 2·kMR + 1 (kMR 8)", 17, 31, 40},
-      {"small m, n % kNR tail", 8, 50, 45},
-      {"n == 2·kNR (kNR 8)", 40, 30, 16},
-      {"n == 2·kNR + 1 (kNR 8)", 40, 30, 17},
-      {"n == 2·kNR (kNR 16)", 40, 30, 32},
-      {"n == 2·kNR + 1 (kNR 16)", 40, 30, 33},
-      {"n == 2·kNR (kNR 32)", 40, 30, 64},
-      {"n == 2·kNR + 1 (kNR 32)", 40, 30, 65},
-      {"k == kKC", 40, 256, 40},
-      {"k == kKC + 1", 40, 257, 40},
+      {"n <= 16 strips: m == 1, n == 16, B read in place", 1, 24, 16},
+      {"n <= 16 strips: m == 1, n < 16", 1, 30, 5},
+      {"short A below one 4-row strip, one tail panel (kNR 32)", 3, 40, 20},
+      {"short A below one 4-row strip, ragged tail panel", 3, 33, 45},
+      {"n <= 16 strips: n == 16", 9, 37, 16},
+      {"n <= 16 strips: n < 16", 13, 20, 5},
+      {"n == 17: first panel regime", 10, 23, 17},
+      {"short A, two 4-row strips", 8, 31, 40},
+      {"short A, one row past the strips", 9, 31, 40},
+      {"short A, three 4-row strips", 12, 31, 40},
+      {"short A, one row past three strips", 13, 31, 40},
+      {"short A: m == 16, its largest", 16, 31, 40},
+      {"m == 17: first row-block regime", 17, 31, 40},
+      {"short A, n % kNR tail panel", 8, 50, 45},
+      {"n <= 16 strips, m == 40", 40, 30, 16},
+      {"one row block, n == 17", 40, 30, 17},
+      {"n == 32: no tail panel at either width", 40, 30, 32},
+      {"n == 33: one-column tail panel at either width", 40, 30, 33},
+      {"n == 64: no tail panel at either width", 40, 30, 64},
+      {"n == 65: one-column tail panel at either width", 40, 30, 65},
+      {"even k", 40, 256, 40},
+      {"odd k: one unpaired k step", 40, 257, 40},
       {"ragged n", 40, 70, 50},
-      {"m == 2048", 2048, 24, 40},
-      {"ragged m, two row and k blocks", 67, 300, 40},
+      {"m == 2048: 32 row blocks", 2048, 24, 40},
+      {"ragged m, two row blocks", 67, 300, 40},
+      {"shard unit serving shape", 58, 8, 116},
+      {"shard unit serving shape, ragged tail panel", 70, 8, 140},
+      {"deep, n == 48", 512, 1024, 48},
   };
   const int64_t batch = 5;
   for (const Row& row : rows) {
@@ -147,7 +153,7 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
 
 // Gemm writes C = A·B and never reads C: each entry point gives the same
 // bytes into an output pre-filled with NaN as into a zero-filled one, in
-// both kernels and across the blocked path's kKC depth blocks.
+// both strip layouts, with a short and a tall A.
 TEST(SubstrateGemmTest, EntryPointsOverwriteTheirOutput) {
   Rng rng(8);
   const float nan = std::numeric_limits<float>::quiet_NaN();
@@ -223,7 +229,7 @@ TEST(SubstrateDeterminismTest, KernelsAreThreadCountInvariant) {
   Tensor big = Tensor::RandomNormal(Shape({big_batch, 64, 64, 7}), rng);
   Tensor big_b = Tensor::RandomNormal(big.shape(), rng);
 
-  // Graph operands: four row blocks of the blocked GEMM on the dense path,
+  // Graph operands: four kMC row blocks of the GEMM on the dense path,
   // and a batch wide enough for eight SpMM chunks on the CSR path.
   constexpr int64_t kNodes = 256;
   constexpr int64_t kFeatures = 16;
