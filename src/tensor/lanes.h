@@ -3,7 +3,8 @@
 
 // Compile-time row widths for the kernels that move or reduce rows only a
 // few floats wide: the Chebyshev basis layout passes, the (0,2,1,3)
-// permute's tails and average pooling. At these widths a loop of
+// permute's tails, average pooling and the GEMM row strips' stores (each
+// n <= 8 output row, full kNR panels and n = 16). At these widths a loop of
 // compile-time length is a register move, where a runtime-bounded loop
 // costs more than the data.
 

@@ -77,13 +77,19 @@ float* BScratch(int64_t size) {
 
 // Widest output for the row-strip kernel's small-N regime. The serving
 // models' weight matmuls are all this narrow (n = buckets, filters or
-// hidden size). It is also the zero-padded row width of the small-N layout:
-// one full 16-lane SIMD vector per row. Padding lanes are computed but
-// never stored, so the choice is pure layout, not rounding.
-// An 8-wide padded row for n ≤ 8 measured faster at n = 8 (AVX-512, one
-// thread: m = 16, k = 132 took 0.79 µs against 1.41 µs) but 7–9% slower
-// at n = 4, so the one width stays.
+// hidden size): B's rows are padded to one vector of kSmallNPad lanes for
+// n <= 8 and of 16 lanes above that (B itself at n == 8 or 16). Padding
+// lanes are computed but never stored, so the width is pure layout, not
+// rounding. The 8-lane pad with 8-row strips replaced a 16-lane pad with
+// 4-row strips, which spent half or more of each FMA on padding and held
+// four accumulator chains. Against it (4-core AVX-512 Xeon, -O3, one
+// thread pinned to one core, medians of 7 interleaved runs) 8192 × 21 × 8
+// went from 157 to 40 µs (0.25×) on AVX-512, 4096 × 24 × 7 to 0.50× and a
+// shard unit's 4096 × 8 × 4 to 0.26×; an AVX2 build ran these 0.25–0.45×
+// and an SSE one, whose 16 xmm accumulators spill, 0.23–0.58×, so no ISA
+// keeps the old layout.
 constexpr int64_t kSmallNMax = 16;
+constexpr int64_t kSmallNPad = 8;
 
 // Tallest A whose column panels, not its row blocks, are split across
 // threads: such an A is at most four 4-row strips, too few to share out.
@@ -94,72 +100,70 @@ constexpr int64_t kShortAMax = 16;
 // a k x P panel with leading dimension `ldb` (B itself where its columns
 // fill the panel, a zero-padded scratch copy otherwise), and columns
 // [cj0, cj0+nr) of C's `rows` rows receive the result. No per-call packing
-// or allocation. Accumulators start at +0 and C is only written: each live
-// element is its k-ascending chain under the pinned contraction; lanes >= nr
-// are computed in registers but never stored. Rows are independent, so
+// or allocation. R rows at a time hold R·P accumulators. The rows past the
+// last full strip run in strips of R/2, R/4, … 1 when P is kSmallNPad, and
+// one at a time when P is wider, where a 2-row strip measured slower than
+// two single rows. Accumulators start at +0 and C is only written: each
+// live element is its k-ascending chain under the pinned contraction,
+// whatever strip height computed it; lanes >= nr are computed in registers
+// but never stored. Each row is stored with one CopyLanes<NR> (lanes.h): NR
+// is nr at compile time, or 0 for a runtime width. Rows are independent, so
 // callers may split the row range or the column panels across threads
 // without changing any element. The kernel opts out of unroll-and-jam,
-// which spilled the accumulators of the kNR-wide strips, and pairs k steps
-// in source instead, which the 16-wide strips had gained from the pass
-// (AVX-512, -O3, one thread, median of 5 interleaved runs: m = 16, k = 132,
-// n = 32 went from 2.08 to 1.41 µs; n ≤ 16 products held level).
-template <int64_t P>
+// which spilled the accumulators of the kNR-wide strips, and the wide
+// strips pair k steps in source instead, which they had gained from the
+// pass (AVX-512, -O3, one thread, median of 5 interleaved runs: m = 16,
+// k = 132, n = 32 went from 2.08 to 1.41 µs; n ≤ 16 products held level).
+// The 8 × 8 strips take one k step at a time: paired, 8192 × 21 × 8 ran
+// 1.3–1.4× slower.
+template <int64_t P, int64_t R, int64_t NR>
 ODF_NO_UNROLL_AND_JAM void GemmStrip(const float* a, const float* bp,
                                      int64_t ldb, float* c, int64_t ldc,
                                      int64_t rows, int64_t k, int64_t cj0,
                                      int64_t nr) {
-  constexpr int64_t R = 4;  // row strip: R·P accumulators
   int64_t i = 0;
   for (; i + R <= rows; i += R) {
     float acc[R][P] = {};
-    const float* a0 = a + i * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    // Two k steps per iteration, each lane's chain still in ascending k.
+    const float* ar = a + i * k;
     int64_t kk = 0;
-    for (; kk + 2 <= k; kk += 2) {
-      const float* b0 = bp + kk * ldb;
-      const float* b1 = b0 + ldb;
-      const float v0 = a0[kk], w0 = a0[kk + 1];
-      const float v1 = a1[kk], w1 = a1[kk + 1];
-      const float v2 = a2[kk], w2 = a2[kk + 1];
-      const float v3 = a3[kk], w3 = a3[kk + 1];
-      for (int64_t j = 0; j < P; ++j) {
-        acc[0][j] = ODF_FMADD(w0, b1[j], ODF_FMADD(v0, b0[j], acc[0][j]));
-        acc[1][j] = ODF_FMADD(w1, b1[j], ODF_FMADD(v1, b0[j], acc[1][j]));
-        acc[2][j] = ODF_FMADD(w2, b1[j], ODF_FMADD(v2, b0[j], acc[2][j]));
-        acc[3][j] = ODF_FMADD(w3, b1[j], ODF_FMADD(v3, b0[j], acc[3][j]));
+    if constexpr (P > kSmallNPad && R > 1) {
+      // Two k steps per iteration, each lane's chain still in ascending k.
+      for (; kk + 2 <= k; kk += 2) {
+        const float* b0 = bp + kk * ldb;
+        const float* b1 = b0 + ldb;
+        float v[R], w[R];
+        for (int64_t r = 0; r < R; ++r) {
+          v[r] = ar[r * k + kk];
+          w[r] = ar[r * k + kk + 1];
+        }
+        for (int64_t j = 0; j < P; ++j) {
+          for (int64_t r = 0; r < R; ++r) {
+            acc[r][j] =
+                ODF_FMADD(w[r], b1[j], ODF_FMADD(v[r], b0[j], acc[r][j]));
+          }
+        }
       }
     }
     for (; kk < k; ++kk) {
       const float* brow = bp + kk * ldb;
-      const float v0 = a0[kk];
-      const float v1 = a1[kk];
-      const float v2 = a2[kk];
-      const float v3 = a3[kk];
+      float v[R];
+      for (int64_t r = 0; r < R; ++r) v[r] = ar[r * k + kk];
       for (int64_t j = 0; j < P; ++j) {
-        acc[0][j] = ODF_FMADD(v0, brow[j], acc[0][j]);
-        acc[1][j] = ODF_FMADD(v1, brow[j], acc[1][j]);
-        acc[2][j] = ODF_FMADD(v2, brow[j], acc[2][j]);
-        acc[3][j] = ODF_FMADD(v3, brow[j], acc[3][j]);
+        for (int64_t r = 0; r < R; ++r) {
+          acc[r][j] = ODF_FMADD(v[r], brow[j], acc[r][j]);
+        }
       }
     }
     for (int64_t r = 0; r < R; ++r) {
-      float* crow = c + (i + r) * ldc + cj0;
-      for (int64_t j = 0; j < nr; ++j) crow[j] = acc[r][j];
+      CopyLanes<NR>(acc[r], c + (i + r) * ldc + cj0, nr);
     }
   }
-  for (; i < rows; ++i) {
-    float acc[P] = {};
-    const float* ar = a + i * k;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float* brow = bp + kk * ldb;
-      const float v = ar[kk];
-      for (int64_t j = 0; j < P; ++j) acc[j] = ODF_FMADD(v, brow[j], acc[j]);
+  if constexpr (R > 1) {
+    if (i < rows) {
+      constexpr int64_t kTail = P > kSmallNPad ? 1 : R / 2;
+      GemmStrip<P, kTail, NR>(a + i * k, bp, ldb, c + i * ldc, ldc, rows - i,
+                              k, cj0, nr);
     }
-    float* crow = c + i * ldc + cj0;
-    for (int64_t j = 0; j < nr; ++j) crow[j] = acc[j];
   }
 }
 
@@ -184,11 +188,11 @@ void GemmPanels(const float* pa, const float* pb, float* po, int64_t m,
     for (int64_t jt = t0; jt < t1; ++jt) {
       const int64_t j0 = jt * kNR;
       if (j0 == tail_j0) {
-        GemmStrip<kNR>(pa + i0 * k, tail, kNR, po + i0 * n, n, rows, k, j0,
-                       n - j0);
+        GemmStrip<kNR, 4, 0>(pa + i0 * k, tail, kNR, po + i0 * n, n, rows, k,
+                             j0, n - j0);
       } else {
-        GemmStrip<kNR>(pa + i0 * k, pb + j0, n, po + i0 * n, n, rows, k, j0,
-                       kNR);
+        GemmStrip<kNR, 4, kNR>(pa + i0 * k, pb + j0, n, po + i0 * n, n, rows,
+                               k, j0, kNR);
       }
     }
   };
@@ -206,31 +210,51 @@ void GemmPanels(const float* pa, const float* pb, float* po, int64_t m,
               });
 }
 
+// Small-N products (n <= P): R-row strips against B's rows padded to P
+// lanes (B itself when n == P), each row stored at width NR (0: runtime
+// n). Threads split the rows by whole kMC blocks, as GemmPanels does, so
+// a one-block product stays on the calling thread and every chunk but the
+// last is a whole number of strips.
+template <int64_t P, int64_t R, int64_t NR>
+void GemmRowBlocks(const float* pa, const float* pb, float* po, int64_t m,
+                   int64_t k, int64_t n) {
+  const float* bp = pb;
+  if (n != P) {
+    float* pad = BScratch(k * P);
+    PadB(pb, k, n, 0, P, pad);
+    bp = pad;
+  }
+  ParallelFor((m + kMC - 1) / kMC, std::min(kMC, m) * k * n,
+              [&](int64_t b0, int64_t b1) {
+                const int64_t i0 = b0 * kMC;
+                const int64_t i1 = std::min(m, b1 * kMC);
+                GemmStrip<P, R, NR>(pa + i0 * k, bp, P, po + i0 * n, n,
+                                    i1 - i0, k, 0, n);
+              });
+}
+
 // The one GEMM dispatch: writes C (m x n) = A (m x k) * B (k x n) and never
-// reads C's prior contents. Every product runs through the row strips, n <=
-// kSmallNMax against B padded to one vector per row and wider n against
-// B's kNR-wide column panels; each sums every output element over k in
-// ascending order from +0 under the pinned contraction, so a product gives
-// the same bits at every thread count, and whether its rows arrive as one
-// matrix or as a batch flattened into one.
+// reads C's prior contents. Every product runs through the row strips: n <=
+// kSmallNPad as 8-row strips against B padded to 8 lanes, n <= kSmallNMax
+// as 4-row strips against 16 lanes, and wider n against B's kNR-wide
+// column panels. Each sums every output element over k in ascending order
+// from +0 under the pinned contraction, so a product gives the same bits
+// at every thread count, and whether its rows arrive as one matrix or as a
+// batch flattened into one.
 void Gemm(const float* pa, const float* pb, float* po, int64_t m, int64_t k,
           int64_t n) {
-  if (n <= kSmallNMax) {
-    // Skinny output: row strips over parallel row chunks against B's rows
-    // padded to kSmallNMax (B itself when n is that width).
-    const float* bp = pb;
-    if (n != kSmallNMax) {
-      float* pad = BScratch(k * kSmallNMax);
-      PadB(pb, k, n, 0, kSmallNMax, pad);
-      bp = pad;
-    }
-    ParallelFor(m, k * n, [&](int64_t i0, int64_t i1) {
-      GemmStrip<kSmallNMax>(pa + i0 * k, bp, kSmallNMax, po + i0 * n, n,
-                            i1 - i0, k, 0, n);
+  if (n <= kSmallNPad) {
+    WithLaneWidth(n, [&](auto width) {
+      GemmRowBlocks<kSmallNPad, 8, decltype(width)::value>(pa, pb, po, m, k,
+                                                           n);
     });
-    return;
+  } else if (n < kSmallNMax) {
+    GemmRowBlocks<kSmallNMax, 4, 0>(pa, pb, po, m, k, n);
+  } else if (n == kSmallNMax) {
+    GemmRowBlocks<kSmallNMax, 4, kSmallNMax>(pa, pb, po, m, k, n);
+  } else {
+    GemmPanels(pa, pb, po, m, k, n);
   }
-  GemmPanels(pa, pb, po, m, k, n);
 }
 
 }  // namespace

@@ -27,21 +27,31 @@
 namespace odf {
 namespace {
 
-// The seed's i-k-j triple loop, the reference the GEMM must match.
+// The GEMM's arithmetic, one element at a time: each output is the sum of
+// its products over ascending k from +0 under the pinned contraction
+// (ODF_FMADD). Every strip height, lane width and thread split must give
+// these bytes exactly.
 Tensor NaiveMatMulReference(const Tensor& a, const Tensor& b) {
   const int64_t m = a.dim(0);
   const int64_t k = a.dim(1);
   const int64_t n = b.dim(1);
   Tensor out(Shape({m, n}));
   for (int64_t i = 0; i < m; ++i) {
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = a.data()[i * k + kk];
-      for (int64_t j = 0; j < n; ++j) {
-        out.data()[i * n + j] += av * b.data()[kk * n + j];
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        acc = ODF_FMADD(a.data()[i * k + kk], b.data()[kk * n + j], acc);
       }
+      out.data()[i * n + j] = acc;
     }
   }
   return out;
+}
+
+bool SameBytes(const Tensor& x, const Tensor& y) {
+  return x.shape() == y.shape() &&
+         std::memcmp(x.data(), y.data(),
+                     static_cast<size_t>(x.numel()) * sizeof(float)) == 0;
 }
 
 TEST(SubstrateGemmTest, RandomizedShapesMatchNaiveReference) {
@@ -56,9 +66,7 @@ TEST(SubstrateGemmTest, RandomizedShapesMatchNaiveReference) {
     Tensor a = Tensor::RandomNormal(Shape({m, k}), rng);
     Tensor b = Tensor::RandomNormal(Shape({k, n}), rng);
     ThreadPool::Global().Resize(trial % 2 == 0 ? 1 : 4);
-    Tensor got = MatMul(a, b);
-    Tensor want = NaiveMatMulReference(a, b);
-    ASSERT_TRUE(AllClose(got, want, 1e-4f))
+    ASSERT_TRUE(SameBytes(MatMul(a, b), NaiveMatMulReference(a, b)))
         << "m=" << m << " k=" << k << " n=" << n;
   }
 }
@@ -69,20 +77,23 @@ TEST(SubstrateGemmTest, LargeSquareMatchesNaiveReference) {
   Rng rng(7);
   Tensor a = Tensor::RandomNormal(Shape({192, 320}), rng);
   Tensor b = Tensor::RandomNormal(Shape({320, 160}), rng);
-  EXPECT_TRUE(AllClose(MatMul(a, b), NaiveMatMulReference(a, b), 1e-4f));
+  EXPECT_TRUE(SameBytes(MatMul(a, b), NaiveMatMulReference(a, b)));
 }
 
 // Every product runs through the row strips, and shape alone picks their
-// layout: B padded to 16 lanes for n <= 16, B's kNR-wide column panels
-// otherwise, with only the n % kNR tail panel padded. An A of at most 16
-// rows splits its panels across threads; a taller one splits its kMC (64)
-// row blocks. Each output element gets the same bits in every layout. A
+// layout: 8-row strips against B padded to 8 lanes for n <= 8, 4-row strips
+// against 16 lanes for n <= 16, B's kNR-wide column panels otherwise, with
+// only the n % kNR tail panel padded. The small-N strips split their kMC
+// (64) row blocks across threads; so does a panel product with more than 16
+// rows, while a shorter A splits its panels. Each output element gets the
+// bytes of NaiveMatMulReference in every layout, at 1 and 4 threads. A
 // rank-2 right operand flattens BatchMatMul into one [batch·m, k] product,
 // which lands in another regime than the per-slice MatMul; a rank-3 one runs
-// a product per slice. Both must equal MatMul of each slice byte for byte.
-// Rows put the slice on each side of every edge for every panel width a
-// build may use (kNR 16 or 32). The last three are products a packed
-// kernel once took: a shard unit's serving shapes and a deep n = 48 one.
+// a product per slice. Both must equal the reference of each slice byte for
+// byte. Rows put the slice on each side of every edge for every panel width
+// a build may use (kNR 16 or 32), and every n <= 8 row stores at a
+// compile-time width (4, 7, 8) or a runtime one. The shard unit rows and
+// the deep n = 48 one are products a packed kernel once took.
 TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
   PoolGuard guard;
   Rng rng(21);
@@ -91,12 +102,21 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
     int64_t m, k, n;
   };
   const Row rows[] = {
+      {"n <= 8 strips: n == 1, k == 1, one strip and one row", 9, 1, 1},
+      {"n <= 8 strips: n == 3, below one 8-row strip", 7, 13, 3},
+      {"n <= 8 strips: n == 4, seven strips, then 4, 2 and 1 rows", 63, 8, 4},
+      {"n <= 8 strips: n == 5, m == 1", 1, 21, 5},
+      {"n <= 8 strips: n == 7, one row block and one row", 65, 24, 7},
+      {"n <= 8 strips: n == 8, B read in place, m == 1", 1, 21, 8},
+      {"n <= 8 strips: n == 8, 65 row blocks across threads", 4097, 21, 8},
+      {"n == 9: first 16-lane pad", 7, 13, 9},
+      {"n == 15: ragged 16-lane pad", 65, 33, 15},
+      {"n == 16, k == 1", 63, 1, 16},
       {"n <= 16 strips: m == 1, n == 16, B read in place", 1, 24, 16},
-      {"n <= 16 strips: m == 1, n < 16", 1, 30, 5},
       {"short A below one 4-row strip, one tail panel (kNR 32)", 3, 40, 20},
       {"short A below one 4-row strip, ragged tail panel", 3, 33, 45},
       {"n <= 16 strips: n == 16", 9, 37, 16},
-      {"n <= 16 strips: n < 16", 13, 20, 5},
+      {"n <= 8 strips: n == 5, one strip and five rows", 13, 20, 5},
       {"n == 17: first panel regime", 10, 23, 17},
       {"short A, two 4-row strips", 8, 31, 40},
       {"short A, one row past the strips", 9, 31, 40},
@@ -127,6 +147,13 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
     Tensor a = Tensor::RandomNormal(Shape({batch, m, k}), rng);
     Tensor b3 = Tensor::RandomNormal(Shape({batch, k, n}), rng);
     Tensor w2 = Tensor::RandomNormal(Shape({k, n}), rng);
+    std::vector<Tensor> want2, want3;
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const Tensor ai = Slice(a, 0, bi, 1).Reshape({m, k});
+      const Tensor bi3 = Slice(b3, 0, bi, 1).Reshape({k, n});
+      want2.push_back(NaiveMatMulReference(ai, w2));
+      want3.push_back(NaiveMatMulReference(ai, bi3));
+    }
     for (int threads : {1, 4}) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads);
       ThreadPool::Global().Resize(threads);
@@ -135,17 +162,20 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
       for (int64_t bi = 0; bi < batch; ++bi) {
         const Tensor ai = Slice(a, 0, bi, 1).Reshape({m, k});
         const Tensor bi3 = Slice(b3, 0, bi, 1).Reshape({k, n});
-        const Tensor want2 = MatMul(ai, w2);
-        const Tensor want3 = MatMul(ai, bi3);
         const size_t bytes = static_cast<size_t>(m * n) * sizeof(float);
-        EXPECT_EQ(std::memcmp(got2.data() + bi * m * n, want2.data(), bytes),
+        const auto slice = static_cast<size_t>(bi);
+        EXPECT_EQ(std::memcmp(got2.data() + bi * m * n, want2[slice].data(),
+                              bytes),
                   0)
             << "BatchMatMul(a, w2) slice " << bi;
-        EXPECT_EQ(std::memcmp(got3.data() + bi * m * n, want3.data(), bytes),
+        EXPECT_EQ(std::memcmp(got3.data() + bi * m * n, want3[slice].data(),
+                              bytes),
                   0)
             << "BatchMatMul(a, b3) slice " << bi;
-        EXPECT_TRUE(AllClose(want2, NaiveMatMulReference(ai, w2), 1e-4f));
-        EXPECT_TRUE(AllClose(want3, NaiveMatMulReference(ai, bi3), 1e-4f));
+        EXPECT_TRUE(SameBytes(MatMul(ai, w2), want2[slice]))
+            << "MatMul(a[" << bi << "], w2)";
+        EXPECT_TRUE(SameBytes(MatMul(ai, bi3), want3[slice]))
+            << "MatMul(a[" << bi << "], b3[" << bi << "])";
       }
     }
   }
@@ -153,7 +183,8 @@ TEST(SubstrateGemmTest, BatchMatMulMatchesPerBatchReference) {
 
 // Gemm writes C = A·B and never reads C: each entry point gives the same
 // bytes into an output pre-filled with NaN as into a zero-filled one, in
-// both strip layouts, with a short and a tall A.
+// every strip layout (8 lanes, 16 lanes, kNR panels), with a short and a
+// tall A.
 TEST(SubstrateGemmTest, EntryPointsOverwriteTheirOutput) {
   Rng rng(8);
   const float nan = std::numeric_limits<float>::quiet_NaN();
