@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "tensor/lanes.h"
 #include "tensor/tensor_ops.h"
@@ -80,24 +79,18 @@ Tensor CsrMatrix::ToDense() const {
   return dense;
 }
 
-// How the row accumulator acc = Σ_j a[i,j]·x[b,j,:] lands in the output.
-enum class SpmmEpilogue {
-  kStore,        // out = acc
-  kChebCombine,  // out = 2·acc − other     (forward recurrence step)
-  kAddTwice,     // out += 2·acc            (reverse recurrence step)
-  kAddOther,     // out = acc + other       (final gradient combine)
-};
+namespace {
 
 // Accumulates the kW-lane feature window [w0, w0 + kW) of one output row,
 // Σ_idx av[idx]·x[ci[idx], w0 + c] over the row's nonzeros [begin, end), and
-// writes its lanes from f0 ≥ w0 on through the epilogue. kW is a compile-time
-// constant so the accumulator block stays in vector registers across the
-// nonzero loop; `xb`, `vrow` and `orow` point at column 0 of their rows.
-template <SpmmEpilogue kEp, int64_t kW>
+// stores its lanes from f0 ≥ w0 on. kW is a compile-time constant so the
+// accumulator block stays in vector registers across the nonzero loop; `xb`
+// and `orow` point at column 0 of their rows, x's rows `ldx` floats apart.
+template <int64_t kW>
 inline void SpmmWindow(int64_t begin, int64_t end, const int32_t* ci,
                        const float* av, const float* __restrict xb,
                        int64_t ldx, int64_t w0, int64_t f0,
-                       const float* __restrict vrow, float* __restrict orow) {
+                       float* __restrict orow) {
   float acc[kW];
   for (int64_t c = 0; c < kW; ++c) acc[c] = 0.0f;
   for (int64_t idx = begin; idx < end; ++idx) {
@@ -107,34 +100,23 @@ inline void SpmmWindow(int64_t begin, int64_t end, const int32_t* ci,
     for (int64_t c = 0; c < kW; ++c) acc[c] = ODF_FMADD(v, xrow[c], acc[c]);
   }
   for (int64_t c = 0; c < kW; ++c) {
-    const int64_t col = w0 + c;
-    if (col < f0) continue;
-    if constexpr (kEp == SpmmEpilogue::kStore) {
-      orow[col] = acc[c];
-    } else if constexpr (kEp == SpmmEpilogue::kChebCombine) {
-      orow[col] = 2.0f * acc[c] - vrow[col];
-    } else if constexpr (kEp == SpmmEpilogue::kAddTwice) {
-      orow[col] += 2.0f * acc[c];
-    } else {
-      orow[col] = acc[c] + vrow[col];
-    }
+    if (w0 + c >= f0) orow[w0 + c] = acc[c];
   }
 }
 
 // SpmmWindow at the runtime power-of-two width w ≤ kW.
-template <SpmmEpilogue kEp, int64_t kW = 2 * kFTile>
+template <int64_t kW = 2 * kFTile>
 inline void SpmmWindowOfWidth(int64_t w, int64_t begin, int64_t end,
                               const int32_t* ci, const float* av,
                               const float* xb, int64_t ldx, int64_t w0,
-                              int64_t f0, const float* vrow, float* orow) {
+                              int64_t f0, float* orow) {
   if constexpr (kW > 1) {
     if (w < kW) {
-      SpmmWindowOfWidth<kEp, kW / 2>(w, begin, end, ci, av, xb, ldx, w0, f0,
-                                     vrow, orow);
+      SpmmWindowOfWidth<kW / 2>(w, begin, end, ci, av, xb, ldx, w0, f0, orow);
       return;
     }
   }
-  SpmmWindow<kEp, kW>(begin, end, ci, av, xb, ldx, w0, f0, vrow, orow);
+  SpmmWindow<kW>(begin, end, ci, av, xb, ldx, w0, f0, orow);
 }
 
 // GCC's -O3 unroll-and-jam fuses pairs of nonzero iterations in SpmmWindow
@@ -153,11 +135,8 @@ inline void SpmmWindowOfWidth(int64_t w, int64_t begin, int64_t end,
 // repeat earlier windows' arithmetic in registers and are not stored. So
 // every window reads only columns [0, f) of x, and every output element
 // keeps one ascending-column fused chain.
-template <SpmmEpilogue kEp>
 ODF_NO_UNROLL_AND_JAM void SpmmRows(const CsrMatrix& a, int64_t f,
-                                    const float* x, int64_t ldx,
-                                    const float* other, int64_t ldother,
-                                    float* out, int64_t ldo, int64_t t0,
+                                    const float* x, float* out, int64_t t0,
                                     int64_t t1) {
   const int64_t rows = a.rows();
   const int64_t cols = a.cols();
@@ -178,46 +157,34 @@ ODF_NO_UNROLL_AND_JAM void SpmmRows(const CsrMatrix& a, int64_t f,
     f0 = tail[tails][1] + w;
   }
   for (int64_t t = t0; t < t1; ++t) {
-    const int64_t b = t / rows;
-    const int64_t i = t % rows;
-    const float* xb = x + b * cols * ldx;
-    float* orow = out + (b * rows + i) * ldo;
-    const float* vrow =
-        other != nullptr ? other + (b * rows + i) * ldother : nullptr;
-    const int64_t begin = rp[i];
-    const int64_t end = rp[i + 1];
+    const float* xb = x + t / rows * cols * f;
+    float* orow = out + t * f;
+    const int64_t begin = rp[t % rows];
+    const int64_t end = rp[t % rows + 1];
     for (int64_t f0 = 0; f0 < bulk; f0 += kFTile) {
-      SpmmWindow<kEp, kFTile>(begin, end, ci, av, xb, ldx, f0, f0, vrow,
-                              orow);
+      SpmmWindow<kFTile>(begin, end, ci, av, xb, f, f0, f0, orow);
     }
     int64_t f0 = bulk;
     for (int64_t s = 0; s < tails; ++s) {
-      SpmmWindowOfWidth<kEp>(tail[s][0], begin, end, ci, av, xb, ldx,
-                             tail[s][1], f0, vrow, orow);
+      SpmmWindowOfWidth(tail[s][0], begin, end, ci, av, xb, f, tail[s][1], f0,
+                        orow);
       f0 = tail[s][1] + tail[s][0];
     }
   }
 }
 
-// Core CSR × dense kernel over strided row views. `x`, `other` and `out`
-// address row (b, i) at base + (b·n + i)·ld — so a feature-column slice of a
-// larger tensor can be read or written in place (ld = the enclosing row
-// width). `other` is only dereferenced by the epilogues that use it.
-// Accumulation per output element is in ascending column order of `a`,
-// independent of thread count.
-template <SpmmEpilogue kEp>
+// Core CSR × dense kernel: out[b] = a · x[b] for `batch` row-major
+// [a.cols(), f] operands. Accumulation per output element is in ascending
+// column order of `a`, independent of thread count.
 void SpmmTiled(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
-               int64_t ldx, const float* other, int64_t ldother, float* out,
-               int64_t ldo) {
+               float* out) {
   if (f == 0 || batch == 0) return;
   // Multiply-adds per output row: the mean row's nonzeros times f.
   const int64_t row_work = a.nnz() * f / std::max<int64_t>(1, a.rows());
   ParallelFor(batch * a.rows(), row_work, [&](int64_t t0, int64_t t1) {
-    SpmmRows<kEp>(a, f, x, ldx, other, ldother, out, ldo, t0, t1);
+    SpmmRows(a, f, x, out, t0, t1);
   });
 }
-
-namespace {
 
 // The CSR product behind odf::SpMM and GraphApplyInto's sparse path:
 // out[b] = a · x[b] for `batch` dense [a.cols(), f] operands.
@@ -231,28 +198,184 @@ void SpmmInto(const CsrMatrix& a, int64_t batch, int64_t f, const float* x,
     static Counter& calls = MetricsRegistry::Global().GetCounter("spmm.calls");
     calls.Add(1);
   }
-  SpmmTiled<SpmmEpilogue::kStore>(a, batch, f, x, f, nullptr, 0, out, f);
+  SpmmTiled(a, batch, f, x, out);
 }
 
-// Row-wise strided copy: dst row (b·n + i)·ld_dst ⟵ src row (b·n + i)·ld_src,
-// f floats each.
-void CopyRows(int64_t rows, int64_t f, const float* src, int64_t ld_src,
-              float* dst, int64_t ld_dst) {
-  ParallelFor(rows, f, [&](int64_t t0, int64_t t1) {
-    for (int64_t t = t0; t < t1; ++t) {
-      std::memcpy(dst + t * ld_dst, src + t * ld_src,
-                  static_cast<size_t>(f) * sizeof(float));
+// Per-thread grow-only scratch for the Chebyshev recurrence's wide tiles.
+// Growth does not zero-fill: every float a kernel reads is written first.
+float* ChebWideScratch(int64_t len) {
+  thread_local std::unique_ptr<float[]> buf;
+  thread_local int64_t capacity = 0;
+  if (capacity < len) {
+    buf = std::make_unique_for_overwrite<float[]>(static_cast<size_t>(len));
+    capacity = len;
+  }
+  return buf.get();
+}
+
+// `count` node-major ("wide") [n, B·F] tiles in the per-thread scratch,
+// tile(s)[i, b·f + c] = tap s[b, i, c], each padded by 128 bytes: unpadded
+// 4 KiB multiples 4K-alias row for row, 20–30% slower on the dense path.
+struct WideTiles {
+  WideTiles(const GraphOperator& op, int64_t batch, int64_t f, int64_t count)
+      : op(op), batch(batch), f(f), data(ChebWideScratch(count * stride)) {}
+
+  float* tile(int64_t s) const { return data + s * stride; }
+
+  // dst = L̂·src (L̂ᵀ·src with `transpose`) as ONE wide product: the one
+  // dense-vs-CSR choice. Both paths chain L̂'s row in ascending column order
+  // (the GEMM's zero terms leave that chain unchanged), so they agree.
+  void Apply(bool transpose, const float* src, float* dst) const {
+    if (op.use_sparse()) {
+      SpmmTiled(transpose ? op.csr_transpose() : op.csr(), 1, batch * f, src,
+                dst);
+    } else {
+      GemmRawInto((transpose ? op.dense_transpose() : op.dense()).data(), src,
+                  dst, n, n, batch * f);
+    }
+  }
+
+  // Calls fn(b·n + i, i·B·F + b·F, WithLaneWidth(f)'s lanes) for every row
+  // (b, i), in blocks of 16 nodes with every batch element within a block:
+  // at power-of-two widths a tile column maps to a few cache sets, so a pass
+  // over all n nodes per element evicts lines the next element reuses.
+  template <typename Fn>
+  void ForEachRow(Fn fn) const {
+    const int64_t nb = batch, nn = n, nf = f, wide = batch * f;
+    WithLaneWidth(nf, [&](auto lanes) {
+      for (int64_t i0 = 0; i0 < nn; i0 += 16) {
+        const int64_t i1 = std::min(nn, i0 + 16);
+        for (int64_t b = 0; b < nb; ++b) {
+          for (int64_t i = i0; i < i1; ++i) {
+            fn(b * nn + i, i * wide + b * nf, lanes);
+          }
+        }
+      }
+    });
+  }
+
+  const GraphOperator& op;
+  const int64_t batch;
+  const int64_t f;
+  const int64_t n = op.nodes();
+  const int64_t size = n * batch * f;  // floats per tile
+  const int64_t stride = size + 32;
+  float* const data;
+};
+
+// Floats of wide tiles per pass of the recurrence (128 KiB); larger batches
+// run in chunks so the layout passes find their tiles in cache. Unchunked,
+// [16, 64, 132] order 2 took twice as long per element as batch 8; 2^15
+// matched or beat 2^12…2^17 on most rows of the shard-graph kernel sweep.
+constexpr int64_t kWideChunkFloats = int64_t{1} << 15;
+
+// Calls fn(b0, count) over near-equal batch ranges whose tiles fit
+// kWideChunkFloats (one element at least), as parallel tasks with their
+// products inline; a lone chunk splits its products instead.
+template <typename Fn>
+void ForEachWideChunk(int64_t batch, int64_t per_element, Fn fn) {
+  const int64_t fit = std::max<int64_t>(1, kWideChunkFloats / per_element);
+  const int64_t chunks = (batch + fit - 1) / fit;
+  const int64_t count = (batch + chunks - 1) / chunks;
+  ParallelFor(chunks, kMinChunkWork, [&](int64_t c0, int64_t c1) {
+    for (int64_t c = c0; c < c1; ++c) {
+      fn(c * count, std::min(count, batch - c * count));
     }
   });
 }
 
-// Per-thread scratch for ChebyshevBasisInto's wide taps (grow-only).
-float* ChebWideScratch(int64_t len) {
-  thread_local std::vector<float> buf;
-  if (static_cast<int64_t>(buf.size()) < len) {
-    buf.resize(static_cast<size_t>(len));
+// ChebyshevBasisInto on one chunk (order ≥ 2). With one batch element the
+// wide layout is x's own, so tap 0 reads x in place.
+void ChebForwardChunk(const GraphOperator& op, const float* x, int64_t batch,
+                      int64_t f, int64_t order, float* out) {
+  const WideTiles tiles(op, batch, f, order);
+  const float* t0 = x;
+  if (batch > 1) {
+    float* dst = tiles.tile(0);
+    tiles.ForEachRow([&](int64_t row, int64_t at, auto lanes) {
+      CopyLanes<decltype(lanes)::value>(x + row * f, dst + at, f);
+    });
+    t0 = dst;
   }
-  return buf.data();
+  const auto prev = [&](int64_t s) { return s == 0 ? t0 : tiles.tile(s); };
+
+  // T_2 = L̂·T_1, then T_s = 2·L̂·T_{s-1} − T_{s-2}: a flat combine pass per
+  // tap, but the last tap's runs in the gather. 2·x is exact, so the
+  // subtraction rounds once either way.
+  const int64_t last = order - 1;
+  for (int64_t s = 1; s <= last; ++s) {
+    float* __restrict cur = tiles.tile(s);
+    tiles.Apply(/*transpose=*/false, prev(s - 1), cur);
+    if (s >= 2 && s < last) {
+      const float* __restrict p2 = prev(s - 2);
+      for (int64_t e = 0; e < tiles.size; ++e) cur[e] = 2.0f * cur[e] - p2[e];
+    }
+  }
+
+  // Each row of `out` gathers every tap once, folding in the last tap's
+  // combine (x's own row is T_{s-2} at order 3). Locals, not `tiles` members
+  // reloaded after each store, keep the row loops fast (1.7× at F = 4).
+  const float* const taps = tiles.data;
+  const int64_t stride = tiles.stride;
+  const int64_t ld = order * f;
+  const bool fold = last >= 2;
+  const int64_t copied = fold ? last - 1 : last;
+  tiles.ForEachRow([&](int64_t row, int64_t at, auto lanes) {
+    constexpr int64_t F = decltype(lanes)::value;
+    float* orow = out + row * ld;
+    CopyLanes<F>(x + row * f, orow, f);
+    for (int64_t s = 1; s <= copied; ++s) {
+      CopyLanes<F>(taps + s * stride + at, orow + s * f, f);
+    }
+    if (fold) {
+      const float* tl = taps + last * stride + at;
+      const float* p2 = last == 2 ? x + row * f : tl - 2 * stride;
+      MapLanes<F>(orow + last * f, f,
+                  [&](int64_t c) { return 2.0f * tl[c] - p2[c]; });
+    }
+  });
+}
+
+// ChebyshevBasisGrad on one chunk (order ≥ 2): grad's taps 1…order−1 go
+// into tiles 1…order−1, and tile 0 takes each step's product L̂ᵀ·G_s.
+void ChebGradChunk(const GraphOperator& op, const float* grad, int64_t batch,
+                   int64_t f, int64_t order, float* gx) {
+  const WideTiles tiles(op, batch, f, order);
+  float* const taps = tiles.data;
+  const int64_t stride = tiles.stride;
+  tiles.ForEachRow([&](int64_t row, int64_t at, auto lanes) {
+    for (int64_t s = 1; s < order; ++s) {
+      CopyLanes<decltype(lanes)::value>(grad + (row * order + s) * f,
+                                        taps + s * stride + at, f);
+    }
+  });
+  // s = order−1…2: G_{s-1} += 2·L̂ᵀ·G_s, G_{s-2} −= G_s (G_0's at the end).
+  float* __restrict prod = tiles.tile(0);
+  for (int64_t s = order - 1; s >= 1; --s) {
+    tiles.Apply(/*transpose=*/true, tiles.tile(s), prod);
+    if (s == 1) break;
+    float* __restrict g1 = tiles.tile(s - 1);
+    for (int64_t e = 0; e < tiles.size; ++e) g1[e] += 2.0f * prod[e];
+    if (s >= 3) {
+      float* __restrict g2 = tiles.tile(s - 2);
+      const float* __restrict gs = tiles.tile(s);
+      for (int64_t e = 0; e < tiles.size; ++e) g2[e] -= gs[e];
+    }
+  }
+
+  // dX = (G_0 − G_2) + L̂ᵀ·G_1, each row of dX written once.
+  tiles.ForEachRow([&](int64_t row, int64_t at, auto lanes) {
+    constexpr int64_t F = decltype(lanes)::value;
+    const float* g0 = grad + row * order * f;
+    const float* p1 = taps + at;
+    if (order == 2) {
+      MapLanes<F>(gx + row * f, f, [&](int64_t c) { return g0[c] + p1[c]; });
+    } else {
+      const float* g2 = p1 + 2 * stride;
+      MapLanes<F>(gx + row * f, f,
+                  [&](int64_t c) { return (g0[c] - g2[c]) + p1[c]; });
+    }
+  });
 }
 
 }  // namespace
@@ -285,93 +408,14 @@ void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
   ODF_CHECK_EQ(n, op.nodes());
   ODF_CHECK(out->rank() == 3 && out->dim(0) == batch && out->dim(1) == n &&
             out->dim(2) == order * f);
-  const int64_t ld = order * f;
-  const float* px = x.data();
-  float* po = out->data();
-  const int64_t wide = batch * f;
-  if (order == 1 || wide == 0) {
-    CopyRows(batch * n, f, px, f, po, ld);  // T_1 = x
+  if (order == 1) {
+    std::copy_n(x.data(), x.numel(), out->data());  // T_1 = x
     return;
   }
-
-  // Every tap lives in node-major ("wide") layout, tap s as an [n, wide]
-  // tile with tile(s)[i, b·f + c] = T_{s+1}[b, i, c]: each L̂-product is one
-  // product with a wide operand, and `out` is written once, row by row,
-  // after the last tap. Each tile is padded by 128 bytes: when n·wide
-  // floats fill a multiple of 4 KiB, unpadded taps 4K-alias row for row,
-  // which cost 20–30% on the dense path. With one batch element the wide
-  // layout is x's own [n, f] layout, so tap 0 reads x in place and its tile
-  // stays unused.
-  const int64_t tile = n * wide + 32;
-  float* scratch = ChebWideScratch(order * tile);
-  const auto tap = [&](int64_t s) -> float* { return scratch + s * tile; };
-  // Both layout passes below visit the rows (b, i) in blocks of
-  // kLayoutRows nodes, every batch element within a block: a tile's rows
-  // lie `wide` floats apart, and at power-of-two widths a whole column of
-  // them maps to a few cache sets, so a pass over all n nodes per batch
-  // element evicts each line before the next element reuses it.
-  constexpr int64_t kLayoutRows = 16;
-  const auto for_each_row = [&](auto fn) {
-    for (int64_t i0 = 0; i0 < n; i0 += kLayoutRows) {
-      const int64_t i1 = std::min(n, i0 + kLayoutRows);
-      for (int64_t b = 0; b < batch; ++b) {
-        for (int64_t i = i0; i < i1; ++i) fn(b, i);
-      }
-    }
-  };
-  const float* t0 = px;
-  if (batch > 1) {
-    WithLaneWidth(f, [&](auto lanes) {
-      constexpr int64_t F = decltype(lanes)::value;
-      float* dst = tap(0);
-      for_each_row([&](int64_t b, int64_t i) {
-        CopyLanes<F>(px + (b * n + i) * f, dst + i * wide + b * f, f);
-      });
-    });
-    t0 = tap(0);
-  }
-  const auto prev = [&](int64_t s) -> const float* {
-    return s == 0 ? t0 : tap(s);
-  };
-
-  // T_2 = L̂·T_1, then T_s = 2·L̂·T_{s-1} − T_{s-2}.
-  if (op.use_sparse()) {
-    SpmmTiled<SpmmEpilogue::kStore>(op.csr(), 1, wide, t0, wide, nullptr, 0,
-                                    tap(1), wide);
-    for (int64_t s = 2; s < order; ++s) {
-      SpmmTiled<SpmmEpilogue::kChebCombine>(op.csr(), 1, wide, tap(s - 1),
-                                            wide, prev(s - 2), wide, tap(s),
-                                            wide);
-    }
-  } else {
-    // Dense graph: one [n,n] x [n,wide] GEMM per tap keeps the full
-    // register-tile accumulator block hot — far higher throughput than the
-    // row-chained SpMM on a dense operator. Zero-skip transparency plus the
-    // shared fused-accumulation policy (ODF_FMADD) makes the result bit-
-    // identical to the CSR path. The 2·(L̂T) − T_{s-2} combine runs as one
-    // flat pass over the tile; 2·x is exact, so the subtraction rounds once
-    // either way and matches the SpMM's fused epilogue bit-for-bit.
-    for (int64_t s = 1; s < order; ++s) {
-      float* __restrict cur = tap(s);
-      GemmRawInto(op.dense().data(), prev(s - 1), cur, n, n, wide);
-      if (s >= 2) {
-        const float* __restrict p2 = prev(s - 2);
-        for (int64_t e = 0; e < n * wide; ++e) cur[e] = 2.0f * cur[e] - p2[e];
-      }
-    }
-  }
-
-  // Each output row (b, i) gathers its f lanes of every tap at once, so
-  // `out` is written once.
-  WithLaneWidth(f, [&](auto lanes) {
-    constexpr int64_t F = decltype(lanes)::value;
-    for_each_row([&](int64_t b, int64_t i) {
-      float* orow = po + (b * n + i) * ld;
-      CopyLanes<F>(px + (b * n + i) * f, orow, f);
-      for (int64_t s = 1; s < order; ++s) {
-        CopyLanes<F>(tap(s) + i * wide + b * f, orow + s * f, f);
-      }
-    });
+  if (batch * f == 0) return;
+  ForEachWideChunk(batch, order * n * f, [&](int64_t b0, int64_t count) {
+    ChebForwardChunk(op, x.data() + b0 * n * f, count, f, order,
+                     out->data() + b0 * n * order * f);
   });
 }
 
@@ -398,62 +442,11 @@ Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
   ODF_CHECK_EQ(grad.dim(2) % order, 0);
   const int64_t f = grad.dim(2) / order;
   if (order == 1) return grad;
-  const int64_t ld = order * f;
   Tensor gx(Shape({batch, n, f}));
-  if (f == 0) return gx;
-
-  // Reverse recurrence over tap gradients G_s (slice s−1 of a working
-  // copy):  G_{s-1} += 2·L̂ᵀ·G_s,  G_{s-2} −= G_s  for s = order..3, then
-  // dX = G_1 + L̂ᵀ·G_2.
-  Tensor g = grad;
-  float* pg = g.data();
-
-  if (op.use_sparse()) {
-    const CsrMatrix& at = op.csr_transpose();
-    for (int64_t s = order; s >= 3; --s) {
-      SpmmTiled<SpmmEpilogue::kAddTwice>(at, batch, f, pg + (s - 1) * f, ld,
-                                         nullptr, 0, pg + (s - 2) * f, ld);
-      float* psub = pg + (s - 3) * f;
-      const float* pgs = pg + (s - 1) * f;
-      ParallelFor(batch * n, f, [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-          for (int64_t c = 0; c < f; ++c) psub[t * ld + c] -= pgs[t * ld + c];
-        }
-      });
-    }
-    SpmmTiled<SpmmEpilogue::kAddOther>(at, batch, f, pg + f, ld, pg, ld,
-                                       gx.data(), f);
-    return gx;
-  }
-
-  // Dense path: contiguous copies of the slices feed the GEMM.
-  auto slice_copy = [&](int64_t s) {
-    Tensor t(Shape({batch, n, f}));
-    CopyRows(batch * n, f, pg + s * f, ld, t.data(), f);
-    return t;
-  };
-  for (int64_t s = order; s >= 3; --s) {
-    const Tensor lt = BatchMatMul(op.dense_transpose(), slice_copy(s - 1));
-    const float* plt = lt.data();
-    float* padd = pg + (s - 2) * f;
-    float* psub = pg + (s - 3) * f;
-    const float* pgs = pg + (s - 1) * f;
-    ParallelFor(batch * n, f, [&](int64_t t0, int64_t t1) {
-      for (int64_t t = t0; t < t1; ++t) {
-        for (int64_t c = 0; c < f; ++c) {
-          padd[t * ld + c] += 2.0f * plt[t * f + c];
-          psub[t * ld + c] -= pgs[t * ld + c];
-        }
-      }
-    });
-  }
-  const Tensor lt = BatchMatMul(op.dense_transpose(), slice_copy(1));
-  const Tensor g1 = slice_copy(0);
-  const float* plt = lt.data();
-  const float* pg1 = g1.data();
-  float* pgx = gx.data();
-  ParallelFor(batch * n * f, 1, [&](int64_t e0, int64_t e1) {
-    for (int64_t e = e0; e < e1; ++e) pgx[e] = pg1[e] + plt[e];
+  if (batch * f == 0) return gx;
+  ForEachWideChunk(batch, order * n * f, [&](int64_t b0, int64_t count) {
+    ChebGradChunk(op, grad.data() + b0 * n * order * f, count, f, order,
+                  gx.data() + b0 * n * f);
   });
   return gx;
 }

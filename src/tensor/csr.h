@@ -65,29 +65,28 @@ class GraphOperator;
 /// Fused Chebyshev basis of a graph operator: for x [B, n, F] computes all
 /// `order` taps of the recurrence T_1 = x, T_2 = L̂x, T_s = 2·L̂·T_{s-1} −
 /// T_{s-2} directly into one [B, n, order·F] tensor (tap s occupies feature
-/// columns [s·F, (s+1)·F)). One kernel launch per tap — no intermediate
-/// tensors, concat or elementwise passes — on the CSR or dense path chosen
-/// by `op`. Deterministic for every thread count.
+/// columns [s·F, (s+1)·F)), with one product per tap on the CSR or dense
+/// path chosen by `op` and no intermediate tensors. Deterministic for every
+/// thread count.
 Tensor ChebyshevBasis(const GraphOperator& op, const Tensor& x, int64_t order);
 
 /// ChebyshevBasis into a preallocated [B, n, order·F] output: the one
-/// Chebyshev forward kernel, run by the tape (ChebyshevBasis wraps it) and
-/// by the compiled serving plan alike. Each L̂-product runs in node-major
-/// ("wide") layout as ONE product with an [n, B·F] operand instead of B
-/// skinny [n, F] products: x is transposed so that batch and features fuse
-/// into one wide row (at B = 1 x already is that row and is read in place),
-/// the register-tiled SpMM (or the GEMM on the dense path) streams full
-/// tiles, and every tap stays wide until the last one is done; then each
-/// row of `out` is written once from all taps. Per output element the
-/// accumulation is a's row in ascending column order, so results do not
-/// depend on the thread count or on B. The `order` wide taps, n·B·F floats
-/// each, live in a per-thread grow-only scratch buffer, so repeated calls
-/// allocate nothing.
+/// Chebyshev forward kernel, run by the tape and by the compiled serving
+/// plan alike. Taps live in node-major ("wide") [n, B·F] tiles in a
+/// per-thread grow-only scratch (at B = 1 x is read in place), so each
+/// L̂-product is ONE SpMM or GEMM over a wide operand; each 2·L̂T − T combine
+/// is a flat pass, the last one folded into the gather that writes each row
+/// of `out` once. Batches whose tiles exceed 128 KiB run in chunks, in
+/// parallel across threads. Per element the accumulation is L̂'s row in
+/// ascending column order and every combine rounds once, so results depend
+/// neither on the thread count nor on B.
 void ChebyshevBasisInto(const GraphOperator& op, const Tensor& x,
                         int64_t order, Tensor* out);
 
 /// Adjoint of ChebyshevBasis: given dY [B, n, order·F], returns dX [B, n, F]
-/// by running the recurrence in reverse with L̂ᵀ.
+/// by running the recurrence in reverse on the same wide tiles, one L̂ᵀ
+/// product per step. Bit-identical to that recurrence composed from tensor
+/// ops (BatchMatMul with L̂ᵀ, MulScalar, Add, Sub) at every thread count.
 Tensor ChebyshevBasisGrad(const GraphOperator& op, const Tensor& grad,
                           int64_t order);
 

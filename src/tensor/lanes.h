@@ -40,6 +40,13 @@ inline void CopyLanes(const float* __restrict src, float* __restrict dst,
   }
 }
 
+// dst[c] = op(c) for c in [0, f) (F > 0: compile-time length). op must not
+// read dst, so a short row's lanes stay in one vector.
+template <int64_t F, typename Op>
+inline void MapLanes(float* __restrict dst, int64_t f, Op op) {
+  for (int64_t c = 0; c < (F > 0 ? F : f); ++c) dst[c] = op(c);
+}
+
 }  // namespace odf
 
 #endif  // ODF_TENSOR_LANES_H_

@@ -155,19 +155,33 @@ TEST(SpMMOpTest, SparseGradientMatchesDense) {
   ExpectRelClose(grads[0], grads[1], 1e-5f);
 }
 
-// The fused basis must equal the tap-by-tap reference recurrence computed
-// with dense matmuls, on every layout edge of the node-major kernel: one
-// batch element (tap 0 read in place), order 1 (copy only) and 2 (no
-// combine), one node, and F = 33 crossing the 32-wide SpMM tile.
+// The fused basis and its gradient must equal, byte for byte, the tap-by-tap
+// recurrences composed from BatchMatMul, MulScalar, Add and Sub: forward
+// T_s = 2·L̂·T_{s-1} − T_{s-2}, and in reverse G_{s-1} += 2·L̂ᵀ·G_s,
+// G_{s-2} −= G_s, dX = G_0 + L̂ᵀ·G_1. Every element of both kernels keeps
+// the product's ascending-column chain, and every combine rounds once as
+// the composed ops do. The table covers every layout edge of the node-major
+// kernels: one batch element (the forward reads tap 0 in place), order 1
+// (copy only), 2 (no combine) and 3 (the combine folded into the gather),
+// one node, F = 33 crossing the 32-wide SpMM tile and F = 132, whose
+// batch-16 tiles run in several chunks. Scaling L̂'s rows makes it
+// asymmetric, so a gradient that applied L̂ where L̂ᵀ belongs would show.
 TEST(ChebyshevBasisTest, MatchesUnfusedRecurrence) {
   Rng rng(22);
   for (const int64_t n : {1, 13}) {
-    const Tensor lap =
+    Tensor lap =
         ScaledLaplacian(Laplacian(RandomThresholdedWeights(n, 0.3, rng)));
+    for (int64_t i = 0; i < n; ++i) {
+      const float scale = 0.5f + static_cast<float>(rng.Uniform());
+      for (int64_t j = 0; j < n; ++j) lap.At2(i, j) *= scale;
+    }
+    const Tensor lap_t = Transpose2D(lap);
     for (const int64_t batch : {1, 3, 16}) {
-      for (const int64_t f : {1, 7, 33}) {
+      for (const int64_t f : {1, 7, 33, 132}) {
         const Tensor x = Tensor::RandomNormal(Shape({batch, n, f}), rng);
-        for (const int64_t order : {1, 2, 4}) {
+        const Tensor dy4 =
+            Tensor::RandomNormal(Shape({batch, n, 4 * f}), rng);
+        for (const int64_t order : {1, 2, 3, 4}) {
           std::vector<Tensor> taps = {x, BatchMatMul(lap, x)};
           for (int64_t s = 2; s < order; ++s) {
             taps.push_back(Sub(MulScalar(BatchMatMul(lap, taps.back()), 2.0f),
@@ -175,12 +189,28 @@ TEST(ChebyshevBasisTest, MatchesUnfusedRecurrence) {
           }
           taps.resize(static_cast<size_t>(order));
           const Tensor want = Concat(taps, 2);
+
+          const Tensor dy = Slice(dy4, 2, 0, order * f);
+          std::vector<Tensor> g;
+          for (int64_t s = 0; s < order; ++s) {
+            g.push_back(Slice(dy, 2, s * f, f));
+          }
+          for (int64_t s = order - 1; s >= 2; --s) {
+            const auto u = static_cast<size_t>(s);
+            g[u - 1] =
+                Add(g[u - 1], MulScalar(BatchMatMul(lap_t, g[u]), 2.0f));
+            g[u - 2] = Sub(g[u - 2], g[u]);
+          }
+          const Tensor want_grad =
+              order == 1 ? dy : Add(g[0], BatchMatMul(lap_t, g[1]));
           for (const int force : {0, 1}) {
             SCOPED_TRACE(::testing::Message()
                          << "n=" << n << " batch=" << batch << " F=" << f
                          << " order=" << order << " force_sparse=" << force);
             auto op = GraphOperator::Make(lap, force);
-            ExpectRelClose(ChebyshevBasis(*op, x, order), want, 1e-5f);
+            ASSERT_TRUE(BitIdentical(ChebyshevBasis(*op, x, order), want));
+            ASSERT_TRUE(
+                BitIdentical(ChebyshevBasisGrad(*op, dy, order), want_grad));
           }
         }
       }
@@ -196,7 +226,8 @@ TEST(ChebyshevBasisTest, MatchesUnfusedRecurrence) {
 // fallback (9 and up), the 32-lane SpMM tile's edges (below, at and past
 // one tile, the tail windows of 70 and the shard GRU width 132); batch 3
 // and 16 widen the node-major Chebyshev operand to batch·F, and each
-// batched basis must equal its per-slice batch-1 bases bit for bit.
+// batched basis and basis gradient must equal its per-slice batch-1 ones
+// bit for bit.
 TEST(SparseDenseParityTest, GraphKernelsBitIdentical) {
   PoolGuard guard;
   Rng rng(31);
@@ -236,8 +267,19 @@ TEST(SparseDenseParityTest, GraphKernelsBitIdentical) {
                     << "sparse slice " << b;
               }
               const Tensor g = Slice(g4, 2, 0, order * f);
-              ASSERT_TRUE(BitIdentical(ChebyshevBasisGrad(*dense, g, order),
-                                       ChebyshevBasisGrad(*sparse, g, order)));
+              const Tensor grad = ChebyshevBasisGrad(*sparse, g, order);
+              ASSERT_TRUE(
+                  BitIdentical(ChebyshevBasisGrad(*dense, g, order), grad));
+              for (int64_t b = 0; batch > 1 && b < batch; ++b) {
+                const Tensor gb = Slice(g, 0, b, 1);
+                const Tensor want = Slice(grad, 0, b, 1);
+                ASSERT_TRUE(BitIdentical(ChebyshevBasisGrad(*dense, gb, order),
+                                         want))
+                    << "dense gradient slice " << b;
+                ASSERT_TRUE(BitIdentical(
+                                ChebyshevBasisGrad(*sparse, gb, order), want))
+                    << "sparse gradient slice " << b;
+              }
             }
           }
         }
